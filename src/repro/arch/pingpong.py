@@ -92,18 +92,22 @@ class PingPongBufferSim:
 
         seg_blocks = self.config.pingpong_blocks_per_side
         segments = rel // seg_blocks
+        # seg_rank[i] = position of edge i's segment among the streamed
+        # ones.  ``segments`` ascends from 0, so with jump access (only
+        # touched segments stream) the rank counts segment changes;
+        # without it every segment streams and the rank is the segment.
         if self.config.jump_access:
-            needed_segments = np.unique(segments)
+            seg_rank = np.cumsum(np.diff(segments, prepend=0) != 0)
         else:
-            needed_segments = np.arange(segments[-1] + 1)
+            seg_rank = segments
+        num_needed = int(seg_rank[-1]) + 1
 
         # fill_pos[block] = cycle (from burst start) its fill completes:
         # whole needed segments stream back-to-back at 1 block/cycle.
-        seg_rank = np.searchsorted(needed_segments, segments)
         fill_pos = seg_rank * seg_blocks + (rel - segments * seg_blocks) + 1.0
         fill_at_set = fill_pos[last_of_set]
 
-        fetched = int(needed_segments.size) * seg_blocks
+        fetched = num_needed * seg_blocks
         # The final segment is only streamed up to the last needed block.
         tail_waste = seg_blocks - (int(rel[-1]) % seg_blocks + 1)
         fetched -= tail_waste

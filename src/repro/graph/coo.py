@@ -21,6 +21,30 @@ VERTEX_WORD_BYTES = 4
 #: Bytes per (src, dst) edge record without weights.
 EDGE_BYTES = 8
 
+#: Vertex IDs are 32-bit words, so a graph holds at most ``2**32`` vertices.
+MAX_VERTICES = 1 << 32
+
+
+def _sort_edges(src: np.ndarray, dst: np.ndarray, weights):
+    """Sort in-range ``int64`` edges by (src, dst) on one packed key.
+
+    Each edge packs into the ``uint64`` key ``src << 32 | dst``, so a
+    single sort orders by source and then destination.  Weights need the
+    permutation, so they take the stable argsort, which keeps duplicate
+    edges' weights in input order.
+    """
+    key = src.view(np.uint64) << 32
+    key |= dst.view(np.uint64)
+    if weights is None:
+        key.sort()
+    else:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        weights = weights[order]
+    src = (key >> 32).view(np.int64)
+    key &= 0xFFFFFFFF
+    return src, key.view(np.int64), weights
+
 
 class Graph:
     """A directed graph in COO format with ascending source vertex IDs.
@@ -31,7 +55,8 @@ class Graph:
         Number of vertices ``V``; vertex IDs are ``0 .. V - 1``.
     src, dst:
         Parallel edge arrays.  They are copied into ``int64`` and sorted by
-        (src, dst) unless ``assume_sorted`` is set.
+        (src, dst) unless ``assume_sorted`` is set.  Vertex IDs are 32-bit
+        words, so ``num_vertices`` may be at most ``2**32``.
     weights:
         Optional per-edge 32-bit payload (e.g. SSSP edge lengths).
     name:
@@ -48,15 +73,22 @@ class Graph:
         assume_sorted: bool = False,
     ):
         check_positive("num_vertices", num_vertices)
-        src = check_array_1d("src", src).astype(np.int64, copy=True)
-        dst = check_array_1d("dst", dst).astype(np.int64, copy=True)
+        if num_vertices > MAX_VERTICES:
+            raise ValueError(
+                f"num_vertices must be <= 2**32 (vertex IDs are 32-bit "
+                f"words), got {num_vertices}"
+            )
+        # One copy per input: an explicit one when the order is kept,
+        # otherwise the packed sort key below is the copy.
+        src = check_array_1d("src", src).astype(np.int64, copy=assume_sorted)
+        dst = check_array_1d("dst", dst).astype(np.int64, copy=assume_sorted)
         if src.shape != dst.shape:
             raise ValueError(
                 f"src and dst must have equal length, "
                 f"got {src.size} vs {dst.size}"
             )
         if weights is not None:
-            weights = check_array_1d("weights", weights).copy()
+            weights = check_array_1d("weights", weights)
             if weights.shape != src.shape:
                 raise ValueError("weights must have one entry per edge")
         if src.size and (src.min() < 0 or src.max() >= num_vertices):
@@ -64,12 +96,11 @@ class Graph:
         if dst.size and (dst.min() < 0 or dst.max() >= num_vertices):
             raise ValueError("dst IDs out of range")
 
-        if not assume_sorted:
-            order = np.lexsort((dst, src))
-            src = src[order]
-            dst = dst[order]
+        if assume_sorted:
             if weights is not None:
-                weights = weights[order]
+                weights = weights.copy()
+        else:
+            src, dst, weights = _sort_edges(src, dst, weights)
 
         self.num_vertices = int(num_vertices)
         self.src = src
@@ -131,8 +162,9 @@ class Graph:
     def relabel(self, mapping: np.ndarray, name: Optional[str] = None) -> "Graph":
         """Return a new graph with vertex ``v`` renamed to ``mapping[v]``.
 
-        ``mapping`` must be a permutation of ``0 .. V - 1``; this is how DBG
-        reordering is applied.
+        ``mapping`` must be a permutation of ``0 .. V - 1`` (an O(V) check
+        raises ``ValueError`` otherwise); this is how DBG reordering is
+        applied.
         """
         mapping = check_array_1d("mapping", mapping).astype(np.int64)
         if mapping.size != self.num_vertices:
@@ -140,6 +172,12 @@ class Graph:
                 f"mapping must have {self.num_vertices} entries, "
                 f"got {mapping.size}"
             )
+        if (
+            mapping.min() < 0
+            or mapping.max() >= self.num_vertices
+            or not np.all(np.bincount(mapping, minlength=self.num_vertices) == 1)
+        ):
+            raise ValueError("mapping must be a permutation of 0 .. V - 1")
         return Graph(
             self.num_vertices,
             mapping[self.src],

@@ -40,6 +40,10 @@ def rmat_graph(
     are kept, as Graph500 generators do.
     """
     check_positive("scale", scale)
+    if scale > 32:
+        raise ValueError(
+            f"scale must be <= 32 (vertex IDs are 32-bit words), got {scale}"
+        )
     check_positive("edge_factor", edge_factor)
     for nm, p in (("a", a), ("b", b), ("c", c)):
         check_probability(nm, p)
@@ -51,17 +55,21 @@ def rmat_graph(
     num_vertices = 1 << scale
     num_edges = num_vertices * edge_factor
 
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
-    # Descend the recursion one bit level at a time, fully vectorised.
+    # Descend the recursion one bit level at a time, fully vectorised, in
+    # place on 32-bit accumulators with one reused draw buffer.
+    src = np.zeros(num_edges, dtype=np.uint32)
+    dst = np.zeros(num_edges, dtype=np.uint32)
+    r = np.empty(num_edges)
+    ab, abc = a + b, a + b + c
     for _ in range(scale):
-        r = rng.random(num_edges)
-        src_bit = r >= a + b
-        dst_bit = (r >= a) & (r < a + b) | (r >= a + b + c)
-        src = (src << 1) | src_bit
-        dst = (dst << 1) | dst_bit
+        rng.random(out=r)
+        src <<= 1
+        src |= r >= ab
+        dst <<= 1
+        dst |= (r >= a) & (r < ab) | (r >= abc)
     # Scramble IDs so the heavy quadrant is not trivially the low ID range;
-    # real Graph500 applies a similar permutation.
+    # real Graph500 applies a similar permutation.  Indexing the int64
+    # permutation widens the IDs back to int64.
     perm = rng.permutation(num_vertices)
     return Graph(num_vertices, perm[src], perm[dst], name=name)
 

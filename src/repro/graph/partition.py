@@ -105,14 +105,18 @@ class PartitionSet:
 def partition_graph(graph: Graph, interval: int) -> PartitionSet:
     """Partition ``graph`` into destination intervals of size ``interval``.
 
-    One vectorised stable sort groups edges by partition while preserving
-    the ascending-source order within each partition; cost is O(E log E) in
-    NumPy terms but plays the role of the paper's O(E) partitioning scan.
+    One stable sort on the partition ID groups edges by partition while
+    preserving the ascending-source order within each partition.  The ID is
+    narrowed to the smallest unsigned type that holds ``num_parts - 1``;
+    for up to 65,536 partitions that is uint8 or uint16, which NumPy sorts
+    with an O(E) radix pass, the paper's partitioning scan.
     """
     check_positive("interval", interval)
     num_parts = -(-graph.num_vertices // interval)
     pid = graph.dst // interval
-    order = np.argsort(pid, kind="stable")
+    order = np.argsort(
+        pid.astype(np.min_scalar_type(num_parts - 1)), kind="stable"
+    )
     src = graph.src[order]
     dst = graph.dst[order]
     weights = None if graph.weights is None else graph.weights[order]

@@ -68,8 +68,12 @@ def degree_based_grouping(
         raise ValueError(f"num_groups must be >= 2, got {num_groups}")
     degrees = graph.in_degrees()
     groups = _group_of(degrees, num_groups)
-    # Stable counting order: descending group, original ID preserved within.
-    order = np.argsort(-groups, kind="stable")
+    # Stable counting order: descending group, original ID preserved
+    # within.  A small unsigned key makes the stable sort a radix pass.
+    rank = num_groups - 1 - groups
+    order = np.argsort(
+        rank.astype(np.min_scalar_type(num_groups - 1)), kind="stable"
+    )
     mapping = np.empty(graph.num_vertices, dtype=np.int64)
     mapping[order] = np.arange(graph.num_vertices, dtype=np.int64)
     relabelled = graph.relabel(mapping, name=graph.name)

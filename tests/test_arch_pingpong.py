@@ -2,9 +2,40 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.config import PipelineConfig
-from repro.arch.pingpong import PingPongBufferSim
+from repro.arch.pingpong import PingPongBufferSim, PingPongStats
+
+
+def structure_reference(config, src):
+    """The ``np.unique`` / ``searchsorted`` form of the structure pass."""
+    k = config.edges_per_set
+    num_sets = -(-src.size // k)
+    last_of_set = np.minimum(np.arange(1, num_sets + 1) * k - 1, src.size - 1)
+    blocks = src // config.vertices_per_block
+    rel = blocks - blocks[0]
+    span = int(rel[-1] + 1)
+    seg_blocks = config.pingpong_blocks_per_side
+    segments = rel // seg_blocks
+    if config.jump_access:
+        needed = np.unique(segments)
+    else:
+        needed = np.arange(segments[-1] + 1)
+    seg_rank = np.searchsorted(needed, segments)
+    fill_pos = seg_rank * seg_blocks + (rel - segments * seg_blocks) + 1.0
+    fetched = int(needed.size) * seg_blocks
+    fetched -= seg_blocks - (int(rel[-1]) % seg_blocks + 1)
+    fetched = min(fetched, span)
+    stats = PingPongStats(
+        num_edges=int(src.size),
+        num_sets=num_sets,
+        blocks_fetched=fetched,
+        blocks_skipped=max(span - fetched, 0),
+        span_blocks=span,
+    )
+    return fill_pos[last_of_set], stats
 
 
 @pytest.fixture()
@@ -100,3 +131,26 @@ class TestReadyTimes:
         src = np.arange(100, dtype=np.int64) + 1_000_000
         _, stats = pingpong.access_ready_times(src)
         assert stats.span_blocks <= 8
+
+
+class TestStructureDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(0, 20_000), min_size=1, max_size=400),
+        st.sampled_from([512, 2048, 32 * 1024]),
+        st.booleans(),
+    )
+    def test_matches_unique_searchsorted_reference(
+        self, channel, ids, pingpong_bytes, jump_access
+    ):
+        cfg = PipelineConfig(
+            gather_buffer_vertices=512,
+            pingpong_bytes=pingpong_bytes,
+            jump_access=jump_access,
+        )
+        src = np.sort(np.array(ids, dtype=np.int64))
+        fill, stats = PingPongBufferSim(cfg, channel).access_structure(src)
+        ref_fill, ref_stats = structure_reference(cfg, src)
+        assert fill.dtype == ref_fill.dtype
+        np.testing.assert_array_equal(fill, ref_fill)
+        assert stats == ref_stats

@@ -2,8 +2,34 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.graph.coo import EDGE_BYTES, VERTEX_WORD_BYTES, Graph
+from repro.graph.coo import EDGE_BYTES, MAX_VERTICES, VERTEX_WORD_BYTES, Graph
+
+
+@st.composite
+def multigraphs(draw):
+    """Small multigraphs: few vertices, so duplicate edges and self loops
+    are common; optional 32-bit weights."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(0, 150))
+    ids = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    src, dst = draw(ids), draw(ids)
+    weights = draw(
+        st.none()
+        | st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m)
+    )
+    return n, src, dst, weights
+
+
+def lexsort_reference(src, dst, weights=None):
+    """The (src, dst) stable order the packed-key sort must reproduce."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    order = np.lexsort((dst, src))
+    w = None if weights is None else np.asarray(weights)[order]
+    return src[order], dst[order], w
 
 
 class TestConstruction:
@@ -47,6 +73,64 @@ class TestConstruction:
     def test_zero_vertices_raises(self):
         with pytest.raises(ValueError):
             Graph(0, [], [])
+
+
+class TestPackedKeySort:
+    @settings(max_examples=60, deadline=None)
+    @given(multigraphs())
+    def test_matches_lexsort_reference(self, case):
+        n, src, dst, weights = case
+        g = Graph(n, src, dst, weights=weights)
+        ref_src, ref_dst, ref_w = lexsort_reference(src, dst, weights)
+        np.testing.assert_array_equal(g.src, ref_src)
+        np.testing.assert_array_equal(g.dst, ref_dst)
+        assert g.src.dtype == np.int64 and g.dst.dtype == np.int64
+        if weights is None:
+            assert g.weights is None
+        else:
+            np.testing.assert_array_equal(g.weights, ref_w)
+
+    def test_duplicate_edge_weights_keep_input_order(self):
+        g = Graph(3, [1, 1, 0, 1], [2, 2, 0, 2], weights=[30, 10, 5, 20])
+        np.testing.assert_array_equal(g.src, [0, 1, 1, 1])
+        np.testing.assert_array_equal(g.weights, [5, 30, 10, 20])
+
+    def test_ids_at_the_32_bit_bound(self):
+        top = MAX_VERTICES - 1
+        src = [top, 0, 2**31, top, 2**31]
+        dst = [0, top, 5, top, 2**31 - 1]
+        g = Graph(MAX_VERTICES, src, dst)
+        ref_src, ref_dst, _ = lexsort_reference(src, dst)
+        np.testing.assert_array_equal(g.src, ref_src)
+        np.testing.assert_array_equal(g.dst, ref_dst)
+
+    def test_more_than_2_pow_32_vertices_raises(self):
+        with pytest.raises(ValueError, match="32-bit"):
+            Graph(MAX_VERTICES + 1, [0], [1])
+
+    def test_narrow_input_dtypes(self):
+        src = np.array([3, 1, 1], dtype=np.int32)
+        dst = np.array([0, 2, 1], dtype=np.uint16)
+        g = Graph(4, src, dst)
+        np.testing.assert_array_equal(g.src, [1, 1, 3])
+        np.testing.assert_array_equal(g.dst, [1, 2, 0])
+        assert g.src.dtype == np.int64 and g.dst.dtype == np.int64
+
+    @pytest.mark.parametrize("assume_sorted", [False, True])
+    def test_owns_its_arrays(self, assume_sorted):
+        src = np.array([0, 1, 2], dtype=np.int64)
+        dst = np.array([1, 2, 0], dtype=np.int64)
+        w = np.array([7, 8, 9])
+        g = Graph(3, src, dst, weights=w, assume_sorted=assume_sorted)
+        for ours, theirs in ((g.src, src), (g.dst, dst), (g.weights, w)):
+            assert not np.shares_memory(ours, theirs)
+
+    def test_with_weights_skips_the_sort(self):
+        g = Graph(4, [3, 0, 2], [0, 1, 1], assume_sorted=True)
+        w = g.with_weights([30, 0, 20])
+        np.testing.assert_array_equal(w.src, [3, 0, 2])
+        np.testing.assert_array_equal(w.dst, [0, 1, 1])
+        np.testing.assert_array_equal(w.weights, [30, 0, 20])
 
 
 class TestDegrees:
@@ -102,6 +186,18 @@ class TestTransformations:
     def test_relabel_wrong_size_raises(self, tiny_graph):
         with pytest.raises(ValueError):
             tiny_graph.relabel(np.arange(5))
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            [0, 0, 2, 3, 4, 5],  # repeated target would merge vertices
+            [0, 1, 2, 3, 4, 6],  # out of range
+            [-1, 1, 2, 3, 4, 5],  # negative
+        ],
+    )
+    def test_relabel_non_permutation_raises(self, tiny_graph, mapping):
+        with pytest.raises(ValueError, match="permutation"):
+            tiny_graph.relabel(np.array(mapping))
 
     def test_reversed_swaps_degrees(self, tiny_graph):
         rev = tiny_graph.reversed()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graph.coo import Graph
 from repro.graph.generators import (
     erdos_renyi_graph,
     power_law_graph,
@@ -10,7 +11,44 @@ from repro.graph.generators import (
 )
 
 
+def rmat_reference(scale, edge_factor, a, b, c, seed):
+    """The int64, allocate-per-level form of the RMAT descent."""
+    rng = np.random.default_rng(seed)
+    num_vertices = 1 << scale
+    num_edges = num_vertices * edge_factor
+    src = np.zeros(num_edges, dtype=np.int64)
+    dst = np.zeros(num_edges, dtype=np.int64)
+    for _ in range(scale):
+        r = rng.random(num_edges)
+        src_bit = r >= a + b
+        dst_bit = (r >= a) & (r < a + b) | (r >= a + b + c)
+        src = (src << 1) | src_bit
+        dst = (dst << 1) | dst_bit
+    perm = rng.permutation(num_vertices)
+    return Graph(num_vertices, perm[src], perm[dst])
+
+
 class TestRmat:
+    @pytest.mark.parametrize(
+        "scale, edge_factor, a, b, c, seed",
+        [
+            (1, 4, 0.57, 0.19, 0.19, 0),
+            (6, 8, 0.57, 0.19, 0.19, 3),
+            (10, 16, 0.57, 0.19, 0.19, 11),
+            (11, 4, 0.25, 0.25, 0.25, 5),
+            (9, 2, 0.45, 0.15, 0.15, 42),
+        ],
+    )
+    def test_matches_int64_reference(self, scale, edge_factor, a, b, c, seed):
+        g = rmat_graph(scale, edge_factor, a=a, b=b, c=c, seed=seed)
+        ref = rmat_reference(scale, edge_factor, a, b, c, seed)
+        np.testing.assert_array_equal(g.src, ref.src)
+        np.testing.assert_array_equal(g.dst, ref.dst)
+
+    def test_scale_beyond_32_bit_ids_raises(self):
+        with pytest.raises(ValueError, match="32-bit"):
+            rmat_graph(33)
+
     def test_sizes(self):
         g = rmat_graph(10, 8, seed=0)
         assert g.num_vertices == 1024

@@ -2,8 +2,30 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.graph.coo import Graph
+from repro.graph.generators import erdos_renyi_graph
 from repro.graph.partition import partition_graph
+
+from tests.strategies import graphs
+
+
+def assert_matches_int64_reference(graph, interval):
+    """Partitions equal slices of an int64 stable argsort on the ID."""
+    pset = partition_graph(graph, interval)
+    pid = graph.dst // interval
+    order = np.argsort(pid, kind="stable")
+    counts = np.bincount(pid, minlength=pset.num_partitions)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    assert pset.num_partitions == -(-graph.num_vertices // interval)
+    for i, part in enumerate(pset.partitions):
+        sel = order[bounds[i]:bounds[i + 1]]
+        np.testing.assert_array_equal(part.src, graph.src[sel])
+        np.testing.assert_array_equal(part.dst, graph.dst[sel])
+        if graph.weights is not None:
+            np.testing.assert_array_equal(part.weights, graph.weights[sel])
 
 
 class TestPartitionGraph:
@@ -55,6 +77,30 @@ class TestPartitionGraph:
         pset = partition_graph(g, 3)
         total = sum(p.weights.sum() for p in pset.partitions)
         assert total == np.arange(8).sum()
+
+
+
+class TestNarrowKeySort:
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(weighted=True), st.integers(1, 40))
+    def test_matches_int64_reference(self, graph, interval):
+        assert_matches_int64_reference(graph, interval)
+
+    @pytest.mark.parametrize("num_parts", [256, 257, 65_536, 65_537])
+    def test_matches_int64_reference_at_dtype_boundaries(self, num_parts):
+        # uint8 holds IDs of 256 partitions, uint16 of 65,536; one more
+        # partition widens the key.  The last partition is one vertex.
+        interval = 2
+        num_vertices = (num_parts - 1) * interval + 1
+        g = erdos_renyi_graph(num_vertices, 20_000, seed=num_parts)
+        # Make sure the last partition (highest ID) owns an edge.
+        g = Graph(
+            num_vertices,
+            np.append(g.src, 0),
+            np.append(g.dst, num_vertices - 1),
+            weights=np.arange(g.num_edges + 1),
+        )
+        assert_matches_int64_reference(g, interval)
 
 
 class TestPartitionAccessors:

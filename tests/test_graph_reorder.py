@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from repro.graph.reorder import (
+    _group_of,
     degree_based_grouping,
     identity_ordering,
 )
 
 
 class TestDbgStructure:
+    @pytest.mark.parametrize("num_groups", [2, 8, 256, 300])
+    def test_matches_int64_stable_argsort(self, small_powerlaw, num_groups):
+        res = degree_based_grouping(small_powerlaw, num_groups=num_groups)
+        groups = _group_of(small_powerlaw.in_degrees(), num_groups)
+        order = np.argsort(-groups, kind="stable")
+        np.testing.assert_array_equal(res.inverse, order)
+
     def test_mapping_is_permutation(self, small_rmat):
         res = degree_based_grouping(small_rmat)
         assert np.array_equal(
