@@ -101,16 +101,42 @@ def power_law_graph(
     pmf = ranks ** (-exponent)
     pmf /= pmf.sum()
     cdf = np.cumsum(pmf)
-
-    def sample(count: int) -> np.ndarray:
-        return np.searchsorted(cdf, rng.random(count), side="left")
+    sample = _inverse_cdf_sampler(cdf)
 
     perm = rng.permutation(num_vertices)
-    src = perm[sample(n_draw)]
-    dst = perm[sample(n_draw)]
+    src = perm[sample(rng.random(n_draw))]
+    dst = perm[sample(rng.random(n_draw))]
     if undirected:
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
     return Graph(num_vertices, src, dst, name=name)
+
+
+def _inverse_cdf_sampler(cdf: np.ndarray):
+    """``u -> np.searchsorted(cdf, u, side="left")`` for draws in [0, 1).
+
+    ``cdf`` is a nondecreasing CDF; its last entry is raised to 1.0 in
+    place, so summation round-off cannot leave a draw past the end.
+
+    A guide table over ``K`` equal buckets of [0, 1) (``K`` a power of
+    two, so ``cdf * K`` and ``u * K`` are exact) holds
+    ``guide[k] = #{i : cdf[i] < k / K}``, the answer for the bucket's
+    lower edge.  A draw in bucket ``k`` starts there; only draws with
+    ``cdf[guide[k]] < u`` (a CDF step inside the bucket) fall back to a
+    binary search.
+    """
+    cdf[-1] = max(cdf[-1], 1.0)
+    size = max(1 << int(cdf.size - 1).bit_length(), 1024)
+    buckets = np.floor(cdf * size).astype(np.int64)
+    guide = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(buckets, minlength=size + 1)[:size], out=guide[1:])
+
+    def sample(u: np.ndarray) -> np.ndarray:
+        idx = guide[(u * size).astype(np.int64)]
+        miss = np.flatnonzero(cdf[idx] < u)
+        idx[miss] = np.searchsorted(cdf, u[miss], side="left")
+        return idx
+
+    return sample
 
 
 def erdos_renyi_graph(

@@ -16,13 +16,16 @@ For a partition ``p`` with ``E_p`` edges:
   per-execution constant, obtained by timing dummy partitions exactly as
   Sec. IV-A prescribes.
 
-Estimation is O(E_p) with NumPy and runs during graph partitioning, so the
-preprocessing cost it adds matches the paper's "little extra overhead".
+Estimation is O(E_p) with NumPy. The scheduler enumerates each partition
+once per pipeline type (plus the merged sparse groups and the cut
+slices), so the preprocessing cost it adds stays the paper's "little
+extra overhead" on top of partitioning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -57,32 +60,39 @@ class PerformanceModel:
         ``edge_bytes`` is ``S_e`` of Eq. 1: 8 for (src, dst) records, 12
         when a weight word rides along (SSSP/SpMV), which slows the
         sequential edge stream accordingly.
+
+        Only block-change edges pay the Eq. 4 latency (the stride is the
+        distance from the previous edge's source); every other edge hits
+        the last-block cache and costs the floor.
         """
         src = np.asarray(src, dtype=np.int64)
+        floor = self._floor(edge_bytes)
+        costs = np.full(src.size, floor)
         if src.size == 0:
-            return np.zeros(0)
+            return costs
         blocks = src // self.config.vertices_per_block
-        new_block = np.empty(src.size, dtype=bool)
-        new_block[0] = True
-        new_block[1:] = blocks[1:] != blocks[:-1]
-        dist = np.zeros(src.size, dtype=np.float64)
-        dist[1:] = (src[1:] - src[:-1]) * VERTEX_WORD_BYTES
-        acs_v = np.where(new_block, self.big_fit.latency(dist), 0.0)
-        floor = max(self._acs_e(edge_bytes), self.config.proc_cycles_per_edge)
-        return np.maximum(acs_v, floor)
+        changes = np.flatnonzero(blocks[1:] != blocks[:-1]) + 1
+        stride = (src[changes] - src[changes - 1]) * VERTEX_WORD_BYTES
+        costs[changes] = np.maximum(self.big_fit.latency(stride), floor)
+        # The first edge always misses, at stride 0.
+        costs[0] = max(float(self.big_fit.latency(0.0)), floor)
+        return costs
 
     def edge_costs_little(
         self, src: np.ndarray, edge_bytes: int = EDGE_BYTES
     ) -> np.ndarray:
         """Per-edge cycles on the Little pipeline (the Eq. 1 max term)."""
         src = np.asarray(src, dtype=np.int64)
-        if src.size == 0:
-            return np.zeros(0)
-        dist = np.zeros(src.size, dtype=np.float64)
-        dist[1:] = (src[1:] - src[:-1]) * VERTEX_WORD_BYTES
-        acs_v = dist / BLOCK_BYTES
-        floor = max(self._acs_e(edge_bytes), self.config.proc_cycles_per_edge)
-        return np.maximum(acs_v, floor)
+        costs = np.zeros(src.size)
+        # Gap in vertices -> bytes -> blocks: the scale is a power of two,
+        # so scaling the exact float gap is exact.
+        np.subtract(src[1:], src[:-1], out=costs[1:])
+        costs *= VERTEX_WORD_BYTES / BLOCK_BYTES
+        return np.maximum(costs, self._floor(edge_bytes), out=costs)
+
+    def _floor(self, edge_bytes: int = EDGE_BYTES) -> float:
+        """Per-edge cycles no edge beats: edge fetch or processing."""
+        return max(self._acs_e(edge_bytes), self.config.proc_cycles_per_edge)
 
     def _acs_e(self, edge_bytes: int = EDGE_BYTES) -> float:
         """``C_acs_e = S_e / S_mem`` — constant sequential edge cost."""
@@ -101,18 +111,29 @@ class PerformanceModel:
         * the *gather* bound — each Gather PE owns one partition and
           absorbs one tuple per cycle (II_gpe), so the execution cannot
           finish before the busiest lane drains.
+
+        Each lane's sources must ascend (the partition invariant).
         """
         lane_srcs = [np.asarray(s, dtype=np.int64) for s in lane_srcs]
         if not lane_srcs:
             raise ValueError("group needs at least one partition")
-        merged = np.sort(np.concatenate(lane_srcs))
-        supply = float(self.edge_costs_big(merged).sum())
+        supply = float(self.edge_costs_big(merge_sources(lane_srcs)).sum())
         gather_bound = max(s.size for s in lane_srcs) * self.config.ii_gpe
         return max(supply, float(gather_bound)) + self.const_big
 
     def estimate_little_execution(self, src: np.ndarray) -> float:
         """Cycles of one Little execution over one (sub-)partition."""
         return float(self.edge_costs_little(src).sum()) + self.const_little
+
+    def estimate_little_windows(
+        self, src: np.ndarray, window_edges: int
+    ) -> Tuple[float, np.ndarray]:
+        """``estimate_little_execution(src)`` together with
+        ``window_weights(src, "little", window_edges)``, from one
+        enumeration of the edges."""
+        costs = self.edge_costs_little(src)
+        total = float(costs.sum()) + self.const_little
+        return total, _window_sums(costs, window_edges)
 
     def estimate_partition(self, partition: Partition, kind: str) -> float:
         """Estimated cycles of a single partition on a pipeline type.
@@ -157,12 +178,7 @@ class PerformanceModel:
             if kind == "big"
             else self.edge_costs_little(src)
         )
-        if costs.size == 0:
-            return np.zeros(0)
-        num_windows = -(-costs.size // window_edges)
-        padded = np.zeros(num_windows * window_edges)
-        padded[: costs.size] = costs
-        return padded.reshape(num_windows, window_edges).sum(axis=1)
+        return _window_sums(costs, window_edges)
 
     def cut_points(
         self,
@@ -176,3 +192,26 @@ class PerformanceModel:
         weights = self.window_weights(src, kind, window_edges)
         bounds = balanced_chunk_bounds(weights, num_chunks)
         return np.minimum(bounds * window_edges, src.size)
+
+
+def merge_sources(lane_srcs: Sequence[np.ndarray]) -> np.ndarray:
+    """One ascending source stream from per-lane ascending sources.
+
+    A single lane already is that stream and is returned as is.
+    """
+    if len(lane_srcs) == 1:
+        return lane_srcs[0]
+    merged = np.concatenate(lane_srcs)
+    merged.sort()
+    return merged
+
+
+def _window_sums(costs: np.ndarray, window_edges: int) -> np.ndarray:
+    """Sums of consecutive ``window_edges``-sized runs of ``costs``, the
+    last run zero-padded."""
+    if costs.size == 0:
+        return np.zeros(0)
+    num_windows = -(-costs.size // window_edges)
+    padded = np.zeros(num_windows * window_edges)
+    padded[: costs.size] = costs
+    return padded.reshape(num_windows, window_edges).sum(axis=1)

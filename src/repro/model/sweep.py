@@ -81,10 +81,11 @@ def sweep_parameter(
 ) -> List[SweepPoint]:
     """Estimate scheduled makespan across settings of one parameter.
 
-    Re-partitions and re-calibrates per point when the parameter affects
-    partitioning (``gather_buffer_vertices``); otherwise reuses the
-    partition set.  Uses modelled (not simulated) cycles, so whole sweeps
-    stay cheap enough for interactive use.
+    Every point re-calibrates the model, re-partitions the graph and
+    re-schedules it, so points are independent (only
+    ``gather_buffer_vertices`` actually changes the partition set).  Uses
+    modelled (not simulated) cycles, so whole sweeps stay cheap enough
+    for interactive use.
     """
     if not hasattr(base_config, parameter):
         raise ValueError(f"unknown PipelineConfig field {parameter!r}")

@@ -10,15 +10,53 @@ total estimated times.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.graph.partition import Partition
 from repro.model.perf import PerformanceModel
+from repro.sched.intra import DEFAULT_WINDOW_EDGES
+
+
+@dataclass(frozen=True)
+class PartitionCosts:
+    """Every partition's estimates from one Little and one Big pass.
+
+    ``little[i]`` is ``(estimate, window weights)`` of partition ``i`` on
+    the Little pipeline; the intra-cluster scheduler cuts dense
+    partitions from those window weights instead of enumerating the
+    edges again.  Only window sums are kept, never per-edge costs.
+    """
+
+    little: List[Tuple[float, np.ndarray]]
+    t_big: List[float]
+
+    @property
+    def t_little(self) -> List[float]:
+        return [total for total, _ in self.little]
+
+
+def cost_partitions(
+    partitions: Sequence[Partition],
+    model: PerformanceModel,
+    window_edges: int = DEFAULT_WINDOW_EDGES,
+) -> PartitionCosts:
+    """Estimate every partition on both pipeline types."""
+    return PartitionCosts(
+        little=[
+            model.estimate_little_windows(p.src, window_edges)
+            for p in partitions
+        ],
+        t_big=[model.estimate_partition(p, "big") for p in partitions],
+    )
 
 
 def classify_partitions(
     partitions: Sequence[Partition],
     model: PerformanceModel,
+    costs: Optional[PartitionCosts] = None,
 ) -> Tuple[List[int], List[int], List[float], List[float]]:
     """Split partitions into dense and sparse sets by modelled time.
 
@@ -32,33 +70,45 @@ def classify_partitions(
        group.  A group whose Big time exceeds the Little alternative is
        dominated by a too-heavy partition (its Gather PE serialises);
        that partition is evicted to the dense set and grouping repeats.
+       Groups ahead of the eviction reappear unchanged, so each distinct
+       group is estimated at most once; a group whose gather bound
+       alone exceeds the Little alternative is not estimated at all.
 
-    Returns ``(dense_idx, sparse_idx, t_little, t_big)`` where the index
-    lists refer to positions in ``partitions``.
+    ``costs`` are the partitions' :func:`cost_partitions` estimates,
+    computed here when not given.  Returns ``(dense_idx, sparse_idx,
+    t_little, t_big)`` where the index lists refer to positions in
+    ``partitions``.
     """
+    if costs is None:
+        costs = cost_partitions(partitions, model)
+    t_little, t_big = costs.t_little, costs.t_big
     dense, sparse = [], []
-    t_little, t_big = [], []
-    for i, partition in enumerate(partitions):
-        tl = model.estimate_partition(partition, "little")
-        tb = model.estimate_partition(partition, "big")
-        t_little.append(tl)
-        t_big.append(tb)
-        if tb < tl:
-            sparse.append(i)
-        else:
-            dense.append(i)
+    for i in range(len(partitions)):
+        (sparse if t_big[i] < t_little[i] else dense).append(i)
 
     n_gpe = model.config.n_gpe
+    group_big: Dict[Tuple[int, ...], float] = {}
     while sparse:
         evicted = None
         for lo in range(0, len(sparse), n_gpe):
-            group = sparse[lo : lo + n_gpe]
-            group_big = model.estimate_big_group(
-                [partitions[i].src for i in group]
-            )
+            group = tuple(sparse[lo : lo + n_gpe])
+            heaviest = max(group, key=lambda i: partitions[i].num_edges)
             group_little = sum(t_little[i] for i in group)
-            if group_little < group_big:
-                evicted = max(group, key=lambda i: partitions[i].num_edges)
+            # The group's Big estimate is at least its gather bound plus
+            # the execution constant, so below that it loses unestimated.
+            gather_floor = (
+                float(partitions[heaviest].num_edges * model.config.ii_gpe)
+                + model.const_big
+            )
+            if group_little < gather_floor:
+                evicted = heaviest
+                break
+            if group not in group_big:
+                group_big[group] = model.estimate_big_group(
+                    [partitions[i].src for i in group]
+                )
+            if group_little < group_big[group]:
+                evicted = heaviest
                 break
         if evicted is None:
             break

@@ -14,12 +14,12 @@ destination intervals, and the Big merger combines their buffers.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.partition import Partition
-from repro.model.perf import PerformanceModel
+from repro.model.perf import PerformanceModel, merge_sources
 from repro.sched.plan import BigTask, LittleTask
 from repro.utils.prefix import balanced_chunk_bounds
 
@@ -32,37 +32,41 @@ def split_dense_for_little(
     num_pipelines: int,
     model: PerformanceModel,
     window_edges: int = DEFAULT_WINDOW_EDGES,
+    estimates: Optional[Sequence[Tuple[float, np.ndarray]]] = None,
 ) -> List[List[LittleTask]]:
     """Cut dense partitions into per-pipeline task lists of ~equal time.
 
     Windows of all dense partitions form one weighted sequence which is
     split into ``num_pipelines`` contiguous chunks; chunk boundaries
     falling inside a partition produce sub-partition slices.
+
+    ``estimates[i]`` is ``model.estimate_little_windows(dense[i].src,
+    window_edges)``, computed here when not given.  A task covering a
+    whole partition takes its estimate from there; only cut slices are
+    estimated again.
     """
     if num_pipelines < 1:
         return []
     assignments: List[List[LittleTask]] = [[] for _ in range(num_pipelines)]
     if not dense:
         return assignments
+    if estimates is None:
+        estimates = [
+            model.estimate_little_windows(p.src, window_edges) for p in dense
+        ]
 
     # Per-window weights, tagged with (partition ordinal, local edge lo).
     # Built with repeat/concatenate instead of a per-window Python loop:
     # window counts per partition expand directly into the owner and
     # local-offset columns.
-    per_partition = [
-        model.window_weights(p.src, "little", window_edges) for p in dense
-    ]
+    per_partition = [windows for _, windows in estimates]
     counts = np.array([w.size for w in per_partition], dtype=np.int64)
-    weights = (
-        np.concatenate(per_partition) if per_partition else np.zeros(0)
-    )
+    weights = np.concatenate(per_partition)
     owner = np.repeat(np.arange(len(dense), dtype=np.int64), counts)
     local_lo = (
         np.concatenate(
             [np.arange(c, dtype=np.int64) for c in counts]
         ) * window_edges
-        if counts.size
-        else np.zeros(0, dtype=np.int64)
     )
     bounds = balanced_chunk_bounds(weights, num_pipelines)
     # Starts of owner runs, so chunks walk per-run instead of per-window.
@@ -90,7 +94,10 @@ def split_dense_for_little(
             )
             edge_hi = min(edge_hi, partition.num_edges)
             sub = partition.slice(edge_lo, edge_hi)
-            est = model.estimate_little_execution(sub.src)
+            if sub.num_edges == partition.num_edges:
+                est = estimates[ordinal][0]
+            else:
+                est = model.estimate_little_execution(sub.src)
             assignments[pipe].append(LittleTask(sub, est))
     return assignments
 
@@ -149,7 +156,7 @@ def split_groups_for_big(
     merged_srcs = []
     group_weights = []
     for group in groups:
-        src = np.sort(np.concatenate([p.src for p in group]))
+        src = merge_sources([p.src for p in group])
         merged_srcs.append(src)
         group_weights.append(
             model.window_weights(src, "big", window_edges)

@@ -2,12 +2,17 @@
 
 ``build_schedule`` runs the full offline flow once per (graph, app) pair:
 
-1. estimate every partition on both pipeline types (the estimates are
-   produced during partitioning, so this is the only edge enumeration);
+1. estimate every partition on both pipeline types, one enumeration of
+   its edges per type; the Little pass also yields the window weights
+   the dense cut needs;
 2. classify partitions dense/sparse and pick the pipeline combination
    (M, N) — unless a combination is forced, as the Fig. 10 sweep does;
+   refinement enumerates each distinct prospective sparse group at most
+   once;
 3. merge sparse partitions into ``N_gpe``-sized groups and cut both
-   clusters' work into equal-time per-pipeline task lists.
+   clusters' work into equal-time per-pipeline task lists.  Dense tasks
+   that keep a whole partition reuse its step-1 estimate; only cut
+   slices and the merged sparse groups are enumerated again.
 """
 
 from __future__ import annotations
@@ -17,7 +22,11 @@ from typing import Optional, Tuple
 from repro.arch.config import AcceleratorConfig
 from repro.graph.partition import PartitionSet
 from repro.model.perf import PerformanceModel
-from repro.sched.inter import choose_pipeline_combination, classify_partitions
+from repro.sched.inter import (
+    choose_pipeline_combination,
+    classify_partitions,
+    cost_partitions,
+)
 from repro.sched.intra import (
     DEFAULT_WINDOW_EDGES,
     merge_sparse_groups,
@@ -41,8 +50,9 @@ def build_schedule(
     sizes (everything goes to the only cluster when one count is zero).
     """
     partitions = pset.nonempty()
+    costs = cost_partitions(partitions, model, window_edges)
     dense_idx, sparse_idx, t_little, t_big = classify_partitions(
-        partitions, model
+        partitions, model, costs
     )
 
     if forced_combo is not None:
@@ -80,7 +90,11 @@ def build_schedule(
     sparse_parts = [partitions[i] for i in sparse_idx]
 
     little_tasks = split_dense_for_little(
-        dense_parts, num_little, model, window_edges
+        dense_parts,
+        num_little,
+        model,
+        window_edges,
+        [costs.little[i] for i in dense_idx],
     )
     groups = merge_sparse_groups(sparse_parts, model.config.n_gpe)
     big_tasks = split_groups_for_big(groups, num_big, model, window_edges)

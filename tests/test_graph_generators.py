@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.coo import Graph
 from repro.graph.generators import (
+    _inverse_cdf_sampler,
     erdos_renyi_graph,
     power_law_graph,
     rmat_graph,
@@ -86,7 +89,82 @@ class TestRmat:
             rmat_graph(0, 4)
 
 
+def power_law_cdf(num_vertices, exponent):
+    ranks = np.arange(1, num_vertices + 1, dtype=np.float64)
+    pmf = ranks ** (-exponent)
+    pmf /= pmf.sum()
+    return np.cumsum(pmf)
+
+
+def power_law_reference(num_vertices, num_edges, exponent, seed,
+                        undirected):
+    """The binary-search form of the power-law sampler."""
+    rng = np.random.default_rng(seed)
+    n_draw = num_edges // 2 if undirected else num_edges
+    cdf = power_law_cdf(num_vertices, exponent)
+    perm = rng.permutation(num_vertices)
+    src = perm[np.searchsorted(cdf, rng.random(n_draw), side="left")]
+    dst = perm[np.searchsorted(cdf, rng.random(n_draw), side="left")]
+    if undirected:
+        src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+    return Graph(num_vertices, src, dst)
+
+
+class TestInverseCdfSampler:
+    @given(
+        num_vertices=st.integers(64, 200_000),
+        exponent=st.floats(0.1, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_binary_search(self, num_vertices, exponent, seed):
+        cdf = power_law_cdf(num_vertices, exponent)
+        u = np.random.default_rng(seed).random(4096)
+        # Bucket edges and the CDF's own steps are the hard cases.
+        u = np.concatenate((u, cdf[:-1], np.nextafter(cdf[:-1], 0.0),
+                            np.arange(1024) / 1024.0))
+        expected = np.searchsorted(cdf, u, side="left")
+        np.testing.assert_array_equal(_inverse_cdf_sampler(cdf)(u), expected)
+
+    def test_cdf_ending_below_the_largest_draw(self):
+        # Summation round-off can leave cdf[-1] below the largest draw
+        # 1 - 2**-53; binary search then returns num_vertices, one past
+        # the permutation.
+        cdf = power_law_cdf(64, 0.5)
+        cdf[-1] = np.nextafter(np.nextafter(1.0, 0.0), 0.0)
+        u = np.array([np.nextafter(1.0, 0.0), 0.0, 0.5])
+        assert np.searchsorted(cdf, u[0], side="left") == 64
+        idx = _inverse_cdf_sampler(cdf)(u)
+        assert idx.tolist() == [63, 0, int(np.searchsorted(cdf, 0.5))]
+
+    def test_step_inside_one_bucket(self):
+        # Every vertex's CDF step inside the first of 1024 buckets.
+        cdf = np.concatenate((np.linspace(1e-6, 5e-4, 100), [1.0]))
+        u = np.linspace(0.0, 1e-3, 5001)
+        np.testing.assert_array_equal(
+            _inverse_cdf_sampler(cdf.copy())(u),
+            np.searchsorted(cdf, u, side="left"),
+        )
+
+
 class TestPowerLaw:
+    @given(
+        num_vertices=st.integers(64, 20_000),
+        num_edges=st.integers(256, 40_000),
+        exponent=st.floats(0.1, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+        undirected=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_binary_search_reference(self, num_vertices, num_edges,
+                                             exponent, seed, undirected):
+        g = power_law_graph(num_vertices, num_edges, exponent=exponent,
+                            seed=seed, undirected=undirected)
+        ref = power_law_reference(num_vertices, num_edges, exponent, seed,
+                                  undirected)
+        np.testing.assert_array_equal(g.src, ref.src)
+        np.testing.assert_array_equal(g.dst, ref.dst)
+
     def test_sizes(self):
         g = power_law_graph(1000, 8000, seed=0)
         assert g.num_vertices == 1000
