@@ -52,7 +52,7 @@ COMPILED_CHANNEL_VARIANTS = (
 
 #: Benches whose work actually fans out over workers; only these are
 #: held to the ``--min-speedup`` gate.  ``pipeline_execute`` is serial
-#: by construction (it measures the cache + vectorized kernels).
+#: by construction (it measures the vectorized kernels).
 PARALLEL_BENCHES = ("chaos_campaign", "model_sweep", "fleet_soak")
 
 
@@ -74,7 +74,7 @@ def _calibration_seconds() -> float:
 
 
 def bench_pipeline_execute(perf):
-    """PageRank on HD through the full simulator (cache-accelerated)."""
+    """PageRank on HD through the full simulator."""
     from repro.apps.pagerank import PageRank
     from repro.core.framework import ReGraph
     from repro.core.system import SystemSimulator
@@ -138,16 +138,11 @@ BENCHES = {
 
 
 def run_benches(perf, reps):
-    from repro.perf import get_cache
-
     results = {}
     for name, fn in BENCHES.items():
         times = []
         digest = None
         for _ in range(reps):
-            # Every rep starts cold so reps measure the same work and
-            # serial-vs-parallel comparisons aren't warped by warm state.
-            get_cache().clear()
             start = time.perf_counter()
             outcome = fn(perf)
             times.append(time.perf_counter() - start)
@@ -192,7 +187,6 @@ def run_compiled_bench(reps, min_speedup):
     from repro.core.system import SystemSimulator
     from repro.graph.generators import rmat_graph
     from repro.hbm.channel import HbmChannelModel, HbmTimingParams
-    from repro.perf import configure_cache, get_cache
 
     graph = rmat_graph(12, 16, seed=3)
     framework = ReGraph("U280")
@@ -202,9 +196,8 @@ def run_compiled_bench(reps, min_speedup):
         for overrides in COMPILED_CHANNEL_VARIANTS
     ]
 
-    # Sweep bench: timing passes only, cache off so every variant is a
-    # genuine miss on both paths.
-    configure_cache(enabled=False)
+    # Sweep bench: timing passes only; every variant is a fresh
+    # evaluation on both paths (new simulators, a new engine per rep).
     interp_times, compiled_times = [], []
     interp_sums = compiled_sums = None
     compile_seconds = None
@@ -233,7 +226,6 @@ def run_compiled_bench(reps, min_speedup):
             sums.append((little, big))
         compiled_times.append(time.perf_counter() - start)
         compiled_sums = sums
-    configure_cache(enabled=True)
 
     failed = False
     if interp_sums != compiled_sums:
@@ -257,7 +249,6 @@ def run_compiled_bench(reps, min_speedup):
     for app in ("pagerank", "bfs", "closeness", "sssp", "wcc"):
         per_path = {}
         for compiled in (True, False):
-            get_cache().clear()
             configure_compiled(compiled)
             fw = ReGraph("U280")
             start = time.perf_counter()
@@ -296,10 +287,10 @@ def run_functional_bench(reps, min_speedup):
     """Cache-miss convergence bench for the compiled functional pass.
 
     Per app: one preprocessed plan, then full convergence runs (timing
-    + functional, the cache disabled so every task is a genuine miss)
-    through the interpreted per-task walk vs the compiled batched
-    engine.  Preprocessing is excluded — it is identical on both paths
-    and would mask the functional-pass ratio.  Bit-identity of cycles
+    + functional, each on a fresh simulator) through the interpreted
+    per-task walk vs the compiled batched engine.  Preprocessing is
+    excluded — it is identical on both paths and would mask the
+    functional-pass ratio.  Bit-identity of cycles
     and final properties is asserted at every point; the median overall
     speedup is gated when asked (skipped on single-CPU machines, the
     same leniency the parallel gate applies).
@@ -318,7 +309,6 @@ def run_functional_bench(reps, min_speedup):
     from repro.core.framework import ReGraph
     from repro.core.system import SystemSimulator
     from repro.graph.generators import rmat_graph
-    from repro.perf import configure_cache
 
     graph = rmat_graph(12, 16, seed=3)
     framework = ReGraph("U280")
@@ -343,7 +333,6 @@ def run_functional_bench(reps, min_speedup):
         "wcc": (sym_pre, lambda: WeaklyConnectedComponents(sym_pre.graph)),
     }
 
-    configure_cache(enabled=False)
     # Charge structure lowering separately, once (it is reused across
     # every iteration, app and rep sharing the plan).
     configure_compiled(True)
@@ -399,7 +388,6 @@ def run_functional_bench(reps, min_speedup):
         print(f"  {app:>18}: interpreted {interp * 1e3:.1f} ms, "
               f"compiled {compiled_median * 1e3:.1f} ms -> "
               f"{speedup:.1f}x functional convergence")
-    configure_cache(enabled=True)
     configure_compiled(True)
 
     median_speedup = stats.median(speedups)

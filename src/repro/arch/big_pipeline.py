@@ -6,10 +6,9 @@ use the Data Router so one execution processes up to ``N_gpe`` partitions,
 amortising the partition-switch overhead that would otherwise dominate the
 many short sparse tasks.
 
-``execute`` does double duty: it produces the cycle-accurate timing of one
-execution *and* (when an app and property array are supplied) the actual
-gathered results, so functional correctness and performance come from the
-same modelled datapath.
+``execute`` serves both passes over the same modelled datapath: without
+an app it produces the cycle-accurate timing of one execution; with an
+app and property array it produces the actual gathered results.
 """
 
 from __future__ import annotations
@@ -24,12 +23,6 @@ from repro.arch.timing import PartitionTiming
 from repro.arch.vertex_loader import VertexLoaderSim
 from repro.graph.partition import Partition
 from repro.hbm.channel import HbmChannelModel
-from repro.perf.simcache import (
-    config_digest,
-    config_digest_prefix,
-    get_cache,
-    timing_key,
-)
 from repro.utils.prefix import running_release_times
 
 
@@ -154,14 +147,6 @@ class BigPipelineSim:
         self.scatter_pes = ScatterPeArray(config.n_spe)
         #: Fault-injection hook (:mod:`repro.faults`); None = fault-free.
         self.fault_site = None
-        #: Timing-cache key prefix: binds cached results to this exact
-        #: pipeline + channel configuration (both frozen).
-        self._cache_prefix = config_digest_prefix(
-            "big", config, channel.params
-        )
-        #: Staleness tag for the shared (tier-2) cache: entries written
-        #: under a different configuration digest are never served.
-        self._config_digest = config_digest(self._cache_prefix)
 
     _cumcount_sorted = staticmethod(_cumcount_sorted)
 
@@ -174,12 +159,14 @@ class BigPipelineSim:
         partitions: List[Partition],
         app=None,
         src_props: Optional[np.ndarray] = None,
-    ) -> Tuple[PartitionTiming, Optional[list]]:
+    ) -> Tuple[Optional[PartitionTiming], Optional[list]]:
         """Run one execution over up to ``N_gpe`` partitions.
 
-        Returns ``(timing, outputs)`` where ``outputs`` is a list of
-        ``(vertex_lo, vertex_hi, gathered_buffer)`` per partition, or
-        ``None`` when running timing-only.
+        Timing-only (no ``app``) returns ``(timing, None)``.  With an
+        ``app`` the call is one functional step and returns ``(None,
+        outputs)``, a list of ``(vertex_lo, vertex_hi, gathered_buffer)``
+        per partition: the timing pass charges the execution's cycles,
+        so the functional walk never re-times it.
         """
         if not partitions:
             raise ValueError("execute needs at least one partition")
@@ -197,20 +184,21 @@ class BigPipelineSim:
         if self.fault_site is not None:
             self.fault_site.on_task("big")
         src, dst, lanes, weights = self._merge_edges(partitions)
-        edge_bytes = 8 if weights is None else 12
-        timing = self._timing(src, lanes, len(partitions), edge_bytes)
-
-        outputs = None
-        if app is not None:
-            if src_props is None:
-                raise ValueError("functional execution needs src_props")
-            outputs = self._functional(partitions, src, dst, weights, app, src_props)
-            if self.fault_site is not None:
-                outputs = [
-                    (lo, hi, self.fault_site.filter_buffer(buffer))
-                    for lo, hi, buffer in outputs
-                ]
-        return timing, outputs
+        if app is None:
+            edge_bytes = 8 if weights is None else 12
+            timing = self._compute_timing(
+                src, lanes, len(partitions), edge_bytes
+            )
+            return timing, None
+        if src_props is None:
+            raise ValueError("functional execution needs src_props")
+        outputs = self._functional(partitions, src, dst, weights, app, src_props)
+        if self.fault_site is not None:
+            outputs = [
+                (lo, hi, self.fault_site.filter_buffer(buffer))
+                for lo, hi, buffer in outputs
+            ]
+        return None, outputs
 
     #: Router output FIFO depth in edge sets (module constant mirrored
     #: for existing callers/tests).
@@ -245,41 +233,6 @@ class BigPipelineSim:
             busiest = np.maximum(busiest, rate)
         floor = self.config.edges_per_set * self.config.proc_cycles_per_edge
         return np.maximum(busiest, floor)
-
-    def _timing(
-        self,
-        src: np.ndarray,
-        lanes: np.ndarray,
-        num_lanes: int,
-        edge_bytes: int = 8,
-    ) -> PartitionTiming:
-        """Memoized per-execution cycle count.
-
-        The timing is a pure function of the merged edge content, the
-        lane assignment and the frozen pipeline/channel configuration,
-        so results are shared through the content-addressed cache
-        across iterations, retries, sweeps and processes.  Active
-        timing faults make the result injector-state-dependent; those
-        calls bypass the cache entirely (never read, never written),
-        mirroring ``SystemSimulator._timing_pass``.
-        """
-        cache = get_cache()
-        if not cache.enabled:
-            return self._compute_timing(src, lanes, num_lanes, edge_bytes)
-        if (
-            self.fault_site is not None
-            and self.fault_site.timing_faults_active()
-        ):
-            cache.note_bypass()
-            return self._compute_timing(src, lanes, num_lanes, edge_bytes)
-        key = timing_key(
-            self._cache_prefix, edge_bytes, (src, lanes), extra=(num_lanes,)
-        )
-        timing = cache.get(key, self._config_digest)
-        if timing is None:
-            timing = self._compute_timing(src, lanes, num_lanes, edge_bytes)
-            cache.put(key, timing, self._config_digest)
-        return timing
 
     def _compute_timing(
         self,

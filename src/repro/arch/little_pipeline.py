@@ -21,12 +21,6 @@ from repro.arch.pingpong import PingPongBufferSim
 from repro.arch.timing import PartitionTiming
 from repro.graph.partition import Partition
 from repro.hbm.channel import HbmChannelModel
-from repro.perf.simcache import (
-    config_digest,
-    config_digest_prefix,
-    get_cache,
-    timing_key,
-)
 from repro.utils.prefix import running_release_times
 
 
@@ -53,70 +47,34 @@ class LittlePipelineSim:
         self.scatter_pes = ScatterPeArray(config.n_spe)
         #: Fault-injection hook (:mod:`repro.faults`); None = fault-free.
         self.fault_site = None
-        #: Timing-cache key prefix: binds cached results to this exact
-        #: pipeline + channel configuration (both frozen).
-        self._cache_prefix = config_digest_prefix(
-            "little", config, channel.params
-        )
-        #: Staleness tag for the shared (tier-2) cache: entries written
-        #: under a different configuration digest are never served.
-        self._config_digest = config_digest(self._cache_prefix)
 
     def execute(
         self,
         partition: Partition,
         app=None,
         src_props: Optional[np.ndarray] = None,
-    ) -> Tuple[PartitionTiming, Optional[tuple]]:
+    ) -> Tuple[Optional[PartitionTiming], Optional[tuple]]:
         """Run one partition (or sub-partition slice).
 
-        Returns ``(timing, output)`` where ``output`` is
-        ``(vertex_lo, vertex_hi, merged_buffer)`` or ``None`` when running
-        timing-only.
+        Timing-only (no ``app``) returns ``(timing, None)``.  With an
+        ``app`` the call is one functional step and returns ``(None,
+        output)`` with ``output = (vertex_lo, vertex_hi,
+        merged_buffer)``: the timing pass charges the task's cycles, so
+        the functional walk never re-times it.
         """
         if self.fault_site is not None:
             self.fault_site.on_task("little")
-        edge_bytes = 8 if partition.weights is None else 12
-        timing = self._timing(partition.src, edge_bytes)
-        output = None
-        if app is not None:
-            if src_props is None:
-                raise ValueError("functional execution needs src_props")
-            output = self._functional(partition, app, src_props)
-            if self.fault_site is not None:
-                lo, hi, buffer = output
-                output = (lo, hi, self.fault_site.filter_buffer(buffer))
-        return timing, output
+        if app is None:
+            edge_bytes = 8 if partition.weights is None else 12
+            return self._compute_timing(partition.src, edge_bytes), None
+        if src_props is None:
+            raise ValueError("functional execution needs src_props")
+        lo, hi, buffer = self._functional(partition, app, src_props)
+        if self.fault_site is not None:
+            buffer = self.fault_site.filter_buffer(buffer)
+        return None, (lo, hi, buffer)
 
     # ------------------------------------------------------------------
-    def _timing(
-        self, src: np.ndarray, edge_bytes: int = 8
-    ) -> PartitionTiming:
-        """Memoized per-partition cycle count.
-
-        Pure function of the partition's source content, the edge width
-        and the frozen pipeline/channel configuration — shared through
-        the content-addressed cache across iterations, retries, sweeps
-        and processes.  Calls under an *active* timing fault bypass the
-        cache (never read, never written), mirroring
-        ``SystemSimulator._timing_pass``.
-        """
-        cache = get_cache()
-        if not cache.enabled:
-            return self._compute_timing(src, edge_bytes)
-        if (
-            self.fault_site is not None
-            and self.fault_site.timing_faults_active()
-        ):
-            cache.note_bypass()
-            return self._compute_timing(src, edge_bytes)
-        key = timing_key(self._cache_prefix, edge_bytes, (src,))
-        timing = cache.get(key, self._config_digest)
-        if timing is None:
-            timing = self._compute_timing(src, edge_bytes)
-            cache.put(key, timing, self._config_digest)
-        return timing
-
     def _compute_timing(
         self, src: np.ndarray, edge_bytes: int = 8
     ) -> PartitionTiming:

@@ -213,7 +213,7 @@ class FleetSoakResult:
     report: FleetReport
     kills: List[ReplicaKill] = field(default_factory=list)
     #: Execution-acceleration stats (worker count, prewarmed specs,
-    #: simulation-cache counters).  Deliberately kept *outside*
+    #: placement probe counters).  Deliberately kept *outside*
     #: :class:`FleetReport`: the report digest certifies the served
     #: outcome, which must be identical between serial and parallel
     #: runs, while these counters describe how fast we got there.
@@ -268,8 +268,8 @@ def run_fleet_soak(
 ) -> FleetSoakResult:
     """Generate and serve the soak's job stream under its kill schedule.
 
-    ``perf`` (a :class:`~repro.perf.config.PerfConfig`) configures the
-    simulation cache and, with ``workers > 1``, prewarms every distinct
+    ``perf`` (a :class:`~repro.perf.config.PerfConfig`) sets the
+    compiled-core switch and, with ``workers > 1``, prewarms every distinct
     (device, graph) spec on worker processes before the — inherently
     serial — event loop starts.  The report digest is unaffected.
 
@@ -281,8 +281,7 @@ def run_fleet_soak(
 
     ``autoscale`` attaches an :class:`~repro.fleet.autoscale.Autoscaler`
     (or, given an :class:`~repro.fleet.autoscale.AutoscalePolicy`,
-    builds one wired to the shared timing store the ``perf`` config
-    attached, for warm-started spawns).  Per-job result digests are
+    builds one).  Per-job result digests are
     unaffected — scaling changes when jobs run, not what they compute.
     """
     from repro.fleet.journal import JobJournal
@@ -303,14 +302,9 @@ def run_fleet_soak(
     )
     scaler = autoscale
     if scaler is not None and not hasattr(scaler, "observe"):
-        # An AutoscalePolicy: build the engine, warm-starting from the
-        # shared store the perf config attaches (if any).
         from repro.fleet.autoscale import Autoscaler
-        from repro.perf.simcache import get_cache
 
-        if perf is not None:
-            perf.apply()
-        scaler = Autoscaler(scaler, store=get_cache().shared)
+        scaler = Autoscaler(scaler)
     runtime = FleetRuntime(
         pool, policy, journal=journal, store=store, autoscaler=scaler
     )
@@ -328,13 +322,10 @@ def run_fleet_soak(
         store.close()
     result = FleetSoakResult(config=config, report=report, kills=kills)
     if perf is not None:
-        from repro.perf.simcache import get_cache
-
         result.perf = {
             "workers": perf.workers,
             "prewarmed_specs": prewarmed,
             "placement": dict(runtime.placement.probe_stats),
-            **get_cache().stats(),
         }
     if journal is not None or store is not None:
         result.recovery = dict(runtime.recovery_stats)

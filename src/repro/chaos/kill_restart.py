@@ -50,6 +50,10 @@ from repro.fleet.store import ResultStore
 #: Seed offset for the crash-point stream (kills use +0x5EED, jobs +0).
 _CRASH_SEED_OFFSET = 0xC4A5
 
+#: Storage-fault targets a kill-restart cell understands: the fleet's
+#: write-ahead journal and its result store.
+KILL_RESTART_FAULT_TARGETS = ("journal", "store")
+
 
 @dataclass(frozen=True)
 class KillRestartConfig:
@@ -71,6 +75,12 @@ class KillRestartConfig:
             raise UserInputError(
                 f"kill-restart needs >= 1 crash, got {self.crashes}"
             )
+        for fault in self.storage_faults:
+            if fault.target not in KILL_RESTART_FAULT_TARGETS:
+                raise UserInputError(
+                    f"kill-restart fault target must be one of "
+                    f"{KILL_RESTART_FAULT_TARGETS}, got {fault.target!r}"
+                )
 
     def to_dict(self) -> dict:
         return {

@@ -77,66 +77,21 @@ def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
              "serial; results are bit-identical either way)",
     )
     parser.add_argument(
-        "--no-sim-cache", action="store_true",
-        help="disable the content-addressed partition-timing cache",
-    )
-    parser.add_argument(
-        "--cache-entries", type=int, default=None, metavar="N",
-        help="simulation-cache capacity in entries (default 4096)",
-    )
-    parser.add_argument(
         "--no-compiled", action="store_true",
         help="disable the compiled simulation core and take the "
              "interpreted reference path (results are bit-identical "
              "either way; this is the escape hatch)",
     )
-    parser.add_argument(
-        "--shared-cache", default=None, metavar="DIR",
-        help="attach a crash-safe on-disk timing store (tier 2) under "
-             "DIR, shared across processes; damaged entries are "
-             "quarantined, never served (see docs/PERFORMANCE.md)",
-    )
 
 
 def _perf_config(args):
-    from repro.perf import DEFAULT_CACHE_ENTRIES, PerfConfig
+    from repro.perf import PerfConfig
 
-    entries = args.cache_entries
-    if entries is None:
-        entries = DEFAULT_CACHE_ENTRIES
-    return PerfConfig(
-        workers=args.jobs,
-        cache_enabled=not args.no_sim_cache,
-        cache_entries=entries,
-        compiled=not args.no_compiled,
-        shared_cache_dir=args.shared_cache,
-    )
+    return PerfConfig(workers=args.jobs, compiled=not args.no_compiled)
 
 
-def _print_cache_stats() -> None:
-    """One-line simulation-cache summary (silent when nothing ran)."""
-    from repro.perf import get_cache
-
-    stats = get_cache().stats()
-    activity = (
-        stats["hits"] + stats["misses"] + stats["bypasses"]
-        + stats["tier2_hits"]
-    )
-    if not stats["enabled"] or activity == 0:
-        return
-    print(f"sim cache: {stats['hits']} hits / {stats['misses']} misses "
-          f"(hit rate {stats['hit_rate']:.1%}), "
-          f"{stats['entries']}/{stats['max_entries']} entries, "
-          f"{stats['bypasses']} fault bypasses")
-    shared = stats.get("shared")
-    if shared is not None:
-        print(f"shared cache [{shared['root']}]: "
-              f"{stats['tier2_hits']} tier-2 hits / "
-              f"{stats['tier2_misses']} tier-2 misses, "
-              f"{shared['entries']} entries on disk, "
-              f"{shared['writes']} written, "
-              f"{shared['quarantined']} quarantined "
-              f"({shared['stale']} stale)")
+def _print_compiled_stats() -> None:
+    """Compiled-core summary lines (silent when nothing ran)."""
     from repro.compiled import compiled_stats
 
     cstats = compiled_stats()
@@ -232,7 +187,7 @@ def cmd_run(args) -> int:
           f"({'converged' if run.converged else 'cap reached'})")
     print(f"simulated time: {run.total_seconds * 1e3:.3f} ms")
     print(f"throughput: {run.mteps:,.0f} MTEPS")
-    _print_cache_stats()
+    _print_compiled_stats()
     return 0
 
 
@@ -264,7 +219,7 @@ def cmd_sweep(args) -> int:
         rows,
         title=f"pipeline-combination sweep on {graph.name}",
     ))
-    _print_cache_stats()
+    _print_compiled_stats()
     return 0
 
 
@@ -443,7 +398,7 @@ def cmd_check(args) -> int:
     print(f"{report.num_checks - failed_oracles}/{report.num_checks} "
           f"oracle checks passed, "
           f"{len(report.violations)} invariant violation(s)")
-    _print_cache_stats()
+    _print_compiled_stats()
     return 0 if report.passed else 1
 
 
@@ -456,8 +411,6 @@ def cmd_chaos(args) -> int:
         return _chaos_kill_restart(args)
     if args.chaos_command == "serve-kill":
         return _chaos_serve_kill(args)
-    if args.chaos_command == "cache-poison":
-        return _chaos_cache_poison(args)
     return _chaos_report(args)
 
 
@@ -529,7 +482,7 @@ def _chaos_run(args) -> int:
             perf=perf,
         )
     _print_campaign_summary(report)
-    _print_cache_stats()
+    _print_compiled_stats()
     if args.report_json:
         with open(args.report_json, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2)
@@ -650,51 +603,6 @@ def _chaos_kill_restart(args) -> int:
         print(f"report written to {args.report_json}")
     print("kill-restart PASSED: recovery is lossless, exactly-once and "
           "bit-equivalent" if result.passed else "kill-restart FAILED")
-    return 0 if result.passed else 1
-
-
-def _chaos_cache_poison(args) -> int:
-    import json
-
-    from repro.chaos.cache_poison import CachePoisonConfig, run_cache_poison
-
-    config = CachePoisonConfig(
-        apps=tuple(args.app or ["pagerank", "bfs"]),
-        graphs=args.graphs,
-        vertices=args.vertices,
-        edges=args.edges,
-        seed=args.chaos_seed,
-        max_iterations=args.iterations,
-        bit_flips=args.bit_flips,
-        torn_writes=args.torn_writes,
-        stale_entries=args.stale_entries,
-    )
-    print(f"cache-poison: {'/'.join(config.apps)} over "
-          f"{config.graphs} graph(s) each, seed {config.seed}, "
-          f"damage {config.bit_flips} bit-flip / "
-          f"{config.torn_writes} torn / {config.stale_entries} stale")
-    result = run_cache_poison(config, args.workdir)
-    print(f"seeded {result.entries_seeded} entries; warm rerun served "
-          f"{result.tier2_hits_warm} tier-2 hit(s)")
-    for line in result.poison_log:
-        print(f"  poison: {line}")
-    print(f"quarantined: {len(result.quarantined_keys)} bundle(s), "
-          f"swept {result.swept_tmp} orphaned tmp file(s), "
-          f"scrub quarantined {result.scrub_quarantined} file(s)")
-    print(f"reference digest: {result.reference_digest}")
-    print(f"poisoned  digest: {result.poisoned_digest}")
-    print(f"oracles: digests_equal="
-          f"{'yes' if result.digests_equal else 'NO'} "
-          f"victims_quarantined="
-          f"{'yes' if result.all_victims_quarantined else 'NO'} "
-          f"stale_served={result.stale_served}")
-    if args.report_json:
-        with open(args.report_json, "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2)
-        print(f"report written to {args.report_json}")
-    print("cache-poison PASSED: damage quarantined, never served, "
-          "results bit-identical" if result.passed
-          else "cache-poison FAILED")
     return 0 if result.passed else 1
 
 
@@ -957,12 +865,6 @@ def _print_perf_stats(perf: dict) -> None:
         return
     line = (f"perf: {perf.get('workers', 1)} worker(s), "
             f"{perf.get('prewarmed_specs', 0)} prewarmed spec(s)")
-    if perf.get("hits", 0) or perf.get("misses", 0):
-        line += (f", sim cache {perf['hits']} hits / "
-                 f"{perf['misses']} misses "
-                 f"(hit rate {perf.get('hit_rate', 0.0):.1%})")
-    if perf.get("bypasses", 0):
-        line += f", {perf['bypasses']} fault bypasses"
     print(line)
     placement = perf.get("placement")
     if placement and placement.get("probes", 0):
@@ -971,15 +873,6 @@ def _print_perf_stats(perf: dict) -> None:
               f"{placement['incremental_refreshes']} incremental "
               f"refreshes ({placement['nodes_reevaluated']} nodes), "
               f"{placement['full_evaluations']} full evaluations")
-    shared = perf.get("shared")
-    if shared:
-        print(f"shared cache [{shared.get('root', '?')}]: "
-              f"{perf.get('tier2_hits', 0)} tier-2 hits / "
-              f"{perf.get('tier2_misses', 0)} tier-2 misses, "
-              f"{shared.get('entries', 0)} entries on disk, "
-              f"{shared.get('writes', 0)} written, "
-              f"{shared.get('quarantined', 0)} quarantined "
-              f"({shared.get('stale', 0)} stale)")
 
 
 def _print_autoscale_stats(autoscale: dict) -> None:
@@ -988,15 +881,11 @@ def _print_autoscale_stats(autoscale: dict) -> None:
         return
     p99 = autoscale.get("p99_latency_seconds")
     print(f"autoscaler: {autoscale.get('spawned', 0)} spawned / "
-          f"{autoscale.get('retired', 0)} retired, "
-          f"{autoscale.get('warmed_entries', 0)} cache entries "
-          f"warm-started"
+          f"{autoscale.get('retired', 0)} retired"
           + (f", p99 latency {p99 * 1e3:.2f} ms" if p99 else ""))
     for decision in autoscale.get("decisions", []):
         print(f"  {decision['action']}: {decision['replica_id']} "
-              f"at t={decision['time'] * 1e3:.2f} ms"
-              + (f" (warmed {decision['warmed_entries']})"
-                 if "warmed_entries" in decision else ""))
+              f"at t={decision['time'] * 1e3:.2f} ms")
 
 
 def _load_fleet_report(path):
@@ -1478,35 +1367,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip per-append fsync (faster; determinism "
                          "is unaffected)")
     pk.add_argument("--report-json", default=None,
-                    help="write the cell result as JSON")
-
-    pc = chaos_sub.add_parser(
-        "cache-poison",
-        help="corrupt the shared timing cache (bit rot, torn writes, "
-             "stale configs, kill -9 leftovers), assert quarantine "
-             "containment and bit-identical results",
-    )
-    pc.add_argument("--app", action="append", metavar="APP",
-                    help="workload app (repeatable; default pagerank bfs)")
-    pc.add_argument("--graphs", type=int, default=3,
-                    help="seeded graphs per app (default 3)")
-    pc.add_argument("--vertices", type=int, default=192)
-    pc.add_argument("--edges", type=int, default=768)
-    pc.add_argument("--chaos-seed", type=int, default=0,
-                    help="seeds graphs AND victim selection")
-    pc.add_argument("--iterations", type=int, default=5,
-                    help="per-cell iteration cap (default 5)")
-    pc.add_argument("--bit-flips", type=int, default=2,
-                    help="cache entries damaged by bit rot (default 2)")
-    pc.add_argument("--torn-writes", type=int, default=2,
-                    help="cache entries with truncated tails (default 2)")
-    pc.add_argument("--stale-entries", type=int, default=1,
-                    help="intact entries forged with a wrong config "
-                         "digest (default 1)")
-    pc.add_argument("--workdir", default="cache-poison",
-                    help="directory for the shared store and its "
-                         "quarantine (default ./cache-poison)")
-    pc.add_argument("--report-json", default=None,
                     help="write the cell result as JSON")
 
     p = sub.add_parser(

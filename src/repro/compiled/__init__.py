@@ -9,8 +9,8 @@ re-evaluates only affected nodes when a channel parameter, a single
 task or one fault site changes (:mod:`repro.compiled.incremental`).
 Results are **bit-identical** to the interpreted path — the equivalence
 harness in ``tests/test_compiled_equivalence.py`` is the contract — and
-populate the same content-addressed
-:class:`~repro.perf.simcache.SimulationCache` entries.
+each plan's evaluations are memoised per channel-parameter set on its
+engine, the only place timing results are reused.
 
 The same split covers the functional pass
 (:mod:`repro.compiled.functional`: per-plan gather/scatter structure,

@@ -23,12 +23,8 @@ are taken anywhere: float addition is not associative, so re-ordered
 "equivalent" math would break the equivalence harness.
 
 Evaluations are memoized per frozen
-:class:`~repro.hbm.channel.HbmTimingParams` and their results are
-published into the process-global
-:class:`~repro.perf.simcache.SimulationCache` under the *same*
-content-addressed keys the interpreted memo uses, so the functional
-pass (and any later interpreted caller) hits entries the compiled pass
-produced.
+:class:`~repro.hbm.channel.HbmTimingParams` on the plan's
+:class:`CompiledEngine` — the one place timing results are reused.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ ENGINE_MEMO_ENTRIES = 16
 
 
 # ---------------------------------------------------------------------------
-# Process-global stats (surfaced beside the simulation-cache counters)
+# Process-global stats
 # ---------------------------------------------------------------------------
 _STATS = {
     "plans_compiled": 0,
@@ -216,55 +212,6 @@ def evaluate_plan(
 
 
 # ---------------------------------------------------------------------------
-# Simulation-cache composition
-# ---------------------------------------------------------------------------
-def publish_to_cache(
-    cplan: CompiledPlan,
-    channel: HbmChannelModel,
-    timings: List[PartitionTiming],
-) -> int:
-    """Insert compiled results under the interpreted memo's cache keys.
-
-    The functional pass re-times each task through
-    ``LittlePipelineSim._timing`` / ``BigPipelineSim._timing``; seeding
-    their exact content-addressed keys turns all of those lookups into
-    hits.  Returns the number of entries written (0 when the cache is
-    disabled or the entries are already present).
-    """
-    from repro.perf.simcache import (
-        config_digest,
-        config_digest_prefix,
-        get_cache,
-        timing_key,
-    )
-
-    cache = get_cache()
-    if not cache.enabled or not cplan.nodes:
-        return 0
-    config = cplan.config
-    prefixes = {
-        "little": config_digest_prefix("little", config, channel.params),
-        "big": config_digest_prefix("big", config, channel.params),
-    }
-    digests = {kind: config_digest(p) for kind, p in prefixes.items()}
-    written = 0
-    for node in cplan.nodes:
-        if node.kind == "little":
-            key = timing_key(prefixes["little"], node.edge_bytes, (node.src,))
-        else:
-            key = timing_key(
-                prefixes["big"],
-                node.edge_bytes,
-                (node.src, node.lanes),
-                extra=(node.num_lanes,),
-            )
-        if not cache.contains(key):
-            cache.put(key, timings[node.index], digests[node.kind])
-            written += 1
-    return written
-
-
-# ---------------------------------------------------------------------------
 # Per-plan engine
 # ---------------------------------------------------------------------------
 class CompiledEngine:
@@ -283,10 +230,8 @@ class CompiledEngine:
         if cached is not None:
             self._memo.move_to_end(params)
             _STATS["memo_hits"] += 1
-            publish_to_cache(self.cplan, channel, cached)
             return cached
         timings = evaluate_plan(self.cplan, channel)
-        publish_to_cache(self.cplan, channel, timings)
         self._memo[params] = timings
         while len(self._memo) > ENGINE_MEMO_ENTRIES:
             self._memo.popitem(last=False)

@@ -3,9 +3,9 @@ evaluate whole partition groups per iteration with batched UDF calls.
 
 The interpreted functional pass walks every scheduled task through
 ``LittlePipelineSim.execute`` / ``BigPipelineSim.execute`` each
-iteration: per task it re-hashes the edge arrays for the timing cache,
-re-merges group edge lists, re-derives the dispatch of every edge onto
-its Gather PE, and issues one small numpy call per PE.  None of that
+iteration: per task it re-merges group edge lists, re-derives the
+dispatch of every edge onto its Gather PE, and issues one small numpy
+call per PE.  None of that
 depends on the evolving property array — it is *structure*, and this
 module extracts it once per plan (the LightningSimV2 split applied to
 the functional path, mirroring :mod:`repro.compiled.lower` for timing):

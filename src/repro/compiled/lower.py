@@ -49,7 +49,6 @@ class LittleNode:
     store_cycles: float     #: partition store incl. merger drain
     switch_cycles: float
     fill_at_set: np.ndarray  #: [S] burst-relative fill completion
-    src: np.ndarray          #: retained for simulation-cache keys
 
     kind = "little"
 
@@ -71,9 +70,6 @@ class BigNode:
     arrival: np.ndarray          #: [R] request arrival cycles
     last_req_per_set: np.ndarray  #: [S] releasing request (-1 = none)
     gather_service: np.ndarray    #: [S] router-bound Gather service
-    src: np.ndarray               #: merged sources (cache keys)
-    lanes: np.ndarray             #: per-edge Gather lanes (cache keys)
-    num_lanes: int
 
     kind = "big"
 
@@ -130,7 +126,6 @@ def lower_little_task(
         store_cycles=store,
         switch_cycles=config.switch_cycles,
         fill_at_set=fill_at_set,
-        src=np.asarray(partition.src),
     )
 
 
@@ -157,9 +152,6 @@ def lower_big_task(
         arrival=structure.arrival,
         last_req_per_set=structure.last_req_per_set,
         gather_service=gather,
-        src=src,
-        lanes=lanes,
-        num_lanes=len(partitions),
     )
 
 

@@ -10,11 +10,10 @@ A compiled evaluation is a pure function of
 * the edge record width (8 B plain / 12 B weighted).
 
 :class:`CompiledSpec` freezes those four inputs and derives a SHA-256
-digest from their ``repr`` — the same injective-by-construction scheme
-:func:`repro.perf.simcache.config_digest_prefix` uses, so any field
+digest from their ``repr``, which is injective by construction: any field
 change (including fields added later to the nested frozen dataclasses)
-changes the digest.  The key-injectivity property test in
-``tests/test_perf_cache.py`` pins this.
+changes the digest.  The digest-injectivity property test in
+``tests/test_compiled_equivalence.py`` pins this.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The interpreted :func:`repro.arch.trace.trace_plan` re-simulates every
 task of the plan just to learn its busy window — a full extra timing
-pass (plus content-addressed cache hashing per task) for each trace the
-conformance checker or the chaos oracles request.  The compiled engine
+pass for each trace the conformance checker or the chaos oracles
+request.  The compiled engine
 already knows every node's :class:`~repro.arch.timing.PartitionTiming`
 bit-for-bit (the equivalence harness's contract), and the interpreted
 trace is a pure fold over those timings: per pipeline, a clock starts

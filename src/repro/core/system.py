@@ -141,10 +141,11 @@ class SystemSimulator:
     def _timing_pass(self, num_vertices: int) -> IterationReport:
         """Simulate one iteration's timing.
 
-        Cached across iterations while no fault can perturb it (always,
-        for fault-free runs); recomputed uncached — and never written to
-        the cache — while injected timing faults are active, so clean
-        iterations before/after a fault window keep the baseline counts.
+        The fault-free report is computed once per simulator and reused
+        across iterations.  While injected timing faults are active each
+        pass is recomputed and the stored fault-free report is left
+        alone, so clean iterations before/after a fault window keep the
+        baseline counts.
 
         Fault-free passes route through the compiled engine when it is
         enabled (:func:`repro.compiled.compiled_enabled`); faulty passes
@@ -178,8 +179,8 @@ class SystemSimulator:
         The engine compiles the plan on first use (structure is attached
         to the plan object and reused across simulators, iterations and
         channel variants), evaluates all nodes batched under this
-        simulator's channel, publishes the per-task timings into the
-        simulation cache, and replays the interpreted busy-sum order.
+        simulator's channel (memoised per channel params on the engine)
+        and replays the interpreted busy-sum order.
         """
         from repro.compiled import plan_engine
 
@@ -192,7 +193,7 @@ class SystemSimulator:
         )
 
     def _compute_timing(self, num_vertices: int) -> IterationReport:
-        """One uncached timing pass over every pipeline's task list."""
+        """One interpreted timing pass over every pipeline's task list."""
         injector = self.injector
         if injector is not None:
             injector.pass_kind = "timing"
@@ -270,7 +271,11 @@ class SystemSimulator:
         return self._apply.run(app, props, acc)
 
     def _interpreted_functional(self, app, props: np.ndarray) -> np.ndarray:
-        """The per-task interpreted walk (fault oracle and fallback)."""
+        """The per-task interpreted walk (fault oracle and fallback).
+
+        ``execute`` with an app returns no timing: this pass only moves
+        data, the timing pass already charged every task's cycles.
+        """
         injector = self.injector
         if injector is not None:
             injector.pass_kind = "functional"

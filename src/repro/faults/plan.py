@@ -85,12 +85,9 @@ class PipelineStallFault:
 #: Ways a journal/store file can be damaged by real storage.
 STORAGE_FAULT_KINDS = ("torn-write", "partial-fsync", "bit-flip")
 
-#: Files a storage fault may hit: the fleet's JSONL pair, the serving
-#: facade's traffic bundle and SQLite write-ahead log, and the shared
-#: on-disk timing cache's per-key entry files.
-STORAGE_FAULT_TARGETS = (
-    "journal", "store", "traffic", "store-wal", "shared-cache",
-)
+#: Files a storage fault may hit: the fleet's JSONL pair and the
+#: serving facade's traffic bundle and SQLite write-ahead log.
+STORAGE_FAULT_TARGETS = ("journal", "store", "traffic", "store-wal")
 
 
 @dataclass(frozen=True)
@@ -108,9 +105,7 @@ class StorageFault:
     (:data:`STORAGE_FAULT_TARGETS`): the fleet's write-ahead journal or
     result store, the serving facade's traffic bundle, the SQLite
     job store's WAL (``store-wal``, where ``kind`` is moot — the tail
-    is truncated and SQLite's frame checksums absorb it), or an entry
-    file of the shared timing cache (``shared-cache``, where the store's
-    per-entry checksums quarantine the damage instead of serving it).
+    is truncated and SQLite's frame checksums absorb it).
     """
 
     kind: str
@@ -146,7 +141,7 @@ class FaultPlan:
         """True when the plan injects nothing *into the simulator*
         (resilience stays idle).  Storage faults are deliberately not
         counted: they damage files between runs, never the run itself,
-        so a storage-only plan still qualifies for cache bypass."""
+        so a storage-only plan still counts as empty."""
         return not (
             self.dead_channels
             or self.latency_spikes

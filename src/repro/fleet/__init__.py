@@ -15,9 +15,8 @@ faults.  The pieces:
   REPAIRED/RETIRED lifecycle machine;
 * :mod:`~repro.fleet.runtime` — the deterministic discrete-event loop
   (failover with backoff, hedged execution, canary re-probes);
-* :mod:`~repro.fleet.autoscale` — the warm-start autoscaler (hysteresis
-  + cooldown over admission telemetry, replicas spawned with the shared
-  timing cache pre-loaded);
+* :mod:`~repro.fleet.autoscale` — the autoscaler (hysteresis +
+  cooldown over admission telemetry);
 * :mod:`~repro.fleet.report` — the bit-reproducible run report;
 * :mod:`~repro.fleet.journal` — the write-ahead job journal (append-
   only, checksummed, fsync'd) behind crash recovery;

@@ -1,4 +1,4 @@
-"""Warm-start autoscaling of the fleet's replica pool.
+"""Autoscaling of the fleet's replica pool.
 
 The :class:`Autoscaler` watches the telemetry the
 :class:`~repro.fleet.admission.AdmissionController` and the run loop
@@ -15,11 +15,6 @@ journal and the clock); this module owns only the *policy*:
 * **Cooldown** — after any action the autoscaler holds still for
   ``cooldown_seconds`` of virtual time, long enough for the previous
   decision's effect to show up in the telemetry it watches.
-* **Warm start** — replicas spawned into a fleet with an attached
-  :class:`~repro.perf.sharedcache.SharedTimingStore` adopt its verified
-  entries into the in-process L1
-  (:meth:`~repro.perf.sharedcache.SharedTimingStore.warm`), so a
-  scale-up serves from cache instead of re-simulating the working set.
 
 Everything is driven by the fleet's deterministic virtual clock: the
 same job stream against the same policy produces the same decision
@@ -143,25 +138,16 @@ class Autoscaler:
     The runtime calls :meth:`observe` after every event, applies the
     returned action (spawning/draining replicas through the normal
     lifecycle), and reports back via :meth:`note_spawned` /
-    :meth:`note_retired`.  ``store`` is the optional shared timing
-    store new replicas warm-start from.
+    :meth:`note_retired`.
     """
 
-    def __init__(
-        self,
-        policy: Optional[AutoscalePolicy] = None,
-        store=None,
-    ):
+    def __init__(self, policy: Optional[AutoscalePolicy] = None):
         self.policy = policy or AutoscalePolicy()
-        #: Optional :class:`~repro.perf.sharedcache.SharedTimingStore`
-        #: for warm-starting spawned replicas.
-        self.store = store
         #: Chronological decision trace (plain dicts, virtual-time
         #: stamped) — a side-channel, never part of the report digest.
         self.decisions: List[dict] = []
         self.spawned = 0
         self.retired = 0
-        self.warmed_entries = 0
         self._spawn_seq = 0
         self._breach_streak = 0
         self._idle_streak = 0
@@ -261,18 +247,7 @@ class Autoscaler:
             if candidate not in taken:
                 return candidate
 
-    def warm_start(self, cache) -> int:
-        """Adopt shared-store entries into ``cache`` (L1); 0 without a
-        store attached.  Damaged entries quarantine as on any read."""
-        if self.store is None:
-            return 0
-        adopted = self.store.warm(cache)
-        self.warmed_entries += adopted
-        return adopted
-
-    def note_spawned(
-        self, replica_id: str, now: float, warmed: int
-    ) -> None:
+    def note_spawned(self, replica_id: str, now: float) -> None:
         self.spawned += 1
         self._breach_streak = 0
         self._last_action_at = now
@@ -280,7 +255,6 @@ class Autoscaler:
             "action": SCALE_UP,
             "replica_id": replica_id,
             "time": now,
-            "warmed_entries": warmed,
         })
 
     def begin_scale_down(self, replica_id: str, now: float) -> None:
@@ -310,7 +284,6 @@ class Autoscaler:
             "policy": self.policy.to_dict(),
             "spawned": self.spawned,
             "retired": self.retired,
-            "warmed_entries": self.warmed_entries,
             "p99_latency_seconds": self.p99_latency(),
             "breach_streak": self._breach_streak,
             "idle_streak": self._idle_streak,

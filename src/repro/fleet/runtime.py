@@ -931,10 +931,7 @@ class FleetRuntime:
         return False
 
     def _scale_up(self) -> bool:
-        """Spawn one replica cloned from the pool's first recipe, warm-
-        started from the shared timing store when one is attached."""
-        from repro.perf.simcache import get_cache
-
+        """Spawn one replica cloned from the pool's first recipe."""
         recipe = self.replicas[0]
         new_id = self.autoscaler.next_replica_id(
             r.replica_id for r in self.replicas
@@ -948,13 +945,9 @@ class FleetRuntime:
             num_pipelines=recipe.handle.framework.num_pipelines,
             timing=recipe.handle.timing,
         )
-        warmed = self.autoscaler.warm_start(get_cache())
         self.replicas.append(replica)
-        self.autoscaler.note_spawned(new_id, self.clock.now, warmed)
-        self._wal_replica(
-            replica,
-            f"autoscaler scale-up (warmed {warmed} cache entries)",
-        )
+        self.autoscaler.note_spawned(new_id, self.clock.now)
+        self._wal_replica(replica, "autoscaler scale-up")
         return True
 
     def _scale_down(self, serving: List[Replica]) -> bool:
@@ -984,37 +977,36 @@ class FleetRuntime:
 
     # -- prewarm ---------------------------------------------------------
     def prewarm(self, jobs: Sequence[Job], perf) -> int:
-        """Warm the preprocess and timing caches for a job stream.
+        """Preprocess and compile every spec of a job stream up front.
 
         The event loop itself is serial by construction (one virtual
         clock, one event order), so parallelism comes from hoisting the
         expensive *pure* work out of it: each distinct (device config,
-        graph) spec is preprocessed — and its partitions timed once —
-        on a worker process.  The artefacts seed the placement engine
-        and the global simulation cache; both are pure functions of the
-        spec, so the warmed run's :class:`FleetReport` digest is
-        bit-identical to a cold serial run's.
+        graph) spec is preprocessed — and its plan compiled and timed
+        once — on a worker process.  The returned
+        :class:`~repro.core.framework.PreprocessResult` carries the
+        compiled engine on its plan and seeds the placement engine; it
+        is a pure function of the spec, so the warmed run's
+        :class:`FleetReport` digest is bit-identical to a cold serial
+        run's.
 
         ``perf`` is a :class:`~repro.perf.config.PerfConfig`; returns
         the number of specs warmed.
         """
         from repro.perf.parallel import parallel_map
         from repro.perf.prewarm import distinct_specs, prewarm_spec
-        from repro.perf.simcache import get_cache
 
-        specs = distinct_specs(self.replicas, jobs, perf.cache_entries)
+        specs = distinct_specs(self.replicas, jobs)
         results = parallel_map(
             prewarm_spec, list(specs.values()),
             workers=perf.workers, perf=perf,
         )
-        cache = get_cache()
         warmed = 0
         for item in results:
             if item is None:
                 continue
-            key, pre, entries = item
+            key, pre = item
             self.placement.seed(key, pre)
-            cache.merge(entries)
             warmed += 1
         return warmed
 

@@ -1,50 +1,29 @@
-"""Execution acceleration layer: cache, parallel map, perf config.
+"""Execution acceleration layer: parallel map, prewarm, perf config.
 
 The cycle-level simulator is the inner loop of every subsystem — the
 conformance oracles, the chaos campaigns, the fleet serving runtime all
 call it per partition per iteration.  This package makes those calls
 fast without changing a single simulated number:
 
-* :mod:`repro.perf.simcache` — a content-addressed memo of
-  :class:`~repro.arch.timing.PartitionTiming`: partition timing is a
-  pure function of (edge content, pipeline config, channel params, edge
-  width), so identical executions across iterations, retries, sweeps,
-  chaos cells and fleet jobs share one cached result.
 * :mod:`repro.perf.parallel` — an order-preserving
   ``ProcessPoolExecutor`` map with a serial fallback, used to fan out
   chaos cells, sweep points and fleet prewarm work across cores while
   keeping reports bit-identical to a serial run.
-* :mod:`repro.perf.sharedcache` — :class:`SharedTimingStore`, the
-  crash-safe on-disk tier 2 under the in-process LRU: one checksummed
-  file per content-addressed key, shared across processes and replicas,
-  with quarantine-on-damage instead of serving corruption.
+* :mod:`repro.perf.prewarm` — the picklable fleet prewarm unit that
+  preprocesses and compiles one spec's plan on a worker.
 * :mod:`repro.perf.config` — :class:`PerfConfig`, the single knob
-  record (``--jobs``, cache size, shared-cache dir, enable flags) the
-  CLI and library entry points thread through.
+  record (``--jobs``, ``--no-compiled``) the CLI and library entry
+  points thread through.
+
+Timing results are reused in exactly one place: the compiled engine
+(:mod:`repro.compiled.evaluate`) memoises each plan's evaluation per
+channel-parameter set.
 """
 
 from repro.perf.config import PerfConfig
 from repro.perf.parallel import parallel_map
-from repro.perf.sharedcache import (
-    CACHE_QUARANTINE_SCHEMA,
-    SHARED_CACHE_SCHEMA,
-    SharedTimingStore,
-)
-from repro.perf.simcache import (
-    DEFAULT_CACHE_ENTRIES,
-    SimulationCache,
-    configure_cache,
-    get_cache,
-)
 
 __all__ = [
-    "CACHE_QUARANTINE_SCHEMA",
-    "DEFAULT_CACHE_ENTRIES",
     "PerfConfig",
-    "SHARED_CACHE_SCHEMA",
-    "SharedTimingStore",
-    "SimulationCache",
-    "configure_cache",
-    "get_cache",
     "parallel_map",
 ]

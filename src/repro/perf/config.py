@@ -1,52 +1,38 @@
 """The performance-knob record every accelerated entry point accepts.
 
 One frozen :class:`PerfConfig` travels from the CLI (``--jobs``,
-``--no-sim-cache``, ``--cache-entries``) into
+``--no-compiled``) into
 :func:`repro.chaos.campaign.run_campaign`,
 :func:`repro.chaos.fleet_soak.run_fleet_soak`,
 :func:`repro.model.sweep.sweep_parameter` and
-:func:`repro.runtime.host.init_accelerator`, so parallelism and caching
-are configured the same way everywhere.  The default is the safe
-identity: one worker (fully serial) with the cache on.
+:func:`repro.runtime.host.init_accelerator`, so parallelism and the
+compiled core are configured the same way everywhere.  The default is
+the safe identity: one worker (fully serial) with the compiled core on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import UserInputError
-from repro.perf.simcache import DEFAULT_CACHE_ENTRIES, configure_cache
 
 
 @dataclass(frozen=True)
 class PerfConfig:
-    """Workers + cache knobs of one accelerated invocation."""
+    """Worker + compiled-core knobs of one accelerated invocation."""
 
     #: Worker processes for :func:`repro.perf.parallel.parallel_map`;
     #: 1 means strictly serial (no pool is ever created).
     workers: int = 1
-    #: Whether the content-addressed simulation cache is consulted.
-    cache_enabled: bool = True
-    #: LRU bound of the simulation cache.
-    cache_entries: int = DEFAULT_CACHE_ENTRIES
     #: Whether fault-free timing passes use the compiled simulation
     #: core (bit-identical to the interpreted path; ``--no-compiled``
     #: is the escape hatch back to the reference oracle).
     compiled: bool = True
-    #: Directory of the shared tier-2 timing store
-    #: (:class:`~repro.perf.sharedcache.SharedTimingStore`); ``None``
-    #: keeps the cache single-tier and in-process.
-    shared_cache_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.workers < 1:
             raise UserInputError(
                 f"workers must be >= 1, got {self.workers}"
-            )
-        if self.cache_entries < 1:
-            raise UserInputError(
-                f"cache_entries must be >= 1, got {self.cache_entries}"
             )
 
     @property
@@ -55,36 +41,18 @@ class PerfConfig:
         return self.workers > 1
 
     def apply(self) -> None:
-        """Configure the process-global cache and compiled switch."""
-        # Imported lazily: repro.compiled pulls in the arch simulators,
-        # which import this package right back.
+        """Set the process-global compiled switch."""
+        # Imported lazily: repro.compiled pulls in the arch simulators.
         from repro.compiled import configure_compiled
 
-        configure_cache(
-            enabled=self.cache_enabled,
-            max_entries=self.cache_entries,
-            shared_dir=self.shared_cache_dir,
-        )
         configure_compiled(self.compiled)
 
     def to_dict(self) -> dict:
-        return {
-            "workers": self.workers,
-            "cache_enabled": self.cache_enabled,
-            "cache_entries": self.cache_entries,
-            "compiled": self.compiled,
-            "shared_cache_dir": self.shared_cache_dir,
-        }
+        return {"workers": self.workers, "compiled": self.compiled}
 
     @staticmethod
     def from_dict(data: dict) -> "PerfConfig":
-        shared = data.get("shared_cache_dir")
         return PerfConfig(
             workers=int(data.get("workers", 1)),
-            cache_enabled=bool(data.get("cache_enabled", True)),
-            cache_entries=int(
-                data.get("cache_entries", DEFAULT_CACHE_ENTRIES)
-            ),
             compiled=bool(data.get("compiled", True)),
-            shared_cache_dir=str(shared) if shared is not None else None,
         )

@@ -33,11 +33,11 @@ _POOL_FAILURES = (BrokenProcessPool, PicklingError, OSError)
 def _apply_perf_in_worker(perf_dict: dict) -> None:
     """Pool initializer: re-apply the caller's PerfConfig in the worker.
 
-    Without this, workers run on whatever process-global cache/compiled
-    state they inherited (fork) or the defaults (spawn) — so
-    ``--no-sim-cache``/``--cache-entries``/``--shared-cache`` silently
-    stopped applying inside pools.  The config travels as its
-    ``to_dict()`` payload (plain primitives, picklable everywhere).
+    Without this, workers run on whatever process-global compiled
+    switch they inherited (fork) or the default (spawn) — so
+    ``--no-compiled`` would silently stop applying inside pools.  The
+    config travels as its ``to_dict()`` payload (plain primitives,
+    picklable everywhere).
     """
     from repro.perf.config import PerfConfig
 
@@ -73,8 +73,8 @@ def parallel_map(
     caught as an infrastructure failure and executed serially instead.
 
     ``perf`` (a :class:`~repro.perf.config.PerfConfig`) is re-applied
-    in every worker via a pool initializer, so cache and compiled-core
-    settings hold inside the pool regardless of start method.  The
+    in every worker via a pool initializer, so the compiled-core
+    setting holds inside the pool regardless of start method.  The
     serial paths skip it — the parent already applied its own config.
     """
     items = list(items)

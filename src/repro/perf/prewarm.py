@@ -1,4 +1,4 @@
-"""Fleet prewarm: out-of-process preprocessing and timing warm-up.
+"""Fleet prewarm: out-of-process preprocessing and plan compilation.
 
 The fleet event loop itself is inherently serial — it is a virtual-time
 discrete-event simulation whose bit-reproducible report depends on one
@@ -7,14 +7,14 @@ loop keeps stopping for: preprocessing each distinct (device config,
 graph) pair and timing its partitions for the first time.
 
 :func:`prewarm_spec` is the picklable worker unit: it rebuilds one
-spec's framework, preprocesses the graph, runs one timing iteration so
-the content-addressed cache fills with every partition of the plan, and
-ships back ``(placement key, PreprocessResult, cache entries)``.  The
-parent merges the artefacts into :class:`~repro.fleet.placement
-.PlacementEngine` and the global :mod:`~repro.perf.simcache` *before*
+spec's framework, preprocesses the graph and runs one timing iteration,
+which compiles the plan and memoises the compiled engine (with its
+evaluated timings) on ``pre.plan``.  It ships back ``(placement key,
+PreprocessResult)``; the engine pickles along with the plan.  The parent
+seeds :class:`~repro.fleet.placement.PlacementEngine` with it *before*
 starting the event loop, which then finds every expensive step already
-answered.  Both artefacts are pure functions of the spec, so the
-warmed run's report digest is identical to a cold serial run's.
+answered.  The result is a pure function of the spec, so the warmed
+run's report digest is identical to a cold serial run's.
 """
 
 from __future__ import annotations
@@ -26,23 +26,17 @@ from repro.core.framework import ReGraph
 from repro.core.system import SystemSimulator
 from repro.errors import ReproError
 from repro.fleet.placement import preprocess_cache_key
-from repro.perf.simcache import configure_cache, get_cache
 
 
-def prewarm_spec(task: tuple) -> Optional[Tuple[tuple, object, dict]]:
+def prewarm_spec(task: tuple) -> Optional[Tuple[tuple, object]]:
     """Warm one (device, buffer, pipelines, graph spec, symmetrize) spec.
 
-    Returns ``(placement cache key, PreprocessResult, timing-cache
-    entries)``, or ``None`` when the spec cannot be preprocessed (the
-    event loop will then handle it — and its typed failure — exactly as
-    it would have without prewarming).
+    Returns ``(placement cache key, PreprocessResult)``, or ``None``
+    when the spec cannot be preprocessed (the event loop will then
+    handle it — and its typed failure — exactly as it would have
+    without prewarming).
     """
-    (device, buffer_vertices, num_pipelines, graph_spec, symmetrize,
-     cache_entries) = task
-    # The worker's own (forked) global cache is cleared first so the
-    # entries shipped back belong to exactly this spec.
-    cache = configure_cache(enabled=True, max_entries=cache_entries)
-    cache.clear()
+    device, buffer_vertices, num_pipelines, graph_spec, symmetrize = task
     try:
         graph = graph_spec.build()
         if symmetrize:
@@ -57,6 +51,8 @@ def prewarm_spec(task: tuple) -> Optional[Tuple[tuple, object, dict]]:
             num_pipelines=num_pipelines,
         )
         pre = framework.preprocess(graph)
+        # With the compiled core on, this compiles and evaluates the
+        # plan; the engine rides back to the parent on pre.plan.
         sim = SystemSimulator(pre.plan, framework.platform, framework.channel)
         sim.iteration_timing(graph.num_vertices)
     except ReproError:
@@ -64,10 +60,10 @@ def prewarm_spec(task: tuple) -> Optional[Tuple[tuple, object, dict]]:
     key = preprocess_cache_key(
         device, buffer_vertices, num_pipelines, graph_spec, symmetrize
     )
-    return key, pre, cache.entries()
+    return key, pre
 
 
-def distinct_specs(replicas, jobs, cache_entries: int) -> dict:
+def distinct_specs(replicas, jobs) -> dict:
     """The deduplicated prewarm work-list for a pool and job stream.
 
     Keyed by placement cache key (insertion order = deterministic job
@@ -95,6 +91,6 @@ def distinct_specs(replicas, jobs, cache_entries: int) -> dict:
             if key not in specs:
                 specs[key] = (
                     device, buffer_vertices, num_pipelines,
-                    job.graph, job.app == "wcc", cache_entries,
+                    job.graph, job.app == "wcc",
                 )
     return specs

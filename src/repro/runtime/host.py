@@ -330,20 +330,14 @@ class AcceleratorHandle:
         return max(self.hbm_bytes_total() - self.hbm_bytes_used(), 0)
 
     # -- perf introspection --------------------------------------------
-    def cache_stats(self) -> dict:
-        """Simulation-cache counters (hits/misses/bypasses/entries).
-
-        The cache is process-global (executions on any handle share
-        it), surfaced here because the host handle is where callers
-        already look for run accounting.
-        """
-        from repro.perf.simcache import get_cache
-
-        return get_cache().stats()
-
     def compiled_stats(self) -> dict:
         """Compiled-core counters (plans/nodes compiled, evaluations,
-        memo hits), process-global like :meth:`cache_stats`."""
+        memo hits).
+
+        The counters are process-global (executions on any handle share
+        them), surfaced here because the host handle is where callers
+        already look for run accounting.
+        """
         from repro.compiled import compiled_enabled, compiled_stats
 
         stats = compiled_stats()
@@ -369,8 +363,8 @@ def init_accelerator(
 ) -> AcceleratorHandle:
     """``initAccelerator()``: create a programmed accelerator context.
 
-    ``perf`` (a :class:`~repro.perf.config.PerfConfig`) configures the
-    process-global simulation cache this context's executions use.
+    ``perf`` (a :class:`~repro.perf.config.PerfConfig`) sets the
+    process-global compiled-core switch this context's executions use.
     """
     if isinstance(platform, str) and platform.upper() not in PLATFORMS:
         raise UserInputError(

@@ -313,9 +313,6 @@ class ServingGateway:
 
     # -- observability ----------------------------------------------------
     def health(self) -> dict:
-        from repro.perf.simcache import get_cache
-
-        cache = get_cache().stats()
         health = {
             "status": "draining" if self.draining else "serving",
             "pending": len(self._pending),
@@ -324,27 +321,14 @@ class ServingGateway:
             "admission": self.admission.stats.to_dict(),
             "recovery": dict(self.recovery_stats),
             "tenants": [t.name for t in self.registry],
-            # Two-tier sim-cache telemetry (docs/PERFORMANCE.md): tier-1
-            # hit/miss plus, when a shared store is attached, tier-2
-            # hit/miss and quarantine counts.
-            "cache": {
-                k: cache[k]
-                for k in ("hits", "misses", "tier2_hits", "tier2_misses")
-            },
         }
-        shared = cache.get("shared")
-        if shared:
-            health["cache"]["shared"] = {
-                k: shared[k]
-                for k in ("entries", "writes", "quarantined", "stale")
-            }
         scaler = getattr(self.session.runtime, "autoscaler", None)
         if scaler is not None:
             stats = scaler.stats()
             health["autoscaler"] = {
                 k: stats[k]
-                for k in ("spawned", "retired", "warmed_entries",
-                          "p99_latency_seconds", "decisions")
+                for k in ("spawned", "retired", "p99_latency_seconds",
+                          "decisions")
             }
         return health
 

@@ -17,7 +17,6 @@ from repro.chaos import (
 from repro.compiled import configure_compiled
 from repro.errors import UserInputError
 from repro.faults.plan import DeadChannelFault, FaultPlan, LatencySpikeFault
-from repro.perf import get_cache
 
 
 # ----------------------------------------------------------------------
@@ -187,12 +186,10 @@ class TestRunCell:
         results = {}
         try:
             for compiled in (True, False):
-                get_cache().clear()
                 configure_compiled(compiled)
                 results[compiled] = run_cell(cell)
         finally:
             configure_compiled(True)
-            get_cache().clear()
         assert results[True].digest == results[False].digest
         assert results[True].health == results[False].health
         assert results[True].total_cycles == results[False].total_cycles

@@ -149,6 +149,17 @@ class TestKillRestart:
         assert code == 2
         assert "ramdisk" in capsys.readouterr().err
 
+    def test_target_outside_the_cell_returns_2(self, capsys, tmp_path):
+        code = main([
+            "chaos", "kill-restart", "--num-jobs", "2",
+            "--corrupt", "bit-flip@traffic", "--no-fsync",
+            "--workdir", str(tmp_path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "traffic" in captured.err
+        assert "PASSED" not in captured.out
+
     def test_parser_accepts_all_options(self):
         args = build_parser().parse_args([
             "chaos", "kill-restart", "--num-jobs", "12",

@@ -99,6 +99,22 @@ class TestConfig:
         with pytest.raises(UserInputError, match=">= 1 crash"):
             KillRestartConfig(crashes=0)
 
+    @pytest.mark.parametrize("target", ["traffic", "store-wal"])
+    def test_rejects_targets_the_cell_cannot_damage(self, target):
+        # Only the journal and the result store exist in a kill-restart
+        # cell, so any other target has no file to damage.
+        with pytest.raises(UserInputError, match=target):
+            KillRestartConfig(
+                storage_faults=(StorageFault(kind="bit-flip", target=target),)
+            )
+
+    @pytest.mark.parametrize("target", ["journal", "store"])
+    def test_accepts_journal_and_store(self, target):
+        config = KillRestartConfig(
+            storage_faults=(StorageFault(kind="bit-flip", target=target),)
+        )
+        assert config.storage_faults[0].target == target
+
 
 class TestCrashPoints:
     def test_deterministic_in_seed(self):

@@ -109,6 +109,22 @@ class TestErrorPaths:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        ["run --dataset GG", "check --quick", "sweep --dataset GG",
+         "chaos run", "fleet run"],
+    )
+    @pytest.mark.parametrize(
+        "flag",
+        ["--no-sim-cache", "--cache-entries 64", "--shared-cache cache"],
+    )
+    def test_removed_cache_flags_exit_2(self, command, flag, capsys):
+        # No perf-aware subcommand accepts a timing-cache flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main(command.split() + flag.split())
+        assert excinfo.value.code == 2
+        assert flag.split()[0] in capsys.readouterr().err
+
     def test_bad_dataset_key_returns_2(self, capsys):
         assert main(["run", "--dataset", "NOPE"]) == 2
         err = capsys.readouterr().err

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from repro.compiled import (
     CompiledEngine,
     compile_plan,
-    compiled_enabled,
+    compiled_stats,
     configure_compiled,
     evaluate_plan,
     plan_engine,
@@ -36,11 +36,13 @@ from repro.graph.generators import (
     rmat_graph,
 )
 from repro.hbm.channel import HbmChannelModel
-from repro.perf import configure_cache, get_cache
-from repro.perf.simcache import DEFAULT_CACHE_ENTRIES
 
 from tests.helpers import make_framework
-from tests.strategies import channel_param_perturbations, scheduling_plans
+from tests.strategies import (
+    channel_param_perturbations,
+    compiled_specs,
+    scheduling_plans,
+)
 
 ALL_APPS = ("pagerank", "bfs", "closeness", "sssp", "wcc")
 DEVICES = ("U280", "U50")
@@ -48,14 +50,10 @@ DEVICES = ("U280", "U50")
 
 @pytest.fixture(autouse=True)
 def fresh_state():
-    """Each test starts with compiled ON and an empty cache, and leaves
-    the process-global switches at their defaults."""
-    configure_cache(enabled=True, max_entries=DEFAULT_CACHE_ENTRIES)
-    get_cache().clear()
+    """Each test starts with compiled ON and leaves the process-global
+    switch at its default."""
     configure_compiled(True)
     yield
-    configure_cache(enabled=True, max_entries=DEFAULT_CACHE_ENTRIES)
-    get_cache().clear()
     configure_compiled(True)
 
 
@@ -138,10 +136,9 @@ def run_report_digest(run) -> str:
 
 
 def run_both_paths(app, device, graph, **kwargs):
-    """One run per path, each from a cold cache; returns both reports."""
+    """One run per path, each on a fresh framework; returns both reports."""
     reports = []
     for compiled in (True, False):
-        get_cache().clear()
         configure_compiled(compiled)
         framework = make_framework(platform=device)
         reports.append(
@@ -226,7 +223,6 @@ class TestPartitionTimingEquivalence:
         sim = SystemSimulator(pre.plan, framework.platform)
         cplan = compile_plan(pre.plan)
         timings = evaluate_plan(cplan, sim.channel)
-        configure_cache(enabled=False)  # force interpreted recompute
         for pipe, tasks in enumerate(pre.plan.little_tasks):
             for order, task in enumerate(tasks):
                 node = cplan.little_by_pipe[pipe][order]
@@ -249,24 +245,22 @@ class TestPartitionTimingEquivalence:
 
 
 class TestCacheComposition:
-    def test_compiled_run_populates_interpreted_cache_keys(self):
-        # The compiled timing pass seeds the content-addressed entries
-        # under the interpreted memo's exact keys.  A fully-compiled run
-        # no longer performs per-task lookups at all (the functional
-        # pass is compiled too), so the consumer here is an interpreted
-        # run over the same graph: its per-task ``_timing`` lookups must
-        # hit the compiled-published entries.
-        graph = family_graph("rmat")
+    """The compiled engine's per-plan memo: the one place timing
+    results are reused."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    def test_memo_served_run_identical_to_cold_run(self, seed):
+        # The second run over one plan is served from the engine memo;
+        # it must be indistinguishable from a run on a fresh framework.
+        graph = rmat_graph(11, 8, seed=seed)
+        cold = make_framework().run_pagerank(graph, max_iterations=5)
         framework = make_framework()
-        assert compiled_enabled()
-        framework.run_pagerank(graph, max_iterations=5)
-        stats = get_cache().stats()
-        assert stats["entries"] > 0
-        configure_compiled(False)
-        framework.run_pagerank(graph, max_iterations=2)
-        stats = get_cache().stats()
-        assert stats["hits"] > 0
-        assert stats["hit_rate"] > 0.5
+        pre = framework.preprocess(graph)
+        framework.run_pagerank(pre, max_iterations=5)
+        hits = compiled_stats()["memo_hits"]
+        warm = framework.run_pagerank(pre, max_iterations=5)
+        assert compiled_stats()["memo_hits"] > hits
+        assert run_report_digest(warm) == run_report_digest(cold)
 
     def test_engine_is_compiled_once_per_plan(self):
         framework = make_framework()
@@ -283,6 +277,19 @@ class TestCacheComposition:
         first = engine.timings(channel)
         second = engine.timings(channel)
         assert second is first
+
+
+class TestSpecDigest:
+    @given(spec_a=compiled_specs(), spec_b=compiled_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_compiled_spec_digest_is_injective(self, spec_a, spec_b):
+        # Two distinct device/combo/channel-param bindings must never
+        # share a digest, or one spec's compiled evaluation could be
+        # reported (or reused) as another's.
+        if spec_a == spec_b:
+            assert spec_a.digest() == spec_b.digest()
+        else:
+            assert spec_a.digest() != spec_b.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +338,6 @@ class TestProperties:
         channel = HbmChannelModel(params)
         cplan = compile_plan(plan)
         timings = evaluate_plan(cplan, channel)
-        configure_cache(enabled=False)
         from repro.arch.big_pipeline import BigPipelineSim
         from repro.arch.little_pipeline import LittlePipelineSim
 

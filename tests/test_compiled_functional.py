@@ -31,8 +31,6 @@ from repro.core.framework import ReGraph
 from repro.faults import BitFlipFault, FaultInjector, FaultPlan
 from repro.faults.resilience import ResiliencePolicy
 from repro.hbm.channel import HbmChannelModel
-from repro.perf import configure_cache, get_cache
-from repro.perf.simcache import DEFAULT_CACHE_ENTRIES
 
 from tests.helpers import make_framework, make_pipeline_config
 from tests.strategies import channel_param_perturbations
@@ -48,15 +46,11 @@ from tests.test_compiled_equivalence import (
 
 @pytest.fixture(autouse=True)
 def fresh_state():
-    """Each test starts with compiled ON and an empty cache, and leaves
-    the process-global switches at their defaults."""
-    configure_cache(enabled=True, max_entries=DEFAULT_CACHE_ENTRIES)
-    get_cache().clear()
+    """Each test starts with compiled ON and leaves the process-global
+    switch at its default."""
     configure_compiled(True)
     reset_compiled_stats()
     yield
-    configure_cache(enabled=True, max_entries=DEFAULT_CACHE_ENTRIES)
-    get_cache().clear()
     configure_compiled(True)
     reset_compiled_stats()
 
@@ -162,6 +156,78 @@ class TestFaultFallback:
         )
         stats = compiled_stats()
         assert stats["functional_fallbacks"] > 0
+
+    def test_fault_active_run_times_each_task_once_per_pass(
+        self, monkeypatch
+    ):
+        # Pass-count guard: with a timing fault and a functional fault
+        # both active, every timing pass is the interpreted walk (one
+        # _compute_timing per task) and the interpreted functional walk
+        # re-times nothing.
+        from repro.apps.pagerank import PageRank
+        from repro.arch.big_pipeline import BigPipelineSim
+        from repro.arch.little_pipeline import LittlePipelineSim
+        from repro.core.system import SystemSimulator
+        from repro.faults import LatencySpikeFault
+
+        counts = {"timing": 0, "functional": 0}
+        phase = ["idle"]
+        passes = {"timing": 0, "functional": 0}
+
+        def counted(cls):
+            original = cls._compute_timing
+
+            def wrapper(self, *args, **kwargs):
+                if phase[0] in counts:
+                    counts[phase[0]] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "_compute_timing", wrapper)
+
+        def in_phase(name, method):
+            original = getattr(SystemSimulator, method)
+
+            def wrapper(self, *args, **kwargs):
+                phase[0] = name
+                passes[name] += 1
+                try:
+                    return original(self, *args, **kwargs)
+                finally:
+                    phase[0] = "idle"
+
+            monkeypatch.setattr(SystemSimulator, method, wrapper)
+
+        counted(LittlePipelineSim)
+        counted(BigPipelineSim)
+        in_phase("timing", "_compute_timing")
+        in_phase("functional", "_interpreted_functional")
+
+        framework = make_framework()
+        pre = framework.preprocess(family_graph("powerlaw"))
+        injector = FaultInjector(FaultPlan(
+            seed=5,
+            latency_spikes=(LatencySpikeFault(
+                channel=0, onset_cycle=0.0, duration_cycles=1e12,
+                multiplier=4.0,
+            ),),
+            bit_flips=(BitFlipFault(probability=0.05, detectable=False),),
+        ))
+        injector.bind_topology(
+            len(pre.plan.little_tasks), len(pre.plan.big_tasks)
+        )
+        sim = SystemSimulator(
+            pre.plan, framework.platform, framework.channel,
+            injector=injector,
+        )
+        run = sim.run(PageRank(pre.graph), max_iterations=4)
+        tasks = sum(len(t) for t in pre.plan.little_tasks) + sum(
+            len(t) for t in pre.plan.big_tasks
+        )
+        assert pre.plan.little_tasks and pre.plan.big_tasks
+        assert passes["timing"] == run.iterations
+        assert passes["functional"] == run.iterations
+        assert counts["timing"] == tasks * run.iterations
+        assert counts["functional"] == 0
 
     def test_inactive_windows_do_not_trip_the_gate(self):
         injector = FaultInjector(FaultPlan(
@@ -329,7 +395,6 @@ class TestProperties:
         graph = family_graph("rmat")
         reports = []
         for compiled in (True, False):
-            get_cache().clear()
             configure_compiled(compiled)
             framework = ReGraph(
                 "U280",

@@ -41,6 +41,9 @@ from repro.faults import (
     ResiliencePolicy,
     RunHealthReport,
 )
+from repro.graph.generators import rmat_graph
+
+from tests.helpers import make_framework
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +230,27 @@ class TestCrashSafeCheckpoints:
         assert first == second
         cp = CheckpointStore.from_file(second)
         assert cp.iteration == 2
+
+    def test_checkpoint_store_unique_tmp_names(self, tmp_path, monkeypatch):
+        # Staging names are unique per call, so two workers (or one
+        # process saving twice concurrently) never collide on one
+        # staging file and clobber each other's bytes mid-write.
+        import os
+
+        names = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            names.append(str(src))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr("os.replace", spy)
+        store = CheckpointStore()
+        store.save(0, np.zeros(4, dtype=np.int64), 0.0)
+        for _ in range(2):
+            store.to_file(tmp_path / "cp.npz")
+        assert len(set(names)) == 2
+        assert all(f".tmp-{os.getpid()}-" in n for n in names)
 
 
 class TestCheckpointChecksums:
@@ -560,6 +584,29 @@ class TestResilientRuns:
         np.testing.assert_array_equal(res.props, base.props)
         assert res.health.fault_count == 0
         assert res.health.overhead_cycles == 0.0
+
+    def test_clean_rerun_after_faulted_run_is_bit_identical(self):
+        # A faulted run over the same preprocessed plan must leave
+        # nothing behind (compiled memo, channel state) that a later
+        # clean run could pick up.
+        framework = make_framework()
+        pre = framework.preprocess(rmat_graph(11, 8, seed=3))
+        clean = framework.run_pagerank(pre, max_iterations=5)
+        plan = FaultPlan(
+            seed=5,
+            latency_spikes=(LatencySpikeFault(
+                channel=0, onset_cycle=0.0, duration_cycles=1e12,
+                multiplier=4.0,
+            ),),
+        )
+        framework.run_pagerank(
+            pre, max_iterations=5, fault_plan=plan,
+            resilience=ResiliencePolicy(),
+        )
+        rerun = framework.run_pagerank(pre, max_iterations=5)
+        assert rerun.total_cycles == clean.total_cycles
+        assert rerun.iteration_reports == clean.iteration_reports
+        np.testing.assert_array_equal(rerun.props, clean.props)
 
     def test_watchdog_trips_on_latency_spike(self, framework, pre):
         # 4L2B topology: big0 is global pipeline 4 -> channels 8/9.

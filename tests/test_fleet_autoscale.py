@@ -1,12 +1,11 @@
-"""Warm-start autoscaling: policy, hysteresis, and digest purity.
+"""Autoscaling: policy, hysteresis, and digest purity.
 
 The load-bearing property: the autoscaler changes *capacity*, never
 *answers* — a soak served by an autoscaled pool produces bit-identical
 per-job result digests to the same soak on a fixed pool.  Around that:
 hysteresis (one bad observation never scales), cooldown (no thrash
-after an action), scale-down drains retire instead of entering the
-quarantine/canary loop, and spawned replicas warm-start from the
-shared store.
+after an action), and scale-down drains retire instead of entering the
+quarantine/canary loop.
 """
 
 import pytest
@@ -21,8 +20,6 @@ from repro.fleet.autoscale import (
     AutoscalePolicy,
     Autoscaler,
 )
-from repro.perf.sharedcache import SharedTimingStore
-from repro.perf.simcache import SimulationCache
 
 #: Trigger-happy policy: every knob at its most reactive, so short unit
 #: scenarios can exercise both directions.
@@ -75,7 +72,7 @@ class TestDecisionEngine:
             queue_depth_per_replica=1.0,
         ))
         assert scaler.observe(0.0, 9, 1, 1, _stats(1)) == SCALE_UP
-        scaler.note_spawned("as1", 0.0, warmed=0)
+        scaler.note_spawned("as1", 0.0)
         # Still breached, but inside the cooldown window: hold.
         assert scaler.observe(0.5, 9, 2, 2, _stats(2)) is None
         assert scaler.observe(1.5, 9, 2, 2, _stats(3)) == SCALE_UP
@@ -119,22 +116,6 @@ class TestDecisionEngine:
         scaler = Autoscaler(EAGER)
         assert scaler.next_replica_id(["r0", "as1"]) == "as2"
         assert scaler.next_replica_id(["r0"]) == "as3"
-
-    def test_warm_start_pulls_from_the_shared_store(self, tmp_path):
-        from repro.arch.timing import PartitionTiming
-
-        store = SharedTimingStore(tmp_path, fsync=False)
-        timing = PartitionTiming(
-            compute_cycles=1.0, store_cycles=2.0, switch_cycles=3.0,
-            num_edges=4, num_sets=1,
-        )
-        store.put("a" * 64, timing)
-        scaler = Autoscaler(EAGER, store=store)
-        cache = SimulationCache(max_entries=8)
-        assert scaler.warm_start(cache) == 1
-        assert scaler.warmed_entries == 1
-        assert cache.contains("a" * 64)
-        assert Autoscaler(EAGER).warm_start(cache) == 0  # no store
 
 
 #: Single-replica soak under load: enough jobs to breach an eager

@@ -9,21 +9,12 @@ with ``workers > 1`` as with the plain serial loop.
 
 import pytest
 
+from repro.compiled import compiled_enabled, configure_compiled
 from repro.errors import UserInputError
-from repro.perf import PerfConfig, configure_cache, get_cache, parallel_map
-from repro.perf.simcache import DEFAULT_CACHE_ENTRIES
+from repro.perf import PerfConfig, parallel_map
 
 #: Enough to exercise the pool without slowing the tier-1 suite.
 WORKERS = 2
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    configure_cache(enabled=True, max_entries=DEFAULT_CACHE_ENTRIES)
-    get_cache().clear()
-    yield
-    configure_cache(enabled=True, max_entries=DEFAULT_CACHE_ENTRIES)
-    get_cache().clear()
 
 
 def _square(x):
@@ -69,26 +60,25 @@ class TestPerfConfig:
         perf = PerfConfig()
         assert perf.workers == 1
         assert not perf.parallel
-        assert perf.cache_enabled
-        assert perf.cache_entries == DEFAULT_CACHE_ENTRIES
+        assert perf.compiled
 
     def test_validation(self):
         with pytest.raises(UserInputError):
             PerfConfig(workers=0)
-        with pytest.raises(UserInputError):
-            PerfConfig(cache_entries=0)
 
     def test_roundtrip(self):
-        perf = PerfConfig(workers=4, cache_enabled=False, cache_entries=64)
+        perf = PerfConfig(workers=4, compiled=False)
         assert PerfConfig.from_dict(perf.to_dict()) == perf
         assert perf.parallel
 
-    def test_apply_configures_global_cache(self):
-        PerfConfig(cache_enabled=False).apply()
-        assert not get_cache().enabled
-        PerfConfig(cache_enabled=True, cache_entries=128).apply()
-        assert get_cache().enabled
-        assert get_cache().max_entries == 128
+    def test_apply_sets_the_compiled_switch(self):
+        try:
+            PerfConfig(compiled=False).apply()
+            assert not compiled_enabled()
+            PerfConfig().apply()
+            assert compiled_enabled()
+        finally:
+            configure_compiled(True)
 
 
 class TestParallelEquivalence:
@@ -124,13 +114,41 @@ class TestParallelEquivalence:
 
         config = FleetSoakConfig(seed=13, jobs=6, replicas=("U280", "U50"))
         serial = run_fleet_soak(config)
-        get_cache().clear()
         parallel = run_fleet_soak(config, perf=PerfConfig(workers=WORKERS))
         assert parallel.report.digest() == serial.report.digest()
         # The perf stats ride beside the report, never inside it.
         assert parallel.perf["workers"] == WORKERS
         assert parallel.perf["prewarmed_specs"] >= 0
         assert "perf" not in parallel.report.to_dict()
+
+    def test_prewarmed_soak_compiles_no_plan_in_the_parent(
+        self, monkeypatch
+    ):
+        # Prewarm workers compile each spec's plan; the engine pickles
+        # back on pre.plan, so the parent's event loop compiles nothing.
+        from repro.chaos.fleet_soak import FleetSoakConfig, run_fleet_soak
+        from repro.compiled import compiled_stats
+        from repro.fleet.runtime import FleetRuntime
+
+        compiled_in_loop = []
+        original = FleetRuntime.run
+
+        def counted_run(self, *args, **kwargs):
+            before = compiled_stats()["plans_compiled"]
+            report = original(self, *args, **kwargs)
+            compiled_in_loop.append(
+                compiled_stats()["plans_compiled"] - before
+            )
+            return report
+
+        monkeypatch.setattr(FleetRuntime, "run", counted_run)
+        config = FleetSoakConfig(seed=13, jobs=6, replicas=("U280", "U50"))
+        serial = run_fleet_soak(config)
+        parallel = run_fleet_soak(config, perf=PerfConfig(workers=WORKERS))
+        assert parallel.report.digest() == serial.report.digest()
+        assert parallel.perf["prewarmed_specs"] > 0
+        assert compiled_in_loop[0] > 0
+        assert compiled_in_loop[1] == 0
 
     def test_fleet_soak_json_roundtrip_keeps_perf(self):
         from repro.chaos.fleet_soak import (
