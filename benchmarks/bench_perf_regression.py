@@ -50,6 +50,22 @@ COMPILED_CHANNEL_VARIANTS = (
     {"min_latency": 12.0, "burst_blocks_per_cycle": 1.5},
 )
 
+def _simulator_paths():
+    """``(label, simulator class)`` of production and the interpreted
+    reference oracle, whose passes all take the per-task walks."""
+    from repro.core.system import SystemSimulator
+
+    class InterpretedSimulator(SystemSimulator):
+        _compiled_timing = SystemSimulator._compute_timing
+        _faulted_timing = SystemSimulator._compute_timing
+        _compiled_functional = SystemSimulator._interpreted_functional
+
+    return (
+        ("compiled", SystemSimulator),
+        ("interpreted", InterpretedSimulator),
+    )
+
+
 #: Benches whose work actually fans out over workers; only these are
 #: held to the ``--min-speedup`` gate.  ``pipeline_execute`` is serial
 #: by construction (it measures the vectorized kernels).
@@ -178,11 +194,7 @@ def run_compiled_bench(reps, min_speedup):
     import dataclasses
     import statistics as stats
 
-    from repro.compiled import (
-        CompiledEngine,
-        compile_plan,
-        configure_compiled,
-    )
+    from repro.compiled import CompiledEngine, compile_plan
     from repro.core.framework import ReGraph
     from repro.core.system import SystemSimulator
     from repro.graph.generators import rmat_graph
@@ -202,19 +214,17 @@ def run_compiled_bench(reps, min_speedup):
     interp_sums = compiled_sums = None
     compile_seconds = None
     for _ in range(reps):
-        configure_compiled(False)
         start = time.perf_counter()
         sums = []
         for params in variants:
             sim = SystemSimulator(
                 pre.plan, framework.platform, HbmChannelModel(params)
             )
-            report = sim.iteration_timing(graph.num_vertices)
+            report = sim._compute_timing(graph.num_vertices)
             sums.append((report.little_cycles, report.big_cycles))
         interp_times.append(time.perf_counter() - start)
         interp_sums = sums
 
-        configure_compiled(True)
         start = time.perf_counter()
         cplan = compile_plan(pre.plan)  # cold structure every rep
         compile_seconds = time.perf_counter() - start
@@ -248,13 +258,14 @@ def run_compiled_bench(reps, min_speedup):
     app_graph = rmat_graph(10, 8, seed=5)
     for app in ("pagerank", "bfs", "closeness", "sssp", "wcc"):
         per_path = {}
-        for compiled in (True, False):
-            configure_compiled(compiled)
+        for key, sim_class in _simulator_paths():
             fw = ReGraph("U280")
             start = time.perf_counter()
-            run = _run_app(fw, app, app_graph)
+            pre, app_instance = _app_case(fw, app, app_graph)
+            run = sim_class(pre.plan, fw.platform, fw.channel).run(
+                app_instance, max_iterations=8
+            )
             seconds = time.perf_counter() - start
-            key = "compiled" if compiled else "interpreted"
             per_path[key] = {
                 "mteps": run.mteps,
                 "total_cycles": run.total_cycles,
@@ -267,7 +278,6 @@ def run_compiled_bench(reps, min_speedup):
         apps_report[app] = per_path
         print(f"  {app:>18}: {per_path['compiled']['mteps']:.0f} MTEPS "
               f"(both paths, cycles identical)")
-    configure_compiled(True)
 
     return {
         "schema": COMPILED_SCHEMA,
@@ -305,7 +315,7 @@ def run_functional_bench(reps, min_speedup):
     from repro.apps.sssp import SingleSourceShortestPaths
     from repro.apps.wcc import WeaklyConnectedComponents, symmetrized
     from repro.check.runner import with_random_weights
-    from repro.compiled import configure_compiled, functional_engine
+    from repro.compiled import functional_engine
     from repro.core.framework import ReGraph
     from repro.core.system import SystemSimulator
     from repro.graph.generators import rmat_graph
@@ -335,7 +345,6 @@ def run_functional_bench(reps, min_speedup):
 
     # Charge structure lowering separately, once (it is reused across
     # every iteration, app and rep sharing the plan).
-    configure_compiled(True)
     for case_pre in {id(p): p for p, _ in cases.values()}.values():
         case_pre.plan.__dict__.pop("_functional_engine", None)
     start = time.perf_counter()
@@ -350,14 +359,12 @@ def run_functional_bench(reps, min_speedup):
         times = {"compiled": [], "interpreted": []}
         outcomes = {}
         for _ in range(reps):
-            for compiled in (True, False):
-                configure_compiled(compiled)
-                sim = SystemSimulator(
+            for key, sim_class in _simulator_paths():
+                sim = sim_class(
                     case_pre.plan, framework.platform, framework.channel
                 )
                 start = time.perf_counter()
                 run = sim.run(make_app(), max_iterations=30)
-                key = "compiled" if compiled else "interpreted"
                 times[key].append(time.perf_counter() - start)
                 outcome = {
                     "iterations": run.iterations,
@@ -388,7 +395,6 @@ def run_functional_bench(reps, min_speedup):
         print(f"  {app:>18}: interpreted {interp * 1e3:.1f} ms, "
               f"compiled {compiled_median * 1e3:.1f} ms -> "
               f"{speedup:.1f}x functional convergence")
-    configure_compiled(True)
 
     median_speedup = stats.median(speedups)
     print(f"  functional pass: {median_speedup:.1f}x median speedup "
@@ -411,32 +417,30 @@ def run_functional_bench(reps, min_speedup):
     }, failed
 
 
-def _run_app(framework, app, graph):
-    """Name-dispatched app run (the chaos campaign's mapping)."""
-    if app == "pagerank":
-        return framework.run_pagerank(graph, max_iterations=8)
-    if app == "bfs":
-        return framework.run_bfs(graph, root=0, max_iterations=8)
-    if app == "closeness":
-        return framework.run_closeness(graph, root=0, max_iterations=8)
+def _app_case(framework, app, graph):
+    """``(preprocessed graph, app)`` of one name-dispatched app run (the
+    chaos campaign's mapping)."""
+    from repro.apps.bfs import BreadthFirstSearch
+    from repro.apps.closeness import ClosenessCentrality
+    from repro.apps.pagerank import PageRank
+    from repro.apps.sssp import SingleSourceShortestPaths
+    from repro.apps.wcc import WeaklyConnectedComponents, symmetrized
+    from repro.check.runner import with_random_weights
+
     if app == "sssp":
-        from repro.apps.sssp import SingleSourceShortestPaths
-        from repro.check.runner import with_random_weights
-
-        pre = framework.preprocess(with_random_weights(graph, seed=5))
-        root = pre.to_internal_vertex(0)
-        return framework.run(
-            pre,
-            lambda g: SingleSourceShortestPaths(g, root=root),
-            max_iterations=8,
-        )
-    if app == "wcc":
-        from repro.apps.wcc import WeaklyConnectedComponents, symmetrized
-
-        return framework.run(
-            symmetrized(graph), WeaklyConnectedComponents, max_iterations=8
-        )
-    raise ValueError(app)
+        graph = with_random_weights(graph, seed=5)
+    elif app == "wcc":
+        graph = symmetrized(graph)
+    pre = framework.preprocess(graph)
+    root = pre.to_internal_vertex(0)
+    builders = {
+        "pagerank": lambda g: PageRank(g),
+        "bfs": lambda g: BreadthFirstSearch(g, root=root),
+        "closeness": lambda g: ClosenessCentrality(g, root=root),
+        "sssp": lambda g: SingleSourceShortestPaths(g, root=root),
+        "wcc": WeaklyConnectedComponents,
+    }
+    return pre, builders[app](pre.graph)
 
 
 def compare_to_baseline(report, baseline_path, min_speedup):
@@ -505,7 +509,6 @@ def main(argv=None):
     from repro.perf import PerfConfig
 
     perf = PerfConfig(workers=args.jobs)
-    perf.apply()
     calibration = _calibration_seconds()
     print(f"perf regression bench: jobs={args.jobs} reps={args.reps} "
           f"(calibration {calibration * 1e3:.1f} ms)")

@@ -1,9 +1,11 @@
 """Execution tracing: per-pipeline timelines and utilisation reports.
 
-Turns a scheduling plan plus the pipeline simulators into a task-level
-timeline (which pipeline ran which partition slice, when) and renders a
-text Gantt chart — the tooling one uses to see *why* a pipeline
-combination balances or does not.
+Turns a scheduling plan into a task-level timeline (which pipeline ran
+which partition slice, when) and renders a text Gantt chart — the
+tooling one uses to see *why* a pipeline combination balances or does
+not.  :func:`trace_plan` synthesizes the timeline from the compiled
+engine's node timings; :func:`interpreted_trace` re-simulates every
+task through the pipeline simulators and is the oracle it must equal.
 """
 
 from __future__ import annotations
@@ -95,24 +97,23 @@ def trace_plan(
 ) -> ExecutionTrace:
     """One iteration of a plan with every task's busy window recorded.
 
-    Fault-free traces are synthesized from the compiled engine's node
-    timings when the compiled core is enabled
-    (:mod:`repro.compiled.trace` — bit-identical events, no
-    re-simulation); channels carrying a live fault site always take the
-    interpreted walk, whose timings legitimately depend on injector
-    state the compiled memo must not capture.
+    Synthesized from the compiled engine's node timings under
+    ``channel.params`` (:mod:`repro.compiled.trace` — bit-identical
+    events, no re-simulation).  A fault site on ``channel`` is ignored:
+    traces describe the fault-free datapath.
     """
+    from repro.compiled.trace import synthesize_trace
+
+    return synthesize_trace(plan, channel)
+
+
+def interpreted_trace(
+    plan: SchedulingPlan,
+    channel: Optional[HbmChannelModel] = None,
+) -> ExecutionTrace:
+    """The same timeline re-simulated task by task through the pipeline
+    simulators — the reference oracle :func:`trace_plan` must equal."""
     channel = channel or HbmChannelModel()
-    if channel.fault_site is None:
-        from repro.compiled import compiled_enabled
-
-        if compiled_enabled():
-            from repro.compiled.trace import synthesize_trace
-
-            return synthesize_trace(plan, channel)
-    from repro.compiled.evaluate import _STATS
-
-    _STATS["traces_interpreted"] += 1
     config = plan.accelerator.pipeline
     little = LittlePipelineSim(config, channel)
     big = BigPipelineSim(config, channel)

@@ -286,16 +286,13 @@ def run_campaign(
     from repro.chaos.generate import generate_cells
 
     policy = policy if policy is not None else DEFAULT_CHAOS_POLICY
-    workers = 1
-    if perf is not None:
-        perf.apply()
-        workers = perf.workers
+    workers = perf.workers if perf is not None else 1
     cells = generate_cells(config)
     report = CampaignReport(
         config=config.to_dict(), cells=[c.to_dict() for c in cells]
     )
     runner = functools.partial(run_cell, policy=policy, bands=bands)
-    results = parallel_map(runner, cells, workers=workers, perf=perf)
+    results = parallel_map(runner, cells, workers=workers)
     for index, (cell, result) in enumerate(zip(cells, results)):
         report.results.append(result)
         if progress is not None:

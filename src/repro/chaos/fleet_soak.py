@@ -268,10 +268,10 @@ def run_fleet_soak(
 ) -> FleetSoakResult:
     """Generate and serve the soak's job stream under its kill schedule.
 
-    ``perf`` (a :class:`~repro.perf.config.PerfConfig`) sets the
-    compiled-core switch and, with ``workers > 1``, prewarms every distinct
-    (device, graph) spec on worker processes before the — inherently
-    serial — event loop starts.  The report digest is unaffected.
+    ``perf`` (a :class:`~repro.perf.config.PerfConfig`) with
+    ``workers > 1`` prewarms every distinct (device, graph) spec on
+    worker processes before the — inherently serial — event loop
+    starts.  The report digest is unaffected.
 
     ``journal_path``/``store_path`` attach the durability pair (see
     ``docs/DURABILITY.md``); the digest is again unaffected.
@@ -309,10 +309,8 @@ def run_fleet_soak(
         pool, policy, journal=journal, store=store, autoscaler=scaler
     )
     prewarmed = 0
-    if perf is not None:
-        perf.apply()
-        if perf.parallel:
-            prewarmed = runtime.prewarm(jobs, perf)
+    if perf is not None and perf.parallel:
+        prewarmed = runtime.prewarm(jobs, perf)
     report = runtime.run(
         jobs, kills=kills, halt_after_events=halt_after_events
     )

@@ -76,18 +76,12 @@ def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes for parallelizable stages (default 1 = "
              "serial; results are bit-identical either way)",
     )
-    parser.add_argument(
-        "--no-compiled", action="store_true",
-        help="disable the compiled simulation core and take the "
-             "interpreted reference path (results are bit-identical "
-             "either way; this is the escape hatch)",
-    )
 
 
 def _perf_config(args):
     from repro.perf import PerfConfig
 
-    return PerfConfig(workers=args.jobs, compiled=not args.no_compiled)
+    return PerfConfig(workers=args.jobs)
 
 
 def _print_compiled_stats() -> None:
@@ -102,15 +96,14 @@ def _print_compiled_stats() -> None:
               f"{cstats['memo_hits']} memo hits")
     routed = (
         cstats["functional_iterations"] + cstats["functional_fallbacks"]
-        + cstats["traces_synthesized"] + cstats["traces_interpreted"]
+        + cstats["traces_synthesized"]
     )
     if routed:
         print(f"compiled routing: "
               f"{cstats['functional_iterations']} functional iterations "
               f"compiled ({cstats['functional_batches']} batches) / "
               f"{cstats['functional_fallbacks']} interpreted, "
-              f"{cstats['traces_synthesized']} traces synthesized / "
-              f"{cstats['traces_interpreted']} interpreted")
+              f"{cstats['traces_synthesized']} traces synthesized")
 
 
 def _load_graph(args):
@@ -164,7 +157,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_run(args) -> int:
-    _perf_config(args).apply()
+    _perf_config(args)  # rejects --jobs < 1 with exit 2
     graph = _load_graph(args)
     framework = _framework(args)
     pre = framework.preprocess(graph)
@@ -196,7 +189,7 @@ def cmd_sweep(args) -> int:
     from repro.core.system import SystemSimulator
     from repro.sched.scheduler import build_schedule
 
-    _perf_config(args).apply()
+    _perf_config(args)  # rejects --jobs < 1 with exit 2
     graph = _load_graph(args)
     framework = _framework(args)
     pre = framework.preprocess(graph)
@@ -372,7 +365,7 @@ def cmd_faultsim(args) -> int:
 def cmd_check(args) -> int:
     from repro.check import ORACLE_APPS, run_conformance
 
-    _perf_config(args).apply()
+    _perf_config(args)  # rejects --jobs < 1 with exit 2
     apps = None
     if args.app:
         apps = ORACLE_APPS if "all" in args.app else tuple(args.app)
@@ -868,11 +861,7 @@ def _print_perf_stats(perf: dict) -> None:
     print(line)
     placement = perf.get("placement")
     if placement and placement.get("probes", 0):
-        print(f"placement probes: {placement['probes']} what-if probes, "
-              f"{placement['evaluator_builds']} evaluators built, "
-              f"{placement['incremental_refreshes']} incremental "
-              f"refreshes ({placement['nodes_reevaluated']} nodes), "
-              f"{placement['full_evaluations']} full evaluations")
+        print(f"placement probes: {placement['probes']} what-if probes")
 
 
 def _print_autoscale_stats(autoscale: dict) -> None:

@@ -25,12 +25,15 @@ are taken anywhere: float addition is not associative, so re-ordered
 Evaluations are memoized per frozen
 :class:`~repro.hbm.channel.HbmTimingParams` on the plan's
 :class:`CompiledEngine` — the one place timing results are reused.
+Latency spikes are lowered per pipeline: the victim's nodes are
+re-evaluated under a channel whose fault site multiplies every latency
+by the injector's scale, exactly as the interpreted walk charges them.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +67,6 @@ _STATS = {
     "functional_fallbacks": 0,
     # Trace synthesis (repro.compiled.trace / arch.trace):
     "traces_synthesized": 0,
-    "traces_interpreted": 0,
 }
 
 
@@ -214,6 +216,17 @@ def evaluate_plan(
 # ---------------------------------------------------------------------------
 # Per-plan engine
 # ---------------------------------------------------------------------------
+class _ScaledLatencySite:
+    """Fault-site shim: the post-clip latency multiply an active
+    latency spike applies while its victim pipeline runs."""
+
+    def __init__(self, scale: float):
+        self.scale = scale
+
+    def scale_latency(self, latency):
+        return latency * self.scale
+
+
 class CompiledEngine:
     """Compiled structure of one plan plus memoized evaluations."""
 
@@ -224,40 +237,65 @@ class CompiledEngine:
         )
 
     def timings(self, channel: HbmChannelModel) -> List[PartitionTiming]:
-        """All node timings under ``channel`` (memoized per params)."""
+        """All node timings under ``channel.params`` (memoized).
+
+        Only the parameters are read: any fault site on ``channel`` is
+        ignored, so injector state can never leak into the memo.
+        Latency spikes go through :meth:`busy_cycles` instead.
+        """
         params = channel.params
         cached = self._memo.get(params)
         if cached is not None:
             self._memo.move_to_end(params)
             _STATS["memo_hits"] += 1
             return cached
-        timings = evaluate_plan(self.cplan, channel)
+        timings = evaluate_plan(self.cplan, HbmChannelModel(params))
         self._memo[params] = timings
         while len(self._memo) > ENGINE_MEMO_ENTRIES:
             self._memo.popitem(last=False)
         return timings
 
-    def busy_cycles(self, channel: HbmChannelModel):
+    def busy_cycles(
+        self,
+        channel: HbmChannelModel,
+        latency_scales: Optional[Mapping[Tuple[str, int], float]] = None,
+    ):
         """Per-pipeline busy sums, replayed in interpreted task order.
 
         The accumulation is the same sequential ``busy += total_cycles``
         the interpreted timing pass performs, over bit-identical
         per-task timings — so the sums are bit-identical too.
+
+        ``latency_scales`` maps ``(kind, pipeline)`` to an active
+        latency spike's multiplier
+        (:meth:`~repro.faults.injector.FaultInjector.latency_scales`):
+        those pipelines' nodes are re-evaluated under the scaled channel,
+        every other node comes from the per-params memo.
         """
         timings = self.timings(channel)
-        little = []
-        for row in self.cplan.little_by_pipe:
-            busy = 0.0
-            for node in row:
-                busy += timings[node.index].total_cycles
-            little.append(busy)
-        big = []
-        for row in self.cplan.big_by_pipe:
-            busy = 0.0
-            for node in row:
-                busy += timings[node.index].total_cycles
-            big.append(busy)
-        return little, big
+        rows = {"little": self.cplan.little_by_pipe,
+                "big": self.cplan.big_by_pipe}
+        if latency_scales:
+            timings = list(timings)
+            for (kind, pipe), scale in latency_scales.items():
+                scaled = HbmChannelModel(
+                    channel.params, fault_site=_ScaledLatencySite(scale)
+                )
+                by_index = evaluate_nodes(self.cplan, rows[kind][pipe], scaled)
+                for index, timing in by_index.items():
+                    timings[index] = timing
+        return (
+            [_busy(row, timings) for row in rows["little"]],
+            [_busy(row, timings) for row in rows["big"]],
+        )
+
+
+def _busy(row, timings: List[PartitionTiming]) -> float:
+    """One pipeline's busy cycles, summed in task order."""
+    busy = 0.0
+    for node in row:
+        busy += timings[node.index].total_cycles
+    return busy
 
 
 def plan_engine(plan) -> CompiledEngine:

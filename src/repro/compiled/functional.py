@@ -36,10 +36,10 @@ element either.  The per-node merges into the global accumulator are
 replayed sequentially in interpreted task order.  The differential
 harness in ``tests/test_compiled_functional.py`` is the contract.
 
-Runs with an *active* functional fault (a bit-flip whose window is open)
-always fall back to the interpreted walk, whose per-buffer
-``filter_buffer`` hook owns the fault RNG — the same fallback rule the
-compiled timing pass applies via ``timing_faults_active()``.
+Passes with an *active* functional fault (a bit-flip whose window is
+open) take the interpreted walk instead, whose per-buffer
+``filter_buffer`` hook owns the fault RNG: a bit-flip's fault site is a
+single PE buffer, which the batched evaluation never materialises.
 """
 
 from __future__ import annotations

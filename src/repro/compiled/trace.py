@@ -1,8 +1,8 @@
 """Trace synthesis: build an ExecutionTrace from compiled node timings.
 
-The interpreted :func:`repro.arch.trace.trace_plan` re-simulates every
-task of the plan just to learn its busy window — a full extra timing
-pass for each trace the conformance checker or the chaos oracles
+The interpreted :func:`repro.arch.trace.interpreted_trace` re-simulates
+every task of the plan just to learn its busy window — a full extra
+timing pass for each trace the conformance checker or the chaos oracles
 request.  The compiled engine
 already knows every node's :class:`~repro.arch.timing.PartitionTiming`
 bit-for-bit (the equivalence harness's contract), and the interpreted
@@ -16,10 +16,9 @@ objects, so synthesized events are byte-for-byte the events the
 interpreted tracer would emit, and pass the conformance trace
 invariants (:mod:`repro.check.invariants`) verbatim.
 
-Synthesis is only valid for channels without a live fault site: an
-injector-backed channel makes per-task timings depend on mutable
-injector state, which the engine's per-params memo must never capture.
-The router (:func:`repro.arch.trace.trace_plan`) enforces that rule.
+Timings are read from the engine's per-params memo, which never
+captures fault-site state: a trace describes the fault-free datapath
+under the channel's parameters.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ def synthesize_trace(
 ) -> ExecutionTrace:
     """One iteration's task-level timeline from compiled timings.
 
-    Bit-identical to the interpreted :func:`repro.arch.trace.trace_plan`
-    on any fault-free channel: the per-node timings are bit-identical,
+    Bit-identical to :func:`repro.arch.trace.interpreted_trace` on any
+    fault-free channel: the per-node timings are bit-identical,
     and the per-pipeline clock accumulation replays the same sequential
     float additions in the same order.
     """

@@ -8,9 +8,16 @@ cycle count is the slowest pipeline's busy time overlapped with the
 Apply/Writer stream.
 
 Task timings are invariant across iterations (the edge lists never
-change), so they are simulated once and cached; the *functional* pass —
+change), so they are evaluated once and cached; the *functional* pass —
 running the app's UDFs through the modelled PEs — repeats every iteration
 because properties evolve.
+
+Production passes run on the plan's compiled engines
+(:mod:`repro.compiled`), fault-active timing passes included.  The
+per-task interpreted walks (:meth:`SystemSimulator._compute_timing`,
+:meth:`SystemSimulator._interpreted_functional`) are the reference
+oracle; the interpreted functional walk also serves passes inside an
+open bit-flip window, whose fault site is a single PE buffer.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from repro.arch.big_pipeline import BigPipelineSim
 from repro.arch.little_pipeline import LittlePipelineSim
 from repro.arch.platform import FpgaPlatform
 from repro.arch.resources import report as resource_report
-from repro.arch.trace import trace_plan
 from repro.arch.writer import WriterSim
 from repro.hbm.channel import HbmChannelModel
 from repro.sched.plan import SchedulingPlan
@@ -139,52 +145,72 @@ class SystemSimulator:
 
     # ------------------------------------------------------------------
     def _timing_pass(self, num_vertices: int) -> IterationReport:
-        """Simulate one iteration's timing.
+        """Simulate one iteration's timing on the compiled engine.
 
         The fault-free report is computed once per simulator and reused
         across iterations.  While injected timing faults are active each
-        pass is recomputed and the stored fault-free report is left
-        alone, so clean iterations before/after a fault window keep the
-        baseline counts.
-
-        Fault-free passes route through the compiled engine when it is
-        enabled (:func:`repro.compiled.compiled_enabled`); faulty passes
-        always take the interpreted walk, whose per-task injector hooks
-        the faults need.  The two paths are bit-identical on fault-free
-        input — the equivalence harness's contract — and an *inactive*
-        injector is safe to skip: its hooks draw no randomness and scale
-        nothing while ``timing_faults_active()`` is False.
+        pass is recomputed (:meth:`_faulted_timing`) and the stored
+        fault-free report is left alone, so clean iterations
+        before/after a fault window keep the baseline counts.  An
+        *inactive* injector is safe to skip: its hooks draw no
+        randomness and scale nothing while ``timing_faults_active()``
+        is False.
         """
-        faulty = (
-            self.injector is not None and self.injector.timing_faults_active()
-        )
-        if not faulty:
-            if self._cached_iteration is None:
-                from repro.compiled import compiled_enabled
-
-                if compiled_enabled():
-                    self._cached_iteration = self._compiled_timing(
-                        num_vertices
-                    )
-                else:
-                    self._cached_iteration = self._compute_timing(
-                        num_vertices
-                    )
-            return self._cached_iteration
-        return self._compute_timing(num_vertices)
+        injector = self.injector
+        if injector is not None and injector.timing_faults_active():
+            return self._faulted_timing(num_vertices)
+        if self._cached_iteration is None:
+            self._cached_iteration = self._compiled_timing(num_vertices)
+        return self._cached_iteration
 
     def _compiled_timing(self, num_vertices: int) -> IterationReport:
-        """One timing pass through the compiled engine.
+        """One fault-free timing pass through the compiled engine.
 
         The engine compiles the plan on first use (structure is attached
         to the plan object and reused across simulators, iterations and
         channel variants), evaluates all nodes batched under this
-        simulator's channel (memoised per channel params on the engine)
-        and replays the interpreted busy-sum order.
+        simulator's channel params (memoised on the engine) and replays
+        the interpreted busy-sum order.
         """
         from repro.compiled import plan_engine
 
         little, big = plan_engine(self.plan).busy_cycles(self.channel)
+        return self._iteration_report(little, big, num_vertices)
+
+    def _faulted_timing(self, num_vertices: int) -> IterationReport:
+        """One timing pass with active timing faults, on the engine.
+
+        Replays the interpreted task order through the injector's hooks
+        only — ``enter_pipeline`` then one ``on_task`` per task, Little
+        pipelines first — so stalls and dead channels raise at the same
+        task and leave the injector RNG in the same state (``on_task``
+        is the pass's only RNG consumer; the timing work draws nothing).
+        Latency spikes become per-pipeline scales: only the victims'
+        nodes are re-evaluated, the rest come from the engine's memo.
+        """
+        from repro.compiled import plan_engine
+
+        injector = self.injector
+        injector.pass_kind = "timing"
+        for kind, pipelines in (
+            ("little", self.plan.little_tasks),
+            ("big", self.plan.big_tasks),
+        ):
+            for idx, tasks in enumerate(pipelines):
+                injector.enter_pipeline(kind, idx)
+                for _ in tasks:
+                    injector.on_task(kind)
+        injector.exit_pipeline()
+        little, big = plan_engine(self.plan).busy_cycles(
+            self.channel, injector.latency_scales()
+        )
+        return self._iteration_report(little, big, num_vertices)
+
+    def _iteration_report(
+        self, little: List[float], big: List[float], num_vertices: int
+    ) -> IterationReport:
+        """Pipeline busy times plus the Apply/Writer stream (unscoped:
+        no pipeline context is active while they are charged)."""
         return IterationReport(
             little_cycles=little,
             big_cycles=big,
@@ -193,7 +219,8 @@ class SystemSimulator:
         )
 
     def _compute_timing(self, num_vertices: int) -> IterationReport:
-        """One interpreted timing pass over every pipeline's task list."""
+        """One interpreted timing pass over every pipeline's task list
+        (the reference oracle of :meth:`_timing_pass`)."""
         injector = self.injector
         if injector is not None:
             injector.pass_kind = "timing"
@@ -217,35 +244,24 @@ class SystemSimulator:
             big.append(busy)
         if injector is not None:
             injector.exit_pipeline()
-        return IterationReport(
-            little_cycles=little,
-            big_cycles=big,
-            apply_cycles=self._apply.cycles(num_vertices),
-            writer_cycles=self._writer.cycles(num_vertices),
-        )
+        return self._iteration_report(little, big, num_vertices)
 
     def _functional_pass(self, app, props: np.ndarray) -> np.ndarray:
         """Run every task's UDFs and merge accumulations globally.
 
-        Fault-free passes route through the compiled functional engine
-        when it is enabled — batched UDF calls over the plan's lowered
-        gather/scatter structure, bit-identical to the interpreted walk
+        Passes route through the compiled functional engine — batched
+        UDF calls over the plan's lowered gather/scatter structure,
+        bit-identical to the interpreted walk
         (``tests/test_compiled_functional.py`` is the contract).
         Passes with an *active* functional fault (an open bit-flip
-        window) always take the interpreted walk, whose per-buffer
+        window) take the interpreted walk, whose per-buffer
         ``filter_buffer`` hook owns the fault RNG; an inactive injector
         is safe to skip — its hooks draw no randomness and corrupt
         nothing while ``functional_faults_active()`` is False.
         """
         injector = self.injector
-        faulty = (
-            injector is not None and injector.functional_faults_active()
-        )
-        if not faulty:
-            from repro.compiled import compiled_enabled
-
-            if compiled_enabled():
-                return self._compiled_functional(app, props)
+        if injector is None or not injector.functional_faults_active():
+            return self._compiled_functional(app, props)
         from repro.compiled.functional import note_functional_fallback
 
         note_functional_fallback()
@@ -271,7 +287,8 @@ class SystemSimulator:
         return self._apply.run(app, props, acc)
 
     def _interpreted_functional(self, app, props: np.ndarray) -> np.ndarray:
-        """The per-task interpreted walk (fault oracle and fallback).
+        """The per-task interpreted walk (reference oracle, and the
+        path of passes inside an open bit-flip window).
 
         ``execute`` with an app returns no timing: this pass only moves
         data, the timing pass already charged every task's cycles.
@@ -302,14 +319,6 @@ class SystemSimulator:
     def iteration_timing(self, num_vertices: int) -> IterationReport:
         """Timing of one iteration (cached when no fault is active)."""
         return self._timing_pass(num_vertices)
-
-    def iteration_trace(self):
-        """Task-level :class:`~repro.arch.trace.ExecutionTrace` of one
-        iteration under this simulator's channel model — the record the
-        conformance checker audits.  Synthesized from compiled node
-        timings on fault-free channels; see
-        :func:`repro.arch.trace.trace_plan` for the routing rule."""
-        return trace_plan(self.plan, self.channel)
 
     def functional_iteration(self, app, props: np.ndarray) -> np.ndarray:
         """One functional iteration: UDFs, global merge, Apply."""

@@ -5,10 +5,12 @@ installed at two boundaries:
 
 * the **HBM channel boundary** — :class:`~repro.hbm.channel.HbmChannelModel`
   consults it (``scale_latency``) so latency-spike faults inflate every
-  latency the channel charges while a spike window is active;
-* the **pipeline boundary** — both pipeline simulators call ``on_task``
-  before executing a task (dead channels and stalls raise here, during
-  the timing pass) and ``filter_buffer`` on every drained gather buffer
+  latency the channel charges while a spike window is active; the
+  compiled timing pass reads the same rule per pipeline
+  (``latency_scales``);
+* the **pipeline boundary** — ``on_task`` runs once per task of every
+  timing pass (dead channels and stalls raise here) and the pipeline
+  simulators call ``filter_buffer`` on every drained gather buffer
   (bit-flips raise or corrupt here, during the functional pass).
 
 The injector owns a ``numpy`` generator seeded from the plan, a simulated
@@ -21,7 +23,7 @@ is a pure function of ``(seed, FaultPlan)``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -87,9 +89,12 @@ class FaultInjector:
     def timing_faults_active(self) -> bool:
         """True while any fault can alter or abort the timing pass.
 
-        The system simulator caches iteration timing when this is False,
-        which is what makes a zero-fault plan reproduce the fault-free
-        cycle counts exactly.
+        While this is False the system simulator reuses its cached
+        fault-free iteration timing, which is what makes a zero-fault
+        plan reproduce the fault-free cycle counts exactly.  While it is
+        True each timing pass replays the ``on_task`` hooks and scales
+        the spiked pipelines (:meth:`latency_scales`) on the compiled
+        engine.
         """
         for f in self.plan.dead_channels:
             if (
@@ -122,16 +127,33 @@ class FaultInjector:
             for f in self.plan.bit_flips
         )
 
-    def spike_victim(self) -> Optional[Tuple[str, int]]:
-        """The pipeline hit by a currently-active latency spike, if any."""
+    def _active_spikes(self):
+        """``(fault, victim pipeline)`` of every spike whose window is
+        open on a live channel of the current topology."""
         for f in self.plan.latency_spikes:
             if f.channel in self._retired_channels:
                 continue
             if f.onset_cycle <= self.now < f.onset_cycle + f.duration_cycles:
                 victim = self._pipeline_of_channel(f.channel)
                 if victim is not None:
-                    return victim
+                    yield f, victim
+
+    def spike_victim(self) -> Optional[Tuple[str, int]]:
+        """The pipeline hit by a currently-active latency spike, if any."""
+        for _f, victim in self._active_spikes():
+            return victim
         return None
+
+    def latency_scales(self) -> Dict[Tuple[str, int], float]:
+        """Latency multiplier per spiked pipeline; absent means 1.0.
+
+        Overlapping spikes on one pipeline do not compound: the largest
+        multiplier wins, and a scale never drops below 1.0.
+        """
+        scales: Dict[Tuple[str, int], float] = {}
+        for f, victim in self._active_spikes():
+            scales[victim] = max(scales.get(victim, 1.0), f.multiplier)
+        return {v: s for v, s in scales.items() if s != 1.0}
 
     # ------------------------------------------------------------------
     # Degradation bookkeeping
@@ -153,15 +175,9 @@ class FaultInjector:
     def scale_latency(self, latency):
         """Inflate a latency figure while a spike targets the current
         pipeline; identity otherwise."""
-        scale = 1.0
-        for f in self.plan.latency_spikes:
-            if f.channel in self._retired_channels:
-                continue
-            if not (f.onset_cycle <= self.now < f.onset_cycle + f.duration_cycles):
-                continue
-            victim = self._pipeline_of_channel(f.channel)
-            if victim is not None and victim == self._context:
-                scale = max(scale, f.multiplier)
+        if self._context is None:
+            return latency
+        scale = self.latency_scales().get(self._context, 1.0)
         if scale == 1.0:
             return latency
         return latency * scale

@@ -16,8 +16,34 @@ before Big ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Tuple
+
+from repro.errors import UserInputError
+
+
+def _check_channel(fault) -> None:
+    """Shared checks of the channel-addressed faults."""
+    if fault.channel < 0:
+        raise UserInputError(
+            f"channel must be >= 0, got {fault.channel}"
+        )
+    _check_onset(fault)
+
+
+def _check_onset(fault) -> None:
+    if not math.isfinite(fault.onset_cycle) or fault.onset_cycle < 0:
+        raise UserInputError(
+            f"onset_cycle must be finite and >= 0, got {fault.onset_cycle}"
+        )
+
+
+def _check_probability(fault) -> None:
+    if not 0.0 <= fault.probability <= 1.0:
+        raise UserInputError(
+            f"probability must be in [0, 1], got {fault.probability}"
+        )
 
 
 @dataclass(frozen=True)
@@ -30,6 +56,9 @@ class DeadChannelFault:
 
     channel: int
     onset_cycle: float = 0.0
+
+    def __post_init__(self):
+        _check_channel(self)
 
 
 @dataclass(frozen=True)
@@ -47,6 +76,17 @@ class LatencySpikeFault:
     onset_cycle: float = 0.0
     duration_cycles: float = 100_000.0
     multiplier: float = 8.0
+
+    def __post_init__(self):
+        _check_channel(self)
+        if not self.duration_cycles > 0:
+            raise UserInputError(
+                f"duration_cycles must be > 0, got {self.duration_cycles}"
+            )
+        if not math.isfinite(self.multiplier) or self.multiplier < 1:
+            raise UserInputError(
+                f"multiplier must be finite and >= 1, got {self.multiplier}"
+            )
 
 
 @dataclass(frozen=True)
@@ -66,6 +106,9 @@ class BitFlipFault:
     detectable: bool = True
     onset_cycle: float = 0.0
 
+    def __post_init__(self):
+        _check_probability(self)
+
 
 @dataclass(frozen=True)
 class PipelineStallFault:
@@ -80,6 +123,13 @@ class PipelineStallFault:
     probability: float
     pipeline: int = None
     onset_cycle: float = 0.0
+
+    def __post_init__(self):
+        _check_probability(self)
+        if self.pipeline is not None and self.pipeline < 0:
+            raise UserInputError(
+                f"pipeline must be None or >= 0, got {self.pipeline}"
+            )
 
 
 #: Ways a journal/store file can be damaged by real storage.

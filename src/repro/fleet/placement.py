@@ -10,19 +10,12 @@ completion time, penalised by the replica's live health:
 ``predicted_seconds`` is a **what-if probe**: the job's graph is
 preprocessed once per device configuration (cached — replicas of the
 same device type share the plan) and the per-iteration makespan is
-answered by a kept :class:`~repro.compiled.IncrementalEvaluator` — one
-per preprocessed artefact — whose channel parameters are dirtied to the
-probed replica's instead of re-running a full model evaluation per
-probe (``probe_mode="incremental"``, the default).  The oracle modes
-``"full"`` (cold compiled evaluation every probe) and ``"analytic"``
-(the legacy Eq. 1-4 estimate) exist for equivalence testing and
-fallback; incremental and full probes produce bit-identical timings, so
-placement decisions cannot depend on the mode.  Probes always use the
-compiled evaluator regardless of the process-global
-:func:`repro.compiled.compiled_enabled` switch, keeping fleet digests
-independent of how the datapath itself is simulated.  Replicas whose
-HBM could not hold the job's buffers are filtered out entirely.  Ties
-break on replica id, keeping placement fully deterministic.
+answered by the plan's compiled engine
+(:func:`repro.compiled.plan_engine`) under the probed replica's channel
+parameters — the same engine, memoised per parameter set, that the
+job's own run and the conformance trace use.  Replicas whose HBM could
+not hold the job's buffers are filtered out entirely.  Ties break on
+replica id, keeping placement fully deterministic.
 """
 
 from __future__ import annotations
@@ -34,8 +27,6 @@ from repro.fleet.job import Job
 from repro.fleet.replica import Replica
 from repro.graph.coo import Graph
 from repro.hbm.capacity import CHANNEL_CAPACITY_BYTES
-
-PROBE_MODES = ("incremental", "full", "analytic")
 
 
 def preprocess_cache_key(
@@ -68,31 +59,14 @@ class PlacementEngine:
         self,
         breaker_penalty: float = 0.25,
         degraded_penalty: float = 0.5,
-        probe_mode: str = "incremental",
     ):
-        if probe_mode not in PROBE_MODES:
-            from repro.errors import UserInputError
-
-            raise UserInputError(
-                f"probe_mode must be one of {PROBE_MODES}, got "
-                f"{probe_mode!r}"
-            )
         self.breaker_penalty = breaker_penalty
         self.degraded_penalty = degraded_penalty
-        self.probe_mode = probe_mode
         #: (device, buffer_vertices, num_pipelines, graph name) -> pre
         self._pre_cache: Dict[tuple, PreprocessResult] = {}
-        #: pre-cache key -> kept IncrementalEvaluator for what-if probes
-        self._evaluators: Dict[tuple, object] = {}
         #: Probe accounting — a perf side-channel (surfaced in fleet
         #: soak reports), never part of any digest.
-        self.probe_stats: Dict[str, int] = {
-            "probes": 0,
-            "evaluator_builds": 0,
-            "incremental_refreshes": 0,
-            "full_evaluations": 0,
-            "nodes_reevaluated": 0,
-        }
+        self.probe_stats: Dict[str, int] = {"probes": 0}
 
     # ------------------------------------------------------------------
     def _cache_key(self, replica: Replica, job: Job) -> tuple:
@@ -135,82 +109,35 @@ class PlacementEngine:
         self, replica: Replica, job: Job, graph: Graph
     ) -> float:
         """What-if probe: modelled execution time of the job on this
-        replica.
-
-        Incremental and full probes answer with the *simulated*
-        per-iteration makespan (pipeline busy times overlapped with the
-        Apply stream, plus the Writer tail — the same composition as
-        :class:`~repro.core.system.IterationReport`); the analytic mode
-        keeps the legacy Eq. 1-4 estimate.
-        """
+        replica — the simulated per-iteration makespan times the job's
+        iteration cap."""
         pre = self.preprocess_for(replica, job, graph)
         hz = pre.resources.frequency_mhz * 1e6
         iterations = max(job.max_iterations or 1, 1)
         self.probe_stats["probes"] += 1
-        if self.probe_mode == "analytic":
-            return pre.plan.estimated_makespan * iterations / hz
-        cycles = self._probe_iteration_cycles(replica, job, pre)
+        cycles = self._probe_iteration_cycles(replica, pre)
         return cycles * iterations / hz
 
-    def _evaluator_for(self, key: tuple, pre: PreprocessResult, params):
-        """The kept per-artefact evaluator (built on first probe)."""
-        evaluator = self._evaluators.get(key)
-        if evaluator is None:
-            from repro.compiled import IncrementalEvaluator
-
-            evaluator = IncrementalEvaluator(pre.plan, params=params)
-            self._evaluators[key] = evaluator
-            self.probe_stats["evaluator_builds"] += 1
-            self.probe_stats["nodes_reevaluated"] += len(
-                evaluator.last_dirty
-            )
-        return evaluator
-
+    @staticmethod
     def _probe_iteration_cycles(
-        self, replica: Replica, job: Job, pre: PreprocessResult
+        replica: Replica, pre: PreprocessResult
     ) -> float:
         """Simulated cycles of one iteration on this replica.
 
-        The kept evaluator answers the pipeline busy times; in
-        ``"incremental"`` mode a probe against a replica with different
-        channel parameters re-evaluates only the dirtied nodes, while
-        ``"full"`` re-evaluates everything cold (the oracle the
-        incremental mode must match bit-for-bit).  Apply and Writer are
-        closed-form in the vertex count, so they are computed directly
-        under the probed replica's channel.
+        Pipeline busy times overlapped with the Apply stream, plus the
+        Writer tail — the composition of
+        :class:`~repro.core.system.IterationReport`.  Apply and Writer
+        are closed-form in the vertex count, so they are computed
+        directly under the probed replica's channel.
         """
         from repro.arch.apply import ApplySim
         from repro.arch.writer import WriterSim
+        from repro.compiled import plan_engine
         from repro.hbm.channel import HbmChannelModel
 
-        params = replica.handle.framework.channel.params
-        key = self._cache_key(replica, job)
-        evaluator = self._evaluator_for(key, pre, params)
-        if self.probe_mode == "full":
-            evaluator.params = params
-            timings = evaluator.full_evaluation()
-            self.probe_stats["full_evaluations"] += 1
-            self.probe_stats["nodes_reevaluated"] += len(
-                evaluator.cplan.nodes
-            )
-            rows = (
-                evaluator.cplan.little_by_pipe + evaluator.cplan.big_by_pipe
-            )
-            busiest = max(
-                (
-                    sum(timings[n.index].total_cycles for n in row)
-                    for row in rows
-                ),
-                default=0.0,
-            )
-        else:
-            dirty = evaluator.set_channel_params(params)
-            if dirty:
-                self.probe_stats["incremental_refreshes"] += 1
-                self.probe_stats["nodes_reevaluated"] += len(dirty)
-            little, big = evaluator.busy_cycles()
-            busiest = max(little + big, default=0.0)
-        channel = HbmChannelModel(params)
+        channel = HbmChannelModel(replica.handle.framework.channel.params)
+        little, big = plan_engine(pre.plan).busy_cycles(channel)
+        busiest = max(little + big, default=0.0)
         num_vertices = pre.graph.num_vertices
         apply_cycles = ApplySim(channel).cycles(num_vertices)
         writer_cycles = WriterSim(channel).cycles(num_vertices)

@@ -73,7 +73,7 @@ from repro.fleet.journal import (
     project_journal,
     repair_journal,
 )
-from repro.fleet.placement import PROBE_MODES, PlacementEngine
+from repro.fleet.placement import PlacementEngine
 from repro.fleet.replica import QUARANTINED, RETIRED, Replica, make_replica
 from repro.fleet.report import AssignmentRecord, FleetReport
 from repro.fleet.store import ResultStore
@@ -112,11 +112,6 @@ class FleetPolicy:
     #: Placement health penalties (see PlacementEngine).
     breaker_penalty: float = 0.25
     degraded_penalty: float = 0.5
-    #: How ``predicted_seconds`` probes replicas: "incremental" keeps a
-    #: per-artefact compiled evaluator and dirties only what a probe
-    #: changes; "full" cold-evaluates every probe (the oracle);
-    #: "analytic" is the legacy Eq. 1-4 estimate.
-    placement_probe_mode: str = "incremental"
     #: Run every completed job through the chaos conformance oracles.
     check_conformance: bool = True
     #: Per-run resilience layer handed to every execute.
@@ -172,11 +167,6 @@ class FleetPolicy:
         if self.canary_vertices < 2 or self.canary_edges < 1:
             raise UserInputError(
                 "canary graph must have >= 2 vertices and >= 1 edge"
-            )
-        if self.placement_probe_mode not in PROBE_MODES:
-            raise UserInputError(
-                f"placement_probe_mode must be one of {PROBE_MODES}, "
-                f"got {self.placement_probe_mode!r}"
             )
 
     def backoff_seconds(self, attempt: int) -> float:
@@ -370,7 +360,6 @@ class FleetRuntime:
         self.placement = PlacementEngine(
             breaker_penalty=self.policy.breaker_penalty,
             degraded_penalty=self.policy.degraded_penalty,
-            probe_mode=self.policy.placement_probe_mode,
         )
         self._graphs: Dict[str, Graph] = {}
         self._programmed: set = set()
@@ -998,8 +987,7 @@ class FleetRuntime:
 
         specs = distinct_specs(self.replicas, jobs)
         results = parallel_map(
-            prewarm_spec, list(specs.values()),
-            workers=perf.workers, perf=perf,
+            prewarm_spec, list(specs.values()), workers=perf.workers
         )
         warmed = 0
         for item in results:

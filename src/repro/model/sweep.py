@@ -90,15 +90,12 @@ def sweep_parameter(
     if not hasattr(base_config, parameter):
         raise ValueError(f"unknown PipelineConfig field {parameter!r}")
     channel = channel or HbmChannelModel()
-    workers = 1
-    if perf is not None:
-        perf.apply()
-        workers = perf.workers
+    workers = perf.workers if perf is not None else 1
     tasks = [
         (graph, base_config, parameter, int(value), num_pipelines, channel)
         for value in values
     ]
-    return parallel_map(_sweep_point, tasks, workers=workers, perf=perf)
+    return parallel_map(_sweep_point, tasks, workers=workers)
 
 
 def sensitivity_report(
@@ -115,10 +112,7 @@ def sensitivity_report(
     regrouped per parameter in value order afterwards.
     """
     channel = channel or HbmChannelModel()
-    workers = 1
-    if perf is not None:
-        perf.apply()
-        workers = perf.workers
+    workers = perf.workers if perf is not None else 1
     buffer_base = base_config.gather_buffer_vertices
     sweeps = {
         "n_spe": [2, 4, 8, 16],
@@ -133,7 +127,7 @@ def sensitivity_report(
         for name, values in sweeps.items()
         for value in values
     ]
-    points = parallel_map(_sweep_point, tasks, workers=workers, perf=perf)
+    points = parallel_map(_sweep_point, tasks, workers=workers)
     report: Dict[str, List[SweepPoint]] = {name: [] for name in sweeps}
     for point in points:
         report[point.parameter].append(point)

@@ -1,4 +1,4 @@
-"""Execution acceleration layer: parallel map, prewarm, perf config.
+"""Execution acceleration layer: parallel map, prewarm, worker config.
 
 The cycle-level simulator is the inner loop of every subsystem — the
 conformance oracles, the chaos campaigns, the fleet serving runtime all
@@ -11,9 +11,8 @@ fast without changing a single simulated number:
   keeping reports bit-identical to a serial run.
 * :mod:`repro.perf.prewarm` — the picklable fleet prewarm unit that
   preprocesses and compiles one spec's plan on a worker.
-* :mod:`repro.perf.config` — :class:`PerfConfig`, the single knob
-  record (``--jobs``, ``--no-compiled``) the CLI and library entry
-  points thread through.
+* :mod:`repro.perf.config` — :class:`PerfConfig`, the worker-count
+  record (``--jobs``) the CLI and library entry points thread through.
 
 Timing results are reused in exactly one place: the compiled engine
 (:mod:`repro.compiled.evaluate`) memoises each plan's evaluation per

@@ -21,27 +21,13 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pickle import PicklingError
-from typing import Callable, Iterable, List, Optional, TypeVar
+from typing import Callable, Iterable, List, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: Exceptions that mean "the pool broke", not "the task failed".
 _POOL_FAILURES = (BrokenProcessPool, PicklingError, OSError)
-
-
-def _apply_perf_in_worker(perf_dict: dict) -> None:
-    """Pool initializer: re-apply the caller's PerfConfig in the worker.
-
-    Without this, workers run on whatever process-global compiled
-    switch they inherited (fork) or the default (spawn) — so
-    ``--no-compiled`` would silently stop applying inside pools.  The
-    config travels as its ``to_dict()`` payload (plain primitives,
-    picklable everywhere).
-    """
-    from repro.perf.config import PerfConfig
-
-    PerfConfig.from_dict(perf_dict).apply()
 
 
 def _crosses_process_boundary(fn: Callable) -> bool:
@@ -63,7 +49,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     workers: int = 1,
-    perf=None,
 ) -> List[R]:
     """Map ``fn`` over ``items`` on up to ``workers`` processes.
 
@@ -71,25 +56,13 @@ def parallel_map(
     items (a pool would only add fork latency).  ``fn`` and the items
     must be picklable for the parallel path; anything unpicklable is
     caught as an infrastructure failure and executed serially instead.
-
-    ``perf`` (a :class:`~repro.perf.config.PerfConfig`) is re-applied
-    in every worker via a pool initializer, so the compiled-core
-    setting holds inside the pool regardless of start method.  The
-    serial paths skip it — the parent already applied its own config.
     """
     items = list(items)
     if workers <= 1 or len(items) < 2 or not _crosses_process_boundary(fn):
         return [fn(item) for item in items]
-    initializer: Optional[Callable] = None
-    initargs: tuple = ()
-    if perf is not None:
-        initializer = _apply_perf_in_worker
-        initargs = (perf.to_dict(),)
     try:
         with ProcessPoolExecutor(
-            max_workers=min(workers, len(items)),
-            initializer=initializer,
-            initargs=initargs,
+            max_workers=min(workers, len(items))
         ) as pool:
             futures = [pool.submit(fn, item) for item in items]
             return [future.result() for future in futures]

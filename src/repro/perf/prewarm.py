@@ -51,8 +51,8 @@ def prewarm_spec(task: tuple) -> Optional[Tuple[tuple, object]]:
             num_pipelines=num_pipelines,
         )
         pre = framework.preprocess(graph)
-        # With the compiled core on, this compiles and evaluates the
-        # plan; the engine rides back to the parent on pre.plan.
+        # This compiles and evaluates the plan; the engine rides back
+        # to the parent on pre.plan.
         sim = SystemSimulator(pre.plan, framework.platform, framework.channel)
         sim.iteration_timing(graph.num_vertices)
     except ReproError:

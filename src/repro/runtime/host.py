@@ -338,11 +338,9 @@ class AcceleratorHandle:
         them), surfaced here because the host handle is where callers
         already look for run accounting.
         """
-        from repro.compiled import compiled_enabled, compiled_stats
+        from repro.compiled import compiled_stats
 
-        stats = compiled_stats()
-        stats["enabled"] = compiled_enabled()
-        return stats
+        return compiled_stats()
 
     def release(self) -> None:
         """Free the context; further calls raise."""
@@ -359,20 +357,13 @@ def init_accelerator(
     pipeline=None,
     num_pipelines: Optional[int] = None,
     timing: Optional[HostTimingConfig] = None,
-    perf=None,
 ) -> AcceleratorHandle:
-    """``initAccelerator()``: create a programmed accelerator context.
-
-    ``perf`` (a :class:`~repro.perf.config.PerfConfig`) sets the
-    process-global compiled-core switch this context's executions use.
-    """
+    """``initAccelerator()``: create a programmed accelerator context."""
     if isinstance(platform, str) and platform.upper() not in PLATFORMS:
         raise UserInputError(
             f"unknown device {platform!r}; valid devices: "
             f"{', '.join(list_devices())}"
         )
-    if perf is not None:
-        perf.apply()
     fw = ReGraph(platform, pipeline=pipeline, num_pipelines=num_pipelines)
     return AcceleratorHandle(
         platform=get_platform(platform),

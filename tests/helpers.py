@@ -9,6 +9,9 @@ conformance subsystem assumes both suites exercise the same setups.
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 from repro.arch.config import PipelineConfig
 from repro.core.framework import ReGraph
 from repro.graph.coo import Graph
@@ -69,3 +72,33 @@ def fig1_graph() -> Graph:
     src = [0, 0, 1, 2, 3, 4, 4, 5]
     dst = [1, 3, 2, 0, 4, 2, 5, 0]
     return Graph(6, src, dst, name="fig1")
+
+
+@contextlib.contextmanager
+def interpreted_oracle():
+    """Run every simulator pass through the interpreted reference walks.
+
+    Inside the block :class:`~repro.core.system.SystemSimulator`'s
+    compiled timing passes (fault-free and faulted) become the per-task
+    ``_compute_timing`` walk, its compiled functional pass becomes
+    ``_interpreted_functional``, and trace synthesis becomes
+    :func:`repro.arch.trace.interpreted_trace` — the oracle every
+    differential harness compares production against.
+    """
+    import repro.compiled.trace as compiled_trace
+    from repro.arch.trace import interpreted_trace
+    from repro.core.system import SystemSimulator
+
+    with contextlib.ExitStack() as stack:
+        for name, oracle in (
+            ("_compiled_timing", SystemSimulator._compute_timing),
+            ("_faulted_timing", SystemSimulator._compute_timing),
+            ("_compiled_functional", SystemSimulator._interpreted_functional),
+        ):
+            stack.enter_context(mock.patch.object(SystemSimulator, name, oracle))
+        stack.enter_context(
+            mock.patch.object(
+                compiled_trace, "synthesize_trace", interpreted_trace
+            )
+        )
+        yield

@@ -14,9 +14,10 @@ from repro.chaos import (
     run_campaign,
     run_cell,
 )
-from repro.compiled import configure_compiled
 from repro.errors import UserInputError
 from repro.faults.plan import DeadChannelFault, FaultPlan, LatencySpikeFault
+
+from tests.helpers import interpreted_oracle
 
 
 # ----------------------------------------------------------------------
@@ -167,9 +168,9 @@ class TestRunCell:
         assert a.health["replans"] == b.health["replans"] >= 1
 
     def test_digest_identical_without_compiled_core(self):
-        # A fault-heavy cell exercises both the compiled fast path
-        # (clean iterations) and the interpreted fault walk; disabling
-        # the compiled core must not move a single bit of the digest.
+        # A fault-heavy cell exercises the compiled engine on clean and
+        # faulted iterations alike; the interpreted oracle must not
+        # move a single bit of the digest.
         plan = FaultPlan(
             seed=9,
             dead_channels=(DeadChannelFault(channel=2, onset_cycle=0.0),),
@@ -183,16 +184,12 @@ class TestRunCell:
             ),
         )
         cell = self._cell(plan=plan)
-        results = {}
-        try:
-            for compiled in (True, False):
-                configure_compiled(compiled)
-                results[compiled] = run_cell(cell)
-        finally:
-            configure_compiled(True)
-        assert results[True].digest == results[False].digest
-        assert results[True].health == results[False].health
-        assert results[True].total_cycles == results[False].total_cycles
+        production = run_cell(cell)
+        with interpreted_oracle():
+            oracle = run_cell(cell)
+        assert production.digest == oracle.digest
+        assert production.health == oracle.health
+        assert production.total_cycles == oracle.total_cycles
 
     def test_result_dict_round_trip(self):
         result = run_cell(self._cell())
@@ -240,3 +237,50 @@ class TestCampaign:
             assert result.health["channel_breakers"]
         # The campaign actually soaked: faults were absorbed somewhere.
         assert sum(report.fault_counts().values()) > 0
+
+
+#: ``(cell_id, status, digest prefix)`` of the fault-heavy campaign
+#: below, pinned from the implementation whose faulted timing passes
+#: still walked the interpreted pipelines: the compiled fault path must
+#: not move a single digest.
+HEAVY_CAMPAIGN_PINS = [
+    ("c0031-0000", "ok", "b3461ea1767d9cd0"),
+    ("c0031-0001", "ok", "fee1dc713d8cb018"),
+    ("c0031-0002", "ok", "ee37175f6f0ca8b1"),
+    ("c0031-0003", "ok", "2b6116beebe4c07b"),
+    ("c0031-0004", "ok", "cd37d67ee2710256"),
+    ("c0031-0005", "ok", "09dbd64573c88e3b"),
+]
+
+
+@pytest.mark.slow
+def test_heavy_campaign_digests_match_the_oracle_and_the_pins(tmp_path):
+    """Digest gate: the same fault-heavy ``repro chaos run`` through
+    production and under the interpreted oracle."""
+    import json
+
+    from repro.cli import main
+
+    def triples(oracle: bool):
+        path = tmp_path / f"campaign-{oracle}.json"
+        argv = [
+            "chaos", "run", "--cells", "6", "--chaos-seed", "31",
+            "--intensity", "heavy", "--iterations", "20", "--no-shrink",
+            "--report-json", str(path),
+        ]
+        if oracle:
+            with interpreted_oracle():
+                assert main(argv) == 0
+        else:
+            assert main(argv) == 0
+        report = json.loads(path.read_text())
+        return [
+            (r["cell_id"], r["status"], r["digest"])
+            for r in report["results"]
+        ]
+
+    production = triples(False)
+    assert production == triples(True)
+    assert [
+        (cell, status, digest[:16]) for cell, status, digest in production
+    ] == HEAVY_CAMPAIGN_PINS

@@ -125,6 +125,39 @@ class TestErrorPaths:
         assert excinfo.value.code == 2
         assert flag.split()[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        ["run --dataset GG", "check --quick", "sweep --dataset GG",
+         "chaos run", "fleet run"],
+    )
+    def test_removed_no_compiled_flag_exits_2(self, command, capsys):
+        # One production timing path: there is no interpreted escape
+        # hatch to select any more.
+        with pytest.raises(SystemExit) as excinfo:
+            main(command.split() + ["--no-compiled"])
+        assert excinfo.value.code == 2
+        assert "--no-compiled" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--spike-channel", "0", "--spike-multiplier", "nan"],
+         ["--spike-channel", "0", "--spike-multiplier", "0.5"],
+         ["--spike-channel", "0", "--spike-duration", "0"],
+         ["--dead-channel", "-1"],
+         ["--stall-rate", "1.5"],
+         ["--stall-rate", "0.1", "--stall-pipeline", "-1"],
+         ["--bit-flip-rate", "2"],
+         ["--dead-channel", "0", "--onset", "-5"]],
+    )
+    def test_faultsim_out_of_range_fault_returns_2(self, flags, capsys):
+        # These used to exit 0 having silently injected nothing.
+        code = main(
+            ["faultsim", "--dataset", "R21", "--scale", "0.01",
+             "--iterations", "5"] + flags
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_bad_dataset_key_returns_2(self, capsys):
         assert main(["run", "--dataset", "NOPE"]) == 2
         err = capsys.readouterr().err

@@ -3,8 +3,10 @@
 The compiled simulation core's contract is *bit-identity*, not
 approximate agreement: every ``PartitionTiming``, every per-iteration
 cycle list and every ``RunReport`` digest must match the interpreted
-reference path exactly, across both devices, all five apps, all graph
-families, with and without fault plans attached.  Anything weaker would
+reference path (:func:`tests.helpers.interpreted_oracle`) exactly,
+across both devices, all five apps, all graph families, with and
+without fault plans attached — and a fault-active run must leave the
+injector RNG exactly where the interpreted walk leaves it.  Anything weaker would
 let the compiled path drift away from the oracle that every other
 subsystem (conformance, chaos, fleet) is validated against.
 
@@ -13,23 +15,38 @@ carries the full device × app × graph-family sweep plus hypothesis
 properties over random plans and channel-parameter perturbations.
 """
 
+import contextlib
 import hashlib
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compiled import (
     CompiledEngine,
     compile_plan,
     compiled_stats,
-    configure_compiled,
     evaluate_plan,
     plan_engine,
 )
+from repro.arch.config import AcceleratorConfig, PipelineConfig
+from repro.arch.platform import get_platform
 from repro.core.system import SystemSimulator
-from repro.faults import FaultPlan, LatencySpikeFault, PipelineStallFault
+from repro.errors import ReproError
+from repro.faults import (
+    BitFlipFault,
+    DeadChannelFault,
+    FaultInjector,
+    FaultPlan,
+    LatencySpikeFault,
+    PipelineStallFault,
+)
 from repro.faults.resilience import ResiliencePolicy
+from repro.graph.partition import partition_graph
+from repro.sched.plan import BigTask, LittleTask, SchedulingPlan
 from repro.graph.generators import (
     erdos_renyi_graph,
     power_law_graph,
@@ -37,7 +54,7 @@ from repro.graph.generators import (
 )
 from repro.hbm.channel import HbmChannelModel
 
-from tests.helpers import make_framework
+from tests.helpers import interpreted_oracle, make_framework
 from tests.strategies import (
     channel_param_perturbations,
     compiled_specs,
@@ -46,15 +63,6 @@ from tests.strategies import (
 
 ALL_APPS = ("pagerank", "bfs", "closeness", "sssp", "wcc")
 DEVICES = ("U280", "U50")
-
-
-@pytest.fixture(autouse=True)
-def fresh_state():
-    """Each test starts with compiled ON and leaves the process-global
-    switch at its default."""
-    configure_compiled(True)
-    yield
-    configure_compiled(True)
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +144,18 @@ def run_report_digest(run) -> str:
 
 
 def run_both_paths(app, device, graph, **kwargs):
-    """One run per path, each on a fresh framework; returns both reports."""
-    reports = []
-    for compiled in (True, False):
-        configure_compiled(compiled)
-        framework = make_framework(platform=device)
-        reports.append(
-            dispatch(framework, app, graph, max_iterations=8, **kwargs)
+    """Production run, then the interpreted oracle's, each on a fresh
+    framework; returns both reports."""
+    production = dispatch(
+        make_framework(platform=device), app, graph,
+        max_iterations=8, **kwargs,
+    )
+    with interpreted_oracle():
+        oracle = dispatch(
+            make_framework(platform=device), app, graph,
+            max_iterations=8, **kwargs,
         )
-    configure_compiled(True)
-    return reports
+    return production, oracle
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +181,10 @@ class TestRunReportEquivalence:
         assert run_report_digest(compiled) == run_report_digest(interpreted)
 
     def test_fault_active_run_digest_identical(self):
-        # An active latency spike forces faulty iterations through the
-        # interpreted walk on both paths; clean iterations before/after
-        # still take the compiled engine when it is on.  The reports —
-        # including health accounting — must not notice the difference.
+        # An active latency spike re-evaluates the victim pipeline's
+        # nodes under the scaled channel; clean iterations before/after
+        # come from the engine memo.  The reports — including health
+        # accounting — must equal the interpreted walk's.
         plan = FaultPlan(
             seed=7,
             latency_spikes=(
@@ -195,8 +205,8 @@ class TestRunReportEquivalence:
         assert compiled.health.to_dict() == interpreted.health.to_dict()
 
     def test_stall_fault_rng_stream_unperturbed(self):
-        # Stall triggering consumes injector randomness; if the compiled
-        # path consumed (or skipped) draws the interpreted path makes,
+        # Stall triggering consumes injector randomness; if the hook
+        # replay consumed (or skipped) draws the interpreted walk makes,
         # retry counts would diverge.  Identical health reports pin it.
         plan = FaultPlan(
             seed=11,
@@ -293,6 +303,204 @@ class TestSpecDigest:
 
 
 # ---------------------------------------------------------------------------
+# Fault-path differential: production vs the interpreted oracle
+# ---------------------------------------------------------------------------
+#: Iteration cycles of the property runs are a few thousand, so onsets
+#: and spike windows in these ranges land before, inside and after runs.
+ONSETS = st.floats(0.0, 2e4, allow_nan=False)
+
+
+@st.composite
+def timing_fault_plans(draw, num_channels):
+    """Random plans mixing every timing fault kind (plus rare flips).
+
+    Channels run past the topology, so some faults hit no pipeline;
+    two spikes may share a channel or a pipeline's channel pair.
+    """
+    channels = st.integers(0, num_channels + 1)
+    dead = draw(st.lists(
+        st.builds(DeadChannelFault, channel=channels, onset_cycle=ONSETS),
+        max_size=1,
+    ))
+    spikes = draw(st.lists(
+        st.builds(
+            LatencySpikeFault,
+            channel=channels,
+            onset_cycle=ONSETS,
+            duration_cycles=st.floats(1.0, 5e4, allow_nan=False),
+            multiplier=st.floats(1.0, 16.0, allow_nan=False),
+        ),
+        max_size=3,
+    ))
+    stalls = draw(st.lists(
+        st.builds(
+            PipelineStallFault,
+            probability=st.floats(0.0, 0.3, allow_nan=False),
+            pipeline=st.one_of(
+                st.none(), st.integers(0, num_channels // 2)
+            ),
+            onset_cycle=ONSETS,
+        ),
+        max_size=2,
+    ))
+    flips = draw(st.lists(
+        st.builds(
+            BitFlipFault,
+            probability=st.floats(0.0, 0.02, allow_nan=False),
+            detectable=st.booleans(),
+        ),
+        max_size=1,
+    ))
+    return FaultPlan(
+        seed=draw(st.integers(0, 2**16)),
+        dead_channels=tuple(dead),
+        latency_spikes=tuple(spikes),
+        bit_flips=tuple(flips),
+        stalls=tuple(stalls),
+    )
+
+
+def _fault_outcome(exc: Exception) -> tuple:
+    return (type(exc).__name__, str(exc), getattr(exc, "victim", None))
+
+
+def _resilient_run(graph, fault_plan, oracle: bool):
+    """One resilient pagerank run; returns ``(outcome, rng states)``.
+
+    The injector RNG state is recorded after every timing pass, raising
+    or not, so the two paths are compared draw for draw.
+    """
+    states = []
+    timing_pass = SystemSimulator._timing_pass
+
+    def recorded(self, num_vertices):
+        try:
+            return timing_pass(self, num_vertices)
+        finally:
+            states.append(self.injector.rng.bit_generator.state)
+
+    framework = make_framework(buffer_vertices=256, num_pipelines=4)
+    with mock.patch.object(SystemSimulator, "_timing_pass", recorded):
+        with interpreted_oracle() if oracle else contextlib.nullcontext():
+            try:
+                run = framework.run_pagerank(
+                    graph, max_iterations=8, fault_plan=fault_plan,
+                    resilience=ResiliencePolicy(),
+                )
+            except ReproError as exc:
+                return _fault_outcome(exc), states
+    return (run_report_digest(run), run.health.to_dict()), states
+
+
+#: 4 pipelines over this graph schedule as 3 Little + 1 Big.
+PROPERTY_GRAPH = power_law_graph(1000, 8000, seed=3)
+
+#: Partitions the hand-built plans below deal out to pipelines.
+HAND_CONFIG = PipelineConfig(gather_buffer_vertices=32)
+HAND_PARTITIONS = partition_graph(
+    rmat_graph(9, 8, seed=5), HAND_CONFIG.partition_vertices
+).nonempty()
+
+
+@st.composite
+def hand_plans(draw):
+    """1-3 Little + 1-3 Big pipelines with 0-3 tasks each (so empty
+    pipelines and multi-task pipelines both occur)."""
+    num_little = draw(st.integers(1, 3))
+    num_big = draw(st.integers(1, 3))
+    parts = itertools.cycle(HAND_PARTITIONS)
+    little = [
+        [LittleTask(next(parts), 0.0)
+         for _ in range(draw(st.integers(0, 3)))]
+        for _ in range(num_little)
+    ]
+    big = [
+        [BigTask([next(parts) for _ in range(draw(st.integers(1, 2)))], 0.0)
+         for _ in range(draw(st.integers(0, 3)))]
+        for _ in range(num_big)
+    ]
+    return SchedulingPlan(
+        AcceleratorConfig(num_little, num_big, HAND_CONFIG), little, big
+    )
+
+
+class TestFaultPathEquivalence:
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_resilient_runs_match_the_oracle(self, data):
+        # Stalls (pinned and not), dead channels, overlapping spikes and
+        # mid-run onsets; dead channels and pinned stalls also degrade
+        # and re-plan.  Digests, health and every RNG draw must agree.
+        fault_plan = data.draw(timing_fault_plans(num_channels=8))
+        production = _resilient_run(PROPERTY_GRAPH, fault_plan, False)
+        oracle = _resilient_run(PROPERTY_GRAPH, fault_plan, True)
+        assert production[0] == oracle[0]
+        assert production[1] == oracle[1]
+
+    @given(
+        plan=hand_plans(),
+        data=st.data(),
+        nows=st.lists(ONSETS, min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_timing_pass_matches_the_oracle(self, plan, data, nows):
+        # One simulator per path over the same plan and fault plan; the
+        # clock jumps between passes so windows open and close mid-run.
+        channels = 2 * plan.accelerator.total_pipelines
+        fault_plan = data.draw(timing_fault_plans(num_channels=channels))
+        platform = get_platform("U280")
+        sims = []
+        for _ in range(2):
+            injector = FaultInjector(fault_plan)
+            injector.bind_topology(
+                plan.accelerator.num_little, plan.accelerator.num_big
+            )
+            sims.append(SystemSimulator(plan, platform, injector=injector))
+        production, oracle = sims
+        for now in sorted(nows):
+            outcomes = []
+            for sim, patch in (
+                (production, contextlib.nullcontext()),
+                (oracle, interpreted_oracle()),
+            ):
+                sim.injector.now = now
+                with patch:
+                    try:
+                        outcomes.append(sim.iteration_timing(1 << 9))
+                    except ReproError as exc:
+                        outcomes.append(_fault_outcome(exc))
+            assert outcomes[0] == outcomes[1]
+            assert (
+                production.injector.rng.bit_generator.state
+                == oracle.injector.rng.bit_generator.state
+            )
+            assert production.injector._context == oracle.injector._context
+
+    def test_dead_channel_on_an_empty_pipeline_never_fires(self):
+        # Pipeline little1 has no tasks: its dead channel keeps the
+        # timing-fault gate open but no task ever reaches the hook.
+        plan = SchedulingPlan(
+            AcceleratorConfig(2, 1, HAND_CONFIG),
+            [[LittleTask(HAND_PARTITIONS[0], 0.0)], []],
+            [[BigTask([HAND_PARTITIONS[1]], 0.0)]],
+        )
+        fault_plan = FaultPlan(
+            seed=1, dead_channels=(DeadChannelFault(channel=2),)
+        )
+        reports = []
+        for oracle in (False, True):
+            injector = FaultInjector(fault_plan)
+            injector.bind_topology(2, 1)
+            assert injector.timing_faults_active()
+            sim = SystemSimulator(
+                plan, get_platform("U280"), injector=injector
+            )
+            with interpreted_oracle() if oracle else contextlib.nullcontext():
+                reports.append(sim.iteration_timing(1 << 9))
+        assert reports[0] == reports[1]
+
+
+# ---------------------------------------------------------------------------
 # Slow: the full matrix + properties
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
@@ -353,20 +561,3 @@ class TestProperties:
                 node = cplan.big_by_pipe[pipe][order]
                 expected, _ = big_sim.execute(task.partitions)
                 assert timings[node.index] == expected
-
-    @given(
-        gp=scheduling_plans(),
-        params_a=channel_param_perturbations(),
-        params_b=channel_param_perturbations(),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_incremental_param_switch_equals_cold_evaluation(
-        self, gp, params_a, params_b
-    ):
-        from repro.compiled import IncrementalEvaluator
-
-        _graph, plan = gp
-        inc = IncrementalEvaluator(plan, params=params_a)
-        inc.set_channel_params(params_b)
-        cold = IncrementalEvaluator(plan, params=params_b)
-        assert inc.timings == cold.timings

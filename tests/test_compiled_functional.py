@@ -7,8 +7,8 @@ Every RunReport digest and every final property array must match the
 per-task interpreted walk exactly, across both devices, all five apps
 and all graph families; synthesized traces must carry events equal to
 the interpreted re-simulation and pass the conformance invariants
-verbatim; placement what-if probes must decide exactly as the full
-evaluation oracle does.
+verbatim; placement what-if probes must answer exactly what an
+interpreted timing pass charges.
 
 Tier-1 keeps a representative slice; the ``slow`` marker carries the
 full device × app × family sweep plus hypothesis properties.
@@ -20,19 +20,22 @@ from hypothesis import given, settings
 
 from repro.compiled import (
     compiled_stats,
-    configure_compiled,
     functional_engine,
     lower_functional_plan,
     reset_compiled_stats,
 )
-from repro.arch.trace import trace_plan
+from repro.arch.trace import interpreted_trace, trace_plan
 from repro.check.invariants import check_trace
 from repro.core.framework import ReGraph
 from repro.faults import BitFlipFault, FaultInjector, FaultPlan
 from repro.faults.resilience import ResiliencePolicy
 from repro.hbm.channel import HbmChannelModel
 
-from tests.helpers import make_framework, make_pipeline_config
+from tests.helpers import (
+    interpreted_oracle,
+    make_framework,
+    make_pipeline_config,
+)
 from tests.strategies import channel_param_perturbations
 from tests.test_compiled_equivalence import (
     ALL_APPS,
@@ -46,12 +49,9 @@ from tests.test_compiled_equivalence import (
 
 @pytest.fixture(autouse=True)
 def fresh_state():
-    """Each test starts with compiled ON and leaves the process-global
-    switch at its default."""
-    configure_compiled(True)
+    """Each test starts and ends with zeroed compiled-core counters."""
     reset_compiled_stats()
     yield
-    configure_compiled(True)
     reset_compiled_stats()
 
 
@@ -90,9 +90,6 @@ class TestFunctionalEquivalence:
         assert stats["functional_iterations"] == run.iterations
         assert stats["functional_batches"] >= run.iterations
         assert stats["functional_fallbacks"] == 0
-        configure_compiled(False)
-        framework.run_pagerank(graph, max_iterations=3)
-        assert compiled_stats()["functional_fallbacks"] > 0
 
     def test_structure_lowered_once_and_reused(self):
         framework = make_framework()
@@ -111,9 +108,9 @@ class TestFunctionalEquivalence:
 
 class TestFaultFallback:
     def test_active_bit_flip_routes_interpreted_on_both_paths(self):
-        # An open bit-flip window owns the injector RNG, so compiled and
-        # interpreted runs must both take the interpreted functional
-        # walk — and therefore corrupt, retry and converge identically.
+        # An open bit-flip window owns the injector RNG, so production
+        # takes the interpreted functional walk like the oracle does —
+        # and therefore corrupts, retries and converges identically.
         plan = FaultPlan(
             seed=13,
             bit_flips=(
@@ -161,73 +158,92 @@ class TestFaultFallback:
         self, monkeypatch
     ):
         # Pass-count guard: with a timing fault and a functional fault
-        # both active, every timing pass is the interpreted walk (one
-        # _compute_timing per task) and the interpreted functional walk
-        # re-times nothing.
+        # both active, no timing pass walks the interpreted pipelines —
+        # each replays exactly one on_task hook per task, up to the task
+        # that raises — and the interpreted functional walk runs only
+        # inside the open bit-flip window.
         from repro.apps.pagerank import PageRank
         from repro.arch.big_pipeline import BigPipelineSim
         from repro.arch.little_pipeline import LittlePipelineSim
         from repro.core.system import SystemSimulator
-        from repro.faults import LatencySpikeFault
+        from repro.faults import LatencySpikeFault, PipelineStallFault
 
-        counts = {"timing": 0, "functional": 0}
-        phase = ["idle"]
-        passes = {"timing": 0, "functional": 0}
-
-        def counted(cls):
+        task_timings = []
+        for cls in (LittlePipelineSim, BigPipelineSim):
             original = cls._compute_timing
 
-            def wrapper(self, *args, **kwargs):
-                if phase[0] in counts:
-                    counts[phase[0]] += 1
-                return original(self, *args, **kwargs)
+            def timed(self, *args, _original=original, **kwargs):
+                task_timings.append(self)
+                return _original(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "_compute_timing", wrapper)
+            monkeypatch.setattr(cls, "_compute_timing", timed)
 
-        def in_phase(name, method):
-            original = getattr(SystemSimulator, method)
+        hooks = []
+        passes = []
+        original_on_task = FaultInjector.on_task
 
-            def wrapper(self, *args, **kwargs):
-                phase[0] = name
-                passes[name] += 1
-                try:
-                    return original(self, *args, **kwargs)
-                finally:
-                    phase[0] = "idle"
+        def on_task(self, kind):
+            if self.pass_kind == "timing":
+                hooks.append(kind)
+            return original_on_task(self, kind)
 
-            monkeypatch.setattr(SystemSimulator, method, wrapper)
+        monkeypatch.setattr(FaultInjector, "on_task", on_task)
+        original_timing = SystemSimulator._timing_pass
 
-        counted(LittlePipelineSim)
-        counted(BigPipelineSim)
-        in_phase("timing", "_compute_timing")
-        in_phase("functional", "_interpreted_functional")
+        def timing_pass(self, num_vertices):
+            start = len(hooks)
+            try:
+                report = original_timing(self, num_vertices)
+            except Exception:
+                passes.append((len(hooks) - start, True))
+                raise
+            passes.append((len(hooks) - start, False))
+            return report
+
+        monkeypatch.setattr(SystemSimulator, "_timing_pass", timing_pass)
+        windows = []
+        original_functional = SystemSimulator._interpreted_functional
+
+        def interpreted(self, app, props):
+            windows.append(self.injector.functional_faults_active())
+            return original_functional(self, app, props)
+
+        monkeypatch.setattr(
+            SystemSimulator, "_interpreted_functional", interpreted
+        )
 
         framework = make_framework()
         pre = framework.preprocess(family_graph("powerlaw"))
-        injector = FaultInjector(FaultPlan(
+        fault_plan = FaultPlan(
             seed=5,
             latency_spikes=(LatencySpikeFault(
                 channel=0, onset_cycle=0.0, duration_cycles=1e12,
                 multiplier=4.0,
             ),),
-            bit_flips=(BitFlipFault(probability=0.05, detectable=False),),
-        ))
-        injector.bind_topology(
-            len(pre.plan.little_tasks), len(pre.plan.big_tasks)
+            stalls=(PipelineStallFault(probability=0.05),),
+            bit_flips=(BitFlipFault(
+                probability=0.05, detectable=False, onset_cycle=5e3,
+            ),),
         )
-        sim = SystemSimulator(
-            pre.plan, framework.platform, framework.channel,
-            injector=injector,
+        task_timings.clear()  # model calibration during preprocess
+        run = framework.run(
+            pre, PageRank, max_iterations=6,
+            fault_plan=fault_plan, resilience=ResiliencePolicy(),
         )
-        run = sim.run(PageRank(pre.graph), max_iterations=4)
         tasks = sum(len(t) for t in pre.plan.little_tasks) + sum(
             len(t) for t in pre.plan.big_tasks
         )
         assert pre.plan.little_tasks and pre.plan.big_tasks
-        assert passes["timing"] == run.iterations
-        assert passes["functional"] == run.iterations
-        assert counts["timing"] == tasks * run.iterations
-        assert counts["functional"] == 0
+        assert task_timings == []
+        assert [count for count, raised in passes if not raised] == (
+            [tasks] * run.iterations
+        )
+        # A stall raises at a task's hook, before any later task's.
+        assert all(0 < count <= tasks for count, raised in passes if raised)
+        assert any(raised for _, raised in passes)
+        assert windows and all(windows)
+        # Passes before the flip onset ran on the compiled engine.
+        assert compiled_stats()["functional_iterations"] > 0
 
     def test_inactive_windows_do_not_trip_the_gate(self):
         injector = FaultInjector(FaultPlan(
@@ -253,8 +269,7 @@ class TestTraceSynthesis:
         framework, pre = self._plan_and_framework(device=device)
         channel = HbmChannelModel()
         synthesized = trace_plan(pre.plan, channel)
-        configure_compiled(False)
-        interpreted = trace_plan(pre.plan, channel)
+        interpreted = interpreted_trace(pre.plan, channel)
         assert synthesized.events == interpreted.events
         assert synthesized.makespan == interpreted.makespan
 
@@ -274,56 +289,65 @@ class TestTraceSynthesis:
         _, pre = self._plan_and_framework()
         channel = HbmChannelModel()
         trace_plan(pre.plan, channel)
+        interpreted_trace(pre.plan, channel)
         assert compiled_stats()["traces_synthesized"] == 1
-        configure_compiled(False)
-        trace_plan(pre.plan, channel)
-        stats = compiled_stats()
-        assert stats["traces_synthesized"] == 1
-        assert stats["traces_interpreted"] == 1
 
-    def test_faulty_channel_always_interpreted(self):
-        # A live fault site makes task timings depend on mutable
-        # injector state; synthesizing from the compiled memo would
-        # freeze that state, so such channels must re-simulate.
+    def test_fault_site_never_reaches_the_engine_memo(self):
+        # The engine memo is keyed by channel params alone, so a channel
+        # carrying a live spike must trace (and memoise) the fault-free
+        # datapath, never the injector's momentary state.
+        from repro.faults import LatencySpikeFault
+
         _, pre = self._plan_and_framework()
-        injector = FaultInjector(FaultPlan(seed=3))
-        channel = HbmChannelModel(fault_site=injector)
-        trace_plan(pre.plan, channel)
-        stats = compiled_stats()
-        assert stats["traces_synthesized"] == 0
-        assert stats["traces_interpreted"] == 1
+        injector = FaultInjector(FaultPlan(
+            seed=3,
+            latency_spikes=(LatencySpikeFault(channel=0, multiplier=8.0),),
+        ))
+        injector.bind_topology(
+            len(pre.plan.little_tasks), len(pre.plan.big_tasks)
+        )
+        injector.enter_pipeline("little", 0)
+        spiked = trace_plan(pre.plan, HbmChannelModel(fault_site=injector))
+        clean = interpreted_trace(pre.plan, HbmChannelModel())
+        assert spiked.events == clean.events
 
 
 class TestPlacementProbes:
-    def test_incremental_decisions_match_full_oracle_on_soak(self):
+    def test_probes_match_interpreted_timing_on_soak(self, monkeypatch):
+        # Every what-if probe of a soak answers exactly the cycles an
+        # interpreted timing pass charges on the probed replica.
         from repro.chaos.fleet_soak import FleetSoakConfig, run_fleet_soak
-        from repro.fleet.runtime import FleetPolicy
-        from repro.perf import PerfConfig
+        from repro.core.system import SystemSimulator
+        from repro.fleet.placement import PlacementEngine
 
-        config = FleetSoakConfig(seed=7, jobs=6)
-        results = {}
-        for mode in ("incremental", "full"):
-            results[mode] = run_fleet_soak(
-                config,
-                policy=FleetPolicy(placement_probe_mode=mode),
-                perf=PerfConfig(workers=1),
+        probed = []
+        original = PlacementEngine._probe_iteration_cycles
+
+        def checked(replica, pre):
+            cycles = original(replica, pre)
+            fw = replica.handle.framework
+            sim = SystemSimulator(
+                pre.plan, fw.platform, HbmChannelModel(fw.channel.params)
             )
-        incremental, full = results["incremental"], results["full"]
-        assert incremental.report.assignment_log() == (
-            full.report.assignment_log()
-        )
-        assert incremental.report.digest() == full.report.digest()
-        probes = incremental.perf["placement"]
-        assert probes["probes"] > 0
-        assert probes["evaluator_builds"] > 0
-        assert probes["full_evaluations"] == 0
-        assert full.perf["placement"]["full_evaluations"] > 0
+            oracle = sim._compute_timing(pre.graph.num_vertices)
+            probed.append((cycles, oracle.total_cycles))
+            return cycles
 
-    def test_param_change_dirties_incrementally_and_agrees_with_full(self):
+        monkeypatch.setattr(
+            PlacementEngine, "_probe_iteration_cycles",
+            staticmethod(checked),
+        )
+        run_fleet_soak(FleetSoakConfig(seed=7, jobs=6))
+        assert probed
+        assert all(cycles == oracle for cycles, oracle in probed)
+
+    def test_probes_share_the_plan_engine_across_params(self):
+        from repro.chaos.spec import GraphSpec
+        from repro.compiled import plan_engine
+        from repro.core.system import SystemSimulator
         from repro.fleet.job import Job
         from repro.fleet.placement import PlacementEngine
         from repro.fleet.replica import make_replica
-        from repro.chaos.spec import GraphSpec
         from repro.hbm.channel import HbmTimingParams
 
         job = Job(
@@ -335,39 +359,24 @@ class TestPlacementProbes:
         )
         graph = job.graph.build()
         slow_params = HbmTimingParams(min_latency=48.0, max_latency=112.0)
-        replicas = []
-        for rid, params in (("r0", None), ("r1", slow_params)):
+        engine = PlacementEngine()
+        predictions = []
+        for rid, params in (("r0", HbmTimingParams()), ("r1", slow_params)):
             replica = make_replica(rid, "U280")
-            if params is not None:
-                replica.handle.framework.channel = HbmChannelModel(params)
-            replicas.append(replica)
-
-        engines = {
-            mode: PlacementEngine(probe_mode=mode)
-            for mode in ("incremental", "full")
-        }
-        for replica in replicas:
-            predictions = {
-                mode: engine.predicted_seconds(replica, job, graph)
-                for mode, engine in engines.items()
-            }
-            assert predictions["incremental"] == predictions["full"]
-            assert predictions["incremental"] > 0
-        stats = engines["incremental"].probe_stats
-        # One kept evaluator; probing the slow replica dirtied only the
-        # non-empty nodes instead of building or cold-evaluating again.
-        assert stats["evaluator_builds"] == 1
-        assert stats["incremental_refreshes"] == 1
-
-    def test_probe_mode_validated(self):
-        from repro.errors import UserInputError
-        from repro.fleet.placement import PlacementEngine
-        from repro.fleet.runtime import FleetPolicy
-
-        with pytest.raises(UserInputError):
-            PlacementEngine(probe_mode="bogus")
-        with pytest.raises(UserInputError):
-            FleetPolicy(placement_probe_mode="bogus")
+            fw = replica.handle.framework
+            fw.channel = HbmChannelModel(params)
+            pre = engine.preprocess_for(replica, job, graph)
+            seconds = engine.predicted_seconds(replica, job, graph)
+            sim = SystemSimulator(pre.plan, fw.platform, fw.channel)
+            cycles = sim._compute_timing(pre.graph.num_vertices).total_cycles
+            hz = pre.resources.frequency_mhz * 1e6
+            assert seconds == cycles * job.max_iterations / hz
+            predictions.append(seconds)
+        # Same device, one preprocessed plan: both probes evaluated on
+        # its one engine, under two parameter sets.
+        assert len(plan_engine(pre.plan)._memo) == 2
+        assert predictions[1] > predictions[0]
+        assert engine.probe_stats == {"probes": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +403,21 @@ class TestProperties:
         # both must still agree bit-for-bit between the paths.
         graph = family_graph("rmat")
         reports = []
-        for compiled in (True, False):
-            configure_compiled(compiled)
+        for oracle in (False, True):
             framework = ReGraph(
                 "U280",
                 pipeline=make_pipeline_config(),
                 channel=HbmChannelModel(params),
             )
-            reports.append(
-                dispatch(framework, "pagerank", graph, max_iterations=6)
-            )
-        configure_compiled(True)
+            if oracle:
+                with interpreted_oracle():
+                    reports.append(dispatch(
+                        framework, "pagerank", graph, max_iterations=6
+                    ))
+            else:
+                reports.append(dispatch(
+                    framework, "pagerank", graph, max_iterations=6
+                ))
         assert run_report_digest(reports[0]) == run_report_digest(reports[1])
         np.testing.assert_array_equal(reports[0].props, reports[1].props)
 
@@ -415,6 +428,5 @@ class TestProperties:
         pre = framework.preprocess(family_graph("uniform"))
         channel = HbmChannelModel(params)
         synthesized = trace_plan(pre.plan, channel)
-        configure_compiled(False)
-        interpreted = trace_plan(pre.plan, channel)
+        interpreted = interpreted_trace(pre.plan, channel)
         assert synthesized.events == interpreted.events

@@ -86,6 +86,51 @@ class TestFaultPlan:
     def test_from_dict_defaults(self):
         assert FaultPlan.from_dict({}) == FaultPlan()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DeadChannelFault(channel=-1),
+            lambda: DeadChannelFault(channel=0, onset_cycle=-1.0),
+            lambda: DeadChannelFault(channel=0, onset_cycle=float("nan")),
+            lambda: DeadChannelFault(channel=0, onset_cycle=float("inf")),
+            lambda: LatencySpikeFault(channel=-2),
+            lambda: LatencySpikeFault(channel=0, onset_cycle=-3.0),
+            lambda: LatencySpikeFault(channel=0, duration_cycles=0.0),
+            lambda: LatencySpikeFault(
+                channel=0, duration_cycles=float("nan")
+            ),
+            lambda: LatencySpikeFault(channel=0, multiplier=float("nan")),
+            lambda: LatencySpikeFault(channel=0, multiplier=float("inf")),
+            lambda: LatencySpikeFault(channel=0, multiplier=0.5),
+            lambda: BitFlipFault(probability=-0.1),
+            lambda: BitFlipFault(probability=1.5),
+            lambda: BitFlipFault(probability=float("nan")),
+            lambda: PipelineStallFault(probability=2.0),
+            lambda: PipelineStallFault(probability=float("nan")),
+            lambda: PipelineStallFault(probability=0.1, pipeline=-1),
+        ],
+    )
+    def test_out_of_range_fault_models_rejected(self, build):
+        # Each of these used to construct fine and then inject nothing.
+        with pytest.raises(UserInputError):
+            build()
+
+    def test_boundary_fault_models_accepted(self):
+        DeadChannelFault(channel=0, onset_cycle=0.0)
+        LatencySpikeFault(
+            channel=0, duration_cycles=float("inf"), multiplier=1.0
+        )
+        BitFlipFault(probability=0.0)
+        BitFlipFault(probability=1.0)
+        PipelineStallFault(probability=1.0, pipeline=0)
+        PipelineStallFault(probability=0.0, pipeline=None)
+
+    def test_bad_fault_model_in_a_plan_dict_rejected(self):
+        with pytest.raises(UserInputError):
+            FaultPlan.from_dict({"latency_spikes": [
+                {"channel": 0, "multiplier": float("nan")}
+            ]})
+
 
 # ----------------------------------------------------------------------
 # Error hierarchy
@@ -549,6 +594,20 @@ class TestFaultInjector:
         inj.now = 120.0
         inj.exit_pipeline()  # Apply/Writer context is unscoped
         assert inj.scale_latency(24.0) == 24.0
+
+    def test_overlapping_spikes_take_the_largest_multiplier(self):
+        inj = FaultInjector(FaultPlan(latency_spikes=(
+            LatencySpikeFault(channel=0, multiplier=3.0),
+            LatencySpikeFault(channel=1, multiplier=5.0),
+            LatencySpikeFault(channel=2, onset_cycle=0.0, multiplier=2.0),
+            LatencySpikeFault(channel=4, onset_cycle=1e9),
+        )))
+        inj.bind_topology(num_little=1, num_big=1)
+        assert inj.latency_scales() == {("little", 0): 5.0, ("big", 0): 2.0}
+        inj.enter_pipeline("little", 0)
+        assert inj.scale_latency(24.0) == 120.0
+        inj.enter_pipeline("big", 0)
+        assert inj.scale_latency(24.0) == 48.0
 
     def test_silent_flip_changes_one_bit(self):
         inj = FaultInjector(FaultPlan(

@@ -9,7 +9,6 @@ with ``workers > 1`` as with the plain serial loop.
 
 import pytest
 
-from repro.compiled import compiled_enabled, configure_compiled
 from repro.errors import UserInputError
 from repro.perf import PerfConfig, parallel_map
 
@@ -60,25 +59,11 @@ class TestPerfConfig:
         perf = PerfConfig()
         assert perf.workers == 1
         assert not perf.parallel
-        assert perf.compiled
+        assert PerfConfig(workers=4).parallel
 
     def test_validation(self):
         with pytest.raises(UserInputError):
             PerfConfig(workers=0)
-
-    def test_roundtrip(self):
-        perf = PerfConfig(workers=4, compiled=False)
-        assert PerfConfig.from_dict(perf.to_dict()) == perf
-        assert perf.parallel
-
-    def test_apply_sets_the_compiled_switch(self):
-        try:
-            PerfConfig(compiled=False).apply()
-            assert not compiled_enabled()
-            PerfConfig().apply()
-            assert compiled_enabled()
-        finally:
-            configure_compiled(True)
 
 
 class TestParallelEquivalence:

@@ -278,6 +278,32 @@ class TestHttpTransport:
                 gateway.close()
         asyncio.run(run())
 
+    def test_bad_fault_plan_is_a_400(self, payloads):
+        # An out-of-range fault model would otherwise be accepted and
+        # silently inject nothing; it is a bad payload like any other.
+        bad = dict(payloads[0], job_id="bad-fault-plan")
+        bad["fault_plan"] = {
+            "seed": 1,
+            "dead_channels": [{"channel": -1, "onset_cycle": 0.0}],
+        }
+
+        async def run():
+            gateway = ServingGateway(_config())
+            server = HttpServer(gateway, port=0)
+            await server.start()
+            try:
+                with pytest.raises(UserInputError, match="channel"):
+                    await gateway.submit("acme-key", bad)
+                status, _ = await _http(
+                    server.port, "POST", "/v1/jobs", body=bad,
+                    key="acme-key",
+                )
+                assert status == 400
+            finally:
+                await server.stop()
+                gateway.close()
+        asyncio.run(run())
+
     def test_bad_json_is_a_400(self):
         async def run():
             gateway = ServingGateway(_config())
