@@ -41,9 +41,10 @@ from repro.chaos.fleet_soak import (
     generate_jobs,
     generate_kills,
 )
+from repro.durable import apply_storage_fault
 from repro.errors import FleetKilledError, UserInputError
 from repro.faults.plan import StorageFault
-from repro.fleet.journal import JobJournal, apply_storage_fault, read_journal
+from repro.fleet.journal import JobJournal, read_journal
 from repro.fleet.runtime import FleetPolicy, FleetRuntime
 from repro.fleet.store import ResultStore
 

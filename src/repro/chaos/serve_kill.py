@@ -43,9 +43,9 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.chaos.fleet_soak import FleetSoakConfig, generate_jobs
+from repro.durable import apply_storage_fault
 from repro.errors import UserInputError
 from repro.faults.plan import StorageFault
-from repro.fleet.journal import apply_storage_fault
 from repro.serving.config import ServingConfig, TenantSpec
 from repro.serving.gateway import ServingGateway
 from repro.serving.session import KernelSession

@@ -26,7 +26,6 @@ from repro.faults.plan import (
 from repro.faults.resilience import (
     ChannelBreakerState,
     Checkpoint,
-    CheckpointDiscardWarning,
     CheckpointStore,
     CircuitBreakerBank,
     FaultRecord,
@@ -39,7 +38,6 @@ __all__ = [
     "BitFlipFault",
     "ChannelBreakerState",
     "Checkpoint",
-    "CheckpointDiscardWarning",
     "CheckpointStore",
     "CircuitBreakerBank",
     "DeadChannelFault",

@@ -146,7 +146,7 @@ class StorageFault:
 
     Unlike the accelerator faults above, a storage fault is applied to a
     fleet journal or result store *file* (by
-    :func:`repro.fleet.journal.apply_storage_fault`) between a hard kill
+    :func:`repro.durable.apply_storage_fault`) between a hard kill
     and the subsequent recovery — it never touches the simulator.
 
     ``record`` selects the victim line for ``bit-flip`` (negative counts

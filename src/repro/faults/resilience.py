@@ -38,15 +38,9 @@ resilience is idle.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import uuid
-import warnings
-import zipfile
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -160,22 +154,6 @@ class ResiliencePolicy:
 # ----------------------------------------------------------------------
 # Checkpoints
 # ----------------------------------------------------------------------
-class CheckpointDiscardWarning(UserWarning):
-    """A persisted checkpoint failed verification and was discarded.
-
-    Structured (carries the path and reason) so restore paths can count
-    discards in :class:`RunHealthReport` instead of losing them to a
-    silent ``continue``."""
-
-    def __init__(self, path, reason: str):
-        super().__init__(
-            f"discarding checkpoint {path}: {reason} (restore falls "
-            "back to an older snapshot)"
-        )
-        self.path = str(path)
-        self.reason = reason
-
-
 @dataclass
 class Checkpoint:
     """Vertex state at the start of one iteration."""
@@ -183,20 +161,6 @@ class Checkpoint:
     iteration: int
     props: np.ndarray
     total_cycles: float
-
-
-def _checkpoint_checksum(
-    iteration: int, props: np.ndarray, total_cycles: float
-) -> str:
-    """SHA-256 over the checkpoint payload (dtype/shape included)."""
-    arr = np.ascontiguousarray(props)
-    h = hashlib.sha256()
-    h.update(str(int(iteration)).encode())
-    h.update(format(float(total_cycles), ".17g").encode())
-    h.update(str(arr.dtype).encode())
-    h.update(str(arr.shape).encode())
-    h.update(arr.tobytes())
-    return h.hexdigest()
 
 
 class CheckpointStore:
@@ -229,117 +193,6 @@ class CheckpointStore:
         self.restores += 1
         cp = self._stack[-1]
         return Checkpoint(cp.iteration, cp.props.copy(), cp.total_cycles)
-
-    # -- persistence ---------------------------------------------------
-    def to_file(self, path: Union[str, Path]) -> Path:
-        """Persist the latest checkpoint (host-side DRAM -> disk).
-
-        The write is crash-safe: the archive is staged to a temporary
-        sibling and moved into place with :func:`os.replace` (atomic on
-        POSIX), so a fleet worker dying mid-save can never leave a torn
-        checkpoint under the final name.  The staging name carries the
-        pid *and* a random suffix: pid alone is not unique under a
-        worker pool (pids recycle, and one process may host several
-        concurrent savers), so two parallel cells writing toward the
-        same final path must never collide on one staging file.
-        """
-        cp = self.latest()
-        if cp is None:
-            raise ResilienceExhaustedError("no checkpoint to persist")
-        path = Path(path)
-        final = path if path.suffix == ".npz" else path.with_suffix(
-            path.suffix + ".npz"
-        )
-        tmp = final.with_name(
-            final.name + f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        )
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(
-                    fh,
-                    iteration=cp.iteration,
-                    props=cp.props,
-                    total_cycles=cp.total_cycles,
-                    checksum=np.array(
-                        _checkpoint_checksum(
-                            cp.iteration, cp.props, cp.total_cycles
-                        )
-                    ),
-                )
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, final)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
-        return final
-
-    @staticmethod
-    def from_file(
-        path: Union[str, Path],
-        strict: bool = True,
-        health: Optional["RunHealthReport"] = None,
-    ) -> Optional[Checkpoint]:
-        """Load a persisted checkpoint back, verifying its checksum.
-
-        With ``strict=False`` a truncated, partial, bit-rotted or
-        otherwise corrupt file returns ``None`` instead of raising —
-        restore paths skip a torn checkpoint and fall back to an older
-        one — and the discard is *structured*: a
-        :class:`CheckpointDiscardWarning` is emitted and, when a
-        ``health`` report is passed, counted in its
-        ``checkpoints_discarded``.  Files written before checksums
-        existed load without verification (legacy format).
-        """
-        path = Path(path)
-        try:
-            with np.load(path) as data:
-                cp = Checkpoint(
-                    iteration=int(data["iteration"]),
-                    props=np.array(data["props"]),
-                    total_cycles=float(data["total_cycles"]),
-                )
-                if "checksum" in getattr(data, "files", ()):
-                    stored = str(data["checksum"])
-                    expected = _checkpoint_checksum(
-                        cp.iteration, cp.props, cp.total_cycles
-                    )
-                    if stored != expected:
-                        raise ValueError(
-                            f"checkpoint checksum mismatch in {path}: "
-                            f"stored {stored[:12]}…, payload hashes to "
-                            f"{expected[:12]}…"
-                        )
-                return cp
-        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-            if strict:
-                raise
-            warnings.warn(CheckpointDiscardWarning(path, str(exc)))
-            if health is not None:
-                health.checkpoints_discarded += 1
-            return None
-
-    @staticmethod
-    def from_directory(
-        directory: Union[str, Path],
-        health: Optional["RunHealthReport"] = None,
-    ) -> Optional[Checkpoint]:
-        """Newest *valid* checkpoint in ``directory`` (``*.npz``).
-
-        Torn or corrupt files (a worker died mid-save before the atomic
-        rename, the archive is damaged, or the payload fails its
-        checksum) are skipped with a :class:`CheckpointDiscardWarning`
-        — counted in ``health`` when given — and never raised; returns
-        ``None`` when no readable checkpoint exists.
-        """
-        best: Optional[Checkpoint] = None
-        for path in sorted(Path(directory).glob("*.npz")):
-            cp = CheckpointStore.from_file(path, strict=False, health=health)
-            if cp is None:
-                continue
-            if best is None or cp.iteration > best.iteration:
-                best = cp
-        return best
 
 
 # ----------------------------------------------------------------------
@@ -541,9 +394,6 @@ class RunHealthReport:
     retries: int = 0
     replans: int = 0
     checkpoint_restores: int = 0
-    #: Persisted checkpoint files discarded at load (failed checksum,
-    #: torn archive) — each one also emits a CheckpointDiscardWarning.
-    checkpoints_discarded: int = 0
     watchdog_trips: int = 0
     backoff_cycles: float = 0.0
     wasted_cycles: float = 0.0
@@ -601,7 +451,6 @@ class RunHealthReport:
             "retries": self.retries,
             "replans": self.replans,
             "checkpoint_restores": self.checkpoint_restores,
-            "checkpoints_discarded": self.checkpoints_discarded,
             "watchdog_trips": self.watchdog_trips,
             "backoff_cycles": self.backoff_cycles,
             "wasted_cycles": self.wasted_cycles,

@@ -23,6 +23,8 @@ faults.  The pieces:
 * :mod:`~repro.fleet.store` — the durable result store with
   idempotency-keyed exactly-once writes.
 
+Both durable files use the one record codec in :mod:`repro.durable`.
+
 See ``docs/FLEET.md`` for the architecture walkthrough and
 ``docs/DURABILITY.md`` for the journal format and recovery contract.
 """
@@ -30,15 +32,13 @@ See ``docs/FLEET.md`` for the architecture walkthrough and
 from repro.fleet.admission import AdmissionController, TokenBucket
 from repro.fleet.autoscale import AutoscalePolicy, Autoscaler
 from repro.fleet.job import FLEET_APPS, Job, JobResult
+from repro.durable import QUARANTINE_SCHEMA, RepairReport, apply_storage_fault
 from repro.fleet.journal import (
     JOURNAL_SCHEMA,
-    QUARANTINE_SCHEMA,
     RECORD_TYPES,
     JobJournal,
     JournalProjection,
     JournalRecord,
-    RepairReport,
-    apply_storage_fault,
     project_journal,
     read_journal,
     repair_journal,

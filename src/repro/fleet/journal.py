@@ -15,6 +15,10 @@ be reconstructed from disk.  The format is deliberately boring:
 * **fsync per append** (the WAL contract; ``fsync=False`` trades the
   crash guarantee for throughput, for benchmarks and tests).
 
+The line codec, the verified scan, the append handle and repair are
+:mod:`repro.durable`'s; this module keeps the journal's vocabulary
+(:data:`RECORD_TYPES`), its append handle and the state projection.
+
 Recovery is *replay-based*: because the fleet runtime is a pure
 function of its inputs (deterministic virtual-clock event loop), the
 ``run-begin`` record — policy, pool recipe, the full job batch, the
@@ -30,20 +34,26 @@ record, exactly like a database WAL.
 
 from __future__ import annotations
 
-import json
-import os
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+# QUARANTINE_SCHEMA and apply_storage_fault are re-exported for callers
+# that know them as journal names.
+from repro.durable import (  # noqa: F401
+    QUARANTINE_SCHEMA,
+    RepairReport,
+    ScanResult,
+    SequencedLog,
+    apply_storage_fault,
+    read_log,
+    repair,
+)
+from repro.durable import Record as JournalRecord
 from repro.errors import UserInputError
 
 #: Journal line-format identifier; bump on incompatible layout changes.
 JOURNAL_SCHEMA = "regraph-fleet-journal/v1"
-
-#: Quarantine-bundle schema (corrupt records extracted during repair).
-QUARANTINE_SCHEMA = "regraph-fleet-quarantine/v1"
 
 #: Record types the runtime appends (documented in docs/DURABILITY.md).
 RECORD_TYPES = (
@@ -61,204 +71,16 @@ RECORD_TYPES = (
 )
 
 
-def _canonical(seq: int, rtype: str, payload: dict) -> str:
-    return json.dumps(
-        {"seq": seq, "type": rtype, "payload": payload},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
-def _crc(seq: int, rtype: str, payload: dict) -> str:
-    data = _canonical(seq, rtype, payload).encode()
-    return format(zlib.crc32(data) & 0xFFFFFFFF, "08x")
-
-
-@dataclass(frozen=True)
-class JournalRecord:
-    """One intact, checksum-verified journal entry."""
-
-    seq: int
-    type: str
-    payload: dict
-
-    def line(self) -> str:
-        """The on-disk JSONL encoding (checksum included)."""
-        return json.dumps(
-            {
-                "seq": self.seq,
-                "type": self.type,
-                "payload": self.payload,
-                "crc": _crc(self.seq, self.type, self.payload),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ) + "\n"
-
-
-@dataclass(frozen=True)
-class CorruptRecord:
-    """One line that failed parsing, checksum, or sequence checks."""
-
-    line_number: int
-    reason: str
-    #: Raw line content, truncated so a quarantine bundle stays small.
-    raw: str
-
-    def to_dict(self) -> dict:
-        return {
-            "line_number": self.line_number,
-            "reason": self.reason,
-            "raw": self.raw,
-        }
-
-
-@dataclass
-class JournalReadResult:
-    """Outcome of scanning a journal file."""
-
-    records: List[JournalRecord] = field(default_factory=list)
-    corrupt: List[CorruptRecord] = field(default_factory=list)
-    #: True when the damage is confined to the file's tail (torn write /
-    #: partial fsync): everything after the last intact record.
-    torn_tail: bool = False
-    #: Byte offset just past the last intact record (truncation point).
-    intact_bytes: int = 0
-
-    @property
-    def clean(self) -> bool:
-        return not self.corrupt
-
-
-_RAW_LIMIT = 256
-
-
-def _parse_line(number: int, line: str, expected_seq: int):
-    """-> (JournalRecord, None) or (None, CorruptRecord)."""
-    raw = line[:_RAW_LIMIT]
-    try:
-        data = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None, CorruptRecord(number, "unparseable JSON", raw)
-    if not isinstance(data, dict):
-        return None, CorruptRecord(number, "record is not an object", raw)
-    try:
-        seq = int(data["seq"])
-        rtype = str(data["type"])
-        payload = data["payload"]
-        crc = str(data["crc"])
-    except (KeyError, TypeError, ValueError):
-        return None, CorruptRecord(number, "missing record fields", raw)
-    if not isinstance(payload, dict):
-        return None, CorruptRecord(number, "payload is not an object", raw)
-    if crc != _crc(seq, rtype, payload):
-        return None, CorruptRecord(
-            number, f"checksum mismatch (stored {crc})", raw
-        )
-    if seq < expected_seq:
-        return None, CorruptRecord(
-            number, f"sequence regression ({seq} < {expected_seq})", raw
-        )
-    return JournalRecord(seq=seq, type=rtype, payload=payload), None
-
-
-def read_journal(path: Union[str, Path]) -> JournalReadResult:
-    """Scan ``path``, verifying every record; never modifies the file.
-
-    Records that fail their checksum are reported in ``corrupt``; a run
-    of damage that extends to end-of-file is additionally flagged as a
-    ``torn_tail`` (repair may truncate it — mid-file corruption can only
-    be quarantined, since later intact records must be preserved).
-    """
+def read_journal(path: Union[str, Path]) -> ScanResult:
+    """Scan ``path`` with :func:`repro.durable.read_log`; never modifies
+    the file.  A missing journal is a typed error."""
     path = Path(path)
     if not path.exists():
         raise UserInputError(
             f"fleet journal not found: {path} (run `repro fleet run "
             f"--journal {path}` to create one)"
         )
-    result = JournalReadResult()
-    expected_seq = 0
-    offset = 0
-    damage_started_at: Optional[int] = None
-    with open(path, "rb") as fh:
-        for number, blob in enumerate(fh):
-            line_len = len(blob)
-            line = blob.decode("utf-8", errors="replace").rstrip("\n")
-            complete = blob.endswith(b"\n")
-            record = None
-            corrupt = None
-            if not complete:
-                corrupt = CorruptRecord(
-                    number, "unterminated final record", line[:_RAW_LIMIT]
-                )
-            else:
-                record, corrupt = _parse_line(number, line, expected_seq)
-            if record is not None:
-                result.records.append(record)
-                expected_seq = record.seq + 1
-                offset += line_len
-                result.intact_bytes = offset
-                damage_started_at = None
-            else:
-                result.corrupt.append(corrupt)
-                offset += line_len
-                if damage_started_at is None:
-                    damage_started_at = number
-    # Damage reaching end-of-file is a torn tail; intact_bytes already
-    # points at the last good record, so truncation recovers the file.
-    if result.corrupt and damage_started_at is not None:
-        last_bad = result.corrupt[-1].line_number
-        tail_bad = [c for c in result.corrupt if c.line_number >= damage_started_at]
-        if tail_bad and last_bad >= damage_started_at:
-            result.torn_tail = True
-    return result
-
-
-@dataclass
-class RepairReport:
-    """What :func:`repair_journal` did to a damaged file."""
-
-    truncated_bytes: int = 0
-    quarantined: int = 0
-    quarantine_path: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "truncated_bytes": self.truncated_bytes,
-            "quarantined": self.quarantined,
-            "quarantine_path": self.quarantine_path,
-        }
-
-
-def write_quarantine_bundle(
-    journal_path: Union[str, Path],
-    corrupt: List[CorruptRecord],
-    quarantine_dir: Union[str, Path],
-    torn_tail: bool,
-) -> str:
-    """Extract corrupt records into a replay-safe quarantine bundle.
-
-    Crash-safe via the usual stage-then-:func:`os.replace` pattern; the
-    bundle never blocks recovery — it is evidence, not state.
-    """
-    journal_path = Path(journal_path)
-    quarantine_dir = Path(quarantine_dir)
-    quarantine_dir.mkdir(parents=True, exist_ok=True)
-    bundle = {
-        "schema": QUARANTINE_SCHEMA,
-        "journal": str(journal_path),
-        "torn_tail": torn_tail,
-        "corrupt_records": [c.to_dict() for c in corrupt],
-    }
-    final = quarantine_dir / f"{journal_path.name}.quarantine.json"
-    tmp = final.with_name(final.name + f".tmp-{os.getpid()}")
-    with open(tmp, "w") as fh:
-        json.dump(bundle, fh, indent=2)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, final)
-    return str(final)
+    return read_log(path)
 
 
 def repair_journal(
@@ -273,29 +95,11 @@ def repair_journal(
     *was* durably written.  Only a missing file (nothing to recover) is
     a :class:`~repro.errors.UserInputError`.
     """
-    path = Path(path)
     scan = read_journal(path)
-    report = RepairReport()
-    if scan.corrupt:
-        if quarantine_dir is not None:
-            report.quarantine_path = write_quarantine_bundle(
-                path, scan.corrupt, quarantine_dir, scan.torn_tail
-            )
-        report.quarantined = len(scan.corrupt)
-        if scan.torn_tail:
-            size = path.stat().st_size
-            if scan.intact_bytes < size:
-                # Truncating trailing garbage is safe by construction:
-                # every byte past intact_bytes failed verification.
-                with open(path, "rb+") as fh:
-                    fh.truncate(scan.intact_bytes)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                report.truncated_bytes = size - scan.intact_bytes
-    return scan.records, report
+    return scan.records, repair(path, scan, quarantine_dir)
 
 
-class JobJournal:
+class JobJournal(SequencedLog):
     """Append-side handle: write-ahead logging for one fleet runtime.
 
     Appends are synchronous and (by default) fsync'd — a record is
@@ -304,48 +108,8 @@ class JobJournal:
     runtime keeps journaling into the same file across restarts.
     """
 
-    def __init__(self, path: Union[str, Path], fsync: bool = True):
-        self.path = Path(path)
-        self.fsync = bool(fsync)
-        self._next_seq = 0
-        self.appended = 0
-        if self.path.exists() and self.path.stat().st_size > 0:
-            scan = read_journal(self.path)
-            if scan.records:
-                self._next_seq = scan.records[-1].seq + 1
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
-
-    def append(self, rtype: str, payload: dict) -> int:
-        """Durably append one record; returns its sequence number."""
-        if rtype not in RECORD_TYPES:
-            raise UserInputError(
-                f"unknown journal record type {rtype!r}; "
-                f"expected one of {RECORD_TYPES}"
-            )
-        record = JournalRecord(self._next_seq, rtype, payload)
-        self._fh.write(record.line())
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
-        self._next_seq += 1
-        self.appended += 1
-        return record.seq
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-            self._fh.close()
-
-    def __enter__(self) -> "JobJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
+    RECORD_TYPES = RECORD_TYPES
+    NOUN = "journal"
 
 # ----------------------------------------------------------------------
 # State projection: what the journal says the world looked like
@@ -451,61 +215,3 @@ def project_journal(records: List[JournalRecord]) -> JournalProjection:
         elif rtype == "run-end":
             view.run_end = payload
     return view
-
-
-# ----------------------------------------------------------------------
-# Storage-level fault injection (chaos kill-restart cells)
-# ----------------------------------------------------------------------
-def apply_storage_fault(path: Union[str, Path], fault) -> str:
-    """Damage a journal/store file the way real storage does.
-
-    ``fault`` is a :class:`~repro.faults.plan.StorageFault`.  Returns a
-    human-readable description of what was done (chaos cell logs).
-
-    * ``torn-write`` — the final record was half-written when the
-      process died: keep ~60% of its bytes, no trailing newline.
-    * ``partial-fsync`` — the tail page never hit the platter: the last
-      record vanishes entirely *and* the one before it is cut mid-line.
-    * ``bit-flip`` — one bit of record ``fault.record`` (negative counts
-      from the end) flips at rest; the record's checksum must catch it.
-    """
-    path = Path(path)
-    raw = path.read_bytes()
-    lines = raw.splitlines(keepends=True)
-    if not lines:
-        return "no-op: file is empty"
-    kind = fault.kind
-    if kind == "torn-write":
-        last = lines[-1]
-        keep = max(len(last) * 3 // 5, 1)
-        damaged = b"".join(lines[:-1]) + last[:keep]
-        path.write_bytes(damaged)
-        return (
-            f"torn write: final record cut to {keep}/{len(last)} bytes"
-        )
-    if kind == "partial-fsync":
-        if len(lines) == 1:
-            path.write_bytes(lines[0][: max(len(lines[0]) // 2, 1)])
-            return "partial fsync: sole record cut in half"
-        prev = lines[-2]
-        keep = max(len(prev) // 2, 1)
-        damaged = b"".join(lines[:-2]) + prev[:keep]
-        path.write_bytes(damaged)
-        return (
-            "partial fsync: final record lost, previous cut to "
-            f"{keep}/{len(prev)} bytes"
-        )
-    if kind == "bit-flip":
-        index = fault.record if fault.record >= 0 else len(lines) + fault.record
-        index = min(max(index, 0), len(lines) - 1)
-        target = bytearray(lines[index])
-        # Flip a bit inside the payload region (past the '{'), never the
-        # newline, so the line still parses as *a* line.
-        pos = min(len(target) // 2, len(target) - 2)
-        target[pos] ^= 0x10
-        lines[index] = bytes(target)
-        path.write_bytes(b"".join(lines))
-        return f"bit-flip: record {index} byte {pos} flipped at rest"
-    raise UserInputError(
-        f"unknown storage fault kind {kind!r}"
-    )

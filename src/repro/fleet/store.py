@@ -12,83 +12,46 @@ the ones that were already durable before the crash — a client reading
 the store sees each job's result exactly once, whether the fleet
 crashed zero times or twice.
 
-Corrupt records (torn tail, bit rot) are skipped and counted at load,
-never raised: losing the *last* result to a torn write is recoverable
-(replay recomputes it), whereas refusing to start is not.  ``compact()``
-rewrites the file through the tmp + :func:`os.replace` pattern used by
-checkpoint persistence, dropping any damaged lines for good.
+The line format, the verified load and the append handle are
+:mod:`repro.durable`'s.  Corrupt records (torn tail, bit rot) are
+skipped and counted at load, never raised: losing the *last* result to
+a torn write is recoverable (replay recomputes it), whereas refusing to
+start is not.  Reopening drops an unterminated final fragment, so the
+next ``put`` lands on a line of its own.  ``compact()`` rewrites the
+file through :func:`repro.durable.atomic_write`, dropping any damaged
+lines for good.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import zlib
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
+from repro.durable import KeyedRecord, RecordLog, ScanResult, atomic_write
 from repro.fleet.job import JobResult
 
 #: Store line-format identifier; bump on incompatible layout changes.
 STORE_SCHEMA = "regraph-fleet-store/v1"
 
 
-def _crc(key: str, payload: dict) -> str:
-    canonical = json.dumps(
-        {"key": key, "result": payload}, sort_keys=True, separators=(",", ":")
-    )
-    return format(zlib.crc32(canonical.encode()) & 0xFFFFFFFF, "08x")
-
-
-def _encode(key: str, payload: dict) -> str:
-    return json.dumps(
-        {"key": key, "result": payload, "crc": _crc(key, payload)},
-        sort_keys=True,
-        separators=(",", ":"),
-    ) + "\n"
-
-
-class ResultStore:
+class ResultStore(RecordLog):
     """Append-only, checksummed, idempotent JobResult persistence."""
 
-    def __init__(self, path: Union[str, Path], fsync: bool = True):
-        self.path = Path(path)
-        self.fsync = bool(fsync)
+    kind = KeyedRecord
+
+    def _load(self, scan: ScanResult) -> None:
         self._results: Dict[str, JobResult] = {}
         #: Records skipped at load because they failed verification.
-        self.discarded_at_load = 0
+        self.discarded_at_load = len(scan.corrupt)
         #: ``put`` calls suppressed by the idempotency key.
         self.duplicates_suppressed = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.path.exists() and self.path.stat().st_size > 0:
-            self._load()
-        self._fh = open(self.path, "a", encoding="utf-8")
-
-    def _load(self) -> None:
-        with open(self.path, "rb") as fh:
-            for blob in fh:
-                if not blob.endswith(b"\n"):
-                    self.discarded_at_load += 1
-                    continue
-                line = blob.decode("utf-8", errors="replace")
-                try:
-                    data = json.loads(line)
-                    key = str(data["key"])
-                    payload = data["result"]
-                    crc = str(data["crc"])
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    self.discarded_at_load += 1
-                    continue
-                if not isinstance(payload, dict) or crc != _crc(key, payload):
-                    self.discarded_at_load += 1
-                    continue
-                if key in self._results:
-                    # An append-only store should never hold two records
-                    # for one key (put suppresses them); tolerate it by
-                    # first-write-wins, the idempotency contract.
-                    self.duplicates_suppressed += 1
-                    continue
-                self._results[key] = JobResult.from_dict(payload)
+        for record in scan.records:
+            if record.key in self._results:
+                # An append-only store should never hold two records
+                # for one key (put suppresses them); tolerate it by
+                # first-write-wins, the idempotency contract.
+                self.duplicates_suppressed += 1
+                continue
+            self._results[record.key] = JobResult.from_dict(record.result)
 
     # -- the exactly-once write path -----------------------------------
     def put(self, result: JobResult) -> bool:
@@ -102,11 +65,7 @@ class ResultStore:
         if key in self._results:
             self.duplicates_suppressed += 1
             return False
-        line = _encode(key, result.to_dict())
-        self._fh.write(line)
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        self.write(KeyedRecord(key, result.to_dict()))
         self._results[key] = result
         return True
 
@@ -136,29 +95,13 @@ class ResultStore:
 
     # -- maintenance -----------------------------------------------------
     def compact(self) -> None:
-        """Rewrite the file from the in-memory view (drops bad lines).
+        """Rewrite the file from the in-memory view (drops bad lines),
+        crash-safe through :func:`repro.durable.atomic_write`."""
 
-        Crash-safe: staged to a tmp sibling, then :func:`os.replace`.
-        """
-        tmp = self.path.with_name(self.path.name + f".tmp-{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
+        def rewrite(fh) -> None:
             for key in sorted(self._results):
-                fh.write(_encode(key, self._results[key].to_dict()))
-            fh.flush()
-            os.fsync(fh.fileno())
+                fh.write(KeyedRecord(key, self._results[key].to_dict()).line())
+
+        atomic_write(self.path, rewrite)
         self._fh.close()
-        os.replace(tmp, self.path)
         self._fh = open(self.path, "a", encoding="utf-8")
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-            self._fh.close()
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

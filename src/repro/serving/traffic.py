@@ -2,8 +2,8 @@
 
 A traffic bundle (``regraph-traffic/v1``) is the serving gateway's
 flight recorder: an append-only JSONL file, one CRC-checksummed record
-per line in exactly the fleet journal's wire format
-(:class:`~repro.fleet.journal.JournalRecord`), capturing
+per line in the fleet journal's wire format (:mod:`repro.durable`),
+capturing
 
 * ``traffic-begin`` — the schema tag and the kernel session spec
   (pool recipe + policy) the gateway was started with;
@@ -24,19 +24,19 @@ acceptance sequence: recovery merges accepts from the SQLite store and
 the bundle, so an acked job survives as long as either file does.
 Reading is damage-tolerant by the same machinery the fleet journal
 uses — corrupt lines are skipped and counted, a torn tail never blocks
-replay.
+replay, and a reopened bundle drops an unterminated final fragment
+before its ``resume`` marker.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.durable import SequencedLog, read_log
 from repro.errors import UserInputError
 from repro.fleet.job import JobResult
-from repro.fleet.journal import JournalRecord, read_journal
 
 #: Traffic-bundle schema identifier; bump on incompatible changes.
 TRAFFIC_SCHEMA = "regraph-traffic/v1"
@@ -52,51 +52,28 @@ TRAFFIC_RECORD_TYPES = (
 )
 
 
-class TrafficRecorder:
+class TrafficRecorder(SequencedLog):
     """Append-side handle: records one gateway's request stream.
 
-    Same durability contract as :class:`~repro.fleet.journal.JobJournal`
-    — synchronous, fsync'd (by default) appends with per-record CRCs and
-    a monotone sequence — and the same reopen semantics: opening an
+    A :class:`~repro.durable.SequencedLog` like the fleet journal —
+    synchronous, fsync'd (by default) appends with per-record CRCs and
+    a monotone sequence — with the same reopen semantics: opening an
     existing bundle continues its sequence with a ``resume`` marker, so
     one file spans every restart of the same session.
     """
 
+    RECORD_TYPES = TRAFFIC_RECORD_TYPES
+    NOUN = "traffic"
+
     def __init__(self, path: Union[str, Path], spec: dict, fsync: bool = True):
-        self.path = Path(path)
-        self.fsync = bool(fsync)
-        self._next_seq = 0
-        self.appended = 0
-        fresh = not (self.path.exists() and self.path.stat().st_size > 0)
-        if fresh:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+        super().__init__(path, fsync)
+        if self.reopened:
+            self.append("resume", {"session": dict(spec)})
         else:
-            scan = read_journal(self.path)
-            if scan.records:
-                self._next_seq = scan.records[-1].seq + 1
-        self._fh = open(self.path, "a", encoding="utf-8")
-        if fresh:
             self.append("traffic-begin", {
                 "schema": TRAFFIC_SCHEMA,
                 "session": dict(spec),
             })
-        else:
-            self.append("resume", {"session": dict(spec)})
-
-    def append(self, rtype: str, payload: dict) -> int:
-        if rtype not in TRAFFIC_RECORD_TYPES:
-            raise UserInputError(
-                f"unknown traffic record type {rtype!r}; "
-                f"expected one of {TRAFFIC_RECORD_TYPES}"
-            )
-        record = JournalRecord(self._next_seq, rtype, payload)
-        self._fh.write(record.line())
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
-        self._next_seq += 1
-        self.appended += 1
-        return record.seq
 
     # -- the recording vocabulary ----------------------------------------
     def record_accept(
@@ -133,19 +110,6 @@ class TrafficRecorder:
             "report_digest": digest,
             "counts": dict(counts),
         })
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-            self._fh.close()
-
-    def __enter__(self) -> "TrafficRecorder":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 @dataclass
@@ -203,7 +167,7 @@ def read_traffic(path: Union[str, Path]) -> TrafficBundle:
             f"traffic bundle not found: {path} (record one with "
             "`repro serve --record <path>`)"
         )
-    scan = read_journal(path)
+    scan = read_log(path)
     bundle = TrafficBundle(path=str(path), corrupt_lines=len(scan.corrupt))
     accepts: Dict[int, tuple] = {}
     for record in scan.records:

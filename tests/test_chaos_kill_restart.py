@@ -8,14 +8,21 @@ replay divergences, recovery equivalence (docs/DURABILITY.md).
 
 import pytest
 
-from repro.chaos.fleet_soak import FleetSoakConfig
+from repro.chaos import kill_restart
+from repro.chaos.fleet_soak import (
+    FleetSoakConfig,
+    build_pool,
+    generate_jobs,
+    generate_kills,
+)
 from repro.chaos.kill_restart import (
     KillRestartConfig,
     plan_crash_points,
     run_kill_restart,
 )
 from repro.errors import UserInputError
-from repro.faults.plan import StorageFault
+from repro.faults.plan import STORAGE_FAULT_KINDS, StorageFault
+from repro.fleet.runtime import FleetPolicy, FleetRuntime
 
 #: Small but complete: both device types, a replica kill *and* process
 #: crashes in the same cell.  Seed 7's crash points land after the
@@ -83,6 +90,63 @@ class TestCleanCell:
         assert result.passed
         assert result.restarts == 1
         assert result.quarantined_records == 0
+
+
+class TestTornStoreTail:
+    """A store whose tail was torn must take the next ``put`` on a line
+    of its own; glued onto the fragment, the result would be lost."""
+
+    @pytest.mark.parametrize("kind", ["torn-write", "partial-fsync"])
+    def test_no_acknowledged_result_is_lost(self, tmp_path, kind):
+        config = KillRestartConfig(
+            soak=SOAK,
+            crashes=1,
+            storage_faults=(StorageFault(kind=kind, target="store"),),
+            fsync=False,
+        )
+        result = run_kill_restart(config, tmp_path)
+        assert result.lost_jobs == []
+        assert result.passed
+
+
+#: Every storage condition a kill-restart cell can meet between death
+#: and rebirth: none, or one fault kind on one of its two files.
+_STORAGE_CONDITIONS = [None] + [
+    StorageFault(kind=kind, target=target)
+    for target in ("journal", "store")
+    for kind in STORAGE_FAULT_KINDS
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "fault", _STORAGE_CONDITIONS,
+    ids=lambda f: "clean" if f is None else f"{f.kind}@{f.target}",
+)
+def test_every_crash_point_passes_every_oracle(tmp_path, monkeypatch, fault):
+    """Crash once at *every* event boundary of the soak, not at a
+    seeded sample, under each storage condition."""
+    reference = FleetRuntime(build_pool(SOAK), FleetPolicy())
+    reference.run(generate_jobs(SOAK), generate_kills(SOAK))
+    points = range(1, reference.events_processed)
+    failures = []
+    for point in points:
+        monkeypatch.setattr(
+            kill_restart, "plan_crash_points",
+            lambda total, crashes, seed, point=point: [point],
+        )
+        config = KillRestartConfig(
+            soak=SOAK,
+            crashes=1,
+            storage_faults=() if fault is None else (fault,),
+            fsync=False,
+        )
+        result = run_kill_restart(config, tmp_path / f"p{point}")
+        assert result.crash_points == [point]
+        if not result.passed:
+            failures.append((point, result.to_dict()))
+    assert len(points) >= 10
+    assert failures == []
 
 
 class TestConfig:

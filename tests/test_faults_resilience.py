@@ -30,7 +30,6 @@ from repro.errors import (
 )
 from repro.faults import (
     BitFlipFault,
-    CheckpointDiscardWarning,
     CheckpointStore,
     CircuitBreakerBank,
     DeadChannelFault,
@@ -39,7 +38,6 @@ from repro.faults import (
     LatencySpikeFault,
     PipelineStallFault,
     ResiliencePolicy,
-    RunHealthReport,
 )
 from repro.graph.generators import rmat_graph
 
@@ -182,14 +180,6 @@ class TestCheckpointStore:
         with pytest.raises(ResilienceExhaustedError):
             CheckpointStore().restore()
 
-    def test_file_round_trip(self, tmp_path):
-        store = CheckpointStore()
-        store.save(7, np.linspace(0, 1, 5), 99.5)
-        path = store.to_file(tmp_path / "ckpt.npz")
-        cp = CheckpointStore.from_file(path)
-        assert cp.iteration == 7 and cp.total_cycles == 99.5
-        np.testing.assert_allclose(cp.props, np.linspace(0, 1, 5))
-
     def test_keep_bounds_memory_for_any_keep(self):
         for keep in (1, 3):
             store = CheckpointStore(keep=keep)
@@ -200,167 +190,9 @@ class TestCheckpointStore:
             assert store.latest().iteration == 9
             assert store._stack[0].iteration == 10 - keep
 
-    def test_file_round_trip_is_bit_exact(self, tmp_path):
-        # Awkward irrational values: any lossy serialisation would show.
-        rng = np.random.default_rng(3)
-        props = np.sqrt(rng.random(64, dtype=np.float64)) * 1e-17
-        store = CheckpointStore()
-        store.save(12, props, 1234.5678)
-        cp = CheckpointStore.from_file(store.to_file(tmp_path / "c.npz"))
-        assert cp.iteration == 12
-        assert cp.total_cycles == 1234.5678
-        assert cp.props.dtype == props.dtype
-        assert cp.props.tobytes() == props.tobytes()
-
     def test_restore_empty_message_names_the_problem(self):
         with pytest.raises(ResilienceExhaustedError, match="checkpoint"):
             CheckpointStore().restore()
-
-
-class TestCrashSafeCheckpoints:
-    """Atomic persistence: a worker dying mid-save can never leave a
-    torn archive under the final name, and restore paths skip torn
-    files instead of crashing on them."""
-
-    def _saved(self, tmp_path, iteration=5, name="ckpt.npz"):
-        store = CheckpointStore()
-        store.save(iteration, np.arange(4, dtype=np.float64), 10.0)
-        return store.to_file(tmp_path / name)
-
-    def test_no_staging_file_survives_a_save(self, tmp_path):
-        path = self._saved(tmp_path)
-        leftovers = [
-            p for p in tmp_path.iterdir() if p.name != path.name
-        ]
-        assert leftovers == []
-
-    def test_truncated_file_is_skipped_on_restore(self, tmp_path):
-        path = self._saved(tmp_path)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])  # torn mid-write
-        assert CheckpointStore.from_file(path, strict=False) is None
-
-    def test_truncated_file_raises_when_strict(self, tmp_path):
-        path = self._saved(tmp_path)
-        path.write_bytes(path.read_bytes()[:10])
-        with pytest.raises(Exception):
-            CheckpointStore.from_file(path)
-
-    def test_garbage_file_is_skipped(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        path.write_bytes(b"not an archive at all")
-        assert CheckpointStore.from_file(path, strict=False) is None
-
-    def test_empty_file_is_skipped(self, tmp_path):
-        path = tmp_path / "empty.npz"
-        path.touch()
-        assert CheckpointStore.from_file(path, strict=False) is None
-
-    def test_from_directory_prefers_newest_valid(self, tmp_path):
-        self._saved(tmp_path, iteration=3, name="a.npz")
-        newest = self._saved(tmp_path, iteration=9, name="b.npz")
-        # Tear the newest-by-name file too: it must be skipped.
-        torn = self._saved(tmp_path, iteration=99, name="z.npz")
-        torn.write_bytes(torn.read_bytes()[:20])
-        assert newest.exists()
-        cp = CheckpointStore.from_directory(tmp_path)
-        assert cp is not None and cp.iteration == 9
-
-    def test_from_directory_empty_returns_none(self, tmp_path):
-        assert CheckpointStore.from_directory(tmp_path) is None
-
-    def test_overwrite_is_atomic_replacement(self, tmp_path):
-        first = self._saved(tmp_path, iteration=1)
-        second = self._saved(tmp_path, iteration=2)
-        assert first == second
-        cp = CheckpointStore.from_file(second)
-        assert cp.iteration == 2
-
-    def test_checkpoint_store_unique_tmp_names(self, tmp_path, monkeypatch):
-        # Staging names are unique per call, so two workers (or one
-        # process saving twice concurrently) never collide on one
-        # staging file and clobber each other's bytes mid-write.
-        import os
-
-        names = []
-        real_replace = os.replace
-
-        def spy(src, dst):
-            names.append(str(src))
-            return real_replace(src, dst)
-
-        monkeypatch.setattr("os.replace", spy)
-        store = CheckpointStore()
-        store.save(0, np.zeros(4, dtype=np.int64), 0.0)
-        for _ in range(2):
-            store.to_file(tmp_path / "cp.npz")
-        assert len(set(names)) == 2
-        assert all(f".tmp-{os.getpid()}-" in n for n in names)
-
-
-class TestCheckpointChecksums:
-    """Persisted checkpoints carry a payload checksum: bit rot inside a
-    structurally valid archive is detected, discarded loudly (a
-    structured warning), and counted in the run's health report."""
-
-    def _saved(self, tmp_path):
-        store = CheckpointStore()
-        store.save(4, np.arange(6, dtype=np.float64), 50.0)
-        return store.to_file(tmp_path / "ckpt.npz")
-
-    def _tampered(self, tmp_path):
-        """A valid archive whose props no longer hash to its checksum."""
-        path = self._saved(tmp_path)
-        with np.load(path) as data:
-            stored = str(data["checksum"])
-            props = np.array(data["props"])
-            iteration = int(data["iteration"])
-            cycles = float(data["total_cycles"])
-        props[0] += 1.0  # the silent flip a zip-level CRC can miss
-        np.savez(path, iteration=iteration, props=props,
-                 total_cycles=cycles, checksum=np.array(stored))
-        return path
-
-    def test_strict_load_names_the_mismatch(self, tmp_path):
-        path = self._tampered(tmp_path)
-        with pytest.raises(ValueError, match="checksum mismatch"):
-            CheckpointStore.from_file(path)
-
-    def test_lenient_load_warns_and_counts(self, tmp_path):
-        path = self._tampered(tmp_path)
-        health = RunHealthReport()
-        with pytest.warns(CheckpointDiscardWarning) as caught:
-            cp = CheckpointStore.from_file(
-                path, strict=False, health=health
-            )
-        assert cp is None
-        assert health.checkpoints_discarded == 1
-        warning = caught[0].message
-        assert warning.path == str(path)
-        assert "checksum" in warning.reason
-
-    def test_discards_enter_the_serialized_report(self, tmp_path):
-        health = RunHealthReport()
-        with pytest.warns(CheckpointDiscardWarning):
-            CheckpointStore.from_directory(
-                self._tampered(tmp_path).parent, health=health
-            )
-        assert health.to_dict()["checkpoints_discarded"] == 1
-
-    def test_legacy_archive_without_checksum_loads(self, tmp_path):
-        path = tmp_path / "legacy.npz"
-        np.savez(path, iteration=2,
-                 props=np.arange(3, dtype=np.float64), total_cycles=9.0)
-        cp = CheckpointStore.from_file(path)
-        assert cp is not None and cp.iteration == 2
-
-    def test_intact_archive_verifies_clean(self, tmp_path):
-        health = RunHealthReport()
-        cp = CheckpointStore.from_file(
-            self._saved(tmp_path), strict=False, health=health
-        )
-        assert cp is not None
-        assert health.checkpoints_discarded == 0
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,9 @@ replay of the recorded digest).
 import pytest
 
 from repro.chaos.fleet_soak import FleetSoakConfig, generate_jobs
+from repro.durable import apply_storage_fault, read_log
 from repro.errors import UserInputError
+from repro.faults.plan import StorageFault
 from repro.fleet.job import JobResult
 from repro.serving.config import ServingConfig
 from repro.serving.jobstore import JOBSTORE_SCHEMA, SqliteJobStore
@@ -152,6 +154,24 @@ class TestTrafficBundle:
             rec.record_accept(2, "acme", payloads[2], wall=6.0)
         bundle = read_traffic(path)
         assert bundle.job_payloads() == payloads[:3]
+
+    @pytest.mark.parametrize("kind", ["torn-write", "partial-fsync"])
+    def test_reopen_over_a_torn_tail_keeps_its_resume_marker(
+        self, tmp_path, payloads, kind
+    ):
+        path = tmp_path / "traffic.jsonl"
+        self._record(path, payloads[:2])
+        apply_storage_fault(path, StorageFault(kind=kind, target="traffic"))
+        with TrafficRecorder(path, SERVING.session_spec(),
+                             fsync=False) as rec:
+            rec.record_accept(2, "acme", payloads[2], wall=6.0)
+        # The unterminated fragment is dropped on reopen, so the resume
+        # marker and the new accept land on lines of their own.
+        types = [r.type for r in read_log(path).records]
+        assert types[-2:] == ["resume", "accept"]
+        bundle = read_traffic(path)
+        assert bundle.corrupt_lines == 0
+        assert bundle.job_payloads()[-1] == payloads[2]
 
     def test_corrupt_lines_are_skipped_and_counted(self, tmp_path, payloads):
         path = tmp_path / "traffic.jsonl"
