@@ -38,6 +38,8 @@ class TrustPropagation(GasApp):
     """
 
     prop_dtype = np.int64
+    #: accGather (Listing 1): keep the strongest trust path.
+    gather_ufunc = np.maximum
     gather_identity = 0
     max_iterations = 64
 
@@ -50,13 +52,6 @@ class TrustPropagation(GasApp):
     def scatter(self, src_props: np.ndarray, weights: Optional[np.ndarray]):
         """Attenuate the source's trust across the edge."""
         return self.fmt.multiply(src_props, self.attenuation_fx)
-
-    def gather(self, buffered, values):
-        """Keep the strongest trust path."""
-        return np.maximum(buffered, values)
-
-    def gather_at(self, buffer, idx, values):
-        np.maximum.at(buffer, idx, values)
 
     def apply(self, old_props, accumulated):
         """Trust never decreases once established."""

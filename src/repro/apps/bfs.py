@@ -25,6 +25,8 @@ class BreadthFirstSearch(GasApp):
     """Level-synchronous BFS over the GAS interface."""
 
     prop_dtype = np.int64
+    #: accGather (Listing 1): keep the smallest proposed level.
+    gather_ufunc = np.minimum
     gather_identity = UNVISITED
     max_iterations = 1000
 
@@ -38,14 +40,6 @@ class BreadthFirstSearch(GasApp):
     def scatter(self, src_props: np.ndarray, weights: Optional[np.ndarray]):
         """Propose ``level + 1``; unvisited sources propose the sentinel."""
         return np.where(src_props < UNVISITED, src_props + 1, UNVISITED)
-
-    def gather(self, buffered, values):
-        """Keep the smallest proposed level."""
-        return np.minimum(buffered, values)
-
-    def gather_at(self, buffer, idx, values):
-        """Indexed minimum with unbuffered semantics."""
-        np.minimum.at(buffer, idx, values)
 
     def apply(self, old_props, accumulated):
         """A vertex's level only ever decreases."""

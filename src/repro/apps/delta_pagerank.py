@@ -32,6 +32,8 @@ class DeltaPageRank(GasApp):
     """
 
     prop_dtype = np.int64
+    #: accGather (Listing 1): sum incoming deltas.
+    gather_ufunc = np.add
     gather_identity = 0
     max_iterations = 100
 
@@ -57,13 +59,6 @@ class DeltaPageRank(GasApp):
     def scatter(self, src_props: np.ndarray, weights: Optional[np.ndarray]):
         """Push the pre-divided pending delta."""
         return src_props
-
-    def gather(self, buffered, values):
-        """Sum incoming deltas."""
-        return buffered + values
-
-    def gather_at(self, buffer, idx, values):
-        np.add.at(buffer, idx, values)
 
     def apply(self, old_props, accumulated):
         """Fold the damped delta into the rank; emit the next delta."""

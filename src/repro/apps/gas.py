@@ -4,13 +4,22 @@ An application defines three UDFs over 32-bit vertex properties:
 
 * ``scatter(src_prop, edge_prop)`` — the update value an edge carries;
 * ``gather(buffered, value)`` — an associative, commutative combiner the
-  Gather PEs fold at II = 1;
+  Gather PEs fold at II = 1, declared once as the binary NumPy ufunc
+  ``gather_ufunc``;
 * ``apply(old_prop, accumulated)`` — the per-vertex property update run
   by the Apply module between iterations.
 
 Implementations are NumPy-vectorised: UDFs receive arrays and return
 arrays, which is how the simulator executes millions of edges while still
 running the *user's* logic on every edge.
+
+The property word must be an integer dtype.  Integer ``add`` (wrapping
+modulo 2**64), ``minimum``, ``maximum`` and ``bitwise_or`` are then
+*exactly* associative and commutative, so any grouping of one vertex's
+updates folds to the same bits — the hardware's per-PE buffers plus
+Merger, or the compiled core's one reduction per destination
+(:mod:`repro.compiled.functional`).  Construction enforces both halves
+of that contract.
 """
 
 from __future__ import annotations
@@ -29,6 +38,12 @@ class GasApp(ABC):
     #: dtype of the vertex property word (int64 raw for fixed point).
     prop_dtype: np.dtype = np.int64
 
+    #: The gather combiner: a binary ``np.ufunc`` that is associative
+    #: and commutative on ``prop_dtype`` (e.g. ``np.add``,
+    #: ``np.minimum``, ``np.bitwise_or``).  ``gather`` and ``gather_at``
+    #: are derived from it.
+    gather_ufunc: Optional[np.ufunc] = None
+
     #: identity element of the gather combiner (0 for +, INF for min).
     gather_identity = 0
 
@@ -39,6 +54,19 @@ class GasApp(ABC):
     max_iterations: int = 100
 
     def __init__(self, graph: Graph):
+        cls = type(self)
+        ufunc = cls.gather_ufunc
+        if not (isinstance(ufunc, np.ufunc) and ufunc.nin == 2
+                and ufunc.nout == 1):
+            raise TypeError(
+                f"{cls.__name__}.gather_ufunc must be a binary np.ufunc, "
+                f"got {ufunc!r}"
+            )
+        if not np.issubdtype(np.dtype(cls.prop_dtype), np.integer):
+            raise TypeError(
+                f"{cls.__name__}.prop_dtype must be an integer dtype, "
+                f"got {np.dtype(cls.prop_dtype)}"
+            )
         self.graph = graph
 
     # ------------------------------------------------------------------
@@ -48,18 +76,18 @@ class GasApp(ABC):
     def scatter(self, src_props: np.ndarray, weights: Optional[np.ndarray]):
         """accScatter: update value per edge (vectorised)."""
 
-    @abstractmethod
     def gather(self, buffered: np.ndarray, values: np.ndarray):
         """accGather: combine two accumulation arrays (vectorised)."""
+        return self.gather_ufunc(buffered, values)
 
-    @abstractmethod
     def gather_at(self, buffer: np.ndarray, idx: np.ndarray, values: np.ndarray):
         """In-place indexed gather: fold ``values`` into ``buffer[idx]``.
 
-        Must be the unbuffered ``ufunc.at`` form so repeated destinations
+        The unbuffered ``ufunc.at`` form, so repeated destinations
         combine correctly, exactly like the hardware's read-modify-write
         with shift-register hazard resolution (Sec. V-C).
         """
+        self.gather_ufunc.at(buffer, idx, values)
 
     @abstractmethod
     def apply(self, old_props: np.ndarray, accumulated: np.ndarray):

@@ -22,6 +22,8 @@ class PageRank(GasApp):
     """Fixed-point PageRank over the GAS interface."""
 
     prop_dtype = np.int64
+    #: accGather: sum of incoming scores (Listing 1, lines 5-6).
+    gather_ufunc = np.add
     gather_identity = 0
     max_iterations = 20
 
@@ -44,14 +46,6 @@ class PageRank(GasApp):
     def scatter(self, src_props: np.ndarray, weights: Optional[np.ndarray]):
         """accScatter: push the pre-divided score (Listing 1, lines 2-3)."""
         return src_props
-
-    def gather(self, buffered, values):
-        """accGather: sum of incoming scores (Listing 1, lines 5-6)."""
-        return buffered + values
-
-    def gather_at(self, buffer, idx, values):
-        """Indexed accumulate with unbuffered semantics."""
-        np.add.at(buffer, idx, values)
 
     def apply(self, old_props, accumulated):
         """accApply: damp, add base rank, pre-divide by out-degree."""

@@ -25,6 +25,8 @@ class RadiiEstimation(GasApp):
     """Multi-source BFS with 64-wide bit-parallel frontiers."""
 
     prop_dtype = np.int64
+    #: accGather (Listing 1): union of visited-by sets.
+    gather_ufunc = np.bitwise_or
     gather_identity = 0
     max_iterations = 512
 
@@ -41,13 +43,6 @@ class RadiiEstimation(GasApp):
     def scatter(self, src_props: np.ndarray, weights: Optional[np.ndarray]):
         """Propagate the source's visited-by bitmask."""
         return src_props
-
-    def gather(self, buffered, values):
-        """Union of visited-by sets."""
-        return buffered | values
-
-    def gather_at(self, buffer, idx, values):
-        np.bitwise_or.at(buffer, idx, values)
 
     def apply(self, old_props, accumulated):
         """Union with the previous mask; track growth for eccentricity."""

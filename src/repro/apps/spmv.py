@@ -23,6 +23,8 @@ class SpMV(GasApp):
     """One ``y = A @ x`` per iteration, fixed-point like the hardware."""
 
     prop_dtype = np.int64
+    #: accGather (Listing 1): row dot-product accumulation.
+    gather_ufunc = np.add
     gather_identity = 0
     max_iterations = 1
 
@@ -41,13 +43,6 @@ class SpMV(GasApp):
         if weights is None:
             return src_props
         return self.fmt.multiply(src_props, self.fmt.from_float(weights))
-
-    def gather(self, buffered, values):
-        """Row dot-product accumulation."""
-        return buffered + values
-
-    def gather_at(self, buffer, idx, values):
-        np.add.at(buffer, idx, values)
 
     def apply(self, old_props, accumulated):
         """The new vector is the accumulated product."""

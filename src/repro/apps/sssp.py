@@ -23,6 +23,8 @@ class SingleSourceShortestPaths(GasApp):
     """SSSP with non-negative integer weights over the GAS interface."""
 
     prop_dtype = np.int64
+    #: accGather (Listing 1): keep the shortest proposal.
+    gather_ufunc = np.minimum
     gather_identity = UNREACHED
     uses_weights = True
     max_iterations = 10_000
@@ -46,14 +48,6 @@ class SingleSourceShortestPaths(GasApp):
             src_props + weights.astype(np.int64),
             UNREACHED,
         )
-
-    def gather(self, buffered, values):
-        """Keep the shortest proposal."""
-        return np.minimum(buffered, values)
-
-    def gather_at(self, buffer, idx, values):
-        """Indexed minimum with unbuffered semantics."""
-        np.minimum.at(buffer, idx, values)
 
     def apply(self, old_props, accumulated):
         """Distances only ever decrease."""

@@ -32,20 +32,14 @@ class WeaklyConnectedComponents(GasApp):
     """Min-label propagation over the GAS interface."""
 
     prop_dtype = np.int64
+    #: accGather (Listing 1): keep the smallest label.
+    gather_ufunc = np.minimum
     gather_identity = np.int64(2**31 - 1)
     max_iterations = 1000
 
     def scatter(self, src_props: np.ndarray, weights: Optional[np.ndarray]):
         """Propagate the source's current label."""
         return src_props
-
-    def gather(self, buffered, values):
-        """Keep the smallest label."""
-        return np.minimum(buffered, values)
-
-    def gather_at(self, buffer, idx, values):
-        """Indexed minimum with unbuffered semantics."""
-        np.minimum.at(buffer, idx, values)
 
     def apply(self, old_props, accumulated):
         """Labels only ever decrease."""

@@ -75,21 +75,6 @@ def merge_group_edges(partitions: List[Partition]):
     )
 
 
-def routed_gather_structure(partitions: List[Partition], dst: np.ndarray):
-    """Per-edge ``(lane, slot)`` of one Big task under router dispatch.
-
-    The structure-extraction hook the compiled functional core calls at
-    lowering time, over the *merged* destination order
-    (:func:`merge_group_edges`): the same ``searchsorted`` against the
-    group's ascending partition bases that the routed
-    :class:`~repro.arch.pe.GatherPeArray` performs per execution.
-    """
-    from repro.arch.pe import routed_dispatch
-
-    bases = np.asarray([p.vertex_lo for p in partitions], dtype=np.int64)
-    return routed_dispatch(bases, dst)
-
-
 #: Router output FIFO depth in edge sets; short occupancy bursts are
 #: absorbed, so sustained service tracks the windowed per-lane rate.
 ROUTER_FIFO_SETS = 16

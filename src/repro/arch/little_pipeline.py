@@ -24,19 +24,6 @@ from repro.hbm.channel import HbmChannelModel
 from repro.utils.prefix import running_release_times
 
 
-def static_gather_structure(config: PipelineConfig, partition: Partition):
-    """Per-edge ``(pe, slot)`` of one Little task under static dispatch.
-
-    The structure-extraction hook the compiled functional core calls at
-    lowering time: channel- and property-independent, and byte-for-byte
-    the destinations :meth:`LittlePipelineSim._functional` feeds its
-    :class:`~repro.arch.pe.GatherPeArray`.
-    """
-    from repro.arch.pe import static_dispatch
-
-    return static_dispatch(config.n_gpe, partition.dst, partition.vertex_lo)
-
-
 class LittlePipelineSim:
     """One Little pipeline: Burst Read + Ping-Pong Buffer + PEs + Merger."""
 

@@ -26,28 +26,10 @@ import numpy as np
 from repro.arch.router import ButterflyRouter
 
 
-def static_dispatch(n_gpe: int, dst: np.ndarray, base: int):
-    """Per-edge ``(pe, slot)`` under the Little pipeline's static
-    discipline: tuple ``i`` goes to PE ``i mod n_gpe``, and every PE
-    buffers the same destination interval starting at ``base``.
-
-    Pure structure — no channel or property dependence — so the
-    compiled functional core lowers it once per task and replays the
-    exact destinations :meth:`GatherPeArray.absorb` would hit.
-    """
-    pe = np.arange(dst.size, dtype=np.int64) % n_gpe
-    slot = np.asarray(dst, dtype=np.int64) - np.int64(base)
-    return pe, slot
-
-
 def routed_dispatch(bases: np.ndarray, dst: np.ndarray):
     """Per-edge ``(lane, slot)`` under Data Router dispatch: each tuple
     goes to the PE whose buffer owns its destination partition
     (``bases`` ascending, one per active PE).
-
-    The same ``searchsorted`` the routed :meth:`GatherPeArray.absorb`
-    performs, exposed as a structure hook for the compiled functional
-    core.
     """
     bases = np.asarray(bases, dtype=np.int64)
     lane = np.searchsorted(bases, dst, side="right") - 1

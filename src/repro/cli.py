@@ -101,8 +101,7 @@ def _print_compiled_stats() -> None:
     if routed:
         print(f"compiled routing: "
               f"{cstats['functional_iterations']} functional iterations "
-              f"compiled ({cstats['functional_batches']} batches) / "
-              f"{cstats['functional_fallbacks']} interpreted, "
+              f"compiled / {cstats['functional_fallbacks']} interpreted, "
               f"{cstats['traces_synthesized']} traces synthesized")
 
 

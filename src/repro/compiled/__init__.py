@@ -12,8 +12,9 @@ plan's evaluations are memoised per channel-parameter set on its
 engine, the only place timing results are reused.
 
 The same split covers the functional pass
-(:mod:`repro.compiled.functional`: per-plan gather/scatter structure,
-batched UDF evaluation over whole partition groups) and trace
+(:mod:`repro.compiled.functional`: the plan's edges lowered once into
+destination order, then one scatter and one segmented
+``gather_ufunc.reduceat`` per iteration) and trace
 generation (:mod:`repro.compiled.trace`: ExecutionTrace events
 synthesized from compiled node timings instead of a re-simulation).
 

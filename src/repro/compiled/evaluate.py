@@ -61,9 +61,7 @@ _STATS = {
     "memo_hits": 0,
     # Functional-pass routing (repro.compiled.functional / core.system):
     "functional_plans": 0,
-    "functional_nodes": 0,
     "functional_iterations": 0,
-    "functional_batches": 0,
     "functional_fallbacks": 0,
     # Trace synthesis (repro.compiled.trace / arch.trace):
     "traces_synthesized": 0,

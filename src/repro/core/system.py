@@ -249,9 +249,9 @@ class SystemSimulator:
     def _functional_pass(self, app, props: np.ndarray) -> np.ndarray:
         """Run every task's UDFs and merge accumulations globally.
 
-        Passes route through the compiled functional engine — batched
-        UDF calls over the plan's lowered gather/scatter structure,
-        bit-identical to the interpreted walk
+        Passes route through the compiled functional engine — one
+        segmented gather reduction per destination over the plan's
+        lowered edge order, bit-identical to the interpreted walk
         (``tests/test_compiled_functional.py`` is the contract).
         Passes with an *active* functional fault (an open bit-flip
         window) take the interpreted walk, whose per-buffer
@@ -270,10 +270,10 @@ class SystemSimulator:
     def _compiled_functional(self, app, props: np.ndarray) -> np.ndarray:
         """One functional pass through the compiled engine.
 
-        The engine lowers the plan's gather/scatter structure on first
-        use (attached to the plan object, shared across simulators and
-        iterations) and evaluates the whole iteration with batched
-        scatter/gather_at calls.  The injector bookkeeping mirrors the
+        The engine lowers the plan's edges into destination order on
+        first use (attached to the plan object, shared across simulators
+        and iterations) and evaluates the whole iteration as one scatter
+        plus one segmented ``gather_ufunc.reduceat`` per destination.  The injector bookkeeping mirrors the
         interpreted walk's net effect: ``pass_kind`` flips to
         "functional" and the pipeline context ends cleared.
         """

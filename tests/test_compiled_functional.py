@@ -10,9 +10,20 @@ the interpreted re-simulation and pass the conformance invariants
 verbatim; placement what-if probes must answer exactly what an
 interpreted timing pass charges.
 
+Beyond the registered apps the harness covers every gather shape the
+segmented reduction folds: delta-PageRank (``add``), radii
+(``bitwise_or``), weighted SpMV (``add`` over weighted edges) and the
+example's trust propagation (``maximum``), plus the zero-edge and
+no-in-edge corner cells.
+
 Tier-1 keeps a representative slice; the ``slow`` marker carries the
 full device × app × family sweep plus hypothesis properties.
 """
+
+import contextlib
+import functools
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +35,17 @@ from repro.compiled import (
     lower_functional_plan,
     reset_compiled_stats,
 )
+from repro.apps.bfs import BreadthFirstSearch
+from repro.apps.delta_pagerank import DeltaPageRank
+from repro.apps.gas import GasApp
+from repro.apps.radii import RadiiEstimation
+from repro.apps.spmv import SpMV
 from repro.arch.trace import interpreted_trace, trace_plan
 from repro.check.invariants import check_trace
 from repro.core.framework import ReGraph
 from repro.faults import BitFlipFault, FaultInjector, FaultPlan
 from repro.faults.resilience import ResiliencePolicy
+from repro.graph.coo import Graph
 from repro.hbm.channel import HbmChannelModel
 
 from tests.helpers import (
@@ -45,6 +62,63 @@ from tests.test_compiled_equivalence import (
     run_both_paths,
     run_report_digest,
 )
+
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "examples" / (
+    "custom_algorithm.py"
+)
+
+
+@functools.cache
+def example_module():
+    """``examples/custom_algorithm.py`` loaded as a module."""
+    spec = importlib.util.spec_from_file_location("custom_algorithm", EXAMPLE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def spmv_builder(graph):
+    """Three chained weighted multiplies ``y = A^3 x``."""
+    app = SpMV(graph, np.linspace(0.0, 1.0, graph.num_vertices))
+    app.max_iterations = 3
+    return app
+
+
+#: Gather shapes outside ``ALL_APPS``: name -> (app builder, weighted).
+GATHER_SHAPES = {
+    "delta-pagerank": (DeltaPageRank, False),
+    "radii": (lambda g: RadiiEstimation(g, num_sources=16, seed=1), False),
+    "spmv": (spmv_builder, True),
+    "trust": (
+        lambda g: example_module().TrustPropagation(g, seed_vertex=0),
+        False,
+    ),
+}
+
+
+def run_builder_both_paths(builder, device, graph, max_iterations=8):
+    """``framework.run`` on the production path, then on the
+    interpreted oracle, each on a fresh framework."""
+    reports = []
+    for oracle in (False, True):
+        context = (
+            interpreted_oracle() if oracle else contextlib.nullcontext()
+        )
+        with context:
+            reports.append(make_framework(platform=device).run(
+                graph, builder, max_iterations=max_iterations
+            ))
+    return reports
+
+
+def assert_gather_shape_identical(app, device, family):
+    builder, weighted = GATHER_SHAPES[app]
+    graph = family_graph(family, weighted=weighted)
+    compiled, interpreted = run_builder_both_paths(builder, device, graph)
+    assert compiled_stats()["functional_iterations"] == compiled.iterations
+    assert run_report_digest(compiled) == run_report_digest(interpreted)
+    np.testing.assert_array_equal(compiled.props, interpreted.props)
 
 
 @pytest.fixture(autouse=True)
@@ -88,7 +162,6 @@ class TestFunctionalEquivalence:
         stats = compiled_stats()
         assert stats["functional_plans"] == 1
         assert stats["functional_iterations"] == run.iterations
-        assert stats["functional_batches"] >= run.iterations
         assert stats["functional_fallbacks"] == 0
 
     def test_structure_lowered_once_and_reused(self):
@@ -97,13 +170,71 @@ class TestFunctionalEquivalence:
         engine = functional_engine(pre.plan)
         assert functional_engine(pre.plan) is engine
         fplan = lower_functional_plan(pre.plan)
-        planned_tasks = sum(
-            len(t) for t in pre.plan.little_tasks
-        ) + sum(len(t) for t in pre.plan.big_tasks)
-        assert len(fplan.nodes) == planned_tasks
-        assert sum(n.num_edges for n in fplan.nodes) == (
-            pre.plan.total_edges()
+        assert fplan.src.size == pre.plan.total_edges()
+        assert np.all(np.diff(fplan.dsts) > 0)
+        runs = np.diff(np.append(fplan.starts, fplan.src.size))
+        assert runs.size == fplan.dsts.size
+        assert np.all(runs > 0)
+
+
+class TestGatherShapes:
+    @pytest.mark.parametrize("device", DEVICES)
+    @pytest.mark.parametrize("app", sorted(GATHER_SHAPES))
+    def test_digest_and_props_identical(self, app, device):
+        assert_gather_shape_identical(app, device, "rmat")
+
+
+class TestCornerCells:
+    def test_zero_edge_graph(self):
+        graph = Graph(
+            40, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+            name="empty",
         )
+        compiled, interpreted = run_builder_both_paths(
+            BreadthFirstSearch, "U280", graph
+        )
+        assert run_report_digest(compiled) == run_report_digest(interpreted)
+        np.testing.assert_array_equal(compiled.props, interpreted.props)
+
+    def test_vertices_without_in_edges_keep_the_identity(self):
+        # Every edge lands on one of seven hubs, so every other vertex
+        # has no destination run and its accumulator stays the identity.
+        src = np.arange(300, dtype=np.int64)
+        graph = Graph(300, src, src % 7, name="hubs")
+        compiled, interpreted = run_builder_both_paths(
+            BreadthFirstSearch, "U50", graph
+        )
+        assert run_report_digest(compiled) == run_report_digest(interpreted)
+        np.testing.assert_array_equal(compiled.props, interpreted.props)
+        pre = make_framework().preprocess(graph)
+        app = BreadthFirstSearch(pre.graph)
+        acc = functional_engine(pre.plan).accumulate(app, app.init_props())
+        sinks = np.ones(graph.num_vertices, dtype=bool)
+        sinks[pre.graph.dst] = False
+        assert sinks.sum() == graph.num_vertices - 7
+        assert np.all(acc[sinks] == app.gather_identity)
+
+
+class TestGasContract:
+    def _app_class(self, **attributes):
+        return type("BadApp", (BreadthFirstSearch,), attributes)
+
+    def test_rejects_a_gather_that_is_not_a_binary_ufunc(self):
+        bad = self._app_class(gather_ufunc=np.negative)
+        with pytest.raises(TypeError, match="BadApp.gather_ufunc"):
+            bad(family_graph("uniform"))
+
+    def test_rejects_a_non_integer_property_dtype(self):
+        bad = self._app_class(prop_dtype=np.float64)
+        with pytest.raises(TypeError, match="BadApp.prop_dtype"):
+            bad(family_graph("uniform"))
+
+    def test_example_app_constructs(self):
+        app = example_module().TrustPropagation(
+            family_graph("uniform"), seed_vertex=0
+        )
+        assert isinstance(app, GasApp)
+        assert app.gather_ufunc is np.maximum
 
 
 class TestFaultFallback:
@@ -392,6 +523,15 @@ class TestFullMatrix:
         compiled, interpreted = run_both_paths(app, device, graph)
         assert run_report_digest(compiled) == run_report_digest(interpreted)
         np.testing.assert_array_equal(compiled.props, interpreted.props)
+
+
+@pytest.mark.slow
+class TestGatherShapesFullMatrix:
+    @pytest.mark.parametrize("device", DEVICES)
+    @pytest.mark.parametrize("app", sorted(GATHER_SHAPES))
+    @pytest.mark.parametrize("family", ("rmat", "powerlaw", "uniform"))
+    def test_digest_and_props_identical(self, device, app, family):
+        assert_gather_shape_identical(app, device, family)
 
 
 @pytest.mark.slow
