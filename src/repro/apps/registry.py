@@ -1,9 +1,14 @@
-"""Application registry: name -> factory.
+"""Application registry: the one table of how each app is launched.
 
-One place mapping user-facing application names to GAS app constructors,
-shared by the CLI and the host runtime so both expose the same surface.
-Root-taking apps receive the root in *relabelled* (post-DBG) vertex IDs;
-the framework's convenience wrappers handle the mapping.
+Every caller that runs an application by name asks this table, never
+its own ``app == ...`` branch: which constructor builds it
+(:meth:`AppSpec.build`), which graph it actually executes
+(:meth:`AppSpec.prepare` -- WCC runs on the symmetrised edge set),
+whether it takes a root and whether it needs edge weights.
+:meth:`repro.core.framework.ReGraph.run_app` applies the table: it
+preprocesses, maps the root into the relabelled (post-DBG) vertex IDs
+and runs.  How each answer is *judged* lives in one place too, in
+:mod:`repro.check.oracles`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from repro.apps.delta_pagerank import DeltaPageRank
 from repro.apps.pagerank import PageRank
 from repro.apps.radii import RadiiEstimation
 from repro.apps.sssp import SingleSourceShortestPaths
-from repro.apps.wcc import WeaklyConnectedComponents
+from repro.apps.wcc import WeaklyConnectedComponents, symmetrized
 from repro.graph.coo import Graph
 
 
@@ -30,20 +35,31 @@ class AppSpec:
         takes_root: bool,
         needs_weights: bool,
         description: str,
+        symmetric: bool = False,
     ):
         self.name = name
         self.factory = factory
         self.takes_root = takes_root
         self.needs_weights = needs_weights
         self.description = description
+        #: the app executes the union of the graph and its transpose
+        self.symmetric = symmetric
 
-    def build(self, graph: Graph, root: Optional[int] = None):
-        """Instantiate the app for a (relabelled) graph."""
+    def prepare(self, graph: Graph) -> Graph:
+        """The graph this app actually executes for input ``graph``."""
+        return symmetrized(graph) if self.symmetric else graph
+
+    def build(self, graph: Graph, root: Optional[int] = None, **options):
+        """Instantiate the app for a (relabelled) graph.
+
+        ``options`` are forwarded to the app's constructor (e.g.
+        PageRank's ``tolerance``).
+        """
         if self.needs_weights and graph.weights is None:
             raise ValueError(f"{self.name} needs a weighted graph")
         if self.takes_root:
-            return self.factory(graph, root=root or 0)
-        return self.factory(graph)
+            return self.factory(graph, root=root or 0, **options)
+        return self.factory(graph, **options)
 
 
 _REGISTRY: Dict[str, AppSpec] = {
@@ -69,7 +85,7 @@ _REGISTRY: Dict[str, AppSpec] = {
         ),
         AppSpec(
             "wcc", WeaklyConnectedComponents, takes_root=False,
-            needs_weights=False,
+            needs_weights=False, symmetric=True,
             description="min-label connected components",
         ),
         AppSpec(

@@ -31,10 +31,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.apps.registry import get_app_spec
 from repro.arch.config import PipelineConfig
 from repro.core.framework import ReGraph
 from repro.errors import ReproError, UserInputError
 from repro.faults.resilience import ResiliencePolicy
+from repro.check.oracles import ORACLE_APPS
 from repro.check.tolerances import DEFAULT_BANDS, ToleranceBands
 from repro.chaos.oracles import validate_cell
 from repro.chaos.spec import CellSpec
@@ -138,36 +140,6 @@ def _framework(cell: CellSpec) -> ReGraph:
     )
 
 
-def _execute(cell: CellSpec, framework: ReGraph, graph, policy):
-    """Dispatch the cell's app through the resilient execution layer."""
-    kwargs = dict(
-        max_iterations=cell.max_iterations,
-        fault_plan=cell.fault_plan,
-        resilience=policy,
-    )
-    if cell.app == "pagerank":
-        return framework.run_pagerank(graph, **kwargs)
-    if cell.app == "bfs":
-        return framework.run_bfs(graph, root=cell.root, **kwargs)
-    if cell.app == "closeness":
-        return framework.run_closeness(graph, root=cell.root, **kwargs)
-    if cell.app == "sssp":
-        from repro.apps.sssp import SingleSourceShortestPaths
-
-        pre = framework.preprocess(graph)
-        internal_root = pre.to_internal_vertex(cell.root)
-        return framework.run(
-            pre,
-            lambda g: SingleSourceShortestPaths(g, root=internal_root),
-            **kwargs,
-        )
-    if cell.app == "wcc":
-        from repro.apps.wcc import WeaklyConnectedComponents
-
-        return framework.run(graph, WeaklyConnectedComponents, **kwargs)
-    raise UserInputError(f"no chaos dispatch for app {cell.app!r}")
-
-
 def run_cell(
     cell: CellSpec,
     policy: Optional[ResiliencePolicy] = None,
@@ -176,13 +148,17 @@ def run_cell(
     """Execute one cell and classify its outcome (deterministic)."""
     policy = policy if policy is not None else DEFAULT_CHAOS_POLICY
     graph = cell.graph.build()
-    if cell.app == "wcc":
-        from repro.apps.wcc import symmetrized
-
-        graph = symmetrized(graph)
     framework = _framework(cell)
     try:
-        run = _execute(cell, framework, graph, policy)
+        if cell.app not in ORACLE_APPS:
+            raise UserInputError(f"no chaos dispatch for app {cell.app!r}")
+        graph = get_app_spec(cell.app).prepare(graph)
+        run = framework.run_app(
+            graph, cell.app, root=cell.root,
+            max_iterations=cell.max_iterations,
+            fault_plan=cell.fault_plan,
+            resilience=policy,
+        )
     except ReproError as exc:
         category = exc.__class__.__name__
         detail = str(exc)

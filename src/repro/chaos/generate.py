@@ -17,6 +17,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.apps.registry import get_app_spec
+from repro.check.oracles import ORACLE_APPS
 from repro.errors import UserInputError
 from repro.faults.plan import (
     BitFlipFault,
@@ -27,8 +29,8 @@ from repro.faults.plan import (
 )
 from repro.chaos.spec import GRAPH_KINDS, CellSpec, GraphSpec
 
-#: Apps the campaign can validate (must all have chaos oracles).
-CAMPAIGN_APPS = ("pagerank", "bfs", "closeness", "sssp", "wcc")
+#: Apps the campaign can validate: the judged apps.
+CAMPAIGN_APPS = ORACLE_APPS
 
 #: (min events, max events, dead-channel probability) per intensity.
 INTENSITIES = {
@@ -104,7 +106,7 @@ def _graph_spec(rng: np.random.Generator, app: str) -> GraphSpec:
         edges=edges,
         seed=int(rng.integers(1, 1_000_000)),
         exponent=float(rng.uniform(1.6, 2.0)),
-        weighted=(app == "sssp"),
+        weighted=get_app_spec(app).needs_weights,
     )
 
 

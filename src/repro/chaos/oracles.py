@@ -3,9 +3,9 @@
 Three layers of scrutiny on every surviving cell:
 
 1. **Result oracle** — the faulted run's answer against the pure-Python
-   reference, with the same comparison semantics as
-   :func:`repro.check.oracles.functional_oracle` (exact for BFS / SSSP /
-   closeness / WCC-as-partition, fixed-point band for PageRank).  Faults
+   reference through :func:`repro.check.oracles.judge`, the one judge
+   ``repro check`` uses too (exact for BFS / SSSP, 1e-9 for closeness,
+   WCC as a partition, fixed-point band for PageRank).  Faults
    absorbed by checkpoint-retry resume bit-exactly, and degradation
    re-plans work without touching the functional iteration, so surviving
    a fault is *never* a licence for a wrong answer.
@@ -22,18 +22,9 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
-from repro.apps.reference import (
-    bfs_reference,
-    closeness_reference,
-    pagerank_reference,
-    sssp_reference,
-    wcc_reference,
-)
 from repro.arch.trace import trace_plan
 from repro.check.invariants import check_trace
-from repro.check.oracles import _component_canonical
+from repro.check.oracles import ORACLE_APPS, judge
 from repro.check.tolerances import DEFAULT_BANDS, ToleranceBands
 from repro.chaos.spec import CellSpec
 from repro.graph.coo import Graph
@@ -50,47 +41,10 @@ def result_violations(
     ``graph`` is the graph actually executed (already symmetrized for
     WCC, already weighted for SSSP).
     """
-    app = cell.app
-    if app == "pagerank":
-        ref = pagerank_reference(graph, iterations=run.iterations)
-        atol = bands.pagerank_atol(
-            graph.out_degrees().max() if graph.num_edges else 1,
-            run.iterations,
-        )
-        err = float(np.max(np.abs(run.result - ref)))
-        if err > atol:
-            return [f"result: max |rank - ref| = {err:.2e} > atol {atol:.2e}"]
-        return []
-    if app == "bfs":
-        ref = bfs_reference(graph, cell.root)
-        bad = int(np.count_nonzero(run.props != ref))
-        if bad:
-            return [f"result: {bad} BFS level mismatch(es) "
-                    f"of {graph.num_vertices}"]
-        return []
-    if app == "closeness":
-        ref = closeness_reference(graph, cell.root)
-        err = abs(float(run.result) - ref)
-        if err > 1e-9:
-            return [f"result: |closeness - ref| = {err:.2e} > 1e-9"]
-        return []
-    if app == "sssp":
-        ref = sssp_reference(graph, cell.root)
-        bad = int(np.count_nonzero(run.props != ref))
-        if bad:
-            return [f"result: {bad} SSSP distance mismatch(es) "
-                    f"of {graph.num_vertices}"]
-        return []
-    if app == "wcc":
-        ref = wcc_reference(graph)
-        bad = int(np.count_nonzero(
-            _component_canonical(run.props) != _component_canonical(ref)
-        ))
-        if bad:
-            return [f"result: {bad} WCC component mismatch(es) "
-                    f"of {graph.num_vertices}"]
-        return []
-    return [f"result: no chaos oracle for app {app!r}"]
+    if cell.app not in ORACLE_APPS:
+        return [f"result: no chaos oracle for app {cell.app!r}"]
+    verdict = judge(cell.app, graph, run, cell.root, bands)
+    return [] if verdict.passed else [f"result: {verdict.detail}"]
 
 
 def trace_violations(

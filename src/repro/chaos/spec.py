@@ -100,6 +100,16 @@ class GraphSpec:
         )
 
 
+def check_root(root: int, graph: GraphSpec) -> None:
+    """Reject a root outside ``[0, graph.vertices)`` before anything
+    runs (or, behind a gateway, is made durable)."""
+    if not 0 <= root < graph.vertices:
+        raise UserInputError(
+            f"root {root} is not a vertex of {graph.name}: expected "
+            f"0 <= root < {graph.vertices}"
+        )
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """One campaign cell: everything needed to re-execute it exactly."""
@@ -113,6 +123,9 @@ class CellSpec:
     max_iterations: Optional[int] = 30
     buffer_vertices: int = 256
     num_pipelines: int = 4
+
+    def __post_init__(self):
+        check_root(self.root, self.graph)
 
     def with_plan(self, plan: FaultPlan) -> "CellSpec":
         """The same cell under a different fault plan (used by shrinking)."""

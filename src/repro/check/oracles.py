@@ -14,6 +14,11 @@ descriptions and asserts agreement: cycle counts within the declared
 :class:`~repro.check.tolerances.ToleranceBands`, algorithm results
 exactly (BFS levels, SSSP distances, WCC components) or within
 fixed-point resolution (PageRank ranks).
+
+How an app's answer is judged lives only here: :func:`judge` applies
+the one app -> (reference, comparison) table, and ``repro check``
+(:func:`functional_oracle`), the chaos and fleet oracles, served jobs
+and ``repro selfcheck`` all call it.
 """
 
 from __future__ import annotations
@@ -30,17 +35,13 @@ from repro.apps.reference import (
     sssp_reference,
     wcc_reference,
 )
-from repro.apps.sssp import SingleSourceShortestPaths
-from repro.apps.wcc import WeaklyConnectedComponents, symmetrized
+from repro.apps.registry import get_app_spec
 from repro.arch.trace import trace_plan
 from repro.errors import ConformanceError
 from repro.graph.coo import Graph
 from repro.hbm.channel import HbmChannelModel
 from repro.sched.plan import SchedulingPlan
 from repro.check.tolerances import DEFAULT_BANDS, ToleranceBands
-
-#: Apps the functional oracle knows how to cross-check.
-ORACLE_APPS = ("pagerank", "bfs", "closeness", "sssp", "wcc")
 
 
 @dataclass(frozen=True)
@@ -122,19 +123,117 @@ def model_oracle(
 # ----------------------------------------------------------------------
 # Simulated system vs reference algorithms
 # ----------------------------------------------------------------------
-def _component_canonical(labels: np.ndarray) -> np.ndarray:
-    """Relabel components by first occurrence, making partitions of the
-    vertex set comparable regardless of which member names the label."""
-    _, canonical = np.unique(labels, return_inverse=True)
-    first_seen: dict = {}
-    out = np.empty(labels.size, dtype=np.int64)
-    next_id = 0
-    for i, c in enumerate(canonical):
-        if c not in first_seen:
-            first_seen[c] = next_id
-            next_id += 1
-        out[i] = first_seen[c]
-    return out
+def partition_labels(labels: np.ndarray) -> np.ndarray:
+    """Relabel groups by first occurrence (0, 1, 2, ... in vertex order).
+
+    Two labelings induce the same partition iff their relabels are
+    equal, whichever member's ID names each group.
+    """
+    labels = np.asarray(labels).ravel()
+    _, first, inverse = np.unique(
+        labels, return_index=True, return_inverse=True
+    )
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size, dtype=np.int64)
+    return rank[inverse]
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One run's answer judged against its reference algorithm."""
+
+    passed: bool
+    #: absolute error (PageRank, closeness) or mismatching elements
+    error: float
+    detail: str
+
+
+def _pagerank(graph: Graph, run, root: int, bands: ToleranceBands) -> Verdict:
+    ref = pagerank_reference(graph, iterations=run.iterations)
+    atol = bands.pagerank_atol(
+        graph.out_degrees().max() if graph.num_edges else 1,
+        run.iterations,
+    )
+    err = float(np.max(np.abs(run.result - ref)))
+    ok = err <= atol
+    return Verdict(
+        ok, err,
+        f"max |rank - ref| = {err:.2e} {'<=' if ok else '>'} atol {atol:.2e}",
+    )
+
+
+def _closeness(graph: Graph, run, root: int, bands: ToleranceBands) -> Verdict:
+    err = abs(float(run.result) - closeness_reference(graph, root))
+    ok = err <= 1e-9
+    return Verdict(
+        ok, err, f"|closeness - ref| = {err:.2e} {'<=' if ok else '>'} 1e-9"
+    )
+
+
+def _mismatches(noun: str, reference, canonical=np.asarray):
+    """Judge per-vertex properties element by element (after
+    ``canonical``) against ``reference(graph, root)``."""
+
+    def judge_props(graph: Graph, run, root: int, bands) -> Verdict:
+        bad = int(np.count_nonzero(
+            canonical(run.props) != canonical(reference(graph, root))
+        ))
+        return Verdict(
+            bad == 0, float(bad),
+            f"{bad} {noun} mismatch(es) of {graph.num_vertices}",
+        )
+
+    return judge_props
+
+
+#: app -> judge.  PageRank within the fixed-point band, closeness within
+#: 1e-9, BFS levels and SSSP distances exactly, WCC labels as the same
+#: partition (the simulator propagates relabelled IDs, the reference
+#: original IDs -- same components either way).
+_JUDGES = {
+    "pagerank": _pagerank,
+    "bfs": _mismatches("BFS level", bfs_reference),
+    "closeness": _closeness,
+    "sssp": _mismatches("SSSP distance", sssp_reference),
+    "wcc": _mismatches(
+        "WCC component",
+        lambda graph, root: wcc_reference(graph),
+        canonical=partition_labels,
+    ),
+}
+
+#: Apps with a reference judge: what ``repro check``, chaos cells, fleet
+#: jobs, served jobs and selfcheck can validate.
+ORACLE_APPS = tuple(_JUDGES)
+
+#: Apps judged at the run's own iteration count, so an iteration cap
+#: cannot fail them; every other app is judged against its converged
+#: reference and always runs to convergence in :func:`functional_oracle`.
+_CAPPABLE_APPS = ("pagerank",)
+
+
+def _judge_of(app: str):
+    if app not in _JUDGES:
+        raise ConformanceError(
+            f"unknown oracle app {app!r}; available: {ORACLE_APPS}"
+        )
+    return _JUDGES[app]
+
+
+def judge(
+    app: str,
+    graph: Graph,
+    run,
+    root: int = 0,
+    bands: ToleranceBands = DEFAULT_BANDS,
+) -> Verdict:
+    """Judge ``run``'s answer against the reference algorithm.
+
+    ``graph`` is the graph the run actually executed
+    (``get_app_spec(app).prepare(input graph)``); ``root`` is an
+    input-graph vertex ID.
+    """
+    return _judge_of(app)(graph, run, root, bands)
 
 
 def functional_oracle(
@@ -146,70 +245,25 @@ def functional_oracle(
     bands: ToleranceBands = DEFAULT_BANDS,
 ) -> OracleResult:
     """Run ``app`` through the full simulated system and the reference
-    implementation; compare the answers.
+    implementation; compare the answers with :func:`judge`.
 
     ``framework`` is a :class:`~repro.core.framework.ReGraph` instance —
     the oracle exercises the whole pipeline it drives: DBG, partitioning,
     model-guided scheduling, heterogeneous execution, Apply, and the
-    relabelling round-trip.
+    relabelling round-trip.  ``max_iterations`` caps only PageRank, the
+    one app judged at the run's own iteration count.
     """
-    subject = f"{app}@{graph.name}"
-    if app == "pagerank":
-        run = framework.run_pagerank(graph, max_iterations=max_iterations)
-        ref = pagerank_reference(graph, iterations=run.iterations)
-        atol = bands.pagerank_atol(
-            graph.out_degrees().max() if graph.num_edges else 1,
-            run.iterations,
-        )
-        err = float(np.max(np.abs(run.result - ref)))
-        return OracleResult(
-            "functional", subject, err <= atol, err,
-            f"max |rank - ref| = {err:.2e} (atol {atol:.2e})",
-        )
-    if app == "bfs":
-        run = framework.run_bfs(graph, root=root)
-        ref = bfs_reference(graph, root)
-        mismatches = int(np.count_nonzero(run.props != ref))
-        return OracleResult(
-            "functional", subject, mismatches == 0, float(mismatches),
-            f"{mismatches} level mismatch(es) of {graph.num_vertices}",
-        )
-    if app == "closeness":
-        run = framework.run_closeness(graph, root=root)
-        ref = closeness_reference(graph, root)
-        err = abs(float(run.result) - ref)
-        return OracleResult(
-            "functional", subject, err <= 1e-9, err,
-            f"|closeness - ref| = {err:.2e}",
-        )
-    if app == "sssp":
-        if graph.weights is None:
-            raise ConformanceError(f"sssp oracle needs weights on {graph.name}")
-        pre = framework.preprocess(graph)
-        internal_root = pre.to_internal_vertex(root)
-        run = framework.run(
-            pre, lambda g: SingleSourceShortestPaths(g, root=internal_root)
-        )
-        ref = sssp_reference(graph, root)
-        mismatches = int(np.count_nonzero(run.props != ref))
-        return OracleResult(
-            "functional", subject, mismatches == 0, float(mismatches),
-            f"{mismatches} distance mismatch(es) of {graph.num_vertices}",
-        )
-    if app == "wcc":
-        # Weak components need the symmetrized edge set; labels are
-        # compared as partitions (the simulator propagates relabelled
-        # IDs, the reference original IDs — same components either way).
-        sym = symmetrized(graph)
-        run = framework.run(sym, WeaklyConnectedComponents)
-        ref = wcc_reference(sym)
-        mismatches = int(np.count_nonzero(
-            _component_canonical(run.props) != _component_canonical(ref)
-        ))
-        return OracleResult(
-            "functional", subject, mismatches == 0, float(mismatches),
-            f"{mismatches} component mismatch(es) of {graph.num_vertices}",
-        )
-    raise ConformanceError(
-        f"unknown oracle app {app!r}; available: {ORACLE_APPS}"
+    compare = _judge_of(app)
+    spec = get_app_spec(app)
+    if spec.needs_weights and graph.weights is None:
+        raise ConformanceError(f"{app} oracle needs weights on {graph.name}")
+    executed = spec.prepare(graph)
+    run = framework.run_app(
+        executed, app, root=root,
+        max_iterations=max_iterations if app in _CAPPABLE_APPS else None,
+    )
+    verdict = compare(executed, run, root, bands)
+    return OracleResult(
+        "functional", f"{app}@{graph.name}",
+        verdict.passed, verdict.error, verdict.detail,
     )

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.apps.registry import get_app_spec
 from repro.arch.config import PipelineConfig
 from repro.arch.trace import trace_plan
 from repro.core.framework import ReGraph
@@ -41,7 +42,8 @@ from repro.check.oracles import (
 )
 from repro.check.tolerances import DEFAULT_BANDS, ToleranceBands
 
-#: Iteration cap for the convergence-free oracle apps.
+#: Iteration cap for PageRank, the one app the functional oracle judges
+#: at the run's own iteration count (the others run to convergence).
 CHECK_PAGERANK_ITERATIONS = 10
 
 
@@ -167,17 +169,13 @@ def run_conformance(
             bands=bands,
         )
         for app in apps:
-            if app == "sssp":
-                weighted = with_random_weights(graph, seed=seed)
-                result = functional_oracle(
-                    weighted, "sssp", framework, bands=bands
-                )
-            elif app == "pagerank":
-                result = functional_oracle(
-                    graph, app, framework,
-                    max_iterations=CHECK_PAGERANK_ITERATIONS, bands=bands,
-                )
-            else:
-                result = functional_oracle(graph, app, framework, bands=bands)
-            report.results.append(result)
+            subject = (
+                with_random_weights(graph, seed=seed)
+                if get_app_spec(app).needs_weights
+                else graph
+            )
+            report.results.append(functional_oracle(
+                subject, app, framework,
+                max_iterations=CHECK_PAGERANK_ITERATIONS, bands=bands,
+            ))
     return report

@@ -70,7 +70,8 @@ def _add_platform_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
-    """Uniform execution-acceleration knobs (see docs/PERFORMANCE.md)."""
+    """Worker processes for the commands that fan work out (``chaos run``
+    cells, ``fleet run`` prewarm; see docs/PERFORMANCE.md)."""
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for parallelizable stages (default 1 = "
@@ -156,23 +157,12 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_run(args) -> int:
-    _perf_config(args)  # rejects --jobs < 1 with exit 2
     graph = _load_graph(args)
     framework = _framework(args)
     pre = framework.preprocess(graph)
-    app = args.app.lower()
-    if app == "pagerank":
-        run = framework.run_pagerank(pre, max_iterations=args.iterations)
-    elif app == "bfs":
-        run = framework.run_bfs(
-            pre, root=args.root, max_iterations=args.iterations
-        )
-    elif app == "closeness":
-        run = framework.run_closeness(
-            pre, root=args.root, max_iterations=args.iterations
-        )
-    else:
-        raise SystemExit(f"unknown app {args.app!r}")
+    run = framework.run_app(
+        pre, args.app, root=args.root, max_iterations=args.iterations
+    )
     print(f"{run.app_name} on {run.graph_name} "
           f"[{run.accel_label} @ {run.frequency_mhz:.0f} MHz]")
     print(f"iterations: {run.iterations} "
@@ -188,7 +178,6 @@ def cmd_sweep(args) -> int:
     from repro.core.system import SystemSimulator
     from repro.sched.scheduler import build_schedule
 
-    _perf_config(args)  # rejects --jobs < 1 with exit 2
     graph = _load_graph(args)
     framework = _framework(args)
     pre = framework.preprocess(graph)
@@ -311,17 +300,9 @@ def cmd_faultsim(args) -> int:
     )
 
     def _execute(**kwargs):
-        app = args.app.lower()
-        if app == "pagerank":
-            return framework.run_pagerank(
-                pre, max_iterations=args.iterations, **kwargs
-            )
-        if app == "bfs":
-            return framework.run_bfs(
-                pre, root=args.root, max_iterations=args.iterations, **kwargs
-            )
-        return framework.run_closeness(
-            pre, root=args.root, max_iterations=args.iterations, **kwargs
+        return framework.run_app(
+            pre, args.app, root=args.root, max_iterations=args.iterations,
+            **kwargs,
         )
 
     clean = _execute()
@@ -364,7 +345,6 @@ def cmd_faultsim(args) -> int:
 def cmd_check(args) -> int:
     from repro.check import ORACLE_APPS, run_conformance
 
-    _perf_config(args)  # rejects --jobs < 1 with exit 2
     apps = None
     if args.app:
         apps = ORACLE_APPS if "all" in args.app else tuple(args.app)
@@ -1162,7 +1142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute an application")
     _add_graph_arguments(p)
     _add_platform_arguments(p)
-    _add_perf_arguments(p)
     p.add_argument("--app", default="pagerank",
                    choices=["pagerank", "bfs", "closeness"])
     p.add_argument("--root", type=int, default=0)
@@ -1171,7 +1150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep pipeline combinations")
     _add_graph_arguments(p)
     _add_platform_arguments(p)
-    _add_perf_arguments(p)
 
     p = sub.add_parser("codegen", help="emit accelerator bundles")
     p.add_argument("--platform", default="U280", choices=["U280", "U50"])
@@ -1241,7 +1219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pipelines", type=int, default=4)
     p.add_argument("--quick", action="store_true",
                    help="single-graph smoke suite instead of the full one")
-    _add_perf_arguments(p)
 
     p = sub.add_parser(
         "chaos",

@@ -22,6 +22,7 @@ from repro.arch.config import PipelineConfig, default_pipeline_config
 from repro.arch.platform import FpgaPlatform, get_platform
 from repro.arch.resources import ResourceReport, report as resource_report
 from repro.core.system import RunReport, SystemSimulator
+from repro.errors import UserInputError
 from repro.graph.coo import Graph
 from repro.graph.partition import PartitionSet, partition_graph
 from repro.graph.reorder import DbgResult, degree_based_grouping, identity_ordering
@@ -30,6 +31,12 @@ from repro.model.calibrate import calibrate_performance_model
 from repro.model.perf import PerformanceModel
 from repro.sched.plan import SchedulingPlan
 from repro.sched.scheduler import build_schedule
+
+#: Keywords of :meth:`ReGraph.run`; :meth:`ReGraph.run_app` hands every
+#: other keyword to the app's constructor.
+_RUN_KEYWORDS = (
+    "max_iterations", "functional", "fault_plan", "resilience", "breakers",
+)
 
 
 @dataclass
@@ -55,7 +62,17 @@ class PreprocessResult:
         return self.dbg.restore(props)
 
     def to_internal_vertex(self, vertex: int) -> int:
-        """Map an input-graph vertex ID into the relabelled space."""
+        """Map an input-graph vertex ID into the relabelled space.
+
+        Raises :class:`~repro.errors.UserInputError` for a vertex
+        outside ``[0, V)`` (NumPy would wrap a negative one).
+        """
+        num_vertices = self.dbg.mapping.size
+        if not 0 <= vertex < num_vertices:
+            raise UserInputError(
+                f"vertex {vertex} is not in the graph: expected "
+                f"0 <= vertex < V = {num_vertices}"
+            )
         return int(self.dbg.mapping[vertex])
 
 
@@ -174,52 +191,56 @@ class ReGraph:
                 run.result = pre.to_original_order(run.result)
         return run
 
+    def run_app(
+        self,
+        graph_or_pre: Union[Graph, PreprocessResult],
+        app: str,
+        root: int = 0,
+        **kwargs,
+    ) -> RunReport:
+        """Run a registered application by name (the push-button flow).
+
+        Looks the app up in :mod:`repro.apps.registry`, preprocesses a
+        plain :class:`Graph`, maps ``root`` (an input-graph vertex ID)
+        into the relabelled space for the apps that take one, and calls
+        :meth:`run`.  Keywords :meth:`run` accepts go there; the rest
+        go to the app's constructor.  The graph is executed as given:
+        callers pass ``spec.prepare(graph)`` for apps that run on a
+        transformed edge set (WCC).  Unknown names raise
+        :class:`~repro.errors.UserInputError`.
+        """
+        from repro.apps.registry import get_app_spec
+
+        try:
+            spec = get_app_spec(app)
+        except KeyError as exc:
+            raise UserInputError(str(exc.args[0])) from exc
+        pre = (
+            graph_or_pre
+            if isinstance(graph_or_pre, PreprocessResult)
+            else self.preprocess(graph_or_pre)
+        )
+        run_kwargs = {k: kwargs.pop(k) for k in _RUN_KEYWORDS if k in kwargs}
+        internal_root = (
+            pre.to_internal_vertex(root) if spec.takes_root else None
+        )
+        return self.run(
+            pre,
+            lambda g: spec.build(g, root=internal_root, **kwargs),
+            **run_kwargs,
+        )
+
     # ------------------------------------------------------------------
     # Convenience wrappers for the three paper benchmarks
     # ------------------------------------------------------------------
     def run_pagerank(self, graph_or_pre, **kwargs) -> RunReport:
         """PageRank with the Listing 1 UDFs."""
-        from repro.apps.pagerank import PageRank
-
-        max_iterations = kwargs.pop("max_iterations", None)
-        functional = kwargs.pop("functional", True)
-        fault_plan = kwargs.pop("fault_plan", None)
-        resilience = kwargs.pop("resilience", None)
-        breakers = kwargs.pop("breakers", None)
-        return self.run(
-            graph_or_pre,
-            lambda g: PageRank(g, **kwargs),
-            max_iterations=max_iterations,
-            functional=functional,
-            fault_plan=fault_plan,
-            resilience=resilience,
-            breakers=breakers,
-        )
+        return self.run_app(graph_or_pre, "pagerank", **kwargs)
 
     def run_bfs(self, graph_or_pre, root: int = 0, **kwargs) -> RunReport:
         """BFS from ``root`` (an input-graph vertex ID)."""
-        from repro.apps.bfs import BreadthFirstSearch
-
-        pre = (
-            graph_or_pre
-            if isinstance(graph_or_pre, PreprocessResult)
-            else self.preprocess(graph_or_pre)
-        )
-        internal_root = pre.to_internal_vertex(root)
-        return self.run(
-            pre, lambda g: BreadthFirstSearch(g, root=internal_root), **kwargs
-        )
+        return self.run_app(graph_or_pre, "bfs", root=root, **kwargs)
 
     def run_closeness(self, graph_or_pre, root: int = 0, **kwargs) -> RunReport:
         """Closeness centrality of ``root`` (an input-graph vertex ID)."""
-        from repro.apps.closeness import ClosenessCentrality
-
-        pre = (
-            graph_or_pre
-            if isinstance(graph_or_pre, PreprocessResult)
-            else self.preprocess(graph_or_pre)
-        )
-        internal_root = pre.to_internal_vertex(root)
-        return self.run(
-            pre, lambda g: ClosenessCentrality(g, root=internal_root), **kwargs
-        )
+        return self.run_app(graph_or_pre, "closeness", root=root, **kwargs)

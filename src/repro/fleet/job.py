@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.apps.registry import get_app_spec
 from repro.chaos.generate import CAMPAIGN_APPS
-from repro.chaos.spec import GraphSpec
+from repro.chaos.spec import GraphSpec, check_root
 from repro.errors import UserInputError
 from repro.faults.plan import FaultPlan
 
@@ -66,10 +67,11 @@ class Job:
             raise UserInputError(
                 f"submit_time must be non-negative, got {self.submit_time}"
             )
-        if self.app == "sssp" and not self.graph.weighted:
+        if get_app_spec(self.app).needs_weights and not self.graph.weighted:
             raise UserInputError(
-                f"job {self.job_id}: sssp needs a weighted graph spec"
+                f"job {self.job_id}: {self.app} needs a weighted graph spec"
             )
+        check_root(self.root, self.graph)
 
     @property
     def deadline_critical(self) -> bool:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.apps.registry import get_app_spec
 from repro.core.framework import PreprocessResult
 from repro.fleet.job import Job
 from repro.fleet.replica import Replica
@@ -34,11 +35,13 @@ def preprocess_cache_key(
     buffer_vertices: int,
     num_pipelines: int,
     graph_spec,
-    symmetrize: bool,
+    app: str,
 ) -> tuple:
     """Identity of one preprocessed artefact.
 
-    Shared with the fleet prewarm workers
+    ``app`` matters only through whether it executes the symmetrised
+    graph (:attr:`~repro.apps.registry.AppSpec.symmetric`), which is
+    what the key records.  Shared with the fleet prewarm workers
     (:mod:`repro.perf.prewarm`), which compute entries out-of-process
     and must label them with byte-for-byte the same key the engine
     will look up.
@@ -48,7 +51,7 @@ def preprocess_cache_key(
         buffer_vertices,
         num_pipelines,
         tuple(sorted(graph_spec.to_dict().items())),
-        symmetrize,
+        get_app_spec(app).symmetric,
     )
 
 
@@ -71,14 +74,12 @@ class PlacementEngine:
     # ------------------------------------------------------------------
     def _cache_key(self, replica: Replica, job: Job) -> tuple:
         fw = replica.handle.framework
-        # wcc executes the symmetrized graph, so the app is part of
-        # the identity of the preprocessed artefact.
         return preprocess_cache_key(
             replica.device,
             fw.pipeline.gather_buffer_vertices,
             fw.num_pipelines,
             job.graph,
-            job.app == "wcc",
+            job.app,
         )
 
     def seed(self, key: tuple, pre: PreprocessResult) -> None:

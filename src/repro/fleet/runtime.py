@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.apps.registry import get_app_spec
 from repro.chaos.spec import CellSpec, GraphSpec
 from repro.check.tolerances import DEFAULT_BANDS, ToleranceBands
 from repro.errors import (
@@ -440,11 +441,7 @@ class FleetRuntime:
     def _graph(self, job: Job) -> Graph:
         graph = self._graphs.get(job.job_id)
         if graph is None:
-            graph = job.graph.build()
-            if job.app == "wcc":
-                from repro.apps.wcc import symmetrized
-
-                graph = symmetrized(graph)
+            graph = get_app_spec(job.app).prepare(job.graph.build())
             self._graphs[job.job_id] = graph
         return graph
 

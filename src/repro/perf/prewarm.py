@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.apps.registry import get_app_spec
 from repro.arch.config import PipelineConfig
 from repro.core.framework import ReGraph
 from repro.core.system import SystemSimulator
@@ -29,20 +30,16 @@ from repro.fleet.placement import preprocess_cache_key
 
 
 def prewarm_spec(task: tuple) -> Optional[Tuple[tuple, object]]:
-    """Warm one (device, buffer, pipelines, graph spec, symmetrize) spec.
+    """Warm one (device, buffer, pipelines, graph spec, app) spec.
 
     Returns ``(placement cache key, PreprocessResult)``, or ``None``
     when the spec cannot be preprocessed (the event loop will then
     handle it — and its typed failure — exactly as it would have
     without prewarming).
     """
-    device, buffer_vertices, num_pipelines, graph_spec, symmetrize = task
+    device, buffer_vertices, num_pipelines, graph_spec, app = task
     try:
-        graph = graph_spec.build()
-        if symmetrize:
-            from repro.apps.wcc import symmetrized
-
-            graph = symmetrized(graph)
+        graph = get_app_spec(app).prepare(graph_spec.build())
         framework = ReGraph(
             device,
             pipeline=PipelineConfig(
@@ -57,10 +54,7 @@ def prewarm_spec(task: tuple) -> Optional[Tuple[tuple, object]]:
         sim.iteration_timing(graph.num_vertices)
     except ReproError:
         return None
-    key = preprocess_cache_key(
-        device, buffer_vertices, num_pipelines, graph_spec, symmetrize
-    )
-    return key, pre
+    return preprocess_cache_key(*task), pre
 
 
 def distinct_specs(replicas, jobs) -> dict:
@@ -83,14 +77,7 @@ def distinct_specs(replicas, jobs) -> dict:
             configs.append(config)
     specs = {}
     for job in jobs:
-        for device, buffer_vertices, num_pipelines in configs:
-            key = preprocess_cache_key(
-                device, buffer_vertices, num_pipelines,
-                job.graph, job.app == "wcc",
-            )
-            if key not in specs:
-                specs[key] = (
-                    device, buffer_vertices, num_pipelines,
-                    job.graph, job.app == "wcc",
-                )
+        for config in configs:
+            task = (*config, job.graph, job.app)
+            specs.setdefault(preprocess_cache_key(*task), task)
     return specs

@@ -245,10 +245,10 @@ class AcceleratorHandle:
         sssp, radii); ``root`` is an input-graph vertex ID for the apps
         that take one.  ``fault_plan`` / ``resilience`` route the run
         through the resilient execution layer (see
-        :meth:`repro.core.framework.ReGraph.run`).
+        :meth:`repro.core.framework.ReGraph.run`).  An unknown app or a
+        root outside the graph raises
+        :class:`~repro.errors.UserInputError`.
         """
-        from repro.apps.registry import get_app_spec
-
         if not self.programmed:
             raise AcceleratorReleasedError("accelerator released")
         if self.draining:
@@ -259,13 +259,6 @@ class AcceleratorHandle:
             raise NoGraphLoadedError(
                 "no graph loaded; call load_graph() first"
             )
-        try:
-            spec = get_app_spec(app)
-        except KeyError as exc:
-            raise UserInputError(str(exc)) from exc
-        internal_root = (
-            self._pre.to_internal_vertex(root) if spec.takes_root else None
-        )
         if fault_plan is not None or resilience is not None:
             if self.breakers is None:
                 from repro.faults.resilience import (
@@ -275,9 +268,10 @@ class AcceleratorHandle:
 
                 policy = resilience or ResiliencePolicy()
                 self.breakers = CircuitBreakerBank(policy.breaker_threshold)
-        run = self.framework.run(
+        run = self.framework.run_app(
             self._pre,
-            lambda g: spec.build(g, root=internal_root),
+            app,
+            root=root,
             max_iterations=max_iterations,
             fault_plan=fault_plan,
             resilience=resilience,

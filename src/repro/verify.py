@@ -1,10 +1,13 @@
 """Installation self-check: a small correctness matrix.
 
-``verify_installation()`` runs every registered application on small
+``verify_installation()`` runs every judged application on small
 synthetic graphs through the full simulated system and compares results
 against the independent reference implementations — the function a user
 runs once after installing to confirm the stack computes correct answers
-on their machine.  Exposed on the CLI as ``python -m repro selfcheck``.
+on their machine.  Each comparison is
+:func:`repro.check.oracles.functional_oracle` with the declared
+:data:`~repro.check.tolerances.DEFAULT_BANDS`, the same judge ``repro
+check`` applies.  Exposed on the CLI as ``python -m repro selfcheck``.
 """
 
 from __future__ import annotations
@@ -14,14 +17,9 @@ from typing import List
 
 import numpy as np
 
-from repro.apps.reference import (
-    bfs_reference,
-    closeness_reference,
-    pagerank_reference,
-    sssp_reference,
-    wcc_reference,
-)
+from repro.apps.registry import get_app_spec
 from repro.arch.config import PipelineConfig
+from repro.check.oracles import ORACLE_APPS, functional_oracle
 from repro.core.framework import ReGraph
 from repro.graph.generators import power_law_graph, rmat_graph
 
@@ -37,20 +35,6 @@ class CheckResult:
 
 def _check(name: str, condition: bool, detail: str = "") -> CheckResult:
     return CheckResult(name=name, passed=bool(condition), detail=detail)
-
-
-def _same_partition(labels_a: np.ndarray, labels_b: np.ndarray) -> bool:
-    """Whether two labelings induce the same partition into groups."""
-    if labels_a.shape != labels_b.shape:
-        return False
-    _, canon_a = np.unique(labels_a, return_inverse=True)
-    _, canon_b = np.unique(labels_b, return_inverse=True)
-    # Two partitions match iff the pairing of canonical IDs is bijective.
-    pairs = set(zip(canon_a.tolist(), canon_b.tolist()))
-    return (
-        len(pairs) == len(set(a for a, _ in pairs))
-        and len(pairs) == len(set(b for _, b in pairs))
-    )
 
 
 def verify_installation(verbose: bool = False) -> List[CheckResult]:
@@ -78,49 +62,15 @@ def verify_installation(verbose: bool = False) -> List[CheckResult]:
             results.append(_check(f"{gname}/plan", False, str(exc)))
             continue
 
-        pr = framework.run_pagerank(pre, max_iterations=8)
-        ref = pagerank_reference(graph, iterations=pr.iterations)
-        err = float(np.max(np.abs(pr.result - ref)))
-        results.append(
-            _check(f"{gname}/pagerank", err < 1e-3, f"max err {err:.2e}")
-        )
-
-        bfs = framework.run_bfs(pre, root=0)
-        ok = np.array_equal(bfs.props, bfs_reference(graph, 0))
-        results.append(_check(f"{gname}/bfs", ok))
-
-        close = framework.run_closeness(pre, root=0)
-        expected = closeness_reference(graph, 0)
-        results.append(
-            _check(
-                f"{gname}/closeness",
-                abs(close.result - expected) < 1e-9,
-                f"{close.result:.4f} vs {expected:.4f}",
+        weighted = graph.with_weights(rng.integers(1, 32, graph.num_edges))
+        for app in ORACLE_APPS:
+            oracle = functional_oracle(
+                weighted if get_app_spec(app).needs_weights else graph,
+                app, framework, max_iterations=8,
             )
-        )
-
-        from repro.apps.wcc import WeaklyConnectedComponents, symmetrized
-
-        sym = symmetrized(graph)
-        pre_sym = framework.preprocess(sym)
-        wcc = framework.run(pre_sym, WeaklyConnectedComponents)
-        # Label values are relabelled vertex IDs, so compare the
-        # *partition into components*, not the representative choices.
-        ok = _same_partition(wcc.props, wcc_reference(sym))
-        results.append(_check(f"{gname}/wcc", ok))
-
-        from repro.apps.sssp import SingleSourceShortestPaths
-
-        weighted = graph.with_weights(
-            rng.integers(1, 32, graph.num_edges)
-        )
-        pre_w = framework.preprocess(weighted)
-        root_internal = pre_w.to_internal_vertex(0)
-        sssp = framework.run(
-            pre_w, lambda g: SingleSourceShortestPaths(g, root=root_internal)
-        )
-        ok = np.array_equal(sssp.props, sssp_reference(weighted, 0))
-        results.append(_check(f"{gname}/sssp", ok))
+            results.append(
+                _check(f"{gname}/{app}", oracle.passed, oracle.detail)
+            )
 
     if verbose:
         for r in results:

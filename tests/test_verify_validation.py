@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.arch.config import PipelineConfig
 from repro.model.validation import (
@@ -10,7 +11,13 @@ from repro.model.validation import (
     validate_model_on_graph,
     validation_matrix,
 )
-from repro.verify import _same_partition
+from repro.check.oracles import partition_labels
+
+
+def _same_partition(labels_a, labels_b) -> bool:
+    return np.array_equal(
+        partition_labels(labels_a), partition_labels(labels_b)
+    )
 
 
 class TestSamePartition:
@@ -35,6 +42,34 @@ class TestSamePartition:
 
     def test_shape_mismatch(self):
         assert not _same_partition(np.zeros(3), np.zeros(4))
+
+
+def _first_occurrence_loop(labels: np.ndarray) -> np.ndarray:
+    """The per-vertex relabel loop ``partition_labels`` replaced."""
+    _, canonical = np.unique(labels, return_inverse=True)
+    first_seen: dict = {}
+    out = np.empty(labels.size, dtype=np.int64)
+    next_id = 0
+    for i, c in enumerate(canonical):
+        if c not in first_seen:
+            first_seen[c] = next_id
+            next_id += 1
+        out[i] = first_seen[c]
+    return out
+
+
+class TestPartitionLabels:
+    @given(st.lists(st.integers(-50, 50), max_size=200))
+    def test_matches_the_first_occurrence_loop(self, values):
+        labels = np.array(values, dtype=np.int64)
+        got = partition_labels(labels)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _first_occurrence_loop(labels))
+
+    def test_first_occurrence_order(self):
+        np.testing.assert_array_equal(
+            partition_labels(np.array([9, 4, 9, 7, 4])), [0, 1, 0, 2, 1]
+        )
 
 
 class TestModelValidation:
