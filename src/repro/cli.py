@@ -95,14 +95,10 @@ def _print_compiled_stats() -> None:
               f"({cstats['nodes_lowered']} nodes) compiled, "
               f"{cstats['evaluations']} batched evaluations, "
               f"{cstats['memo_hits']} memo hits")
-    routed = (
-        cstats["functional_iterations"] + cstats["functional_fallbacks"]
-        + cstats["traces_synthesized"]
-    )
-    if routed:
+    if cstats["functional_iterations"] or cstats["traces_synthesized"]:
         print(f"compiled routing: "
               f"{cstats['functional_iterations']} functional iterations "
-              f"compiled / {cstats['functional_fallbacks']} interpreted, "
+              f"compiled, "
               f"{cstats['traces_synthesized']} traces synthesized")
 
 

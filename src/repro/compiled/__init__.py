@@ -19,13 +19,12 @@ generation (:mod:`repro.compiled.trace`: ExecutionTrace events
 synthesized from compiled node timings instead of a re-simulation).
 
 This is the one production path.
-:class:`~repro.core.system.SystemSimulator` routes every timing pass
-through the plan's engine — fault-active passes included: stalls and
-dead channels replay the injector's per-task hook, latency spikes
-re-evaluate only the victim pipeline's nodes.  Only an open bit-flip
-window takes the interpreted functional walk, whose fault site is a
-single PE buffer.  The per-module interpreted simulators remain as the
-reference oracle the harnesses compare against.
+:class:`~repro.core.system.SystemSimulator` routes every pass through
+the plan's engines, fault-active passes included: stalls and dead
+channels replay the injector's per-task hook, latency spikes
+re-evaluate only the victim pipeline's nodes, and bit-flips replay the
+injector's per-drain draws.  The per-module interpreted simulators
+remain as the reference oracle the harnesses compare against.
 """
 
 from repro.compiled.evaluate import (

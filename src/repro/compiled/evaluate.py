@@ -62,6 +62,8 @@ _STATS = {
     # Functional-pass routing (repro.compiled.functional / core.system):
     "functional_plans": 0,
     "functional_iterations": 0,
+    # Always 0 since every functional pass runs compiled; kept because
+    # perfbench/layers.py reads it.
     "functional_fallbacks": 0,
     # Trace synthesis (repro.compiled.trace / arch.trace):
     "traces_synthesized": 0,

@@ -26,10 +26,11 @@ per-PE ``ufunc.at`` folds plus the merge tree.  ``scatter`` and
 ``apply`` are elementwise.  The differential harness in
 ``tests/test_compiled_functional.py`` is the contract.
 
-Passes with an *active* functional fault (a bit-flip whose window is
-open) take the interpreted walk instead, whose per-buffer
-``filter_buffer`` hook owns the fault RNG: a bit-flip's fault site is a
-single PE buffer, which the segmented reduction never materialises.
+**Bit-flips.**  A bit-flip's fault site is one drained Gather PE buffer,
+which the segmented reduction never materialises.  :func:`replay_flips`
+replays the injector's per-drain draws in the interpreted order instead
+of walking the pipelines, and re-folds only the destination intervals a
+silent flip hit.
 """
 
 from __future__ import annotations
@@ -60,6 +61,20 @@ class FunctionalPlan:
     dsts: np.ndarray
 
 
+def plan_drains(plan):
+    """``((kind, index), partition)`` of every gather buffer a pass
+    drains, in interpreted order: Little pipelines, then Big; tasks in
+    order; one buffer per Little task, one per partition of a Big
+    group."""
+    for idx, tasks in enumerate(plan.little_tasks):
+        for task in tasks:
+            yield ("little", idx), task.partition
+    for idx, tasks in enumerate(plan.big_tasks):
+        for task in tasks:
+            for part in task.partitions:
+                yield ("big", idx), part
+
+
 def lower_functional_plan(plan) -> FunctionalPlan:
     """Lower every task of ``plan`` into one destination-ordered edge list.
 
@@ -67,10 +82,7 @@ def lower_functional_plan(plan) -> FunctionalPlan:
     across iterations, retries and apps sharing the plan; only
     :meth:`FunctionalEngine.accumulate` touches the property array.
     """
-    partitions = [task.partition for tasks in plan.little_tasks
-                  for task in tasks]
-    partitions += [p for tasks in plan.big_tasks for task in tasks
-                   for p in task.partitions]
+    partitions = [part for _, part in plan_drains(plan)]
     if not partitions:
         empty = np.zeros(0, dtype=np.intp)
         return FunctionalPlan(empty, None, empty, empty)
@@ -118,9 +130,54 @@ class FunctionalEngine:
         return acc
 
 
-def note_functional_fallback() -> None:
-    """Count one functional pass routed through the interpreted walk."""
-    _STATS["functional_fallbacks"] += 1
+def replay_flips(plan, injector, app, props: np.ndarray, acc: np.ndarray):
+    """Replay one functional pass's bit-flip draws onto ``acc``.
+
+    ``FaultInjector.draw_flip`` is the pass's only RNG consumer: the
+    interpreted walk calls it once per drain of :func:`plan_drains`,
+    under the draining pipeline's context.  No draw depends on buffer
+    contents, so replaying them in that order raises every detectable
+    hit at the same drain with the same message and leaves the
+    injector's RNG and context as the walk does.
+
+    A silent hit corrupts one bit of one drain's buffer.  Its interval
+    ``[vertex_lo, vertex_hi)`` is re-folded from the clean partials of
+    the interval's other drains (slices share their parent's interval)
+    plus every flipped partial: ``gather_at`` into ``gather_identity``
+    over the drain's own edges, then the XOR.  The admitted gathers are
+    exactly associative and commutative, so the fold order is free.
+    """
+    if not injector.functional_faults_active():
+        injector.exit_pipeline()
+        return
+    from repro.faults.injector import flip_bit
+
+    itemsize = np.dtype(app.prop_dtype).itemsize
+    drains = list(plan_drains(plan))
+    hits = {}  # (vertex_lo, vertex_hi) -> {drain index: (byte, bit)}
+    for i, (pipeline, part) in enumerate(drains):
+        injector.enter_pipeline(*pipeline)
+        hit = injector.draw_flip(part.num_dst_vertices * itemsize)
+        if hit is not None:
+            hits.setdefault((part.vertex_lo, part.vertex_hi), {})[i] = hit
+    injector.exit_pipeline()
+    for (lo, hi), flipped in hits.items():
+        seg = np.full(hi - lo, app.gather_identity, dtype=app.prop_dtype)
+        for i, (_, part) in enumerate(drains):
+            if (part.vertex_lo, part.vertex_hi) != (lo, hi):
+                continue
+            partial = seg
+            if i in flipped:
+                partial = np.full_like(seg, app.gather_identity)
+            if part.num_edges:
+                app.gather_at(
+                    partial, part.dst - lo,
+                    app.scatter(props[part.src], part.weights),
+                )
+            if i in flipped:
+                flip_bit(partial, *flipped[i])
+                seg = app.gather(seg, partial)
+        acc[lo:hi] = seg
 
 
 def functional_engine(plan) -> FunctionalEngine:

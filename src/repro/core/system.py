@@ -13,11 +13,10 @@ running the app's UDFs through the modelled PEs — repeats every iteration
 because properties evolve.
 
 Production passes run on the plan's compiled engines
-(:mod:`repro.compiled`), fault-active timing passes included.  The
-per-task interpreted walks (:meth:`SystemSimulator._compute_timing`,
+(:mod:`repro.compiled`), fault-active passes included.  The per-task
+interpreted walks (:meth:`SystemSimulator._compute_timing`,
 :meth:`SystemSimulator._interpreted_functional`) are the reference
-oracle; the interpreted functional walk also serves passes inside an
-open bit-flip window, whose fault site is a single PE buffer.
+oracle only.
 """
 
 from __future__ import annotations
@@ -246,49 +245,33 @@ class SystemSimulator:
             injector.exit_pipeline()
         return self._iteration_report(little, big, num_vertices)
 
-    def _functional_pass(self, app, props: np.ndarray) -> np.ndarray:
-        """Run every task's UDFs and merge accumulations globally.
-
-        Passes route through the compiled functional engine — one
-        segmented gather reduction per destination over the plan's
-        lowered edge order, bit-identical to the interpreted walk
-        (``tests/test_compiled_functional.py`` is the contract).
-        Passes with an *active* functional fault (an open bit-flip
-        window) take the interpreted walk, whose per-buffer
-        ``filter_buffer`` hook owns the fault RNG; an inactive injector
-        is safe to skip — its hooks draw no randomness and corrupt
-        nothing while ``functional_faults_active()`` is False.
-        """
-        injector = self.injector
-        if injector is None or not injector.functional_faults_active():
-            return self._compiled_functional(app, props)
-        from repro.compiled.functional import note_functional_fallback
-
-        note_functional_fallback()
-        return self._interpreted_functional(app, props)
-
     def _compiled_functional(self, app, props: np.ndarray) -> np.ndarray:
         """One functional pass through the compiled engine.
 
         The engine lowers the plan's edges into destination order on
         first use (attached to the plan object, shared across simulators
         and iterations) and evaluates the whole iteration as one scatter
-        plus one segmented ``gather_ufunc.reduceat`` per destination.  The injector bookkeeping mirrors the
-        interpreted walk's net effect: ``pass_kind`` flips to
-        "functional" and the pipeline context ends cleared.
+        plus one segmented ``gather_ufunc.reduceat`` per destination,
+        bit-identical to the interpreted walk
+        (``tests/test_compiled_functional.py`` is the contract).  With an
+        injector, ``pass_kind`` flips to "functional" and
+        :func:`~repro.compiled.functional.replay_flips` replays the
+        walk's bit-flip draws: a detectable hit raises at the same drain,
+        a silent one re-folds the interval it corrupted, and the pipeline
+        context ends as the walk leaves it.
         """
-        from repro.compiled.functional import functional_engine
+        from repro.compiled.functional import functional_engine, replay_flips
 
+        acc = functional_engine(self.plan).accumulate(app, props)
         injector = self.injector
         if injector is not None:
             injector.pass_kind = "functional"
-            injector.exit_pipeline()
-        acc = functional_engine(self.plan).accumulate(app, props)
+            replay_flips(self.plan, injector, app, props, acc)
         return self._apply.run(app, props, acc)
 
     def _interpreted_functional(self, app, props: np.ndarray) -> np.ndarray:
-        """The per-task interpreted walk (reference oracle, and the
-        path of passes inside an open bit-flip window).
+        """The per-task interpreted walk (reference oracle of
+        :meth:`_compiled_functional`).
 
         ``execute`` with an app returns no timing: this pass only moves
         data, the timing pass already charged every task's cycles.
@@ -322,7 +305,7 @@ class SystemSimulator:
 
     def functional_iteration(self, app, props: np.ndarray) -> np.ndarray:
         """One functional iteration: UDFs, global merge, Apply."""
-        return self._functional_pass(app, props)
+        return self._compiled_functional(app, props)
 
     # ------------------------------------------------------------------
     def run(
@@ -354,7 +337,7 @@ class SystemSimulator:
             run.total_cycles += iteration.total_cycles
             run.iterations += 1
             if functional:
-                new_props = self._functional_pass(app, props)
+                new_props = self._compiled_functional(app, props)
                 if app.has_converged(props, new_props, run.iterations):
                     props = new_props
                     run.converged = True

@@ -9,9 +9,11 @@ installed at two boundaries:
   compiled timing pass reads the same rule per pipeline
   (``latency_scales``);
 * the **pipeline boundary** — ``on_task`` runs once per task of every
-  timing pass (dead channels and stalls raise here) and the pipeline
-  simulators call ``filter_buffer`` on every drained gather buffer
-  (bit-flips raise or corrupt here, during the functional pass).
+  timing pass (dead channels and stalls raise here) and ``draw_flip``
+  once per drained gather buffer of every functional pass (bit-flips
+  raise or pick their victim bit here).  The compiled functional pass
+  replays the draws in drain order; the interpreted pipeline walk calls
+  ``filter_buffer``, the same draw plus the XOR.
 
 The injector owns a ``numpy`` generator seeded from the plan, a simulated
 clock ``now`` (advanced by the executor as cycles accumulate, including
@@ -111,21 +113,22 @@ class FaultInjector:
             return True
         return self.spike_victim() is not None
 
+    def _open_flips(self):
+        """Bit-flip models whose window is open (the one window rule)."""
+        return [
+            f for f in self.plan.bit_flips
+            if f.probability > 0 and self.now >= f.onset_cycle
+        ]
+
     def functional_faults_active(self) -> bool:
         """True while any fault can perturb the functional pass.
 
-        Only bit-flips touch functional results, and ``filter_buffer``
-        draws injector randomness exactly for flips whose window is
-        open (``probability > 0`` and onset reached).  While this is
-        False the interpreted functional walk draws nothing and mutates
-        nothing, so the compiled functional engine is free to replace
-        it — the same rule ``timing_faults_active()`` provides for the
-        compiled timing pass.
+        Only bit-flips touch functional results, and ``draw_flip`` draws
+        injector randomness exactly for flips whose window is open.
+        While this is False a functional pass draws nothing and corrupts
+        nothing.
         """
-        return any(
-            f.probability > 0 and self.now >= f.onset_cycle
-            for f in self.plan.bit_flips
-        )
+        return bool(self._open_flips())
 
     def _active_spikes(self):
         """``(fault, victim pipeline)`` of every spike whose window is
@@ -212,18 +215,18 @@ class FaultInjector:
                     victim=ctx if f.pipeline is not None else None,
                 )
 
-    def filter_buffer(self, buffer: np.ndarray) -> np.ndarray:
-        """Apply bit-flip faults to one drained gather buffer.
+    def draw_flip(self, nbytes: int) -> Optional[Tuple[int, int]]:
+        """Draw the bit-flip faults of one drained gather buffer.
 
-        Detectable flips raise :class:`DataCorruptionError` (the parity
-        check caught them); silent flips XOR one bit of the raw block and
-        hand the corrupted buffer back.
+        ``nbytes`` is the buffer's size; an empty buffer draws nothing.
+        Each open flip draws once: a detectable hit raises
+        :class:`DataCorruptionError` (the parity check caught it), a
+        silent hit draws and returns the ``(byte, bit)`` to XOR and ends
+        the buffer's draws.  No draw depends on the buffer's contents.
         """
-        if buffer.size == 0:
-            return buffer
-        for f in self.plan.bit_flips:
-            if f.probability <= 0 or self.now < f.onset_cycle:
-                continue
+        if nbytes == 0:
+            return None
+        for f in self._open_flips():
             if self.rng.random() >= f.probability:
                 continue
             ctx = self._context
@@ -234,10 +237,25 @@ class FaultInjector:
                     if ctx
                     else "parity check detected a flipped bit",
                 )
-            corrupted = buffer.copy()
-            raw = corrupted.view(np.uint8)
-            byte = int(self.rng.integers(0, raw.size))
+            byte = int(self.rng.integers(0, nbytes))
             bit = int(self.rng.integers(0, 8))
-            raw[byte] ^= np.uint8(1 << bit)
-            return corrupted
-        return buffer
+            return byte, bit
+        return None
+
+    def filter_buffer(self, buffer: np.ndarray) -> np.ndarray:
+        """Apply bit-flip faults to one drained gather buffer.
+
+        The interpreted walk's hook: :meth:`draw_flip`, then a silent hit
+        hands back a corrupted copy (the input is left untouched).
+        """
+        hit = self.draw_flip(buffer.nbytes)
+        if hit is None:
+            return buffer
+        corrupted = buffer.copy()
+        flip_bit(corrupted, *hit)
+        return corrupted
+
+
+def flip_bit(buffer: np.ndarray, byte: int, bit: int) -> None:
+    """XOR bit ``bit`` of raw byte ``byte`` of a contiguous buffer."""
+    buffer.view(np.uint8)[byte] ^= np.uint8(1 << bit)

@@ -33,9 +33,14 @@ def _check_channel(fault) -> None:
 
 
 def _check_onset(fault) -> None:
-    if not math.isfinite(fault.onset_cycle) or fault.onset_cycle < 0:
+    onset = fault.onset_cycle
+    try:
+        valid = math.isfinite(onset) and onset >= 0
+    except TypeError:
+        valid = False
+    if not valid:
         raise UserInputError(
-            f"onset_cycle must be finite and >= 0, got {fault.onset_cycle}"
+            f"onset_cycle must be finite and >= 0, got {onset}"
         )
 
 
@@ -108,6 +113,7 @@ class BitFlipFault:
 
     def __post_init__(self):
         _check_probability(self)
+        _check_onset(self)
 
 
 @dataclass(frozen=True)
@@ -126,6 +132,7 @@ class PipelineStallFault:
 
     def __post_init__(self):
         _check_probability(self)
+        _check_onset(self)
         if self.pipeline is not None and self.pipeline < 0:
             raise UserInputError(
                 f"pipeline must be None or >= 0, got {self.pipeline}"

@@ -80,10 +80,13 @@ def interpreted_oracle():
 
     Inside the block :class:`~repro.core.system.SystemSimulator`'s
     compiled timing passes (fault-free and faulted) become the per-task
-    ``_compute_timing`` walk, its compiled functional pass becomes
-    ``_interpreted_functional``, and trace synthesis becomes
+    ``_compute_timing`` walk, its compiled functional pass (bit-flip
+    replay included) becomes ``_interpreted_functional`` with its
+    per-buffer ``filter_buffer`` hook, and trace synthesis becomes
     :func:`repro.arch.trace.interpreted_trace` — the oracle every
-    differential harness compares production against.
+    differential harness compares production against.  This block and
+    ``benchmarks/bench_perf_regression.py``'s oracle class are the only
+    ways to reach the interpreted walks.
     """
     import repro.compiled.trace as compiled_trace
     from repro.arch.trace import interpreted_trace

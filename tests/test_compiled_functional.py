@@ -14,10 +14,13 @@ Beyond the registered apps the harness covers every gather shape the
 segmented reduction folds: delta-PageRank (``add``), radii
 (``bitwise_or``), weighted SpMV (``add`` over weighted edges) and the
 example's trust propagation (``maximum``), plus the zero-edge and
-no-in-edge corner cells.
+no-in-edge corner cells.  Bit-flip passes replay the injector's draws
+on the engine; a hypothesis differential holds them to the oracle pass
+by pass.
 
-Tier-1 keeps a representative slice; the ``slow`` marker carries the
-full device × app × family sweep plus hypothesis properties.
+Tier-1 keeps a representative slice, the bit-flip differential
+included; the ``slow`` marker carries the full device × app × family
+sweep plus the channel-param hypothesis properties.
 """
 
 import contextlib
@@ -27,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.compiled import (
     compiled_stats,
@@ -38,11 +42,16 @@ from repro.compiled import (
 from repro.apps.bfs import BreadthFirstSearch
 from repro.apps.delta_pagerank import DeltaPageRank
 from repro.apps.gas import GasApp
+from repro.apps.pagerank import PageRank
 from repro.apps.radii import RadiiEstimation
 from repro.apps.spmv import SpMV
+from repro.apps.sssp import SingleSourceShortestPaths
+from repro.arch.platform import get_platform
 from repro.arch.trace import interpreted_trace, trace_plan
 from repro.check.invariants import check_trace
 from repro.core.framework import ReGraph
+from repro.core.system import SystemSimulator
+from repro.errors import DataCorruptionError
 from repro.faults import BitFlipFault, FaultInjector, FaultPlan
 from repro.faults.resilience import ResiliencePolicy
 from repro.graph.coo import Graph
@@ -53,7 +62,7 @@ from tests.helpers import (
     make_framework,
     make_pipeline_config,
 )
-from tests.strategies import channel_param_perturbations
+from tests.strategies import channel_param_perturbations, scheduling_plans
 from tests.test_compiled_equivalence import (
     ALL_APPS,
     DEVICES,
@@ -237,11 +246,98 @@ class TestGasContract:
         assert app.gather_ufunc is np.maximum
 
 
+#: Apps of the bit-flip differential: name -> (builder, weighted).
+FLIP_APPS = {
+    "bfs": (BreadthFirstSearch, False),
+    "pagerank": (PageRank, False),
+    "radii": (lambda g: RadiiEstimation(g, num_sources=4, seed=1), False),
+    "sssp": (SingleSourceShortestPaths, True),
+    "spmv": (
+        lambda g: SpMV(g, np.linspace(0.0, 1.0, g.num_vertices)), True,
+    ),
+}
+
+#: Injector clock of each pass in a flip cell: windows open mid-cell.
+FLIP_PASS_CLOCKS = (0.0, 5e3, 2e4)
+
+
+@st.composite
+def flip_cells(draw):
+    """``(plan, app, fault plan)`` for the bit-flip differential.
+
+    Plans come from two sources: :func:`scheduling_plans` draws small
+    graphs whose sparse groups merge several partitions per Big task,
+    and a framework-preprocessed family graph cuts dense partitions into
+    Little slices that share one destination interval.
+    """
+    builder, weighted = FLIP_APPS[draw(st.sampled_from(sorted(FLIP_APPS)))]
+    if draw(st.booleans()):
+        graph, plan = draw(scheduling_plans(weighted=weighted))
+    else:
+        framework = make_framework(platform=draw(st.sampled_from(DEVICES)))
+        pre = framework.preprocess(family_graph(
+            draw(st.sampled_from(("rmat", "powerlaw", "uniform"))),
+            seed=draw(st.integers(1, 20)),
+            weighted=weighted,
+        ))
+        graph, plan = pre.graph, pre.plan
+    flips = draw(st.lists(
+        st.builds(
+            BitFlipFault,
+            probability=st.one_of(
+                st.sampled_from((0.0, 1.0)), st.floats(0.01, 1.0),
+            ),
+            detectable=st.booleans(),
+            onset_cycle=st.sampled_from((0.0, 1e3, 1e4, 1e6)),
+        ),
+        min_size=1, max_size=3,
+    ))
+    fault_plan = FaultPlan(
+        seed=draw(st.integers(0, 2**16)), bit_flips=tuple(flips)
+    )
+    return plan, builder(graph), fault_plan
+
+
+def flip_pass_records(plan, app, fault_plan, oracle):
+    """One functional pass per :data:`FLIP_PASS_CLOCKS` entry on a fresh
+    simulator and injector: per pass the pre-Apply accumulator bytes (or
+    the corruption message), the injector RNG state, context and pass
+    kind."""
+    injector = FaultInjector(fault_plan)
+    injector.bind_topology(len(plan.little_tasks), len(plan.big_tasks))
+    sim = SystemSimulator(plan, get_platform("U280"), injector=injector)
+    accs = []
+    run_apply = sim._apply.run
+
+    def capture(app, props, acc):
+        accs.append(acc.tobytes())
+        return run_apply(app, props, acc)
+
+    sim._apply.run = capture
+    records = []
+    props = app.init_props()
+    with interpreted_oracle() if oracle else contextlib.nullcontext():
+        for now in FLIP_PASS_CLOCKS:
+            injector.now = now
+            # What a timing pass that raised at a task leaves behind.
+            injector.pass_kind = "timing"
+            injector.enter_pipeline("little", 0)
+            try:
+                props = sim.functional_iteration(app, props)
+                outcome = accs[-1]
+            except DataCorruptionError as exc:
+                outcome = str(exc)
+            records.append((
+                outcome,
+                injector.rng.bit_generator.state,
+                injector._context,
+                injector.pass_kind,
+            ))
+    return records
+
+
 class TestFaultFallback:
-    def test_active_bit_flip_routes_interpreted_on_both_paths(self):
-        # An open bit-flip window owns the injector RNG, so production
-        # takes the interpreted functional walk like the oracle does —
-        # and therefore corrupts, retries and converges identically.
+    def test_detectable_flip_digest_and_health_identical(self):
         plan = FaultPlan(
             seed=13,
             bit_flips=(
@@ -271,19 +367,43 @@ class TestFaultFallback:
         assert run_report_digest(compiled) == run_report_digest(interpreted)
         np.testing.assert_array_equal(compiled.props, interpreted.props)
 
-    def test_fallback_counter_increments_while_fault_active(self):
-        plan = FaultPlan(
-            seed=13,
-            bit_flips=(BitFlipFault(probability=0.05),),
+    @given(cell=flip_cells())
+    @settings(max_examples=100, deadline=None)
+    def test_flip_passes_identical_to_oracle(self, cell):
+        plan, app, fault_plan = cell
+        production = flip_pass_records(plan, app, fault_plan, oracle=False)
+        oracle = flip_pass_records(plan, app, fault_plan, oracle=True)
+        assert production == oracle
+        clean = flip_pass_records(plan, app, FaultPlan(), oracle=False)
+        for (outcome, *_), (clean_acc, *_) in zip(production, clean):
+            if isinstance(outcome, str):
+                event("detectable flip raised")
+            elif outcome != clean_acc:
+                event("silent flip changed the accumulator")
+
+    def test_every_drain_hit_corrupts_identically(self):
+        # Probability 1: every drain of the pass is flipped, so every
+        # Little slice sharing an interval hits in the same pass.
+        pre = make_framework().preprocess(family_graph("rmat"))
+        intervals = [
+            (t.partition.vertex_lo, t.partition.vertex_hi)
+            for tasks in pre.plan.little_tasks for t in tasks
+        ]
+        assert len(intervals) > len(set(intervals))
+        app = PageRank(pre.graph)
+        fault_plan = FaultPlan(
+            seed=3,
+            bit_flips=(BitFlipFault(probability=1.0, detectable=False),),
         )
-        graph = family_graph("rmat")
-        framework = make_framework()
-        framework.run_pagerank(
-            graph, max_iterations=4,
-            fault_plan=plan, resilience=ResiliencePolicy(),
+        production = flip_pass_records(pre.plan, app, fault_plan, False)
+        assert production == flip_pass_records(
+            pre.plan, app, fault_plan, True
         )
-        stats = compiled_stats()
-        assert stats["functional_fallbacks"] > 0
+        clean = flip_pass_records(pre.plan, app, FaultPlan(), False)
+        assert all(
+            record[0] != clean_record[0]
+            for record, clean_record in zip(production, clean)
+        )
 
     def test_fault_active_run_times_each_task_once_per_pass(
         self, monkeypatch
@@ -291,15 +411,14 @@ class TestFaultFallback:
         # Pass-count guard: with a timing fault and a functional fault
         # both active, no timing pass walks the interpreted pipelines —
         # each replays exactly one on_task hook per task, up to the task
-        # that raises — and the interpreted functional walk runs only
-        # inside the open bit-flip window.
-        from repro.apps.pagerank import PageRank
+        # that raises — and no functional pass executes a pipeline, not
+        # even one whose silent flips corrupted it.
         from repro.arch.big_pipeline import BigPipelineSim
         from repro.arch.little_pipeline import LittlePipelineSim
-        from repro.core.system import SystemSimulator
         from repro.faults import LatencySpikeFault, PipelineStallFault
 
         task_timings = []
+        functional_executions = []
         for cls in (LittlePipelineSim, BigPipelineSim):
             original = cls._compute_timing
 
@@ -308,6 +427,15 @@ class TestFaultFallback:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "_compute_timing", timed)
+            original_execute = cls.execute
+
+            def execute(self, parts, app=None, *args,
+                        _original=original_execute, **kwargs):
+                if app is not None:
+                    functional_executions.append(self)
+                return _original(self, parts, app, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "execute", execute)
 
         hooks = []
         passes = []
@@ -332,16 +460,16 @@ class TestFaultFallback:
             return report
 
         monkeypatch.setattr(SystemSimulator, "_timing_pass", timing_pass)
-        windows = []
-        original_functional = SystemSimulator._interpreted_functional
+        silent_hits = []
+        original_draw = FaultInjector.draw_flip
 
-        def interpreted(self, app, props):
-            windows.append(self.injector.functional_faults_active())
-            return original_functional(self, app, props)
+        def draw_flip(self, nbytes):
+            hit = original_draw(self, nbytes)
+            if hit is not None:
+                silent_hits.append(hit)
+            return hit
 
-        monkeypatch.setattr(
-            SystemSimulator, "_interpreted_functional", interpreted
-        )
+        monkeypatch.setattr(FaultInjector, "draw_flip", draw_flip)
 
         framework = make_framework()
         pre = framework.preprocess(family_graph("powerlaw"))
@@ -372,9 +500,37 @@ class TestFaultFallback:
         # A stall raises at a task's hook, before any later task's.
         assert all(0 < count <= tasks for count, raised in passes if raised)
         assert any(raised for _, raised in passes)
-        assert windows and all(windows)
-        # Passes before the flip onset ran on the compiled engine.
-        assert compiled_stats()["functional_iterations"] > 0
+        assert silent_hits
+        assert functional_executions == []
+        assert compiled_stats()["functional_iterations"] >= run.iterations
+
+    def test_silent_flip_faultsim_stdout_identical(self, capsys):
+        # The end-to-end gate for silent flips: chaos, fleet and serve
+        # draw only detectable ones.
+        from repro.cli import main
+
+        argv = [
+            "faultsim", "--dataset", "HD", "--scale", "0.02",
+            "--platform", "U50", "--pipelines", "6",
+            "--buffer-vertices", "256",
+            "--bit-flip-rate", "0.05", "--silent-flips",
+        ]
+        outputs = []
+        for oracle in (False, True):
+            with interpreted_oracle() if oracle else contextlib.nullcontext():
+                assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].splitlines()
+        clean = next(line for line in lines if line.startswith("clean run:"))
+        faulted = next(
+            line for line in lines if line.startswith("faulted run:")
+        )
+        # The flips perturbed the run: it no longer converges in the
+        # clean run's iterations.
+        assert clean.split(",")[0][len("clean run:"):].strip() != (
+            faulted.split(",")[0][len("faulted run:"):].strip()
+        )
 
     def test_inactive_windows_do_not_trip_the_gate(self):
         injector = FaultInjector(FaultPlan(
@@ -448,7 +604,6 @@ class TestPlacementProbes:
         # Every what-if probe of a soak answers exactly the cycles an
         # interpreted timing pass charges on the probed replica.
         from repro.chaos.fleet_soak import FleetSoakConfig, run_fleet_soak
-        from repro.core.system import SystemSimulator
         from repro.fleet.placement import PlacementEngine
 
         probed = []
@@ -475,7 +630,6 @@ class TestPlacementProbes:
     def test_probes_share_the_plan_engine_across_params(self):
         from repro.chaos.spec import GraphSpec
         from repro.compiled import plan_engine
-        from repro.core.system import SystemSimulator
         from repro.fleet.job import Job
         from repro.fleet.placement import PlacementEngine
         from repro.fleet.replica import make_replica

@@ -106,6 +106,22 @@ class TestFaultPlan:
             lambda: PipelineStallFault(probability=2.0),
             lambda: PipelineStallFault(probability=float("nan")),
             lambda: PipelineStallFault(probability=0.1, pipeline=-1),
+            lambda: DeadChannelFault(channel=0, onset_cycle="abc"),
+            lambda: LatencySpikeFault(channel=0, onset_cycle=float("nan")),
+            lambda: LatencySpikeFault(channel=0, onset_cycle=float("inf")),
+            lambda: LatencySpikeFault(channel=0, onset_cycle="abc"),
+            lambda: BitFlipFault(probability=0.5, onset_cycle=-1.0),
+            lambda: BitFlipFault(probability=0.5, onset_cycle=float("nan")),
+            lambda: BitFlipFault(probability=0.5, onset_cycle=float("inf")),
+            lambda: BitFlipFault(probability=0.5, onset_cycle="abc"),
+            lambda: PipelineStallFault(probability=0.5, onset_cycle=-1.0),
+            lambda: PipelineStallFault(
+                probability=0.5, onset_cycle=float("nan")
+            ),
+            lambda: PipelineStallFault(
+                probability=0.5, onset_cycle=float("inf")
+            ),
+            lambda: PipelineStallFault(probability=0.5, onset_cycle="abc"),
         ],
     )
     def test_out_of_range_fault_models_rejected(self, build):

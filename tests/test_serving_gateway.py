@@ -280,25 +280,45 @@ class TestHttpTransport:
 
     def test_bad_fault_plan_is_a_400(self, payloads):
         # An out-of-range fault model would otherwise be accepted and
-        # silently inject nothing; it is a bad payload like any other.
-        bad = dict(payloads[0], job_id="bad-fault-plan")
-        bad["fault_plan"] = {
-            "seed": 1,
-            "dead_channels": [{"channel": -1, "onset_cycle": 0.0}],
-        }
+        # silently inject nothing, or fail its run inside the worker; it
+        # is a bad payload like any other, and the worker stays up.
+        bad_plans = [
+            ("channel", {"dead_channels": [
+                {"channel": -1, "onset_cycle": 0.0}
+            ]}),
+            ("onset_cycle", {"bit_flips": [
+                {"probability": 0.5, "detectable": False,
+                 "onset_cycle": "abc"}
+            ]}),
+            ("onset_cycle", {"bit_flips": [
+                {"probability": 0.5, "onset_cycle": -1.0}
+            ]}),
+            ("onset_cycle", {"stalls": [
+                {"probability": 0.5, "onset_cycle": "abc"}
+            ]}),
+        ]
 
         async def run():
             gateway = ServingGateway(_config())
             server = HttpServer(gateway, port=0)
             await server.start()
             try:
-                with pytest.raises(UserInputError, match="channel"):
-                    await gateway.submit("acme-key", bad)
-                status, _ = await _http(
-                    server.port, "POST", "/v1/jobs", body=bad,
-                    key="acme-key",
-                )
-                assert status == 400
+                for i, (needle, plan) in enumerate(bad_plans):
+                    bad = dict(payloads[0], job_id=f"bad-fault-plan-{i}")
+                    bad["fault_plan"] = dict(plan, seed=1)
+                    with pytest.raises(UserInputError, match=needle):
+                        await gateway.submit("acme-key", bad)
+                    status, _ = await _http(
+                        server.port, "POST", "/v1/jobs", body=bad,
+                        key="acme-key",
+                    )
+                    assert status == 400
+                assert gateway.store.job_count() == 0
+                ack = await gateway.submit("acme-key", payloads[1])
+                assert ack["status"] == "accepted"
+                await gateway.drain()
+                status = gateway.status(payloads[1]["job_id"])
+                assert status["status"] == "completed"
             finally:
                 await server.stop()
                 gateway.close()
