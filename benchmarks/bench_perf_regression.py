@@ -417,6 +417,61 @@ def run_functional_bench(reps, min_speedup):
     }, failed
 
 
+def run_oracles_bench(reps):
+    """Median wall time and output digest of each reference oracle.
+
+    These are the judges every served, chaos and fleet job pays for
+    (``repro.check.oracles.judge``), timed on the functional block's
+    graph: WCC on its symmetrised edge set, SSSP on its weighted copy.
+    A digest that changes between reps fails the bench.
+
+    Returns ``(report_section, failed)``.
+    """
+    from repro.apps.reference import (
+        bfs_reference,
+        pagerank_reference,
+        sssp_reference,
+        wcc_reference,
+    )
+    from repro.apps.wcc import symmetrized
+    from repro.check.runner import with_random_weights
+    from repro.graph.generators import rmat_graph
+
+    graph = rmat_graph(12, 16, seed=3)
+    weighted = with_random_weights(graph, seed=5)
+    sym = symmetrized(graph)
+    cases = {
+        "wcc": lambda: wcc_reference(sym),
+        "bfs": lambda: bfs_reference(graph, 0),
+        "sssp": lambda: sssp_reference(weighted, 0),
+        "pagerank": lambda: pagerank_reference(graph),
+    }
+    failed = False
+    apps_report = {}
+    for name, oracle in cases.items():
+        times, digests = [], []
+        for _ in range(reps):
+            start = time.perf_counter()
+            out = oracle()
+            times.append(time.perf_counter() - start)
+            digests.append(hashlib.sha256(out.tobytes()).hexdigest())
+        if len(set(digests)) != 1:
+            print(f"FAIL: {name} reference not deterministic across reps")
+            failed = True
+        apps_report[name] = {
+            "median_seconds": statistics.median(times),
+            "digest": digests[0],
+        }
+        print(f"  {name + ' reference':>18}: "
+              f"{apps_report[name]['median_seconds'] * 1e3:.2f} ms median, "
+              f"digest {apps_report[name]['digest'][:12]}")
+    return {
+        "graph": {"kind": "rmat", "scale": 12, "edge_factor": 16, "seed": 3},
+        "reps": reps,
+        "apps": apps_report,
+    }, failed
+
+
 def _app_case(framework, app, graph):
     """``(preprocessed graph, app)`` of one name-dispatched app run (the
     chaos campaign's mapping)."""
@@ -520,6 +575,8 @@ def main(argv=None):
         args.reps, args.min_functional_speedup
     )
 
+    oracles, oracles_failed = run_oracles_bench(args.reps)
+
     report = {
         "schema": BENCH_SCHEMA,
         "jobs": args.jobs,
@@ -527,8 +584,9 @@ def main(argv=None):
         "calibration_seconds": calibration,
         "benches": benches,
         "functional": functional,
+        "oracles": oracles,
     }
-    failed = functional_failed
+    failed = functional_failed or oracles_failed
     if args.baseline:
         failed = compare_to_baseline(
             report, args.baseline, args.min_speedup

@@ -18,7 +18,9 @@ from typing import Optional
 import numpy as np
 
 from repro.apps.gas import GasApp
+from repro.apps.reference import _bfs_levels
 from repro.graph.coo import Graph
+from repro.graph.csr import CsrGraph
 
 
 class RadiiEstimation(GasApp):
@@ -73,11 +75,10 @@ class RadiiEstimation(GasApp):
 
 def radii_reference(graph: Graph, sources: np.ndarray) -> int:
     """Diameter lower bound from per-source BFS (reference)."""
-    from repro.apps.reference import bfs_reference
-
+    csr = CsrGraph.from_coo(graph)
     worst = 0
     for source in sources:
-        levels = bfs_reference(graph, int(source))
+        levels = _bfs_levels(csr, int(source))
         finite = levels[levels < 2**31 - 1]
         worst = max(worst, int(finite.max()) if finite.size else 0)
     return worst

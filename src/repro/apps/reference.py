@@ -39,20 +39,31 @@ def pagerank_reference(
 
 def bfs_reference(graph: Graph, root: int = 0) -> np.ndarray:
     """Frontier BFS over out-CSR; unvisited vertices get 2**31 - 1."""
-    csr = CsrGraph.from_coo(graph)
-    levels = np.full(graph.num_vertices, 2**31 - 1, dtype=np.int64)
+    return _bfs_levels(CsrGraph.from_coo(graph), root)
+
+
+def _bfs_levels(csr: CsrGraph, root: int) -> np.ndarray:
+    """BFS levels from ``root``, expanding one whole frontier per level.
+
+    Each level gathers every frontier vertex's CSR row at once: row
+    ``f`` contributes ``indices[indptr[f] : indptr[f + 1]]``, addressed
+    as ``np.repeat`` of the row starts plus an ``arange`` offset within
+    each row.
+    """
+    levels = np.full(csr.num_vertices, 2**31 - 1, dtype=np.int64)
     levels[root] = 0
     frontier = np.array([root], dtype=np.int64)
     depth = 0
     while frontier.size:
         depth += 1
-        nxt = []
-        for v in frontier:
-            for u in csr.neighbors(int(v)):
-                if levels[u] > depth:
-                    levels[u] = depth
-                    nxt.append(u)
-        frontier = np.array(nxt, dtype=np.int64)
+        starts = csr.indptr[frontier]
+        counts = csr.indptr[frontier + 1] - starts
+        # Gathered slot k of row j sits at starts[j] + (k - row_base[j]).
+        row_base = np.cumsum(counts) - counts
+        slots = np.repeat(starts - row_base, counts) + np.arange(counts.sum())
+        neighbors = csr.indices[slots]
+        frontier = np.unique(neighbors[levels[neighbors] > depth])
+        levels[frontier] = depth
     return levels
 
 
@@ -68,23 +79,30 @@ def closeness_reference(graph: Graph, root: int = 0) -> float:
 
 
 def wcc_reference(graph: Graph) -> np.ndarray:
-    """Union-find weak components; labels are each component's min ID."""
+    """Weak components by hooking and pointer jumping; labels are each
+    component's min ID.
+
+    A Shiloach-Vishkin-shaped round over a parent forest: every edge
+    whose endpoints sit in different trees hooks the larger root under
+    the smaller (``np.minimum.at``), pointer jumping then flattens every
+    tree to a star, and edges inside one tree are dropped.  ``parent[v]
+    <= v`` always holds, so each component's minimum vertex is its root
+    and the forest stays acyclic.  Edge direction is ignored.
+    """
     parent = np.arange(graph.num_vertices, dtype=np.int64)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s, d in zip(graph.src, graph.dst):
-        rs, rd = find(int(s)), find(int(d))
-        if rs != rd:
-            parent[max(rs, rd)] = min(rs, rd)
-    labels = np.array(
-        [find(i) for i in range(graph.num_vertices)], dtype=np.int64
-    )
-    return labels
+    src, dst = graph.src, graph.dst
+    while src.size:
+        # Every tree is a star here, so parent[] of a vertex is its root.
+        a, b = parent[src], parent[dst]
+        live = a != b
+        src, dst, a, b = src[live], dst[live], a[live], b[live]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    return parent
 
 
 def sssp_reference(graph: Graph, root: int = 0) -> np.ndarray:

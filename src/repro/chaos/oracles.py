@@ -2,10 +2,10 @@
 
 Three layers of scrutiny on every surviving cell:
 
-1. **Result oracle** — the faulted run's answer against the pure-Python
-   reference through :func:`repro.check.oracles.judge`, the one judge
-   ``repro check`` uses too (exact for BFS / SSSP, 1e-9 for closeness,
-   WCC as a partition, fixed-point band for PageRank).  Faults
+1. **Result oracle** — the faulted run's answer against the NumPy
+   reference algorithm through :func:`repro.check.oracles.judge`, the
+   one judge ``repro check`` uses too (exact for BFS / SSSP, 1e-9 for
+   closeness, WCC as a partition, fixed-point band for PageRank).  Faults
    absorbed by checkpoint-retry resume bit-exactly, and degradation
    re-plans work without touching the functional iteration, so surviving
    a fault is *never* a licence for a wrong answer.

@@ -1,7 +1,7 @@
 """Conformance subsystem: differential oracles + trace invariants.
 
 Cross-checks the three independent descriptions of the machine — the
-cycle-level simulators, the Eq. 1-4 analytic model, and the pure-Python
+cycle-level simulators, the Eq. 1-4 analytic model, and the NumPy
 reference algorithms — and audits execution traces against the physical
 invariants of the modelled hardware.  Exposed to users as the ``repro
 check`` CLI subcommand and to tests via

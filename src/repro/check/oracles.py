@@ -6,8 +6,9 @@ The repo describes the same accelerator three independent ways:
    task by task;
 2. the **Eq. 1-4 analytic performance model** that predicts those cycle
    counts during scheduling;
-3. the **pure-Python reference algorithms**
-   (:mod:`repro.apps.reference`) that define what the answers must be.
+3. the **reference algorithms** (:mod:`repro.apps.reference`), vectorised
+   NumPy code that shares nothing with the GAS apps and defines what the
+   answers must be.
 
 Each oracle runs one (graph, app, device, plan) through two of the
 descriptions and asserts agreement: cycle counts within the declared

@@ -9,7 +9,7 @@ device:
 2. runs the **model oracle** (simulators vs Eq. 1-4 estimates) and the
    **trace invariant checker** on one traced iteration;
 3. runs the **functional oracle** for every requested app against the
-   pure-Python references.
+   NumPy reference algorithms.
 
 The result is one :class:`ConformanceReport` suitable both for the CLI
 table and for programmatic assertion in tests.

@@ -2,7 +2,7 @@
 
 Every cross-check in :mod:`repro.check` compares two *independent*
 descriptions of the same machine — cycle-level simulators, the Eq. 1-4
-analytic model, pure-Python reference algorithms — and independence only
+analytic model, NumPy reference algorithms — and independence only
 buys confidence if the allowed disagreement is declared up front rather
 than tuned after the fact.  This module is that declaration: one frozen
 dataclass, used by the oracles, the invariant checker and the ``repro
