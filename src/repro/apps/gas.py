@@ -74,7 +74,14 @@ class GasApp(ABC):
     # ------------------------------------------------------------------
     @abstractmethod
     def scatter(self, src_props: np.ndarray, weights: Optional[np.ndarray]):
-        """accScatter: update value per edge (vectorised)."""
+        """accScatter: update value per edge (vectorised).
+
+        Must be elementwise: entry ``i`` of the result depends only on
+        ``src_props[i]`` (and ``weights[i]``), never on its position or
+        the array's length.  The compiled engine relies on it and
+        evaluates an unweighted scatter once per *vertex*, as
+        ``scatter(props, None)[src]``; weighted scatters run per edge.
+        """
 
     def gather(self, buffered: np.ndarray, values: np.ndarray):
         """accGather: combine two accumulation arrays (vectorised)."""

@@ -26,6 +26,8 @@ class SpMV(GasApp):
     #: accGather (Listing 1): row dot-product accumulation.
     gather_ufunc = np.add
     gather_identity = 0
+    #: scatter multiplies by the edge's matrix entry
+    uses_weights = True
     max_iterations = 1
 
     def __init__(self, graph: Graph, x: np.ndarray,

@@ -12,15 +12,15 @@ plan's evaluations are memoised per channel-parameter set on its
 engine, the only place timing results are reused.
 
 The same split covers the functional pass
-(:mod:`repro.compiled.functional`: the plan's edges lowered once into
-destination order, then one scatter and one segmented
-``gather_ufunc.reduceat`` per iteration) and trace
+(:mod:`repro.compiled.functional`: the plan's graph lowered once into
+destination order and shared by every plan of it, then one scatter and
+one segmented ``gather_ufunc.reduceat`` per iteration) and trace
 generation (:mod:`repro.compiled.trace`: ExecutionTrace events
 synthesized from compiled node timings instead of a re-simulation).
 
 This is the one production path.
 :class:`~repro.core.system.SystemSimulator` routes every pass through
-the plan's engines, fault-active passes included: stalls and dead
+the compiled engines, fault-active passes included: stalls and dead
 channels replay the injector's per-task hook, latency spikes
 re-evaluate only the victim pipeline's nodes, and bit-flips replay the
 injector's per-drain draws.  The per-module interpreted simulators

@@ -59,7 +59,9 @@ _STATS = {
     "evaluations": 0,
     "nodes_evaluated": 0,
     "memo_hits": 0,
-    # Functional-pass routing (repro.compiled.functional / core.system):
+    # Functional-pass routing (repro.compiled.functional / core.system);
+    # "functional_plans" counts lowered graphs, one per graph however
+    # many plans share it.
     "functional_plans": 0,
     "functional_iterations": 0,
     # Always 0 since every functional pass runs compiled; kept because

@@ -6,15 +6,20 @@ iteration: per task it re-merges group edge lists, dispatches every edge
 onto its Gather PE buffer, folds the buffers through the Merger tree and
 merges them into the global accumulator.  None of that depends on the
 evolving property array — it is *structure*, and this module extracts
-it once per plan (the LightningSimV2 split applied to the functional
+it once per graph (the LightningSimV2 split applied to the functional
 path, mirroring :mod:`repro.compiled.lower` for timing).
 
-Lowering concatenates the plan's edges (every Little task's partition,
-then every Big task's partitions) and stably sorts them by destination
-once.  Evaluation is then three array operations per iteration: one
-``app.scatter`` over the permuted sources, one
-``app.gather_ufunc.reduceat`` over each destination's run of updates,
-and one ``app.gather`` of the run results into the accumulator.
+Every plan covers its graph's edges exactly once (the plan-coverage
+tests in ``tests/test_compiled_functional.py`` pin it), and within one
+destination's run the fold order is free (below), so the structure
+depends only on the graph: every plan of one graph — forced
+combinations, degraded re-plans, every device — shares one lowering.
+Lowering sorts the graph's edges by destination with one in-place sort
+of a packed ``uint64`` key.  Evaluation is then three array operations
+per iteration: one ``app.scatter``, one ``app.gather_ufunc.reduceat``
+over each destination's run of updates, and one ``app.gather`` of the
+run results into the accumulator.  On an unweighted graph the scatter
+runs once per *vertex* and its result is gathered per edge.
 
 **Bit-identity.**  The GAS contract (:class:`~repro.apps.gas.GasApp`)
 requires ``gather_ufunc`` to be a binary ufunc over an integer property
@@ -23,14 +28,16 @@ dtype, and every gather the framework admits (``add`` wrapping modulo
 associative and commutative.  Any grouping and any order of one
 destination's updates therefore gives the same bits as the interpreted
 per-PE ``ufunc.at`` folds plus the merge tree.  ``scatter`` and
-``apply`` are elementwise.  The differential harness in
+``apply`` are elementwise, so ``scatter(props, None)[src]`` equals
+``scatter(props[src], None)``.  The differential harness in
 ``tests/test_compiled_functional.py`` is the contract.
 
 **Bit-flips.**  A bit-flip's fault site is one drained Gather PE buffer,
 which the segmented reduction never materialises.  :func:`replay_flips`
-replays the injector's per-drain draws in the interpreted order instead
-of walking the pipelines, and re-folds only the destination intervals a
-silent flip hit.
+replays the injector's per-drain draws in the interpreted order — the
+plan's own drains, not the lowered edge order — instead of walking the
+pipelines, and re-folds only the destination intervals a silent flip
+hit.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from repro.compiled.evaluate import _STATS
 
 @dataclass
 class FunctionalPlan:
-    """The static functional-evaluation plan for one SchedulingPlan.
+    """The static functional-evaluation plan for one graph.
 
     Edges are held in destination order: each destination vertex's
     in-edges form one contiguous run.
@@ -75,38 +82,65 @@ def plan_drains(plan):
                 yield ("big", idx), part
 
 
+def _plan_graph(plan):
+    graph = plan.graph
+    if graph is None:
+        raise ValueError(
+            "plan has no graph to lower: build plans with build_schedule, "
+            "which records the partitioned graph on plan.graph"
+        )
+    return graph
+
+
 def lower_functional_plan(plan) -> FunctionalPlan:
-    """Lower every task of ``plan`` into one destination-ordered edge list.
+    """Lower ``plan.graph`` into one destination-ordered edge list.
 
     Property-independent by construction: the result is reused unchanged
-    across iterations, retries and apps sharing the plan; only
+    across iterations, retries, apps and every plan of the graph; only
     :meth:`FunctionalEngine.accumulate` touches the property array.
+
+    The sort key packs ``dst`` above just enough low bits for its low
+    field.  Unweighted, that field is ``src`` itself, so one in-place sort yields the
+    sources.  Weighted, they are the edge index, which gathers ``src``
+    and ``weights`` (duplicate edges keep their own weights).  A key
+    wider than 64 bits falls back to a stable argsort of ``dst``; the
+    graph is ``(src, dst)``-sorted, so both orders are the same.
     """
-    partitions = [part for _, part in plan_drains(plan)]
-    if not partitions:
-        empty = np.zeros(0, dtype=np.intp)
-        return FunctionalPlan(empty, None, empty, empty)
-    dst = np.concatenate([p.dst for p in partitions])
-    counts = np.bincount(dst)
+    graph = _plan_graph(plan)
+    counts = graph.in_degrees()
     dsts = np.flatnonzero(counts)
     starts = np.zeros(dsts.size, dtype=np.intp)
     np.cumsum(counts[dsts[:-1]], out=starts[1:])
-    # A destination key narrowed to the smallest unsigned type sorts
-    # with a radix pass (<= 16 bits) or a short timsort over the
-    # nearly sorted partition order.
-    order = np.argsort(
-        dst.astype(np.min_scalar_type(counts.size - 1)), kind="stable"
+    weights = graph.weights
+    low = graph.num_vertices if weights is None else graph.num_edges
+    low_bits = max(int(low - 1).bit_length(), 1)
+    high_bits = max(int(graph.num_vertices - 1).bit_length(), 1)
+    if low_bits + high_bits <= 64:
+        key = graph.dst.view(np.uint64) << low_bits
+        key |= (
+            graph.src.view(np.uint64) if weights is None
+            else np.arange(graph.num_edges, dtype=np.uint64)
+        )
+        key.sort()
+        key &= (1 << low_bits) - 1
+        order = key.view(np.int64)
+        if weights is None:
+            return FunctionalPlan(order, None, starts, dsts)
+    else:
+        order = np.argsort(
+            graph.dst.astype(np.min_scalar_type(graph.num_vertices - 1)),
+            kind="stable",
+        )
+    return FunctionalPlan(
+        src=graph.src[order],
+        weights=None if weights is None else weights[order],
+        starts=starts,
+        dsts=dsts,
     )
-    del dst
-    src = np.concatenate([p.src for p in partitions])[order]
-    weights = None
-    if partitions[0].weights is not None:
-        weights = np.concatenate([p.weights for p in partitions])[order]
-    return FunctionalPlan(src=src, weights=weights, starts=starts, dsts=dsts)
 
 
 class FunctionalEngine:
-    """Lowered functional structure of one plan, evaluated per iteration."""
+    """Lowered functional structure of one graph, evaluated per iteration."""
 
     def __init__(self, fplan: FunctionalPlan):
         self.fplan = fplan
@@ -122,7 +156,11 @@ class FunctionalEngine:
         fplan = self.fplan
         acc = np.full(props.size, app.gather_identity, dtype=app.prop_dtype)
         if fplan.starts.size:
-            updates = app.scatter(props[fplan.src], fplan.weights)
+            if fplan.weights is None:
+                # Scatter UDFs are elementwise: evaluate once per vertex.
+                updates = app.scatter(props, None)[fplan.src]
+            else:
+                updates = app.scatter(props[fplan.src], fplan.weights)
             runs = app.gather_ufunc.reduceat(
                 updates, fplan.starts, dtype=app.prop_dtype
             )
@@ -181,17 +219,17 @@ def replay_flips(plan, injector, app, props: np.ndarray, acc: np.ndarray):
 
 
 def functional_engine(plan) -> FunctionalEngine:
-    """Functional engine for ``plan``, lowering on first use.
+    """Functional engine for ``plan``'s graph, lowering on first use.
 
-    Attached to the plan object itself — plans are rebuilt (never
-    mutated) by the degradation path, so a stale structure can never be
-    replayed against changed task lists.
+    Cached on the graph object, so every plan of one graph shares one
+    structure; a graph's edges never change after construction.
     """
+    graph = _plan_graph(plan)
     engine: Optional[FunctionalEngine] = getattr(
-        plan, "_functional_engine", None
+        graph, "_functional_engine", None
     )
     if engine is None:
         engine = FunctionalEngine(lower_functional_plan(plan))
         _STATS["functional_plans"] += 1
-        plan._functional_engine = engine
+        graph._functional_engine = engine
     return engine

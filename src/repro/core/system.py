@@ -248,10 +248,11 @@ class SystemSimulator:
     def _compiled_functional(self, app, props: np.ndarray) -> np.ndarray:
         """One functional pass through the compiled engine.
 
-        The engine lowers the plan's edges into destination order on
-        first use (attached to the plan object, shared across simulators
-        and iterations) and evaluates the whole iteration as one scatter
-        plus one segmented ``gather_ufunc.reduceat`` per destination,
+        The engine lowers the plan's graph into destination order on
+        first use (cached on the graph, shared by every plan of it,
+        every simulator and every iteration) and evaluates the whole
+        iteration as one scatter plus one segmented
+        ``gather_ufunc.reduceat`` per destination,
         bit-identical to the interpreted walk
         (``tests/test_compiled_functional.py`` is the contract).  With an
         injector, ``pass_kind`` flips to "functional" and

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.arch.config import AcceleratorConfig
+from repro.graph.coo import Graph
 from repro.graph.partition import Partition
 
 
@@ -61,6 +62,9 @@ class SchedulingPlan:
     #: original partition indices classified dense / sparse
     dense_indices: List[int] = field(default_factory=list)
     sparse_indices: List[int] = field(default_factory=list)
+    #: the partitioned graph whose edges the tasks cover exactly once;
+    #: the compiled functional engine lowers this, not the task lists
+    graph: Optional[Graph] = field(default=None, compare=False, repr=False)
 
     @property
     def little_cycle_estimates(self) -> List[float]:

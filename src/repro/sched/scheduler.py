@@ -105,4 +105,5 @@ def build_schedule(
         big_tasks=big_tasks,
         dense_indices=[partitions[i].index for i in dense_idx],
         sparse_indices=[partitions[i].index for i in sparse_idx],
+        graph=pset.graph,
     )

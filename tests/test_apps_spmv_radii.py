@@ -34,6 +34,28 @@ class TestSpmv:
         y = app.finalize(_gas_run(app))
         np.testing.assert_allclose(y, spmv_reference(g, x), atol=1e-5)
 
+    def test_weighted_harness_and_framework_match_reference(self):
+        # The scatter multiplies by the edge weight, so the app must
+        # declare it consumes weights: a GAS harness that passes
+        # weights only to ``uses_weights`` apps would otherwise drop them.
+        from tests.helpers import make_framework
+
+        g = erdos_renyi_graph(300, 3000, seed=0)
+        rng = np.random.default_rng(1)
+        g = g.with_weights(rng.random(g.num_edges))
+        x = rng.random(300)
+        expected = spmv_reference(g, x)
+        assert SpMV.uses_weights
+        harness = SpMV(g, x).finalize(_gas_run(SpMV(g, x)))
+        np.testing.assert_allclose(harness, expected, atol=1e-4)
+
+        framework = make_framework()
+        pre = framework.preprocess(g)
+        internal_x = np.empty_like(x)
+        internal_x[pre.dbg.mapping] = x
+        run = framework.run(pre, lambda graph: SpMV(graph, internal_x))
+        np.testing.assert_allclose(run.result, expected, atol=1e-4)
+
     def test_single_sweep(self):
         g = erdos_renyi_graph(100, 500, seed=0)
         app = SpMV(g, np.ones(100))

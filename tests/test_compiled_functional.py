@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.compiled import (
     compiled_stats,
@@ -39,23 +40,33 @@ from repro.compiled import (
     lower_functional_plan,
     reset_compiled_stats,
 )
+from repro.compiled.functional import plan_drains
 from repro.apps.bfs import BreadthFirstSearch
 from repro.apps.delta_pagerank import DeltaPageRank
 from repro.apps.gas import GasApp
 from repro.apps.pagerank import PageRank
 from repro.apps.radii import RadiiEstimation
+from repro.apps.registry import available_apps, get_app_spec
 from repro.apps.spmv import SpMV
 from repro.apps.sssp import SingleSourceShortestPaths
 from repro.arch.platform import get_platform
 from repro.arch.trace import interpreted_trace, trace_plan
 from repro.check.invariants import check_trace
+from repro.check.runner import with_random_weights
 from repro.core.framework import ReGraph
 from repro.core.system import SystemSimulator
 from repro.errors import DataCorruptionError
 from repro.faults import BitFlipFault, FaultInjector, FaultPlan
-from repro.faults.resilience import ResiliencePolicy
+from repro.faults.resilience import (
+    ResilientExecutor,
+    ResiliencePolicy,
+    RunHealthReport,
+)
 from repro.graph.coo import Graph
+from repro.graph.generators import power_law_graph, rmat_graph
 from repro.hbm.channel import HbmChannelModel
+from repro.sched.plan import SchedulingPlan
+from repro.sched.scheduler import build_schedule
 
 from tests.helpers import (
     interpreted_oracle,
@@ -130,6 +141,49 @@ def assert_gather_shape_identical(app, device, family):
     np.testing.assert_array_equal(compiled.props, interpreted.props)
 
 
+def degraded_plan(pre, framework):
+    """The plan ``ResilientExecutor._degrade`` re-plans onto after
+    retiring the first pipeline of ``pre.plan``."""
+    accel = pre.plan.accelerator
+    injector = FaultInjector(FaultPlan())
+    injector.bind_topology(accel.num_little, accel.num_big)
+    executor = ResilientExecutor(pre, framework.platform, framework.channel)
+    victim = ("little", 0) if accel.num_little else ("big", 0)
+    plan, _, _ = executor._degrade(
+        pre.plan, victim, injector, RunHealthReport()
+    )
+    return plan
+
+
+def sorted_edges(src, dst, weights):
+    """``(dst, src[, weight])`` columns in lexicographic order."""
+    columns = [dst, src] if weights is None else [dst, src, weights]
+    order = np.lexsort(columns[::-1])
+    return [column[order] for column in columns]
+
+
+def assert_plan_covers_graph(plan, graph):
+    """The plan's drains hold exactly the graph's edges: same
+    ``(dst, src, weight)`` multiset, each edge in one drain."""
+    assert plan.graph is graph
+    parts = [part for _, part in plan_drains(plan)]
+    empty = np.zeros(0, dtype=np.int64)
+
+    def concat(column):
+        return np.concatenate([column(p) for p in parts] or [empty])
+
+    weights = None
+    if graph.weights is not None:
+        weights = concat(lambda p: p.weights)
+    drained = sorted_edges(
+        concat(lambda p: p.src), concat(lambda p: p.dst), weights
+    )
+    expected = sorted_edges(graph.src, graph.dst, graph.weights)
+    assert len(drained) == len(expected)
+    for got, want in zip(drained, expected):
+        np.testing.assert_array_equal(got, want)
+
+
 @pytest.fixture(autouse=True)
 def fresh_state():
     """Each test starts and ends with zeroed compiled-core counters."""
@@ -178,12 +232,159 @@ class TestFunctionalEquivalence:
         pre = framework.preprocess(family_graph("rmat"))
         engine = functional_engine(pre.plan)
         assert functional_engine(pre.plan) is engine
+        # Every plan of one graph shares the graph's one structure.
+        pipelines = framework.num_pipelines
+        forced = build_schedule(
+            pre.pset, pre.model, pipelines, forced_combo=(pipelines, 0)
+        )
+        for plan in (forced, degraded_plan(pre, framework)):
+            assert plan is not pre.plan
+            assert plan.graph is pre.graph
+            assert functional_engine(plan) is engine
+        assert compiled_stats()["functional_plans"] == 1
         fplan = lower_functional_plan(pre.plan)
         assert fplan.src.size == pre.plan.total_edges()
         assert np.all(np.diff(fplan.dsts) > 0)
         runs = np.diff(np.append(fplan.starts, fplan.src.size))
         assert runs.size == fplan.dsts.size
         assert np.all(runs > 0)
+
+    def test_weighted_lowering_keeps_each_edge_weight(self):
+        # Parallel edges carry distinct weights; each run must hold its
+        # destination's (src, weight) pairs exactly.
+        graph = Graph(
+            5, [0, 0, 0, 3, 4, 4, 1], [2, 2, 2, 2, 0, 2, 2],
+            weights=np.array([7, 3, 5, 1, 9, 2, 4], dtype=np.int32),
+        )
+        pre = make_framework().preprocess(graph, use_dbg=False)
+        fplan = lower_functional_plan(pre.plan)
+        np.testing.assert_array_equal(fplan.dsts, [0, 2])
+        np.testing.assert_array_equal(fplan.starts, [0, 1])
+        np.testing.assert_array_equal(fplan.src, [4, 0, 0, 0, 1, 3, 4])
+        np.testing.assert_array_equal(
+            fplan.weights, [9, 7, 3, 5, 4, 1, 2]
+        )
+
+    def test_plan_without_a_graph_is_rejected(self):
+        pre = make_framework().preprocess(family_graph("uniform"))
+        bare = SchedulingPlan(
+            pre.plan.accelerator, pre.plan.little_tasks, pre.plan.big_tasks
+        )
+        with pytest.raises(ValueError, match="no graph"):
+            functional_engine(bare)
+
+
+def coverage_graph(family, weighted):
+    """A graph whose plans at :data:`COVERAGE_BUFFER` mix sliced dense
+    partitions on Little pipelines with merged sparse groups on Big."""
+    if family == "rmat":
+        graph = rmat_graph(11, 16, seed=3)
+    else:
+        graph = power_law_graph(3000, 30000, seed=3)
+    if weighted:
+        graph = with_random_weights(graph, seed=3)
+    return graph
+
+
+COVERAGE_BUFFER = 256
+
+
+class TestPlanCoverage:
+    """Each plan drains exactly its graph's edges, which is what lets
+    one lowering of the graph serve every plan of it."""
+
+    @pytest.mark.parametrize("weighted", (False, True))
+    @pytest.mark.parametrize("device", DEVICES)
+    def test_build_schedule_plans(self, device, weighted):
+        framework = make_framework(
+            platform=device, buffer_vertices=COVERAGE_BUFFER
+        )
+        for family in ("rmat", "powerlaw"):
+            pre = framework.preprocess(coverage_graph(family, weighted))
+            assert pre.plan.little_tasks and pre.plan.big_tasks
+            assert_plan_covers_graph(pre.plan, pre.graph)
+
+    @pytest.mark.parametrize("cluster", ("little", "big"))
+    def test_forced_single_cluster_combos(self, cluster):
+        framework = make_framework(buffer_vertices=COVERAGE_BUFFER)
+        pipelines = framework.num_pipelines
+        combo = (pipelines, 0) if cluster == "little" else (0, pipelines)
+        pre = framework.preprocess(
+            coverage_graph("powerlaw", weighted=True), forced_combo=combo
+        )
+        assert (
+            pre.plan.accelerator.num_little, pre.plan.accelerator.num_big
+        ) == combo
+        assert_plan_covers_graph(pre.plan, pre.graph)
+
+    @pytest.mark.parametrize("device", DEVICES)
+    def test_degraded_replan(self, device):
+        framework = make_framework(
+            platform=device, buffer_vertices=COVERAGE_BUFFER
+        )
+        pre = framework.preprocess(coverage_graph("rmat", weighted=True))
+        plan = degraded_plan(pre, framework)
+        assert plan.accelerator.total_pipelines == (
+            pre.plan.accelerator.total_pipelines - 1
+        )
+        assert_plan_covers_graph(plan, pre.graph)
+
+    @given(drawn=st.booleans().flatmap(
+        lambda weighted: scheduling_plans(weighted=weighted)
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_plans(self, drawn):
+        graph, plan = drawn
+        assert_plan_covers_graph(plan, graph)
+
+
+#: Every app whose scatter the engine may evaluate: name -> builder.
+SCATTER_APPS = {
+    **{name: get_app_spec(name).build for name in available_apps()},
+    **{name: builder for name, (builder, _) in GATHER_SHAPES.items()},
+}
+
+#: Property words: anything the dtype holds, plus the apps' sentinels.
+PROP_WORDS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(-64, 64),
+    st.sampled_from((2**31 - 1, 2**32, 2**62, 2**63 - 1)),
+)
+
+
+def scatter_outcome(scatter):
+    """``scatter()``'s bytes and dtype, or the ``ValueError`` it raised
+    (SSSP's scatter refuses to run without weights)."""
+    try:
+        updates = scatter()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return updates.dtype, updates.tobytes()
+
+
+class TestElementwiseScatter:
+    """The engine scatters once per vertex on unweighted graphs: every
+    app's ``scatter(props, None)[idx]`` must equal
+    ``scatter(props[idx], None)``, repeated indices included."""
+
+    @pytest.mark.parametrize("name", sorted(SCATTER_APPS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_per_vertex_equals_per_edge(self, name, data):
+        graph = family_graph("uniform", weighted=True)
+        app = SCATTER_APPS[name](graph)
+        props = data.draw(hnp.arrays(
+            app.prop_dtype, st.integers(1, 48), elements=PROP_WORDS
+        ))
+        idx = data.draw(hnp.arrays(
+            np.intp, st.integers(0, 96),
+            elements=st.integers(0, props.size - 1),
+        ))
+        if idx.size > 1 and data.draw(st.booleans()):
+            idx[1:] = idx[0]
+        per_vertex = scatter_outcome(lambda: app.scatter(props, None)[idx])
+        per_edge = scatter_outcome(lambda: app.scatter(props[idx], None))
+        assert per_vertex == per_edge
 
 
 class TestGatherShapes:
