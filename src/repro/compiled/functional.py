@@ -100,11 +100,10 @@ def lower_functional_plan(plan) -> FunctionalPlan:
     :meth:`FunctionalEngine.accumulate` touches the property array.
 
     The sort key packs ``dst`` above just enough low bits for its low
-    field.  Unweighted, that field is ``src`` itself, so one in-place sort yields the
-    sources.  Weighted, they are the edge index, which gathers ``src``
-    and ``weights`` (duplicate edges keep their own weights).  A key
-    wider than 64 bits falls back to a stable argsort of ``dst``; the
-    graph is ``(src, dst)``-sorted, so both orders are the same.
+    field.  Unweighted, that field is ``src`` itself, so one in-place
+    sort yields the sources.  Weighted, it is the edge index, which
+    gathers ``src`` and ``weights`` (duplicate edges keep their own
+    weights).
     """
     graph = _plan_graph(plan)
     counts = graph.in_degrees()
@@ -115,28 +114,21 @@ def lower_functional_plan(plan) -> FunctionalPlan:
     low = graph.num_vertices if weights is None else graph.num_edges
     low_bits = max(int(low - 1).bit_length(), 1)
     high_bits = max(int(graph.num_vertices - 1).bit_length(), 1)
-    if low_bits + high_bits <= 64:
-        key = graph.dst.view(np.uint64) << low_bits
-        key |= (
-            graph.src.view(np.uint64) if weights is None
-            else np.arange(graph.num_edges, dtype=np.uint64)
+    if low_bits + high_bits > 64:
+        raise ValueError(
+            f"functional sort key needs {low_bits + high_bits} bits (> 64)"
         )
-        key.sort()
-        key &= (1 << low_bits) - 1
-        order = key.view(np.int64)
-        if weights is None:
-            return FunctionalPlan(order, None, starts, dsts)
-    else:
-        order = np.argsort(
-            graph.dst.astype(np.min_scalar_type(graph.num_vertices - 1)),
-            kind="stable",
-        )
-    return FunctionalPlan(
-        src=graph.src[order],
-        weights=None if weights is None else weights[order],
-        starts=starts,
-        dsts=dsts,
+    key = graph.dst.view(np.uint64) << low_bits
+    key |= (
+        graph.src.view(np.uint64) if weights is None
+        else np.arange(graph.num_edges, dtype=np.uint64)
     )
+    key.sort()
+    key &= (1 << low_bits) - 1
+    order = key.view(np.int64)
+    if weights is None:
+        return FunctionalPlan(order, None, starts, dsts)
+    return FunctionalPlan(graph.src[order], weights[order], starts, dsts)
 
 
 class FunctionalEngine:
