@@ -110,6 +110,16 @@ def check_root(root: int, graph: GraphSpec) -> None:
         )
 
 
+def check_max_iterations(max_iterations: Optional[int]) -> None:
+    """Reject an iteration cap below one (``None`` = run to
+    convergence): a zero or negative cap would "complete" a run that
+    never iterated."""
+    if max_iterations is not None and max_iterations < 1:
+        raise UserInputError(
+            f"max_iterations must be None or >= 1, got {max_iterations}"
+        )
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """One campaign cell: everything needed to re-execute it exactly."""
@@ -126,6 +136,7 @@ class CellSpec:
 
     def __post_init__(self):
         check_root(self.root, self.graph)
+        check_max_iterations(self.max_iterations)
 
     def with_plan(self, plan: FaultPlan) -> "CellSpec":
         """The same cell under a different fault plan (used by shrinking)."""

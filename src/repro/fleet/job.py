@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from repro.apps.registry import get_app_spec
 from repro.chaos.generate import CAMPAIGN_APPS
-from repro.chaos.spec import GraphSpec, check_root
+from repro.chaos.spec import GraphSpec, check_max_iterations, check_root
 from repro.errors import UserInputError
 from repro.faults.plan import FaultPlan
 
@@ -72,6 +72,7 @@ class Job:
                 f"job {self.job_id}: {self.app} needs a weighted graph spec"
             )
         check_root(self.root, self.graph)
+        check_max_iterations(self.max_iterations)
 
     @property
     def deadline_critical(self) -> bool:

@@ -54,6 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.apps.registry import get_app_spec
 from repro.chaos.spec import CellSpec, GraphSpec
 from repro.check.tolerances import DEFAULT_BANDS, ToleranceBands
+from repro.core.framework import PreprocessResult
 from repro.errors import (
     FleetKilledError,
     FleetOverloadError,
@@ -248,14 +249,27 @@ class ReplicaKill:
 # Internal bookkeeping
 # ----------------------------------------------------------------------
 class _QueuedJob:
-    """Mutable per-job state while the job is alive in the runtime."""
+    """Mutable per-job state while the job is alive in the runtime.
+
+    The entry owns the job's preprocessing: the graph its app executes
+    and one :class:`~repro.core.framework.PreprocessResult` per replica
+    configuration.  Placement probes and every attempt (primary,
+    failover, hedge) share them, so replicas of one configuration run
+    one plan and one compiled engine; :meth:`finish` drops them when
+    the job reaches its terminal result.
+    """
 
     __slots__ = (
         "job", "index", "next_attempt", "earliest_start", "exclude",
-        "active", "done", "last_error", "hedged",
+        "active", "done", "last_error", "hedged", "_graph", "pres",
     )
 
-    def __init__(self, job: Job, index: int):
+    def __init__(
+        self,
+        job: Job,
+        index: int,
+        pres: Optional[Dict[tuple, PreprocessResult]] = None,
+    ):
         self.job = job
         self.index = index
         self.next_attempt = 1
@@ -266,6 +280,31 @@ class _QueuedJob:
         self.done = False
         self.last_error: Tuple[str, str] = ("", "")
         self.hedged = False
+        self._graph: Optional[Graph] = None
+        #: :attr:`Replica.config` -> the job's preprocessed graph.
+        self.pres: Dict[tuple, PreprocessResult] = pres or {}
+
+    def graph(self) -> Graph:
+        """The graph the job's app executes (built on first use)."""
+        if self._graph is None:
+            self._graph = get_app_spec(self.job.app).prepare(
+                self.job.graph.build()
+            )
+        return self._graph
+
+    def preprocessed(self, replica: Replica) -> PreprocessResult:
+        """The job's graph preprocessed for ``replica``'s configuration."""
+        pre = self.pres.get(replica.config)
+        if pre is None:
+            pre = replica.handle.framework.preprocess(self.graph())
+            self.pres[replica.config] = pre
+        return pre
+
+    def finish(self) -> None:
+        """Terminal result reached: drop the preprocessed state."""
+        self.done = True
+        self._graph = None
+        self.pres = {}
 
     def sort_key(self) -> tuple:
         """Dispatch order: priority desc, tighter deadline, FIFO."""
@@ -362,7 +401,9 @@ class FleetRuntime:
             breaker_penalty=self.policy.breaker_penalty,
             degraded_penalty=self.policy.degraded_penalty,
         )
-        self._graphs: Dict[str, Graph] = {}
+        #: Job id -> prewarmed preprocess results, claimed by the job on
+        #: submission (see :meth:`prewarm`).
+        self._prewarmed: Dict[str, Dict[tuple, PreprocessResult]] = {}
         self._programmed: set = set()
         self._queue: List[_QueuedJob] = []
         self._inflight: List[_Attempt] = []
@@ -438,13 +479,6 @@ class FleetRuntime:
             f"{[r.replica_id for r in self.replicas]}"
         )
 
-    def _graph(self, job: Job) -> Graph:
-        graph = self._graphs.get(job.job_id)
-        if graph is None:
-            graph = get_app_spec(job.app).prepare(job.graph.build())
-            self._graphs[job.job_id] = graph
-        return graph
-
     def _log(self, time, job_id, replica_id, attempt, kind) -> None:
         self._assignments.append(AssignmentRecord(
             seq=len(self._assignments),
@@ -477,10 +511,10 @@ class FleetRuntime:
         completion event at the modelled finish time."""
         job = entry.job
         now = self.clock.now
-        graph = self._graph(job)
+        graph = entry.graph()
         handle = replica.handle
-        pre = self.placement.preprocess_for(replica, job, graph)
-        predicted = self.placement.predicted_seconds(replica, job, graph)
+        pre = entry.preprocessed(replica)
+        predicted = self.placement.predicted_seconds(replica, job, pre)
         programming = 0.0
         if replica.replica_id not in self._programmed:
             programming = handle.timing.programming_seconds
@@ -580,7 +614,7 @@ class FleetRuntime:
 
     def _finalize_completed(self, attempt: _Attempt) -> None:
         entry = attempt.entry
-        entry.done = True
+        entry.finish()
         job = entry.job
         result = JobResult(
             job_id=job.job_id,
@@ -621,7 +655,7 @@ class FleetRuntime:
     def _finalize_failed(
         self, entry: _QueuedJob, error_type: str, detail: str, attempts: int
     ) -> None:
-        entry.done = True
+        entry.finish()
         job = entry.job
         result = JobResult(
             job_id=job.job_id,
@@ -764,13 +798,12 @@ class FleetRuntime:
             graph=self.policy.canary_graph(),
             max_iterations=self.policy.canary_iterations,
         )
-        graph = self._graph(job)
+        graph = job.graph.build()
         self._log(
             self.clock.now, canary_id, replica.replica_id, 1, "canary"
         )
         try:
-            pre = self.placement.preprocess_for(replica, job, graph)
-            replica.handle.load_graph(graph, pre=pre)
+            replica.handle.load_graph(graph)
             run = replica.handle.execute(
                 job.app,
                 max_iterations=job.max_iterations,
@@ -821,15 +854,16 @@ class FleetRuntime:
             progressed = False
             for entry in self._dispatchable():
                 job = entry.job
-                graph = self._graph(job)
+                graph = entry.graph()
                 replica = self.placement.choose(
-                    idle, job, graph, self.clock.now, exclude=entry.exclude
+                    idle, job, graph, entry.preprocessed, self.clock.now,
+                    exclude=entry.exclude,
                 )
                 if replica is None and entry.exclude:
                     # Failover prefers a different replica but falls back
                     # to the failed one when it is the only card left.
                     replica = self.placement.choose(
-                        idle, job, graph, self.clock.now
+                        idle, job, graph, entry.preprocessed, self.clock.now
                     )
                 if replica is None:
                     if not self._placeable_anywhere(entry):
@@ -854,7 +888,7 @@ class FleetRuntime:
 
     def _placeable_anywhere(self, entry: _QueuedJob) -> bool:
         """Could any current or future (non-retired) replica take it?"""
-        graph = self._graph(entry.job)
+        graph = entry.graph()
         return any(
             r.state != RETIRED and self.placement.fits(r, graph)
             for r in self.replicas
@@ -880,9 +914,9 @@ class FleetRuntime:
             return
         if primary.finish <= job.submit_time + job.deadline_seconds:
             return
-        graph = self._graph(job)
         backup = self.placement.choose(
-            self._idle_serving(), job, graph, self.clock.now,
+            self._idle_serving(), job, entry.graph(), entry.preprocessed,
+            self.clock.now,
             exclude=entry.exclude + (primary.replica.replica_id,),
         )
         if backup is None:
@@ -967,32 +1001,24 @@ class FleetRuntime:
 
         The event loop itself is serial by construction (one virtual
         clock, one event order), so parallelism comes from hoisting the
-        expensive *pure* work out of it: each distinct (device config,
-        graph) spec is preprocessed — and its plan compiled and timed
-        once — on a worker process.  The returned
+        expensive *pure* work out of it: each distinct (replica config,
+        graph, app) task is preprocessed — and its plan compiled and
+        timed once — on a worker process.  The returned
         :class:`~repro.core.framework.PreprocessResult` carries the
-        compiled engine on its plan and seeds the placement engine; it
-        is a pure function of the spec, so the warmed run's
-        :class:`FleetReport` digest is bit-identical to a cold serial
-        run's.
+        compiled engine on its plan; each job claims its own results
+        when the next :meth:`run` submits it, and whatever that run
+        leaves unclaimed is dropped with it.  A result is a pure
+        function of its task, so the warmed run's :class:`FleetReport`
+        digest is bit-identical to a cold serial run's.
 
         ``perf`` is a :class:`~repro.perf.config.PerfConfig`; returns
-        the number of specs warmed.
+        the number of tasks warmed.
         """
-        from repro.perf.parallel import parallel_map
-        from repro.perf.prewarm import distinct_specs, prewarm_spec
+        from repro.perf.prewarm import prewarm_jobs
 
-        specs = distinct_specs(self.replicas, jobs)
-        results = parallel_map(
-            prewarm_spec, list(specs.values()), workers=perf.workers
+        self._prewarmed, warmed = prewarm_jobs(
+            self.replicas, jobs, perf.workers
         )
-        warmed = 0
-        for item in results:
-            if item is None:
-                continue
-            key, pre = item
-            self.placement.seed(key, pre)
-            warmed += 1
         return warmed
 
     # -- the event loop --------------------------------------------------
@@ -1039,8 +1065,20 @@ class FleetRuntime:
         pending_kills = sorted(
             enumerate(kills), key=lambda p: (p[1].at_seconds, p[0])
         )
-        sub_i = kill_i = 0
+        try:
+            self._serve(submissions, pending_kills, halt_after_events)
+        finally:
+            self._prewarmed.clear()
+        self._wal("run-end", {
+            "makespan_seconds": self.clock.now,
+            "jobs": len(jobs),
+            "events_processed": self.events_processed,
+        })
+        return self._build_report(jobs, kills)
 
+    def _serve(self, submissions, pending_kills, halt_after_events) -> None:
+        """The event loop of :meth:`run`, until no event is left."""
+        sub_i = kill_i = 0
         while True:
             events: List[tuple] = []
             if self._inflight:
@@ -1131,14 +1169,8 @@ class FleetRuntime:
                     events_processed=self.events_processed,
                 )
 
-        self._wal("run-end", {
-            "makespan_seconds": self.clock.now,
-            "jobs": len(jobs),
-            "events_processed": self.events_processed,
-        })
-        return self._build_report(jobs, kills)
-
     def _submit(self, job: Job) -> None:
+        warmed = self._prewarmed.pop(job.job_id, None)
         self._wal("submit", {
             "job_id": job.job_id, "time": self.clock.now,
         })
@@ -1153,7 +1185,7 @@ class FleetRuntime:
             "seq": self._admit_seq,
             "time": self.clock.now,
         })
-        self._queue.append(_QueuedJob(job, self._admit_seq))
+        self._queue.append(_QueuedJob(job, self._admit_seq, warmed))
 
     # -- crash recovery ---------------------------------------------------
     @classmethod

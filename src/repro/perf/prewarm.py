@@ -3,39 +3,38 @@
 The fleet event loop itself is inherently serial — it is a virtual-time
 discrete-event simulation whose bit-reproducible report depends on one
 global event order.  What *is* parallel is the expensive pure work the
-loop keeps stopping for: preprocessing each distinct (device config,
-graph) pair and timing its partitions for the first time.
+loop keeps stopping for: preprocessing each job's graph for each
+replica configuration and timing its partitions for the first time.
 
 :func:`prewarm_spec` is the picklable worker unit: it rebuilds one
-spec's framework, preprocesses the graph and runs one timing iteration,
+task's framework, preprocesses the graph and runs one timing iteration,
 which compiles the plan and memoises the compiled engine (with its
-evaluated timings) on ``pre.plan``.  It ships back ``(placement key,
-PreprocessResult)``; the engine pickles along with the plan.  The parent
-seeds :class:`~repro.fleet.placement.PlacementEngine` with it *before*
-starting the event loop, which then finds every expensive step already
-answered.  The result is a pure function of the spec, so the warmed
-run's report digest is identical to a cold serial run's.
+evaluated timings) on ``pre.plan``.  It ships back the
+``PreprocessResult``; the engine pickles along with the plan.
+:func:`prewarm_jobs` hands every job the results for its own tasks,
+which the job owns once the event loop admits it.  A result is a pure
+function of its task, so the warmed run's report digest is identical
+to a cold serial run's.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.apps.registry import get_app_spec
 from repro.arch.config import PipelineConfig
-from repro.core.framework import ReGraph
+from repro.core.framework import PreprocessResult, ReGraph
 from repro.core.system import SystemSimulator
 from repro.errors import ReproError
-from repro.fleet.placement import preprocess_cache_key
+from repro.perf.parallel import parallel_map
 
 
-def prewarm_spec(task: tuple) -> Optional[Tuple[tuple, object]]:
-    """Warm one (device, buffer, pipelines, graph spec, app) spec.
+def prewarm_spec(task: tuple) -> Optional[PreprocessResult]:
+    """Warm one (device, buffer, pipelines, graph spec, app) task.
 
-    Returns ``(placement cache key, PreprocessResult)``, or ``None``
-    when the spec cannot be preprocessed (the event loop will then
-    handle it — and its typed failure — exactly as it would have
-    without prewarming).
+    Returns the ``PreprocessResult``, or ``None`` when the task cannot
+    be preprocessed (the event loop will then handle it — and its typed
+    failure — exactly as it would have without prewarming).
     """
     device, buffer_vertices, num_pipelines, graph_spec, app = task
     try:
@@ -54,30 +53,30 @@ def prewarm_spec(task: tuple) -> Optional[Tuple[tuple, object]]:
         sim.iteration_timing(graph.num_vertices)
     except ReproError:
         return None
-    return preprocess_cache_key(*task), pre
+    return pre
 
 
-def distinct_specs(replicas, jobs) -> dict:
-    """The deduplicated prewarm work-list for a pool and job stream.
+def prewarm_jobs(
+    replicas, jobs, workers: int
+) -> Tuple[Dict[str, Dict[tuple, PreprocessResult]], int]:
+    """Preprocess every job for every replica configuration of a pool.
 
-    Keyed by placement cache key (insertion order = deterministic job
-    order), valued by the picklable :func:`prewarm_spec` task tuple.
+    Returns ``(job id -> {Replica.config: PreprocessResult}, number of
+    tasks warmed)``.  Jobs with the same task tuple share one result.
     """
-    configs = []
-    seen = set()
-    for replica in replicas:
-        fw = replica.handle.framework
-        config = (
-            replica.device,
-            fw.pipeline.gather_buffer_vertices,
-            fw.num_pipelines,
-        )
-        if config not in seen:
-            seen.add(config)
-            configs.append(config)
-    specs = {}
-    for job in jobs:
-        for config in configs:
-            task = (*config, job.graph, job.app)
-            specs.setdefault(preprocess_cache_key(*task), task)
-    return specs
+    configs = list(dict.fromkeys(r.config for r in replicas))
+    tasks = list(dict.fromkeys(
+        (*config, job.graph, job.app) for job in jobs for config in configs
+    ))
+    warmed = dict(zip(
+        tasks, parallel_map(prewarm_spec, tasks, workers=workers)
+    ))
+    by_job = {
+        job.job_id: {
+            config: pre
+            for config in configs
+            if (pre := warmed[(*config, job.graph, job.app)]) is not None
+        }
+        for job in jobs
+    }
+    return by_job, sum(pre is not None for pre in warmed.values())

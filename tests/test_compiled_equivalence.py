@@ -54,7 +54,11 @@ from repro.graph.generators import (
 )
 from repro.hbm.channel import HbmChannelModel
 
-from tests.helpers import interpreted_oracle, make_framework
+from tests.helpers import (
+    TEST_BUFFER_VERTICES,
+    interpreted_oracle,
+    make_framework,
+)
 from tests.strategies import (
     channel_param_perturbations,
     compiled_specs,
@@ -143,17 +147,19 @@ def run_report_digest(run) -> str:
     return h.hexdigest()
 
 
-def run_both_paths(app, device, graph, **kwargs):
+def run_both_paths(
+    app, device, graph, buffer_vertices=TEST_BUFFER_VERTICES, **kwargs
+):
     """Production run, then the interpreted oracle's, each on a fresh
     framework; returns both reports."""
     production = dispatch(
-        make_framework(platform=device), app, graph,
-        max_iterations=8, **kwargs,
+        make_framework(platform=device, buffer_vertices=buffer_vertices),
+        app, graph, max_iterations=8, **kwargs,
     )
     with interpreted_oracle():
         oracle = dispatch(
-            make_framework(platform=device), app, graph,
-            max_iterations=8, **kwargs,
+            make_framework(platform=device, buffer_vertices=buffer_vertices),
+            app, graph, max_iterations=8, **kwargs,
         )
     return production, oracle
 

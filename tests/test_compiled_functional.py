@@ -218,6 +218,25 @@ class TestFunctionalEquivalence:
         assert run_report_digest(compiled) == run_report_digest(interpreted)
         np.testing.assert_array_equal(compiled.props, interpreted.props)
 
+    @pytest.mark.parametrize("app", ("pagerank", "sssp"))
+    @pytest.mark.parametrize("device", DEVICES)
+    def test_multi_partition_big_group_identical(self, device, app):
+        # The family graphs at the test buffer plan no Big group of more
+        # than one partition; this graph at COVERAGE_BUFFER does.
+        graph = coverage_graph("rmat", weighted=(app == "sssp"))
+        pre = make_framework(
+            platform=device, buffer_vertices=COVERAGE_BUFFER
+        ).preprocess(graph)
+        assert any(
+            len(task.partitions) > 1
+            for tasks in pre.plan.big_tasks for task in tasks
+        )
+        compiled, interpreted = run_both_paths(
+            app, device, graph, buffer_vertices=COVERAGE_BUFFER
+        )
+        assert run_report_digest(compiled) == run_report_digest(interpreted)
+        np.testing.assert_array_equal(compiled.props, interpreted.props)
+
     def test_routing_counters_attribute_each_pass(self):
         graph = family_graph("rmat")
         framework = make_framework()
@@ -834,6 +853,7 @@ class TestPlacementProbes:
         from repro.fleet.job import Job
         from repro.fleet.placement import PlacementEngine
         from repro.fleet.replica import make_replica
+        from repro.fleet.runtime import _QueuedJob
         from repro.hbm.channel import HbmTimingParams
 
         job = Job(
@@ -843,7 +863,7 @@ class TestPlacementProbes:
             ),
             max_iterations=10,
         )
-        graph = job.graph.build()
+        entry = _QueuedJob(job, 0)
         slow_params = HbmTimingParams(min_latency=48.0, max_latency=112.0)
         engine = PlacementEngine()
         predictions = []
@@ -851,8 +871,8 @@ class TestPlacementProbes:
             replica = make_replica(rid, "U280")
             fw = replica.handle.framework
             fw.channel = HbmChannelModel(params)
-            pre = engine.preprocess_for(replica, job, graph)
-            seconds = engine.predicted_seconds(replica, job, graph)
+            pre = entry.preprocessed(replica)
+            seconds = engine.predicted_seconds(replica, job, pre)
             sim = SystemSimulator(pre.plan, fw.platform, fw.channel)
             cycles = sim._compute_timing(pre.graph.num_vertices).total_cycles
             hz = pre.resources.frequency_mhz * 1e6
@@ -860,6 +880,7 @@ class TestPlacementProbes:
             predictions.append(seconds)
         # Same device, one preprocessed plan: both probes evaluated on
         # its one engine, under two parameter sets.
+        assert len(entry.pres) == 1
         assert len(plan_engine(pre.plan)._memo) == 2
         assert predictions[1] > predictions[0]
         assert engine.probe_stats == {"probes": 2}

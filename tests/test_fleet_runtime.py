@@ -1,9 +1,12 @@
 """Tests for the fleet serving runtime (admission, placement, failover,
 lifecycle, hedging, reporting)."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.chaos.spec import GraphSpec
+from repro.chaos.spec import CellSpec, GraphSpec
 from repro.errors import (
     AcceleratorDrainingError,
     FleetOverloadError,
@@ -29,6 +32,7 @@ from repro.fleet import (
     TokenBucket,
     make_replica,
 )
+from repro.fleet.runtime import _QueuedJob
 
 
 def small_graph(seed=1, weighted=False):
@@ -84,6 +88,17 @@ class TestJobModel:
     def test_bad_deadline_rejected(self):
         with pytest.raises(UserInputError, match="deadline"):
             make_job(deadline_seconds=0.0)
+
+    @pytest.mark.parametrize("cap", (0, -3))
+    def test_iteration_cap_below_one_rejected(self, cap):
+        with pytest.raises(UserInputError, match="max_iterations"):
+            make_job(max_iterations=cap)
+        with pytest.raises(UserInputError, match="max_iterations"):
+            CellSpec(
+                cell_id="c", device="U280", app="pagerank",
+                graph=small_graph(), max_iterations=cap,
+            )
+        assert make_job(max_iterations=None).max_iterations is None
 
     def test_deadline_critical(self):
         assert make_job(deadline_seconds=1.0).deadline_critical
@@ -157,12 +172,12 @@ class TestPlacement:
     def test_choose_is_deterministic_and_skips_excluded(self):
         pool = pool3()
         engine = PlacementEngine()
-        job = make_job()
-        graph = job.graph.build()
-        first = engine.choose(pool, job, graph, now=0.0)
-        assert first is engine.choose(pool, job, graph, now=0.0)
+        entry = _QueuedJob(make_job(), 0)
+        placing = (entry.job, entry.graph(), entry.preprocessed)
+        first = engine.choose(pool, *placing, now=0.0)
+        assert first is engine.choose(pool, *placing, now=0.0)
         other = engine.choose(
-            pool, job, graph, now=0.0, exclude=(first.replica_id,)
+            pool, *placing, now=0.0, exclude=(first.replica_id,)
         )
         assert other is not None and other is not first
 
@@ -171,8 +186,10 @@ class TestPlacement:
         for replica in pool:
             replica.kill()
         engine = PlacementEngine()
-        job = make_job()
-        assert engine.choose(pool, job, job.graph.build(), 0.0) is None
+        entry = _QueuedJob(make_job(), 0)
+        assert engine.choose(
+            pool, entry.job, entry.graph(), entry.preprocessed, 0.0
+        ) is None
 
     def test_oversized_graph_fits_nowhere(self):
         replica = make_replica("r0", "U280")
@@ -182,14 +199,54 @@ class TestPlacement:
         assert not PlacementEngine.fits(replica, too_big)
 
     def test_predicted_seconds_positive_and_cached(self):
+        # A live job preprocesses once per replica configuration: the
+        # probed replica and a same-config sibling share one result,
+        # which the job drops when it finishes.
         engine = PlacementEngine()
         replica = make_replica("r0", "U280")
-        job = make_job()
-        graph = job.graph.build()
-        assert engine.predicted_seconds(replica, job, graph) > 0
-        assert len(engine._pre_cache) == 1
-        engine.preprocess_for(replica, job, graph)
-        assert len(engine._pre_cache) == 1
+        entry = _QueuedJob(make_job(), 0)
+        pre = entry.preprocessed(replica)
+        assert engine.predicted_seconds(replica, entry.job, pre) > 0
+        assert entry.preprocessed(make_replica("r1", "U280")) is pre
+        assert len(entry.pres) == 1
+        entry.preprocessed(make_replica("r2", "U50"))
+        assert len(entry.pres) == 2
+        entry.finish()
+        assert entry.done and not entry.pres
+
+
+class TestJobOwnedPreprocessing:
+    def test_served_jobs_release_their_preprocess_results(
+        self, monkeypatch
+    ):
+        # Each job owns its preprocessing and drops it at its terminal
+        # result; only a handle's last-loaded graph may stay alive.
+        from repro.chaos.fleet_soak import FleetSoakConfig, generate_jobs
+        from repro.core.framework import ReGraph
+        from repro.serving.config import ServingConfig
+        from repro.serving.session import KernelSession
+
+        refs = []
+        original = ReGraph.preprocess
+
+        def tracked(self, *args, **kwargs):
+            pre = original(self, *args, **kwargs)
+            refs.append(weakref.ref(pre))
+            return pre
+
+        monkeypatch.setattr(ReGraph, "preprocess", tracked)
+        jobs = generate_jobs(
+            FleetSoakConfig(jobs=12, seed=7, replicas=("U280", "U50"))
+        )
+        session = KernelSession(ServingConfig(fsync=False).session_spec())
+        session.replay([job.to_dict() for job in jobs])
+        replicas = session.runtime.replicas
+        assert len(replicas) == 2 and len(refs) >= len(jobs)
+        gc.collect()
+        alive = [ref() for ref in refs if ref() is not None]
+        loaded = [r.handle._pre for r in replicas]
+        assert len(alive) <= len(replicas)
+        assert all(any(pre is last for last in loaded) for pre in alive)
 
 
 class _FakeGraph:

@@ -281,7 +281,9 @@ class TestHttpTransport:
     def test_bad_fault_plan_is_a_400(self, payloads):
         # An out-of-range fault model would otherwise be accepted and
         # silently inject nothing, or fail its run inside the worker; it
-        # is a bad payload like any other, and the worker stays up.
+        # is a bad payload like any other, and the worker stays up.  So
+        # is an iteration cap below one, which would "complete" a run
+        # that never iterated.
         bad_plans = [
             ("channel", {"dead_channels": [
                 {"channel": -1, "onset_cycle": 0.0}
@@ -297,15 +299,22 @@ class TestHttpTransport:
                 {"probability": 0.5, "onset_cycle": "abc"}
             ]}),
         ]
+        bad_payloads = [
+            (needle, {"fault_plan": dict(plan, seed=1)})
+            for needle, plan in bad_plans
+        ] + [
+            ("max_iterations", {"max_iterations": 0}),
+            ("max_iterations", {"max_iterations": -3}),
+        ]
 
         async def run():
             gateway = ServingGateway(_config())
             server = HttpServer(gateway, port=0)
             await server.start()
             try:
-                for i, (needle, plan) in enumerate(bad_plans):
-                    bad = dict(payloads[0], job_id=f"bad-fault-plan-{i}")
-                    bad["fault_plan"] = dict(plan, seed=1)
+                for i, (needle, fields) in enumerate(bad_payloads):
+                    bad = dict(payloads[0], job_id=f"bad-payload-{i}")
+                    bad.update(fields)
                     with pytest.raises(UserInputError, match=needle):
                         await gateway.submit("acme-key", bad)
                     status, _ = await _http(
