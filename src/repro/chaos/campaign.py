@@ -40,7 +40,6 @@ from repro.check.oracles import ORACLE_APPS
 from repro.check.tolerances import DEFAULT_BANDS, ToleranceBands
 from repro.chaos.oracles import validate_cell
 from repro.chaos.spec import CellSpec
-from repro.perf.config import PerfConfig
 from repro.perf.parallel import parallel_map
 
 #: Campaign default: breakers trip fast (threshold 3) so soak runs
@@ -244,14 +243,14 @@ def run_campaign(
     shrink_failures: bool = True,
     max_probes: int = 48,
     progress=None,
-    perf: Optional[PerfConfig] = None,
+    workers: int = 1,
 ) -> CampaignReport:
     """Run every cell of a campaign; shrink + bundle each failure.
 
     ``progress`` is an optional ``(index, total, CellResult) -> None``
     callback (the CLI uses it for per-cell lines).
 
-    ``perf`` fans the cells out over worker processes
+    ``workers`` > 1 fans the cells out over worker processes
     (:func:`~repro.perf.parallel.parallel_map`).  Each cell is already a
     deterministic pure function of its spec, so the report is
     bit-identical to a serial run: results are merged in cell order,
@@ -261,8 +260,9 @@ def run_campaign(
     """
     from repro.chaos.generate import generate_cells
 
+    if workers < 1:
+        raise UserInputError(f"workers must be >= 1, got {workers}")
     policy = policy if policy is not None else DEFAULT_CHAOS_POLICY
-    workers = perf.workers if perf is not None else 1
     cells = generate_cells(config)
     report = CampaignReport(
         config=config.to_dict(), cells=[c.to_dict() for c in cells]

@@ -212,11 +212,9 @@ class FleetSoakResult:
     config: FleetSoakConfig
     report: FleetReport
     kills: List[ReplicaKill] = field(default_factory=list)
-    #: Execution-acceleration stats (worker count, prewarmed specs,
-    #: placement probe counters).  Deliberately kept *outside*
-    #: :class:`FleetReport`: the report digest certifies the served
-    #: outcome, which must be identical between serial and parallel
-    #: runs, while these counters describe how fast we got there.
+    #: Execution stats (placement probe counters).  Deliberately kept
+    #: *outside* :class:`FleetReport`: the report digest certifies the
+    #: served outcome, while these counters describe how we got there.
     perf: dict = field(default_factory=dict)
     #: Durability accounting (results restored from the store, replay
     #: duplicates suppressed, divergences) — same side-channel contract
@@ -259,7 +257,6 @@ class FleetSoakResult:
 def run_fleet_soak(
     config: FleetSoakConfig,
     policy: Optional[FleetPolicy] = None,
-    perf=None,
     journal_path=None,
     store_path=None,
     halt_after_events: Optional[int] = None,
@@ -267,11 +264,6 @@ def run_fleet_soak(
     autoscale=None,
 ) -> FleetSoakResult:
     """Generate and serve the soak's job stream under its kill schedule.
-
-    ``perf`` (a :class:`~repro.perf.config.PerfConfig`) with
-    ``workers > 1`` prewarms every distinct (device, graph) spec on
-    worker processes before the — inherently serial — event loop
-    starts.  The report digest is unaffected.
 
     ``journal_path``/``store_path`` attach the durability pair (see
     ``docs/DURABILITY.md``); the digest is again unaffected.
@@ -308,9 +300,6 @@ def run_fleet_soak(
     runtime = FleetRuntime(
         pool, policy, journal=journal, store=store, autoscaler=scaler
     )
-    prewarmed = 0
-    if perf is not None and perf.parallel:
-        prewarmed = runtime.prewarm(jobs, perf)
     report = runtime.run(
         jobs, kills=kills, halt_after_events=halt_after_events
     )
@@ -318,13 +307,10 @@ def run_fleet_soak(
         journal.close()
     if store is not None:
         store.close()
-    result = FleetSoakResult(config=config, report=report, kills=kills)
-    if perf is not None:
-        result.perf = {
-            "workers": perf.workers,
-            "prewarmed_specs": prewarmed,
-            "placement": dict(runtime.placement.probe_stats),
-        }
+    result = FleetSoakResult(
+        config=config, report=report, kills=kills,
+        perf={"placement": dict(runtime.placement.probe_stats)},
+    )
     if journal is not None or store is not None:
         result.recovery = dict(runtime.recovery_stats)
     if scaler is not None:

@@ -15,6 +15,7 @@ from typing import Optional
 from repro.errors import UserInputError
 from repro.faults.plan import FaultPlan
 from repro.graph.coo import Graph
+from repro.utils.validation import check_max_iterations
 
 #: Generator families a cell may draw its graph from.
 GRAPH_KINDS = ("rmat", "powerlaw", "uniform")
@@ -107,16 +108,6 @@ def check_root(root: int, graph: GraphSpec) -> None:
         raise UserInputError(
             f"root {root} is not a vertex of {graph.name}: expected "
             f"0 <= root < {graph.vertices}"
-        )
-
-
-def check_max_iterations(max_iterations: Optional[int]) -> None:
-    """Reject an iteration cap below one (``None`` = run to
-    convergence): a zero or negative cap would "complete" a run that
-    never iterated."""
-    if max_iterations is not None and max_iterations < 1:
-        raise UserInputError(
-            f"max_iterations must be None or >= 1, got {max_iterations}"
         )
 
 

@@ -69,22 +69,6 @@ def _add_platform_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pipelines", type=int, default=None)
 
 
-def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
-    """Worker processes for the commands that fan work out (``chaos run``
-    cells, ``fleet run`` prewarm; see docs/PERFORMANCE.md)."""
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for parallelizable stages (default 1 = "
-             "serial; results are bit-identical either way)",
-    )
-
-
-def _perf_config(args):
-    from repro.perf import PerfConfig
-
-    return PerfConfig(workers=args.jobs)
-
-
 def _print_compiled_stats() -> None:
     """Compiled-core summary lines (silent when nothing ran)."""
     from repro.compiled import compiled_stats
@@ -415,7 +399,6 @@ def _chaos_run(args) -> int:
 
     from repro.chaos import CampaignConfig, run_campaign
 
-    perf = _perf_config(args)
     config = CampaignConfig(
         seed=args.chaos_seed,
         cells=args.cells,
@@ -428,7 +411,7 @@ def _chaos_run(args) -> int:
     print(f"chaos campaign: {config.cells} cells, seed {config.seed}, "
           f"intensity {config.intensity}, "
           f"devices {'/'.join(config.devices)}"
-          + (f", {perf.workers} workers" if perf.parallel else ""))
+          + (f", {args.jobs} workers" if args.jobs > 1 else ""))
 
     def progress(index, total, result):
         if not result.survived:
@@ -447,7 +430,7 @@ def _chaos_run(args) -> int:
             shrink_failures=not args.no_shrink,
             max_probes=args.max_probes,
             progress=progress,
-            perf=perf,
+            workers=args.jobs,
         )
     _print_campaign_summary(report)
     _print_compiled_stats()
@@ -693,7 +676,6 @@ def _fleet_run(args) -> int:
     from repro.chaos.fleet_soak import FleetSoakConfig, run_fleet_soak
     from repro.fleet import FleetPolicy
 
-    perf = _perf_config(args)
     config = FleetSoakConfig(
         seed=args.fleet_seed,
         jobs=args.num_jobs,
@@ -715,7 +697,6 @@ def _fleet_run(args) -> int:
           f"{len(config.replicas)} replicas "
           f"({'/'.join(config.replicas)}), seed {config.seed}, "
           f"intensity {config.intensity}"
-          + (f", {perf.workers} workers" if perf.parallel else "")
           + (f", journaled to {args.journal}" if args.journal else ""))
     if (args.store or args.crash_after) and not args.journal:
         from repro.errors import UserInputError
@@ -741,7 +722,7 @@ def _fleet_run(args) -> int:
         # so whatever is flushed is exactly what resume replays.
         with graceful_interrupts():
             result = run_fleet_soak(
-                config, policy, perf=perf,
+                config, policy,
                 journal_path=args.journal,
                 store_path=args.store,
                 halt_after_events=args.crash_after,
@@ -828,12 +809,7 @@ def _fleet_resume(args) -> int:
 
 
 def _print_perf_stats(perf: dict) -> None:
-    """Execution-acceleration line for a soak (silent when absent)."""
-    if not perf:
-        return
-    line = (f"perf: {perf.get('workers', 1)} worker(s), "
-            f"{perf.get('prewarmed_specs', 0)} prewarmed spec(s)")
-    print(line)
+    """Placement-probe line for a soak (silent when none ran)."""
     placement = perf.get("placement")
     if placement and placement.get("probes", 0):
         print(f"placement probes: {placement['probes']} what-if probes")
@@ -1249,7 +1225,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bundle failures without delta-debugging them")
     pr.add_argument("--max-probes", type=int, default=48,
                     help="probe budget per shrink (default 48)")
-    _add_perf_arguments(pr)
+    pr.add_argument("--jobs", type=int, default=1, metavar="N",
+                    help="worker processes for the cells (default 1 = "
+                         "serial; the report is bit-identical either way)")
 
     pp = chaos_sub.add_parser(
         "replay", help="re-execute a repro bundle and verify its digest"
@@ -1398,7 +1376,6 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="SECONDS",
                     help="virtual seconds between scaling actions "
                          "(default 0.5)")
-    _add_perf_arguments(pf)
 
     pf = fleet_sub.add_parser(
         "resume",

@@ -31,6 +31,7 @@ from repro.model.calibrate import calibrate_performance_model
 from repro.model.perf import PerformanceModel
 from repro.sched.plan import SchedulingPlan
 from repro.sched.scheduler import build_schedule
+from repro.utils.validation import check_max_iterations
 
 #: Keywords of :meth:`ReGraph.run`; :meth:`ReGraph.run_app` hands every
 #: other keyword to the app's constructor.
@@ -159,7 +160,12 @@ class ReGraph:
         :class:`~repro.faults.resilience.CircuitBreakerBank` across runs
         so repeatedly-faulting channels stay degraded between executions
         (the host runtime passes its per-handle bank here).
+
+        ``max_iterations`` below one raises
+        :class:`~repro.errors.UserInputError` (``None`` runs to
+        convergence).
         """
+        check_max_iterations(max_iterations)
         pre = (
             graph_or_pre
             if isinstance(graph_or_pre, PreprocessResult)

@@ -17,9 +17,10 @@ from typing import List, Optional
 
 from repro.apps.registry import get_app_spec
 from repro.chaos.generate import CAMPAIGN_APPS
-from repro.chaos.spec import GraphSpec, check_max_iterations, check_root
+from repro.chaos.spec import GraphSpec, check_root
 from repro.errors import UserInputError
 from repro.faults.plan import FaultPlan
+from repro.utils.validation import check_max_iterations
 
 #: Apps a fleet job may request (each has a chaos conformance oracle).
 FLEET_APPS = CAMPAIGN_APPS

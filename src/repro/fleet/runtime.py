@@ -264,12 +264,7 @@ class _QueuedJob:
         "active", "done", "last_error", "hedged", "_graph", "pres",
     )
 
-    def __init__(
-        self,
-        job: Job,
-        index: int,
-        pres: Optional[Dict[tuple, PreprocessResult]] = None,
-    ):
+    def __init__(self, job: Job, index: int):
         self.job = job
         self.index = index
         self.next_attempt = 1
@@ -282,7 +277,7 @@ class _QueuedJob:
         self.hedged = False
         self._graph: Optional[Graph] = None
         #: :attr:`Replica.config` -> the job's preprocessed graph.
-        self.pres: Dict[tuple, PreprocessResult] = pres or {}
+        self.pres: Dict[tuple, PreprocessResult] = {}
 
     def graph(self) -> Graph:
         """The graph the job's app executes (built on first use)."""
@@ -401,9 +396,6 @@ class FleetRuntime:
             breaker_penalty=self.policy.breaker_penalty,
             degraded_penalty=self.policy.degraded_penalty,
         )
-        #: Job id -> prewarmed preprocess results, claimed by the job on
-        #: submission (see :meth:`prewarm`).
-        self._prewarmed: Dict[str, Dict[tuple, PreprocessResult]] = {}
         self._programmed: set = set()
         self._queue: List[_QueuedJob] = []
         self._inflight: List[_Attempt] = []
@@ -995,32 +987,6 @@ class FleetRuntime:
             self._wal_replica(victim, "autoscaler scale-down; draining")
         return True
 
-    # -- prewarm ---------------------------------------------------------
-    def prewarm(self, jobs: Sequence[Job], perf) -> int:
-        """Preprocess and compile every spec of a job stream up front.
-
-        The event loop itself is serial by construction (one virtual
-        clock, one event order), so parallelism comes from hoisting the
-        expensive *pure* work out of it: each distinct (replica config,
-        graph, app) task is preprocessed — and its plan compiled and
-        timed once — on a worker process.  The returned
-        :class:`~repro.core.framework.PreprocessResult` carries the
-        compiled engine on its plan; each job claims its own results
-        when the next :meth:`run` submits it, and whatever that run
-        leaves unclaimed is dropped with it.  A result is a pure
-        function of its task, so the warmed run's :class:`FleetReport`
-        digest is bit-identical to a cold serial run's.
-
-        ``perf`` is a :class:`~repro.perf.config.PerfConfig`; returns
-        the number of tasks warmed.
-        """
-        from repro.perf.prewarm import prewarm_jobs
-
-        self._prewarmed, warmed = prewarm_jobs(
-            self.replicas, jobs, perf.workers
-        )
-        return warmed
-
     # -- the event loop --------------------------------------------------
     def run(
         self,
@@ -1065,20 +1031,8 @@ class FleetRuntime:
         pending_kills = sorted(
             enumerate(kills), key=lambda p: (p[1].at_seconds, p[0])
         )
-        try:
-            self._serve(submissions, pending_kills, halt_after_events)
-        finally:
-            self._prewarmed.clear()
-        self._wal("run-end", {
-            "makespan_seconds": self.clock.now,
-            "jobs": len(jobs),
-            "events_processed": self.events_processed,
-        })
-        return self._build_report(jobs, kills)
-
-    def _serve(self, submissions, pending_kills, halt_after_events) -> None:
-        """The event loop of :meth:`run`, until no event is left."""
         sub_i = kill_i = 0
+
         while True:
             events: List[tuple] = []
             if self._inflight:
@@ -1169,8 +1123,14 @@ class FleetRuntime:
                     events_processed=self.events_processed,
                 )
 
+        self._wal("run-end", {
+            "makespan_seconds": self.clock.now,
+            "jobs": len(jobs),
+            "events_processed": self.events_processed,
+        })
+        return self._build_report(jobs, kills)
+
     def _submit(self, job: Job) -> None:
-        warmed = self._prewarmed.pop(job.job_id, None)
         self._wal("submit", {
             "job_id": job.job_id, "time": self.clock.now,
         })
@@ -1185,7 +1145,7 @@ class FleetRuntime:
             "seq": self._admit_seq,
             "time": self.clock.now,
         })
-        self._queue.append(_QueuedJob(job, self._admit_seq, warmed))
+        self._queue.append(_QueuedJob(job, self._admit_seq))
 
     # -- crash recovery ---------------------------------------------------
     @classmethod

@@ -10,25 +10,18 @@ re-estimating the scheduled makespan with the analytic model.
 Parameters swept: PE counts (``n_spe``/``n_gpe``), the Gather buffer
 size (which also changes the partition count!), the Ping-Pong Buffer
 size and the partition-switch overhead.
-
-Every point is an independent pure function of (graph, config,
-parameter, value), so sweeps fan out over worker processes when a
-:class:`~repro.perf.config.PerfConfig` with ``workers > 1`` is passed —
-results come back in value order either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.arch.config import PipelineConfig
 from repro.graph.coo import Graph
 from repro.graph.partition import partition_graph
 from repro.hbm.channel import HbmChannelModel
 from repro.model.calibrate import calibrate_performance_model
-from repro.perf.config import PerfConfig
-from repro.perf.parallel import parallel_map
 
 
 @dataclass(frozen=True)
@@ -46,30 +39,6 @@ class SweepPoint:
         return other.makespan_cycles / max(self.makespan_cycles, 1e-9)
 
 
-def _sweep_point(task: tuple) -> SweepPoint:
-    """Evaluate one (graph, config, parameter, value) setting.
-
-    Top-level (picklable) so :func:`~repro.perf.parallel.parallel_map`
-    can dispatch points to worker processes.
-    """
-    # Imported here: repro.sched pulls the performance model back in,
-    # which would cycle at package-import time.
-    from repro.sched.scheduler import build_schedule
-
-    graph, base_config, parameter, value, num_pipelines, channel = task
-    config = replace(base_config, **{parameter: value})
-    model = calibrate_performance_model(config, channel)
-    pset = partition_graph(graph, config.partition_vertices)
-    plan = build_schedule(pset, model, num_pipelines)
-    return SweepPoint(
-        parameter=parameter,
-        value=int(value),
-        makespan_cycles=plan.estimated_makespan,
-        num_partitions=len(pset.nonempty()),
-        combo_label=plan.accelerator.label,
-    )
-
-
 def sweep_parameter(
     graph: Graph,
     base_config: PipelineConfig,
@@ -77,7 +46,6 @@ def sweep_parameter(
     values: Sequence[int],
     num_pipelines: int = 8,
     channel: HbmChannelModel = None,
-    perf: Optional[PerfConfig] = None,
 ) -> List[SweepPoint]:
     """Estimate scheduled makespan across settings of one parameter.
 
@@ -87,15 +55,27 @@ def sweep_parameter(
     modelled (not simulated) cycles, so whole sweeps stay cheap enough
     for interactive use.
     """
+    # Imported here: repro.sched pulls the performance model back in,
+    # which would cycle at package-import time.
+    from repro.sched.scheduler import build_schedule
+
     if not hasattr(base_config, parameter):
         raise ValueError(f"unknown PipelineConfig field {parameter!r}")
     channel = channel or HbmChannelModel()
-    workers = perf.workers if perf is not None else 1
-    tasks = [
-        (graph, base_config, parameter, int(value), num_pipelines, channel)
-        for value in values
-    ]
-    return parallel_map(_sweep_point, tasks, workers=workers)
+    points = []
+    for value in values:
+        config = replace(base_config, **{parameter: int(value)})
+        model = calibrate_performance_model(config, channel)
+        pset = partition_graph(graph, config.partition_vertices)
+        plan = build_schedule(pset, model, num_pipelines)
+        points.append(SweepPoint(
+            parameter=parameter,
+            value=int(value),
+            makespan_cycles=plan.estimated_makespan,
+            num_partitions=len(pset.nonempty()),
+            combo_label=plan.accelerator.label,
+        ))
+    return points
 
 
 def sensitivity_report(
@@ -103,16 +83,9 @@ def sensitivity_report(
     base_config: PipelineConfig,
     num_pipelines: int = 8,
     channel: HbmChannelModel = None,
-    perf: Optional[PerfConfig] = None,
 ) -> Dict[str, List[SweepPoint]]:
-    """Sweep the standard knobs around their Sec. VI-A defaults.
-
-    All (parameter, value) points of all sweeps form one flat work list
-    so a worker pool stays busy across parameter boundaries; points are
-    regrouped per parameter in value order afterwards.
-    """
+    """Sweep the standard knobs around their Sec. VI-A defaults."""
     channel = channel or HbmChannelModel()
-    workers = perf.workers if perf is not None else 1
     buffer_base = base_config.gather_buffer_vertices
     sweeps = {
         "n_spe": [2, 4, 8, 16],
@@ -122,13 +95,9 @@ def sensitivity_report(
         ],
         "pingpong_bytes": [8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024],
     }
-    tasks = [
-        (graph, base_config, name, int(value), num_pipelines, channel)
+    return {
+        name: sweep_parameter(
+            graph, base_config, name, values, num_pipelines, channel
+        )
         for name, values in sweeps.items()
-        for value in values
-    ]
-    points = parallel_map(_sweep_point, tasks, workers=workers)
-    report: Dict[str, List[SweepPoint]] = {name: [] for name in sweeps}
-    for point in points:
-        report[point.parameter].append(point)
-    return report
+    }

@@ -6,7 +6,11 @@ defensive clutter while still failing loudly on misuse.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
+
+from repro.errors import UserInputError
 
 
 def check_positive(name: str, value) -> None:
@@ -33,3 +37,13 @@ def check_array_1d(name: str, arr) -> np.ndarray:
     if out.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {out.shape}")
     return out
+
+
+def check_max_iterations(max_iterations: Optional[int]) -> None:
+    """Reject an iteration cap below one (``None`` = run to
+    convergence): a zero or negative cap would "complete" a run that
+    never iterated."""
+    if max_iterations is not None and max_iterations < 1:
+        raise UserInputError(
+            f"max_iterations must be None or >= 1, got {max_iterations}"
+        )

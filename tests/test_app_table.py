@@ -244,6 +244,27 @@ class TestRootRange:
         asyncio.run(run())
 
 
+class TestIterationCap:
+    """A cap below one is bad input on every run entry point: it would
+    "complete" a run that never iterated."""
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_run_app_rejects(self, framework, graph, cap):
+        with pytest.raises(UserInputError, match="max_iterations"):
+            framework.run_app(graph, "pagerank", max_iterations=cap)
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["run", "faultsim"])
+    def test_cli_exits_2(self, command, cap, capsys):
+        code = main([
+            command, "--dataset", "GG", "--scale", "0.005",
+            "--buffer-vertices", "256", "--pipelines", "4",
+            "--iterations", cap,
+        ])
+        assert code == 2
+        assert "max_iterations" in capsys.readouterr().err
+
+
 class TestJobsFlag:
     """``--jobs`` exists only where a worker pool reads it."""
 
@@ -251,13 +272,18 @@ class TestJobsFlag:
         ["run", "--dataset", "GG"],
         ["sweep", "--dataset", "GG"],
         ["check", "--quick"],
+        ["fleet", "run"],
     ])
     def test_rejected_where_nothing_reads_it(self, command):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(command + ["--jobs", "2"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", [["chaos", "run"], ["fleet", "run"]])
+    @pytest.mark.parametrize("command", [["chaos", "run"]])
     def test_accepted_where_workers_run(self, command):
         args = build_parser().parse_args(command + ["--jobs", "2"])
         assert args.jobs == 2
+
+    def test_chaos_run_rejects_zero_workers(self, capsys):
+        assert main(["chaos", "run", "--jobs", "0"]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err

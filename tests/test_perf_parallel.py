@@ -2,15 +2,15 @@
 
 The contract under test: ``parallel_map`` preserves submission order
 and task-exception semantics, falls back to the serial loop on pool
-infrastructure failures, and every parallelized subsystem — chaos
-campaigns, model sweeps, fleet soaks — produces *bit-identical* reports
-with ``workers > 1`` as with the plain serial loop.
+infrastructure failures, and a chaos campaign — the one subsystem that
+fans out over it — produces a *bit-identical* report with
+``workers > 1`` as with the plain serial loop.
 """
 
 import pytest
 
 from repro.errors import UserInputError
-from repro.perf import PerfConfig, parallel_map
+from repro.perf import parallel_map
 
 #: Enough to exercise the pool without slowing the tier-1 suite.
 WORKERS = 2
@@ -54,20 +54,16 @@ class TestParallelMap:
             parallel_map(_raise_on_three, [1, 2, 3, 4], workers=1)
 
 
-class TestPerfConfig:
-    def test_defaults(self):
-        perf = PerfConfig()
-        assert perf.workers == 1
-        assert not perf.parallel
-        assert PerfConfig(workers=4).parallel
-
+class TestCampaignWorkers:
     def test_validation(self):
-        with pytest.raises(UserInputError):
-            PerfConfig(workers=0)
+        from repro.chaos import CampaignConfig, run_campaign
+
+        with pytest.raises(UserInputError, match="workers must be >= 1"):
+            run_campaign(CampaignConfig(cells=1), workers=0)
 
 
 class TestParallelEquivalence:
-    """Parallel runs must merge into byte-identical reports."""
+    """A parallel campaign must merge into a byte-identical report."""
 
     def test_chaos_campaign_parallel_matches_serial(self):
         from repro.chaos import CampaignConfig, run_campaign
@@ -75,65 +71,9 @@ class TestParallelEquivalence:
         config = CampaignConfig(seed=9, cells=4, max_iterations=15)
         serial = run_campaign(config, shrink_failures=False)
         parallel = run_campaign(
-            config, shrink_failures=False,
-            perf=PerfConfig(workers=WORKERS),
+            config, shrink_failures=False, workers=WORKERS
         )
         assert parallel.to_dict() == serial.to_dict()
-
-    def test_model_sweep_parallel_matches_serial(self):
-        from repro.arch.config import PipelineConfig
-        from repro.graph.generators import rmat_graph
-        from repro.model.sweep import sweep_parameter
-
-        graph = rmat_graph(10, 8, seed=2)
-        config = PipelineConfig(gather_buffer_vertices=256)
-        serial = sweep_parameter(graph, config, "n_gpe", [2, 4, 8, 16])
-        parallel = sweep_parameter(
-            graph, config, "n_gpe", [2, 4, 8, 16],
-            perf=PerfConfig(workers=WORKERS),
-        )
-        assert parallel == serial
-
-    def test_fleet_soak_parallel_matches_serial(self):
-        from repro.chaos.fleet_soak import FleetSoakConfig, run_fleet_soak
-
-        config = FleetSoakConfig(seed=13, jobs=6, replicas=("U280", "U50"))
-        serial = run_fleet_soak(config)
-        parallel = run_fleet_soak(config, perf=PerfConfig(workers=WORKERS))
-        assert parallel.report.digest() == serial.report.digest()
-        # The perf stats ride beside the report, never inside it.
-        assert parallel.perf["workers"] == WORKERS
-        assert parallel.perf["prewarmed_specs"] >= 0
-        assert "perf" not in parallel.report.to_dict()
-
-    def test_prewarmed_soak_compiles_no_plan_in_the_parent(
-        self, monkeypatch
-    ):
-        # Prewarm workers compile each spec's plan; the engine pickles
-        # back on pre.plan, so the parent's event loop compiles nothing.
-        from repro.chaos.fleet_soak import FleetSoakConfig, run_fleet_soak
-        from repro.compiled import compiled_stats
-        from repro.fleet.runtime import FleetRuntime
-
-        compiled_in_loop = []
-        original = FleetRuntime.run
-
-        def counted_run(self, *args, **kwargs):
-            before = compiled_stats()["plans_compiled"]
-            report = original(self, *args, **kwargs)
-            compiled_in_loop.append(
-                compiled_stats()["plans_compiled"] - before
-            )
-            return report
-
-        monkeypatch.setattr(FleetRuntime, "run", counted_run)
-        config = FleetSoakConfig(seed=13, jobs=6, replicas=("U280", "U50"))
-        serial = run_fleet_soak(config)
-        parallel = run_fleet_soak(config, perf=PerfConfig(workers=WORKERS))
-        assert parallel.report.digest() == serial.report.digest()
-        assert parallel.perf["prewarmed_specs"] > 0
-        assert compiled_in_loop[0] > 0
-        assert compiled_in_loop[1] == 0
 
     def test_fleet_soak_json_roundtrip_keeps_perf(self):
         from repro.chaos.fleet_soak import (
@@ -143,8 +83,17 @@ class TestParallelEquivalence:
         )
 
         config = FleetSoakConfig(seed=13, jobs=4, replicas=("U280",))
-        result = run_fleet_soak(config, perf=PerfConfig(workers=1))
+        result = run_fleet_soak(config)
+        # The placement probe counters ride beside the report, never
+        # inside it.
+        assert set(result.perf) == {"placement"}
+        assert "perf" not in result.report.to_dict()
         data = result.to_dict()
         back = FleetSoakResult.from_dict(data)
         assert back.perf == result.perf
         assert back.report.digest() == result.report.digest()
+        # Reports written while fleet prewarm existed still load.
+        data["perf"] = {"workers": 2, "prewarmed_specs": 3, **result.perf}
+        assert FleetSoakResult.from_dict(data).perf["placement"] == (
+            result.perf["placement"]
+        )
