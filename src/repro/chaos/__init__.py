@@ -13,7 +13,7 @@ and PR 2 (conformance oracles + trace invariants) *together* at scale:
 * :mod:`repro.chaos.kill_restart` — hard-kill the fleet mid-soak,
   recover from the write-ahead journal, assert recovery equivalence;
 * :mod:`repro.chaos.serve_kill` — crash the wall-clock serving gateway
-  mid-load, recover from its SQLite store + traffic bundle.
+  mid-load, recover from its job store + traffic bundle.
 """
 
 from repro.chaos.bundle import (

@@ -4,8 +4,9 @@ The serving-facade counterpart of :mod:`repro.chaos.kill_restart`.
 Where that cell hard-kills the virtual-clock *runtime* and recovers
 from its JSONL journal, this one crashes the whole asyncio **gateway**
 (:class:`~repro.serving.gateway.ServingGateway`) mid-load and recovers
-from its dual durability pair — the SQLite-WAL job store and the
-``regraph-traffic/v1`` bundle.  One cell:
+from its dual durability pair — the ``regraph-jobstore/v2`` job store
+and the ``regraph-traffic/v1`` bundle, both :mod:`repro.durable` record
+logs.  One cell:
 
 1. runs the job stream through a plain in-memory
    :class:`~repro.serving.session.KernelSession` as the uninterrupted
@@ -14,11 +15,10 @@ from its dual durability pair — the SQLite-WAL job store and the
    bundle attached), submitting every job — so every job is
    *acknowledged* — and abandons the process SIGKILL-style once
    ``crash_after_results`` terminal results are durable: no drain, no
-   flush, no checkpoint;
+   flush;
 3. optionally damages one durable file between death and rebirth — a
-   :class:`~repro.faults.plan.StorageFault` on the traffic bundle
-   (torn write / partial fsync / bit-flip, the JSONL vocabulary) or a
-   ``torn-wal`` truncation of the SQLite write-ahead log;
+   :class:`~repro.faults.plan.StorageFault` (torn write / partial
+   fsync / bit-flip) on the traffic bundle or the job store;
 4. restarts with ``resume=True``: recovery merges the acceptance
    sequence from the store and the bundle (each file covers holes in
    the other) and replays it through a fresh kernel session, then
@@ -32,7 +32,8 @@ from its dual durability pair — the SQLite-WAL job store and the
 The wall-clock crash point is deliberately *not* deterministic (the
 worker races the poll loop) — digest equality holding anyway is the
 point: the kernel outcome depends only on the acceptance sequence,
-which is durable before each ack.
+which is durable before each ack.  Every append boundary is crashed in
+turn by ``tests/test_chaos_serve_kill.py``'s slow suite.
 """
 
 from __future__ import annotations
@@ -52,48 +53,7 @@ from repro.serving.session import KernelSession
 from repro.serving.traffic import read_traffic
 
 #: Storage-fault targets a serve-kill cell understands.
-SERVE_FAULT_TARGETS = ("traffic", "store-wal")
-
-
-def _snapshot_store(store_path: Path) -> dict:
-    """Byte-copies of the database and WAL at the moment of death."""
-    snapshot = {}
-    for suffix in ("", "-wal"):
-        victim = Path(str(store_path) + suffix)
-        if victim.exists():
-            snapshot[suffix] = victim.read_bytes()
-    return snapshot
-
-
-def _restore_store(store_path: Path, snapshot: dict) -> None:
-    """Put the crash-time bytes back; drop the stale shm index."""
-    for suffix in ("", "-wal"):
-        victim = Path(str(store_path) + suffix)
-        if suffix in snapshot:
-            victim.write_bytes(snapshot[suffix])
-        elif victim.exists():
-            victim.unlink()
-    shm = Path(str(store_path) + "-shm")
-    if shm.exists():
-        shm.unlink()
-
-
-def tear_wal(store_path: Union[str, Path]) -> str:
-    """Truncate the SQLite WAL's tail (a torn write at rest).
-
-    SQLite's per-frame checksums make this self-healing: the next open
-    rolls back to the last intact commit instead of refusing — commits
-    lost from the tail are re-derived by replay (or merged back from
-    the traffic bundle).
-    """
-    wal = Path(str(store_path) + "-wal")
-    if not wal.exists() or wal.stat().st_size == 0:
-        return "no-op: WAL is empty (already checkpointed)"
-    size = wal.stat().st_size
-    keep = size * 2 // 3
-    with open(wal, "rb+") as fh:
-        fh.truncate(keep)
-    return f"torn WAL: truncated {size - keep} of {size} bytes"
+SERVE_FAULT_TARGETS = ("traffic", "store")
 
 
 @dataclass(frozen=True)
@@ -233,7 +193,7 @@ def _serving_config(config: ServeKillConfig, workdir: Path) -> ServingConfig:
         buffer_vertices=config.soak.buffer_vertices,
         num_pipelines=config.soak.num_pipelines,
         tenants=(TenantSpec(name="chaos", api_key="chaos-key"),),
-        store_path=str(workdir / "jobs.sqlite"),
+        store_path=str(workdir / "jobs.jsonl"),
         traffic_path=str(workdir / "traffic.jsonl"),
         fsync=config.fsync,
     )
@@ -244,18 +204,19 @@ def run_serve_kill(
 ) -> ServeKillResult:
     """Execute one serving kill-restart cell (see module docstring).
 
-    ``workdir`` receives the store (``jobs.sqlite`` + its WAL) and the
-    traffic bundle (``traffic.jsonl``) — on failure they *are* the
-    evidence, so CI uploads them.
+    ``workdir`` receives the store (``jobs.jsonl``) and the traffic
+    bundle (``traffic.jsonl``) — on failure they *are* the evidence, so
+    CI uploads them.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     serving = _serving_config(config, workdir)
-    for stale in workdir.glob("jobs.sqlite*"):
-        stale.unlink()
-    traffic_path = Path(serving.traffic_path)
-    if traffic_path.exists():
-        traffic_path.unlink()
+    paths = {
+        "store": Path(serving.store_path),
+        "traffic": Path(serving.traffic_path),
+    }
+    for stale in paths.values():
+        stale.unlink(missing_ok=True)
 
     payloads = _payloads(config)
     result = ServeKillResult(config=config)
@@ -266,14 +227,8 @@ def run_serve_kill(
     result.reference_digest = reference.digest()
 
     # 2. Live gateway: ack everything, die once enough results landed.
-    # SIGKILL is emulated faithfully: the database and its WAL are
-    # snapshotted *while the dying connection is still open* (sqlite
-    # checkpoints the WAL on close — cleanup a kill never runs), then
-    # the snapshot is restored over the cleanly-closed files and the
-    # stale ``-shm`` index is dropped, which is exactly the disk state
-    # a reboot leaves behind.
-    store_path = Path(serving.store_path)
-
+    # Every record is flushed as it is appended, so the files hold
+    # exactly what a SIGKILL would leave behind.
     async def live() -> None:
         gateway = ServingGateway(serving)
         try:
@@ -287,23 +242,17 @@ def run_serve_kill(
         finally:
             result.results_at_crash = gateway.store.result_count()
             gateway.abandon()
-            snapshot = _snapshot_store(store_path)
-            gateway.store.close()
-            _restore_store(store_path, snapshot)
+            gateway.close()
 
     asyncio.run(live())
 
     # 3. Storage fault between death and rebirth.
-    if config.storage_fault is not None:
-        fault = config.storage_fault
-        if fault.target == "store-wal":
-            result.storage_fault_log = (
-                f"store-wal: {tear_wal(serving.store_path)}"
-            )
-        else:
-            result.storage_fault_log = (
-                f"traffic: {apply_storage_fault(traffic_path, fault)}"
-            )
+    fault = config.storage_fault
+    if fault is not None:
+        result.storage_fault_log = (
+            f"{fault.target}: "
+            f"{apply_storage_fault(paths[fault.target], fault)}"
+        )
 
     # 4. Rebirth: resume-by-replay, then a graceful drain.
     async def resumed() -> None:
@@ -335,6 +284,6 @@ def run_serve_kill(
     asyncio.run(resumed())
 
     # 5. The bundle must still read end-to-end (damage skipped+counted).
-    bundle = read_traffic(traffic_path)
+    bundle = read_traffic(paths["traffic"])
     result.corrupt_traffic_lines = bundle.corrupt_lines
     return result

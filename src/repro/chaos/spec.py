@@ -9,13 +9,15 @@ describable by a JSON blob — the property the repro bundles rely on.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import UserInputError
 from repro.faults.plan import FaultPlan
-from repro.graph.coo import Graph
-from repro.utils.validation import check_max_iterations
+from repro.graph.coo import MAX_VERTICES, Graph
+from repro.utils.validation import check_mapping, check_max_iterations
 
 #: Generator families a cell may draw its graph from.
 GRAPH_KINDS = ("rmat", "powerlaw", "uniform")
@@ -47,6 +49,21 @@ class GraphSpec:
             raise UserInputError(
                 f"degenerate graph spec: {self.vertices} vertices, "
                 f"{self.edges} edges"
+            )
+        if self.vertices > MAX_VERTICES:
+            raise UserInputError(
+                f"graph spec has {self.vertices} vertices; vertex IDs "
+                f"are 32-bit, so at most {MAX_VERTICES}"
+            )
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise UserInputError(
+                f"graph seed must be a non-negative integer, got "
+                f"{self.seed!r}"
+            )
+        if not (math.isfinite(self.exponent) and self.exponent > 0):
+            raise UserInputError(
+                f"graph exponent must be finite and > 0, got "
+                f"{self.exponent!r}"
             )
 
     @property
@@ -91,6 +108,7 @@ class GraphSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "GraphSpec":
+        check_mapping("graph", data)
         return GraphSpec(
             kind=str(data["kind"]),
             vertices=int(data["vertices"]),

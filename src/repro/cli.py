@@ -19,7 +19,7 @@ Fig. 8:
   --journal`` write-ahead logs every transition and ``resume`` rebuilds
   a hard-killed soak from its journal (docs/DURABILITY.md);
 * ``serve``     — wall-clock HTTP gateway over the fleet kernel:
-  tenant API keys and quotas, durable SQLite job store, traffic
+  tenant API keys and quotas, durable job store, traffic
   recording, graceful drain on SIGINT/SIGTERM, ``--resume`` after a
   kill -9 (docs/SERVING.md);
 * ``traffic``   — record a seeded stream into a ``regraph-traffic/v1``
@@ -1295,12 +1295,12 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--corrupt", metavar="KIND[:RECORD][@TARGET]",
                     help="storage fault between death and rebirth: "
                          "kinds torn-write / partial-fsync / bit-flip, "
-                         "targets traffic (default) or store-wal")
+                         "targets traffic (default) or store")
     pk.add_argument("--iterations", type=int, default=30)
     pk.add_argument("--buffer-vertices", type=int, default=256)
     pk.add_argument("--pipelines", type=int, default=4)
     pk.add_argument("--workdir", default="serve-kill",
-                    help="directory for jobs.sqlite and traffic.jsonl "
+                    help="directory for jobs.jsonl and traffic.jsonl "
                          "(on failure they are the evidence)")
     pk.add_argument("--no-fsync", action="store_true",
                     help="skip per-append fsync (faster; determinism "
@@ -1433,8 +1433,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="graceful-drain budget; past it the gateway "
                         "exits with the resumable code 3")
     p.add_argument("--store", default=None, metavar="PATH",
-                   help="durable SQLite job/result store: acknowledged "
-                        "jobs survive kill -9 (needed by --resume)")
+                   help="durable job/result store (a regraph-jobstore/v2 "
+                        "record log): acknowledged jobs survive kill -9 "
+                        "(needed by --resume)")
     p.add_argument("--record", default=None, metavar="PATH",
                    help="record accepted traffic into a "
                         "regraph-traffic/v1 bundle (docs/SERVING.md)")

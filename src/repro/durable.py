@@ -1,10 +1,11 @@
 """The one codec behind every durable record log.
 
-Three files share one line format: the fleet's write-ahead journal
+Four files share one line format: the fleet's write-ahead journal
 (``regraph-fleet-journal/v1``), its result store
-(``regraph-fleet-store/v1``) and the serving gateway's traffic bundle
+(``regraph-fleet-store/v1``), the serving gateway's job store
+(``regraph-jobstore/v2``) and its traffic bundle
 (``regraph-traffic/v1``).  This module owns every step of that format,
-so the three stay byte-compatible and crash-consistent together:
+so the four stay byte-compatible and crash-consistent together:
 
 * **the line codec** — one record per line: the canonical JSON
   (``sort_keys``, no whitespace) of the record's fields plus ``"crc"``,
@@ -22,10 +23,10 @@ so the three stay byte-compatible and crash-consistent together:
 * **atomic replacement** (:func:`atomic_write`) — stage, fsync,
   :func:`os.replace`;
 * **storage fault injection** (:func:`apply_storage_fault`) — damage
-  any of the three files the way real storage does.
+  any of the four files the way real storage does.
 
 Two record shapes exist: sequenced :class:`Record`\\ s ``{seq, type,
-payload}`` (journal, traffic bundle) and :class:`KeyedRecord`\\ s
+payload}`` (journal, job store, traffic bundle) and :class:`KeyedRecord`\\ s
 ``{key, result}`` (result store).  See ``docs/DURABILITY.md``.
 """
 
@@ -216,10 +217,10 @@ class RecordLog:
 
     Each record is written, flushed and (with ``fsync``, the WAL
     contract) fsync'd before :meth:`write` returns.  Opening an
-    existing file scans it once, hands the scan to :meth:`_load`, and
-    truncates an unterminated final fragment, so the next record starts
-    on a line of its own; complete corrupt lines stay in place as
-    evidence.
+    existing file scans it once, hands the scan to :meth:`_load` (which
+    may refuse the file, leaving it untouched), and truncates an
+    unterminated final fragment, so the next record starts on a line of
+    its own; complete corrupt lines stay in place as evidence.
     """
 
     #: Record shape of this log.
@@ -233,10 +234,11 @@ class RecordLog:
         scan = ScanResult()
         if self.reopened:
             scan = read_log(self.path, self.kind)
-            self._drop_fragment(scan.terminated_bytes)
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._load(scan)
+        if self.reopened:
+            self._drop_fragment(scan.terminated_bytes)
         self._fh = open(self.path, "a", encoding="utf-8")
 
     def _load(self, scan: ScanResult) -> None:

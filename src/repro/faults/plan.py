@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 from typing import Tuple
 
 from repro.errors import UserInputError
+from repro.utils.validation import check_mapping
 
 
 def _check_channel(fault) -> None:
@@ -142,9 +143,9 @@ class PipelineStallFault:
 #: Ways a journal/store file can be damaged by real storage.
 STORAGE_FAULT_KINDS = ("torn-write", "partial-fsync", "bit-flip")
 
-#: Files a storage fault may hit: the fleet's JSONL pair and the
-#: serving facade's traffic bundle and SQLite write-ahead log.
-STORAGE_FAULT_TARGETS = ("journal", "store", "traffic", "store-wal")
+#: Files a storage fault may hit: the fleet journal, a result store
+#: (the fleet's, or the serving job store) and the traffic bundle.
+STORAGE_FAULT_TARGETS = ("journal", "store", "traffic")
 
 
 @dataclass(frozen=True)
@@ -152,17 +153,17 @@ class StorageFault:
     """Durable-state damage: what a crash or bit rot does to a WAL file.
 
     Unlike the accelerator faults above, a storage fault is applied to a
-    fleet journal or result store *file* (by
+    :mod:`repro.durable` record-log *file* (by
     :func:`repro.durable.apply_storage_fault`) between a hard kill
     and the subsequent recovery — it never touches the simulator.
 
     ``record`` selects the victim line for ``bit-flip`` (negative counts
     from the end of the file); torn writes and partial fsyncs always hit
     the tail, where real ones do.  ``target`` picks the victim file
-    (:data:`STORAGE_FAULT_TARGETS`): the fleet's write-ahead journal or
-    result store, the serving facade's traffic bundle, the SQLite
-    job store's WAL (``store-wal``, where ``kind`` is moot — the tail
-    is truncated and SQLite's frame checksums absorb it).
+    (:data:`STORAGE_FAULT_TARGETS`): the fleet's write-ahead journal,
+    the store (the fleet's result store in a kill-restart cell, the
+    serving job store in a serve-kill cell) or the serving facade's
+    traffic bundle.
     """
 
     kind: str
@@ -224,21 +225,19 @@ class FaultPlan:
     @staticmethod
     def from_dict(data: dict) -> "FaultPlan":
         """Rebuild a plan from :meth:`to_dict` output."""
+        check_mapping("fault_plan", data)
+
+        def faults(key: str, cls) -> tuple:
+            return tuple(
+                cls(**check_mapping(f"fault_plan.{key}[]", f))
+                for f in data.get(key, [])
+            )
+
         return FaultPlan(
             seed=int(data.get("seed", 0)),
-            dead_channels=tuple(
-                DeadChannelFault(**f) for f in data.get("dead_channels", [])
-            ),
-            latency_spikes=tuple(
-                LatencySpikeFault(**f) for f in data.get("latency_spikes", [])
-            ),
-            bit_flips=tuple(
-                BitFlipFault(**f) for f in data.get("bit_flips", [])
-            ),
-            stalls=tuple(
-                PipelineStallFault(**f) for f in data.get("stalls", [])
-            ),
-            storage=tuple(
-                StorageFault(**f) for f in data.get("storage", [])
-            ),
+            dead_channels=faults("dead_channels", DeadChannelFault),
+            latency_spikes=faults("latency_spikes", LatencySpikeFault),
+            bit_flips=faults("bit_flips", BitFlipFault),
+            stalls=faults("stalls", PipelineStallFault),
+            storage=faults("storage", StorageFault),
         )

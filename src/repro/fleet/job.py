@@ -20,7 +20,7 @@ from repro.chaos.generate import CAMPAIGN_APPS
 from repro.chaos.spec import GraphSpec, check_root
 from repro.errors import UserInputError
 from repro.faults.plan import FaultPlan
-from repro.utils.validation import check_max_iterations
+from repro.utils.validation import check_mapping, check_max_iterations
 
 #: Apps a fleet job may request (each has a chaos conformance oracle).
 FLEET_APPS = CAMPAIGN_APPS
@@ -95,6 +95,7 @@ class Job:
 
     @staticmethod
     def from_dict(data: dict) -> "Job":
+        check_mapping("job", data)
         max_iterations = data.get("max_iterations", 20)
         deadline = data.get("deadline_seconds")
         return Job(

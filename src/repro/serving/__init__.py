@@ -11,11 +11,12 @@ serving, crash recovery (``repro serve --resume``) and traffic replay
 so their :class:`~repro.fleet.report.FleetReport` digests agree
 bit-for-bit by construction.
 
-Durability is dual: every acknowledged job is committed to the
-SQLite-WAL :class:`~repro.serving.jobstore.SqliteJobStore` *and* the
-``regraph-traffic/v1`` bundle before the ack leaves the process, and
-recovery merges the two — an acked job survives as long as either file
-does.  See ``docs/SERVING.md``.
+Durability is dual: every acknowledged job is appended to the
+``regraph-jobstore/v2`` :class:`~repro.serving.jobstore.JobStore` *and*
+the ``regraph-traffic/v1`` bundle before the ack leaves the process.
+Both are :mod:`repro.durable` record logs with the same accept and
+result records, and recovery merges the two — an acked job survives as
+long as either file does.  See ``docs/SERVING.md``.
 """
 
 from repro.serving.config import (
@@ -26,7 +27,7 @@ from repro.serving.config import (
 )
 from repro.serving.gateway import ServingGateway, default_gateway
 from repro.serving.http import HttpServer
-from repro.serving.jobstore import JOBSTORE_SCHEMA, SqliteJobStore
+from repro.serving.jobstore import JOBSTORE_SCHEMA, JobStore
 from repro.serving.session import KernelSession, build_pool
 from repro.serving.signals import (
     EXIT_RESUMABLE,
@@ -46,10 +47,10 @@ __all__ = [
     "EXIT_RESUMABLE",
     "HttpServer",
     "JOBSTORE_SCHEMA",
+    "JobStore",
     "KernelSession",
     "ServingConfig",
     "ServingGateway",
-    "SqliteJobStore",
     "TRAFFIC_SCHEMA",
     "TenantRegistry",
     "TenantSpec",

@@ -15,7 +15,7 @@ replica pool recipe (devices, buffer size, pipeline count — the same
 recipe the fleet journal stores in ``run-begin``), the fleet policy,
 the drain budget, and where the durable job store and traffic bundle
 live.  ``session_spec()`` is the canonical dict of the *kernel-visible*
-subset: it is persisted in the SQLite store and the traffic header, and
+subset: it is persisted in the job store and the traffic header, and
 resume/replay rebuild the virtual-clock session from it — which is why
 a recovered or replayed run can reproduce the live run's
 :class:`~repro.fleet.report.FleetReport` digest bit-for-bit.
@@ -179,7 +179,8 @@ class ServingConfig:
     #: Wall-clock seconds a graceful drain may take before the gateway
     #: journals the rest and reports itself resumable (exit code 3).
     drain_budget_seconds: float = 30.0
-    #: Durable SQLite job/result store; ``None`` = in-memory (tests).
+    #: Durable job/result store (a ``regraph-jobstore/v2`` record log);
+    #: ``None`` = in-memory (tests).
     store_path: Optional[str] = None
     #: ``regraph-traffic/v1`` bundle to record; ``None`` = no recording.
     traffic_path: Optional[str] = None

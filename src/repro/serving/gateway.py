@@ -22,22 +22,24 @@ The request path, in order, for one submission:
    then the gateway-wide bucket, all peek-then-take
    (:class:`~repro.errors.TenantQuotaExceededError` /
    :class:`~repro.errors.FleetOverloadError`, 429);
-5. **durability before acknowledgement** — the accept is committed to
-   the SQLite store *and* the traffic bundle before the caller sees
-   the ack.  An acknowledged job survives ``kill -9`` by construction.
+5. **durability before acknowledgement** — the accept is appended to
+   the job store, then to the traffic bundle, before the caller sees
+   the ack.  Both are :mod:`repro.durable` record logs, so an
+   acknowledged job survives ``kill -9`` by construction.
 
 A single worker task drains the accept queue through the kernel (in a
 thread, so the event loop stays live for status/stream requests) and
 persists each terminal result exactly-once.
 
-**Recovery** (``resume=True``): the acceptance sequence is re-read from
-the store *merged with* the traffic bundle — each file covers holes in
-the other — missing accepts are restored to the store under their
-original sequence numbers, and the whole sequence is replayed through a
-fresh kernel session from t=0.  Durable results suppress the recomputed
-duplicates (first-write-wins) and every recomputation is cross-checked
-against the durable copy (``replay_divergences`` must stay 0), so the
-post-recovery report digest is bit-identical to an uninterrupted run's.
+**Recovery** (``resume=True``): the acceptance sequence the store's
+open scan read is *merged with* the traffic bundle's (one reader loads
+both) — each file covers holes in the other — missing accepts are
+restored to the store under their original sequence numbers, and the
+whole sequence is replayed through a fresh kernel session from t=0.
+Durable results suppress the recomputed duplicates (first-write-wins)
+and every recomputation is cross-checked against the durable copy
+(``replay_divergences`` must stay 0), so the post-recovery report
+digest is bit-identical to an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from repro.errors import (
 from repro.fleet.admission import AdmissionController
 from repro.fleet.job import Job, JobResult
 from repro.serving.config import ServingConfig, TenantSpec
-from repro.serving.jobstore import SqliteJobStore
+from repro.serving.jobstore import JobStore
 from repro.serving.session import KernelSession
 from repro.serving.traffic import TrafficRecorder, read_traffic
 
@@ -95,16 +97,15 @@ class ServingGateway:
             "replay_divergences": 0,
         }
 
-        self.store = SqliteJobStore(
-            config.store_path if config.store_path else ":memory:",
-            fsync=config.fsync,
+        self.store = JobStore(
+            config.store_path or None, self.spec, fsync=config.fsync
         )
-        self.store.set_session_spec(self.spec)
         self.recovery_stats["results_restored"] = self.store.result_count()
 
         self.session = KernelSession(self.spec)
+        scanned = self.store.take_scanned_accepts()
         if resume:
-            self._recover()
+            self._recover(scanned)
 
         # The recorder opens *after* recovery read the old bundle, so
         # the resume marker lands behind the records it recovered from.
@@ -132,11 +133,11 @@ class ServingGateway:
         self._worker_error: Optional[BaseException] = None
 
     # -- recovery ---------------------------------------------------------
-    def _recover(self) -> None:
-        """Rebuild the kernel session by replaying the merged accepts."""
+    def _recover(self, scanned: List[tuple]) -> None:
+        """Rebuild the kernel session by replaying the store's
+        ``scanned`` accepts merged with the traffic bundle's."""
         merged: Dict[int, tuple] = {
-            seq: (tenant, payload)
-            for seq, tenant, payload in self.store.jobs_in_order()
+            seq: (tenant, payload) for seq, tenant, payload in scanned
         }
         if self.config.traffic_path:
             try:
@@ -191,9 +192,10 @@ class ServingGateway:
                 result: JobResult = await loop.run_in_executor(
                     None, self.session.execute, pending.job
                 )
-                self.store.put_result(result)
+                wall = self.wall()
+                self.store.put_result(result, wall)
                 if self.recorder is not None:
-                    self.recorder.record_result(result, self.wall())
+                    self.recorder.record_result(result, wall)
             except BaseException as exc:  # surfaced by submit/drain
                 self._worker_error = exc
                 pending.done.set()
@@ -389,8 +391,7 @@ class ServingGateway:
         return summary
 
     def flush(self, digest: str = "") -> None:
-        """Fold the store's WAL and close out the traffic bundle."""
-        self.store.checkpoint()
+        """Close out the traffic bundle."""
         if self.recorder is not None:
             self.recorder.record_end(digest, {
                 "accepts": self.store.job_count(),
@@ -410,7 +411,7 @@ class ServingGateway:
         self.store.close()
 
     def abandon(self) -> None:
-        """Die like a SIGKILL: no drain, no flush, no checkpoint.
+        """Die like a SIGKILL: no drain, no flush.
 
         Chaos-cell hook — whatever the store and bundle already made
         durable is exactly what recovery gets to see.

@@ -1,148 +1,148 @@
-"""Durable SQLite job/result store for the serving facade.
+"""Durable job/result store for the serving facade.
 
-The wall-clock twin of the fleet's JSONL durability pair
-(``fleet/journal.py`` + ``fleet/store.py``): one SQLite database in
-WAL mode holding
+The gateway's write-ahead log: one :mod:`repro.durable` record log
+(the codec of the fleet journal, the fleet result store and the
+traffic bundle) holding
 
-* ``meta``     — schema version (``regraph-jobstore/v1``) and the
-  canonical session spec (pool recipe + policy), written atomically
-  with table creation so a half-initialised store can never be
-  mistaken for a valid one;
-* ``jobs``     — every *acknowledged* submission, in acceptance order
-  (``seq``), exactly the write-ahead role of the journal's ``admit``
-  records: an accepted job is durable before the client sees the ack;
-* ``results``  — terminal :class:`~repro.fleet.job.JobResult`\\ s keyed
-  by job id with the same **idempotency semantics** as
-  :class:`~repro.fleet.store.ResultStore`: first write wins, every
-  later ``put_result`` for the same key is suppressed and counted —
-  which is what keeps the client-visible result stream exactly-once
-  across crash/resume replays.
+* ``jobstore-begin`` — the first record: the schema tag
+  (``regraph-jobstore/v2``) and the canonical session spec (pool
+  recipe + policy).  Reopening with a different spec is a typed error;
+* ``accept`` — every *acknowledged* submission, the traffic bundle's
+  shape (``accept_seq``, tenant, job, wall).  It is appended before the
+  client sees the ack, so an acknowledged job is durable;
+* ``result`` — terminal :class:`~repro.fleet.job.JobResult`\\ s with the
+  same **idempotency semantics** as
+  :class:`~repro.fleet.store.ResultStore`: first write wins per job id,
+  every later ``put_result`` for the same key is suppressed and counted
+  — which keeps the client-visible result stream exactly-once across
+  crash/resume replays.
 
-WAL mode + ``synchronous=FULL`` (the default; ``fsync=False`` trades
-the crash guarantee for benchmark throughput) means each committed
-transaction is on the platter before the commit returns, and SQLite's
-per-frame WAL checksums give torn-tail containment for free: a
-truncated or bit-flipped WAL tail rolls the database back to the last
-intact commit instead of refusing to open.  Records lost that way are
-re-derived by deterministic replay (and, for acknowledged jobs, merged
-back from the traffic bundle — each file covers for the other).
+The store loads through the traffic bundle's reader
+(:func:`~repro.serving.traffic.fold_records`), so corrupt lines are
+skipped and counted and a torn tail is dropped on reopen.  Records lost
+that way are re-derived by deterministic replay (and, for acknowledged
+jobs, merged back from the traffic bundle — each file covers for the
+other).  In memory the store keeps only the job id -> acceptance
+sequence map, the results and the outstanding jobs; the accept
+payloads the file held at open are handed to recovery once.
+
+A store with no path keeps the same indexes and writes nothing.
 """
 
 from __future__ import annotations
 
-import json
-import sqlite3
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
+from repro.durable import ScanResult
 from repro.errors import UserInputError
 from repro.fleet.job import JobResult
+from repro.serving.traffic import AcceptLog, fold_records
 
 #: Store schema identifier; bump on incompatible layout changes.
-JOBSTORE_SCHEMA = "regraph-jobstore/v1"
+JOBSTORE_SCHEMA = "regraph-jobstore/v2"
 
-_TABLES = (
-    """CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-)""",
-    """CREATE TABLE IF NOT EXISTS jobs (
-    seq           INTEGER PRIMARY KEY,
-    job_id        TEXT NOT NULL UNIQUE,
-    tenant        TEXT NOT NULL,
-    payload       TEXT NOT NULL,
-    accepted_wall REAL NOT NULL DEFAULT 0.0
-)""",
-    """CREATE TABLE IF NOT EXISTS results (
-    job_id  TEXT PRIMARY KEY,
-    payload TEXT NOT NULL,
-    seq     INTEGER NOT NULL
-)""",
-)
+#: Record types a job store may contain.
+JOBSTORE_RECORD_TYPES = ("jobstore-begin", "accept", "result")
+
+#: The first bytes of every SQLite database (the v1 store format).
+_SQLITE_MAGIC = b"SQLite format 3\x00"
 
 
-class SqliteJobStore:
+def _refuse_sqlite(path: Path) -> None:
+    """A v1 store is a SQLite database; scanning it as a record log
+    would truncate it as an "unterminated fragment", so check first."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(_SQLITE_MAGIC))
+    except FileNotFoundError:
+        return
+    if head == _SQLITE_MAGIC:
+        raise UserInputError(
+            f"job store {path} is a regraph-jobstore/v1 SQLite database; "
+            f"this build reads {JOBSTORE_SCHEMA} record logs (the file is "
+            "left untouched: drain it with the release that wrote it, or "
+            "pick another --store path)"
+        )
+
+
+class JobStore(AcceptLog):
     """Crash-safe acknowledged-job + exactly-once result persistence."""
 
-    def __init__(self, path: Union[str, Path], fsync: bool = True):
-        self.path = Path(path)
-        self.fsync = bool(fsync)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+    RECORD_TYPES = JOBSTORE_RECORD_TYPES
+    NOUN = "job store"
+
+    def __init__(
+        self,
+        path: Optional[Union[str, Path]],
+        spec: dict,
+        fsync: bool = True,
+    ):
+        if path is None:
+            self.path = None
+            self.fsync = False
+            self.reopened = False
+            self._fh = None
+            self._load(ScanResult())
+        else:
+            _refuse_sqlite(Path(path))
+            super().__init__(path, fsync)
+        if self._spec is None:
+            self.append("jobstore-begin", {
+                "schema": JOBSTORE_SCHEMA,
+                "session": dict(spec),
+            })
+        elif self._spec != spec:
+            # A resumed store must be served with the pool/policy it
+            # was created for — anything else silently changes the
+            # virtual-clock schedule and breaks digest equivalence.
+            self.close()
+            raise UserInputError(
+                f"job store {self.path} was created for a different "
+                "session (pool/policy mismatch); resume with the "
+                "original configuration or start a fresh store"
+            )
+
+    def _load(self, scan: ScanResult) -> None:
+        loaded = fold_records(scan, self.path)
+        if loaded.schema not in (None, JOBSTORE_SCHEMA) or any(
+            r.type not in self.RECORD_TYPES for r in scan.records
+        ):
+            raise UserInputError(
+                f"{self.path} is not a {JOBSTORE_SCHEMA} job store "
+                f"(schema {loaded.schema!r}); pick another --store path"
+            )
+        super()._load(scan)
+        self._spec = loaded.spec
+        self._seqs: Dict[str, int] = {}
+        self._last_seq = 0
+        self._results: Dict[str, JobResult] = {
+            job_id: JobResult.from_dict(payload)
+            for job_id, payload in loaded.results.items()
+        }
+        self._outstanding: Dict[str, None] = {}
+        for seq, _, payload in loaded.accepts:
+            self._index(str(payload["job_id"]), seq)
+        self._scanned = loaded.accepts
         #: ``put_result`` calls suppressed by the idempotency key.
         self.duplicates_suppressed = 0
-        try:
-            self._db = sqlite3.connect(self.path, isolation_level=None)
-            self._db.execute("PRAGMA journal_mode=WAL")
-            self._db.execute(
-                f"PRAGMA synchronous={'FULL' if self.fsync else 'NORMAL'}"
-            )
-            self._init_schema()
-        except sqlite3.DatabaseError as exc:
-            raise UserInputError(
-                f"job store {self.path} is not a usable SQLite database "
-                f"({exc}); move it aside or pick another --store path"
-            ) from exc
 
-    def _init_schema(self) -> None:
-        """Create-or-validate, atomically with the schema stamp."""
-        row = None
-        try:
-            row = self._db.execute(
-                "SELECT value FROM meta WHERE key='schema'"
-            ).fetchone()
-        except sqlite3.OperationalError:
-            pass  # fresh database: meta doesn't exist yet
-        if row is not None:
-            if row[0] != JOBSTORE_SCHEMA:
-                raise UserInputError(
-                    f"job store {self.path} has schema {row[0]!r}; this "
-                    f"build reads {JOBSTORE_SCHEMA!r} (migrate or start a "
-                    "fresh store)"
-                )
-            return
-        # Tables and the schema stamp land in one transaction: a crash
-        # mid-initialisation leaves either nothing or a valid v1 store.
-        # (Not executescript — that implicitly commits first.)
-        self._db.execute("BEGIN IMMEDIATE")
-        try:
-            for ddl in _TABLES:
-                self._db.execute(ddl)
-            self._db.execute(
-                "INSERT OR IGNORE INTO meta(key, value) VALUES ('schema', ?)",
-                (JOBSTORE_SCHEMA,),
-            )
-            self._db.execute("COMMIT")
-        except BaseException:
-            self._db.execute("ROLLBACK")
-            raise
+    def _index(self, job_id: str, seq: int) -> None:
+        self._seqs[job_id] = seq
+        self._last_seq = max(self._last_seq, seq)
+        if job_id not in self._results:
+            self._outstanding[job_id] = None
 
-    # -- session metadata ------------------------------------------------
-    def session_spec(self) -> Optional[dict]:
-        row = self._db.execute(
-            "SELECT value FROM meta WHERE key='session'"
-        ).fetchone()
-        return json.loads(row[0]) if row is not None else None
+    def write(self, record) -> None:
+        if self._fh is not None:
+            super().write(record)
 
-    def set_session_spec(self, spec: dict) -> None:
-        """Stamp (or cross-check) the kernel session recipe.
-
-        A resumed store must be served with the pool/policy it was
-        created for — anything else silently changes the virtual-clock
-        schedule and breaks digest equivalence, so it is a typed error.
-        """
-        existing = self.session_spec()
-        if existing is not None:
-            if existing != spec:
-                raise UserInputError(
-                    f"job store {self.path} was created for a different "
-                    "session (pool/policy mismatch); resume with the "
-                    "original configuration or start a fresh store"
-                )
-            return
-        self._db.execute(
-            "INSERT INTO meta(key, value) VALUES ('session', ?)",
-            (json.dumps(spec, sort_keys=True),),
-        )
+    def take_scanned_accepts(self) -> List[tuple]:
+        """The accepts the file held at open, as ``(seq, tenant,
+        payload)`` in acceptance order — the replay input.  Handed out
+        once: the store keeps no payloads."""
+        scanned, self._scanned = self._scanned, []
+        return scanned
 
     # -- acknowledged jobs ----------------------------------------------
     def append_job(
@@ -154,133 +154,72 @@ class SqliteJobStore:
     ) -> int:
         """Durably record an accepted job; returns its sequence number.
 
-        Must be called *before* the ack leaves the gateway — this row
+        Must be called *before* the ack leaves the gateway — this record
         is what makes the acknowledgement mean something.  ``seq`` pins
         an explicit sequence number (recovery restoring an accept from
         the traffic bundle keeps the original numbering); new accepts
-        leave it ``None`` and SQLite continues from the current max.
+        leave it ``None`` and continue from the current maximum, so the
+        first is 1.
         """
         job_id = str(job_payload["job_id"])
-        try:
-            cur = self._db.execute(
-                "INSERT INTO jobs(seq, job_id, tenant, payload, "
-                "accepted_wall) VALUES (?, ?, ?, ?, ?)",
-                (
-                    seq,
-                    job_id,
-                    tenant,
-                    json.dumps(job_payload, sort_keys=True),
-                    accepted_wall,
-                ),
-            )
-        except sqlite3.IntegrityError as exc:
+        if job_id in self._seqs:
             raise UserInputError(
                 f"job {job_id!r} is already accepted in this store"
-            ) from exc
-        return int(cur.lastrowid)
+            )
+        if seq is None:
+            seq = self._last_seq + 1
+        self.record_accept(seq, tenant, job_payload, accepted_wall)
+        self._index(job_id, seq)
+        return seq
 
     def has_job(self, job_id: str) -> bool:
-        row = self._db.execute(
-            "SELECT 1 FROM jobs WHERE job_id=?", (job_id,)
-        ).fetchone()
-        return row is not None
+        return job_id in self._seqs
 
     def job_seq(self, job_id: str) -> Optional[int]:
-        row = self._db.execute(
-            "SELECT seq FROM jobs WHERE job_id=?", (job_id,)
-        ).fetchone()
-        return int(row[0]) if row is not None else None
-
-    def jobs_in_order(self) -> List[Tuple[int, str, dict]]:
-        """Every acknowledged job as ``(seq, tenant, payload)``, in
-        acceptance order — the replay input."""
-        rows = self._db.execute(
-            "SELECT seq, tenant, payload FROM jobs ORDER BY seq"
-        ).fetchall()
-        return [(int(s), str(t), json.loads(p)) for s, t, p in rows]
+        return self._seqs.get(job_id)
 
     def job_count(self) -> int:
-        return int(
-            self._db.execute("SELECT COUNT(*) FROM jobs").fetchone()[0]
-        )
+        return len(self._seqs)
 
     # -- exactly-once results -------------------------------------------
-    def put_result(self, result: JobResult) -> bool:
+    def put_result(self, result: JobResult, wall: float = 0.0) -> bool:
         """Persist ``result`` under its idempotency key (the job id).
 
         First write wins; a later call for the same key is suppressed
         and counted, exactly like
         :meth:`repro.fleet.store.ResultStore.put`.
         """
-        seq = self.job_seq(result.job_id)
-        try:
-            self._db.execute(
-                "INSERT INTO results(job_id, payload, seq) VALUES (?, ?, ?)",
-                (
-                    result.job_id,
-                    json.dumps(result.to_dict(), sort_keys=True),
-                    seq if seq is not None else -1,
-                ),
-            )
-        except sqlite3.IntegrityError:
+        job_id = result.job_id
+        if job_id in self._results:
             self.duplicates_suppressed += 1
             return False
+        self.record_result(result, wall)
+        self._results[job_id] = result
+        self._outstanding.pop(job_id, None)
         return True
 
     def get_result(self, job_id: str) -> Optional[JobResult]:
-        row = self._db.execute(
-            "SELECT payload FROM results WHERE job_id=?", (job_id,)
-        ).fetchone()
-        if row is None:
-            return None
-        return JobResult.from_dict(json.loads(row[0]))
-
-    def results(self) -> Dict[str, JobResult]:
-        rows = self._db.execute(
-            "SELECT job_id, payload FROM results"
-        ).fetchall()
-        return {
-            str(j): JobResult.from_dict(json.loads(p)) for j, p in rows
-        }
+        return self._results.get(job_id)
 
     def result_count(self) -> int:
-        return int(
-            self._db.execute("SELECT COUNT(*) FROM results").fetchone()[0]
-        )
+        return len(self._results)
 
     def __len__(self) -> int:
         return self.result_count()
 
     def outstanding(self) -> List[str]:
-        """Acknowledged jobs with no durable result yet (resume debt)."""
-        rows = self._db.execute(
-            "SELECT j.job_id FROM jobs j "
-            "LEFT JOIN results r ON r.job_id = j.job_id "
-            "WHERE r.job_id IS NULL ORDER BY j.seq"
-        ).fetchall()
-        return [str(r[0]) for r in rows]
+        """Acknowledged jobs with no durable result yet (resume debt),
+        in acceptance order."""
+        return sorted(self._outstanding, key=self._seqs.__getitem__)
 
     def stats(self) -> dict:
         return {
             "jobs": self.job_count(),
             "results": self.result_count(),
-            "outstanding": len(self.outstanding()),
+            "outstanding": len(self._outstanding),
             "duplicates_suppressed": self.duplicates_suppressed,
         }
 
-    # -- lifecycle -------------------------------------------------------
-    def checkpoint(self) -> None:
-        """Fold the WAL into the main file (graceful-drain flush)."""
-        self._db.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-
     def close(self) -> None:
-        try:
-            self._db.close()
-        except sqlite3.ProgrammingError:
-            pass  # already closed
-
-    def __enter__(self) -> "SqliteJobStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        if self._fh is not None:
+            super().close()

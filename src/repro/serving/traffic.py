@@ -20,8 +20,10 @@ capturing
 
 Because accepts are written *before* the acknowledgement leaves the
 gateway, the bundle doubles as a second write-ahead log of the
-acceptance sequence: recovery merges accepts from the SQLite store and
-the bundle, so an acked job survives as long as either file does.
+acceptance sequence.  The job store (:mod:`repro.serving.jobstore`)
+writes the same ``accept`` and ``result`` records and loads through
+the same reader (:func:`fold_records`), so recovery merges accepts
+from both files and an acked job survives as long as either file does.
 Reading is damage-tolerant by the same machinery the fleet journal
 uses — corrupt lines are skipped and counted, a torn tail never blocks
 replay, and a reopened bundle drops an unterminated final fragment
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.durable import SequencedLog, read_log
+from repro.durable import ScanResult, SequencedLog, read_log
 from repro.errors import UserInputError
 from repro.fleet.job import JobResult
 
@@ -51,8 +53,39 @@ TRAFFIC_RECORD_TYPES = (
     "traffic-end",    # drain summary: counts + session report digest
 )
 
+#: Record types carrying the schema tag and/or the session spec: the
+#: bundle's and the job store's first record, and the bundle's resume
+#: marker (which covers for a damaged ``traffic-begin``).
+_BEGIN_RECORD_TYPES = ("traffic-begin", "resume", "jobstore-begin")
 
-class TrafficRecorder(SequencedLog):
+
+class AcceptLog(SequencedLog):
+    """A sequenced log of acknowledged jobs and their terminal results.
+
+    The ``accept`` and ``result`` shapes are shared by the traffic
+    bundle and the job store, so one reader (:func:`fold_records`)
+    loads both.
+    """
+
+    def record_accept(
+        self, accept_seq: int, tenant: str, job_payload: dict, wall: float
+    ) -> None:
+        """Durably log an acknowledged job (call *before* the ack)."""
+        self.append("accept", {
+            "accept_seq": accept_seq,
+            "tenant": tenant,
+            "job": dict(job_payload),
+            "wall": wall,
+        })
+
+    def record_result(self, result: JobResult, wall: float) -> None:
+        self.append("result", {
+            "result": result.to_dict(),
+            "wall": wall,
+        })
+
+
+class TrafficRecorder(AcceptLog):
     """Append-side handle: records one gateway's request stream.
 
     A :class:`~repro.durable.SequencedLog` like the fleet journal —
@@ -75,18 +108,6 @@ class TrafficRecorder(SequencedLog):
                 "session": dict(spec),
             })
 
-    # -- the recording vocabulary ----------------------------------------
-    def record_accept(
-        self, accept_seq: int, tenant: str, job_payload: dict, wall: float
-    ) -> None:
-        """Durably log an acknowledged job (call *before* the ack)."""
-        self.append("accept", {
-            "accept_seq": accept_seq,
-            "tenant": tenant,
-            "job": dict(job_payload),
-            "wall": wall,
-        })
-
     def record_reject(
         self, tenant: str, job_id: str, error_type: str,
         detail: str, wall: float,
@@ -99,12 +120,6 @@ class TrafficRecorder(SequencedLog):
             "wall": wall,
         })
 
-    def record_result(self, result: JobResult, wall: float) -> None:
-        self.append("result", {
-            "result": result.to_dict(),
-            "wall": wall,
-        })
-
     def record_end(self, digest: str, counts: dict) -> None:
         self.append("traffic-end", {
             "report_digest": digest,
@@ -114,10 +129,13 @@ class TrafficRecorder(SequencedLog):
 
 @dataclass
 class TrafficBundle:
-    """Everything an intact-enough traffic bundle contains."""
+    """Everything an intact-enough traffic bundle (or job store)
+    contains."""
 
     path: str
-    #: Session spec from ``traffic-begin`` (or the newest ``resume``);
+    #: Schema tag of the first intact begin record (``None`` if lost).
+    schema: Optional[str] = None
+    #: Session spec from the first intact begin or ``resume`` record;
     #: ``None`` when every copy of it was damaged.
     spec: Optional[dict] = None
     #: Acknowledged jobs ordered by acceptance sequence:
@@ -153,31 +171,21 @@ class TrafficBundle:
         }
 
 
-def read_traffic(path: Union[str, Path]) -> TrafficBundle:
-    """Scan a traffic bundle, skipping (and counting) damaged lines.
+def fold_records(scan: ScanResult, path: Union[str, Path]) -> TrafficBundle:
+    """Fold a verified scan into a :class:`TrafficBundle`.
 
-    Never raises on corruption — a torn or bit-flipped bundle still
-    yields every record that was durably written, which is exactly the
-    property the dual-durability recovery path relies on.  Only a
-    missing file is a typed error.
+    First copy wins everywhere: the schema and spec, each accept (by
+    acceptance sequence — replays after a resume repeat earlier
+    accepts) and each result (by job id).  That keeps the sequence and
+    the result stream exactly-once however often a file was reopened.
     """
-    path = Path(path)
-    if not path.exists():
-        raise UserInputError(
-            f"traffic bundle not found: {path} (record one with "
-            "`repro serve --record <path>`)"
-        )
-    scan = read_log(path)
     bundle = TrafficBundle(path=str(path), corrupt_lines=len(scan.corrupt))
     accepts: Dict[int, tuple] = {}
     for record in scan.records:
         payload = record.payload
-        if record.type == "traffic-begin":
-            if bundle.spec is None:
-                bundle.spec = payload.get("session")
-        elif record.type == "resume":
-            # A resume marker repeats the spec: it covers for a damaged
-            # traffic-begin record.
+        if record.type in _BEGIN_RECORD_TYPES:
+            if bundle.schema is None:
+                bundle.schema = payload.get("schema")
             if bundle.spec is None:
                 bundle.spec = payload.get("session")
         elif record.type == "accept":
@@ -187,8 +195,6 @@ def read_traffic(path: Union[str, Path]) -> TrafficBundle:
             except (KeyError, TypeError, ValueError):
                 bundle.corrupt_lines += 1
                 continue
-            # Replays after a resume repeat earlier accepts: first copy
-            # wins, which keeps the sequence exactly-once.
             accepts.setdefault(
                 seq, (seq, str(payload.get("tenant", "")), job)
             )
@@ -203,6 +209,23 @@ def read_traffic(path: Union[str, Path]) -> TrafficBundle:
             bundle.end = dict(payload)
     bundle.accepts = [accepts[s] for s in sorted(accepts)]
     return bundle
+
+
+def read_traffic(path: Union[str, Path]) -> TrafficBundle:
+    """Scan a traffic bundle, skipping (and counting) damaged lines.
+
+    Never raises on corruption — a torn or bit-flipped bundle still
+    yields every record that was durably written, which is exactly the
+    property the dual-durability recovery path relies on.  Only a
+    missing file is a typed error.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise UserInputError(
+            f"traffic bundle not found: {path} (record one with "
+            "`repro serve --record <path>`)"
+        )
+    return fold_records(read_log(path), path)
 
 
 def replay_traffic(

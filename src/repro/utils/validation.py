@@ -6,6 +6,7 @@ defensive clutter while still failing loudly on misuse.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Optional
 
 import numpy as np
@@ -47,3 +48,14 @@ def check_max_iterations(max_iterations: Optional[int]) -> None:
         raise UserInputError(
             f"max_iterations must be None or >= 1, got {max_iterations}"
         )
+
+
+def check_mapping(what: str, value) -> Mapping:
+    """Reject a non-mapping where a JSON object is expected (a served
+    payload field, say), so it is a typed 400 rather than an
+    ``AttributeError`` deep inside a ``from_dict``."""
+    if not isinstance(value, Mapping):
+        raise UserInputError(
+            f"{what} must be an object, got {type(value).__name__}"
+        )
+    return value

@@ -163,7 +163,7 @@ class TestConfig:
         with pytest.raises(UserInputError, match=">= 1 crash"):
             KillRestartConfig(crashes=0)
 
-    @pytest.mark.parametrize("target", ["traffic", "store-wal"])
+    @pytest.mark.parametrize("target", ["traffic"])
     def test_rejects_targets_the_cell_cannot_damage(self, target):
         # Only the journal and the result store exist in a kill-restart
         # cell, so any other target has no file to damage.
@@ -171,6 +171,12 @@ class TestConfig:
             KillRestartConfig(
                 storage_faults=(StorageFault(kind="bit-flip", target=target),)
             )
+
+    def test_the_sqlite_wal_target_is_gone(self):
+        # Every durable file is a record log now; there is no WAL file
+        # a fault could target.
+        with pytest.raises(ValueError, match="store-wal"):
+            StorageFault(kind="torn-write", target="store-wal")
 
     @pytest.mark.parametrize("target", ["journal", "store"])
     def test_accepts_journal_and_store(self, target):

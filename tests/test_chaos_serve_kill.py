@@ -3,20 +3,26 @@
 Small streams (fsync traded away for speed — the crash here is
 ``abandon()``, not a real SIGKILL, so the WAL contract isn't what is
 under test): a clean crash, a crash with a torn traffic bundle, and a
-crash with a torn SQLite WAL must all recover to the uninterrupted
-reference digest with zero acknowledged jobs lost.
+crash with a partially fsync'd job store must all recover to the
+uninterrupted reference digest with zero acknowledged jobs lost.
 """
+
+import asyncio
 
 import pytest
 
 from repro.chaos.fleet_soak import FleetSoakConfig
 from repro.chaos.serve_kill import (
     ServeKillConfig,
+    _payloads,
+    _serving_config,
     run_serve_kill,
-    tear_wal,
 )
+from repro.durable import RecordLog
 from repro.errors import UserInputError
 from repro.faults.plan import StorageFault
+from repro.serving.gateway import ServingGateway
+from repro.serving.session import KernelSession
 
 SOAK = FleetSoakConfig(jobs=5, seed=13, replicas=("U280", "U50"))
 
@@ -53,12 +59,19 @@ def test_torn_traffic_bundle_still_recovers(tmp_path):
     assert result.passed
 
 
-def test_torn_store_wal_is_covered_by_the_bundle(tmp_path):
+def test_partial_fsync_of_the_store_is_covered_by_the_bundle(tmp_path):
+    # Crashing before any result lands leaves accepts at the store's
+    # tail, so the fault destroys the last two acknowledged jobs there;
+    # the bundle restores them.
     result = run_serve_kill(
-        _cell(storage_fault=StorageFault("torn-write", target="store-wal")),
+        _cell(
+            crash_after_results=0,
+            storage_fault=StorageFault("partial-fsync", target="store"),
+        ),
         tmp_path,
     )
-    assert "store-wal" in result.storage_fault_log
+    assert result.storage_fault_log.startswith("store: partial fsync")
+    assert result.accepts_merged_from_traffic >= 1
     assert result.lost_acked == []
     assert result.passed
 
@@ -87,5 +100,110 @@ def test_config_guards_are_typed():
         )
 
 
-def test_tear_wal_on_a_checkpointed_store_is_a_noop(tmp_path):
-    assert "no-op" in tear_wal(tmp_path / "jobs.sqlite")
+
+def _resume(serving, acked):
+    """Resume a gateway over ``serving``'s files; -> the oracle inputs
+    ``(accepts restored, lost acked ids, divergences, digest, drained)``."""
+    async def run():
+        gateway = ServingGateway(serving, resume=True)
+        try:
+            stats = gateway.recovery_stats
+            lost = [j for j in acked if gateway.store.get_result(j) is None]
+            digest = (
+                gateway.session.digest() if gateway.session.served_jobs
+                else ""
+            )
+            summary = await gateway.drain()
+            return (stats["accepts_restored"], lost,
+                    stats["replay_divergences"], digest,
+                    summary["drained"])
+        finally:
+            gateway.close()
+    return asyncio.run(run())
+
+
+@pytest.mark.slow
+def test_every_append_boundary_recovers(tmp_path, monkeypatch):
+    """Crash serve at *every* durable append boundary, not at a sampled
+    wall-clock point: resume from the store and bundle as they stood
+    after each append, and once more with half of the next (in-flight)
+    record torn onto its file."""
+    config = _cell()
+    payloads = _payloads(config)
+    live = _serving_config(config, tmp_path / "live")
+
+    # One uninterrupted serve; note each append's (file, size) and the
+    # boundary at which each ack returned.
+    appends = []
+    write = RecordLog.write
+
+    def recording_write(self, record):
+        write(self, record)
+        appends.append((self.path.name, self.path.stat().st_size))
+
+    monkeypatch.setattr(RecordLog, "write", recording_write)
+    acked_at = []
+
+    async def serve():
+        gateway = ServingGateway(live)
+        try:
+            for payload in payloads:
+                await gateway.submit("chaos-key", payload)
+                acked_at.append(len(appends))
+            await gateway.drain()
+        finally:
+            gateway.close()
+
+    asyncio.run(serve())
+    monkeypatch.undo()
+    final = {
+        name: (tmp_path / "live" / name).read_bytes()
+        for name in {name for name, _ in appends}
+    }
+
+    references = {}
+
+    def reference(accepts):
+        if accepts not in references:
+            session = KernelSession(live.session_spec())
+            session.replay(payloads[:accepts])
+            references[accepts] = session.digest() if accepts else ""
+        return references[accepts]
+
+    failures = []
+    for boundary in range(len(appends) + 1):
+        sizes = dict.fromkeys(final, 0)
+        for name, size in appends[:boundary]:
+            sizes[name] = size
+        torn = [None] + appends[boundary:boundary + 1]
+        for in_flight in torn:
+            content = {name: final[name][:size] for name, size in sizes.items()}
+            if in_flight is not None:
+                name, end = in_flight
+                record = final[name][sizes[name]:end]
+                content[name] += record[:len(record) // 2]
+            workdir = tmp_path / f"b{boundary}{'t' if in_flight else ''}"
+            workdir.mkdir()
+            for name, data in content.items():
+                if data:
+                    (workdir / name).write_bytes(data)
+            acked = [
+                p["job_id"] for p, at in zip(payloads, acked_at)
+                if at <= boundary
+            ]
+            restored, lost, divergences, digest, drained = _resume(
+                _serving_config(config, workdir), acked
+            )
+            if (
+                restored < len(acked)
+                or lost
+                or divergences
+                or digest != reference(restored)
+                or not drained
+            ):
+                failures.append((boundary, in_flight, restored, lost,
+                                 divergences, digest))
+    # Store: begin + an accept and a result per job; bundle: the same
+    # plus its traffic-end.
+    assert len(appends) == 4 * len(payloads) + 3
+    assert failures == []

@@ -1,6 +1,6 @@
 """The shared durable-record codec (docs/DURABILITY.md, "Record codec").
 
-Golden lines pin the on-disk bytes of all three record logs; the
+Golden lines pin the on-disk bytes of the record shapes; the
 byte-truncation property tears each log at every offset and checks
 that reopening, appending and rescanning never loses an intact record
 or the new one; the ``atomic_write`` tests pin the staging rule.
@@ -15,6 +15,7 @@ from repro.durable import KeyedRecord, Record, atomic_write, read_log
 from repro.fleet.job import JobResult
 from repro.fleet.journal import JobJournal, JournalRecord
 from repro.fleet.store import ResultStore
+from repro.serving.jobstore import JobStore
 from repro.serving.traffic import TrafficRecorder
 
 
@@ -65,6 +66,12 @@ _LOGS = {
         lambda path: JobJournal(path, fsync=False),
         lambda log, i: log.append("submit", {"job_id": f"job-{i}"}),
         lambda record: record.payload["job_id"],
+    ),
+    "jobstore": (
+        Record,
+        lambda path: JobStore(path, {"devices": ["U50"]}, fsync=False),
+        lambda log, i: log.append_job("acme", {"job_id": f"job-{i}"}),
+        lambda record: record.payload["job"]["job_id"],
     ),
     "store": (
         KeyedRecord,

@@ -1,12 +1,15 @@
-"""SQLite job store and traffic bundle: the serving durability pair.
+"""Job store and traffic bundle: the serving durability pair.
 
 Covers the contracts the gateway's crash-safety rests on: the store's
-write-ahead role (acks are durable rows; results are exactly-once under
-their idempotency key; schema and session mismatches are typed), and
+write-ahead role (acks are durable records; results are exactly-once
+under their idempotency key; schema and session mismatches, and a v1
+SQLite store, are typed), and
 the traffic bundle's flight-recorder role (accepts in order, resume
 markers, first-copy-wins dedup, damage tolerance, and bit-identical
 replay of the recorded digest).
 """
+
+import sqlite3
 
 import pytest
 
@@ -16,7 +19,7 @@ from repro.errors import UserInputError
 from repro.faults.plan import StorageFault
 from repro.fleet.job import JobResult
 from repro.serving.config import ServingConfig
-from repro.serving.jobstore import JOBSTORE_SCHEMA, SqliteJobStore
+from repro.serving.jobstore import JOBSTORE_SCHEMA, JobStore
 from repro.serving.session import KernelSession
 from repro.serving.traffic import (
     TRAFFIC_SCHEMA,
@@ -38,27 +41,48 @@ def _result(job_id, status="completed"):
     return JobResult(job_id=job_id, status=status, replica_id="r0")
 
 
+def _store(path, spec=None):
+    return JobStore(path, spec or SERVING.session_spec(), fsync=False)
+
+
 class TestJobStore:
     def test_jobs_round_trip_in_acceptance_order(self, tmp_path, payloads):
-        with SqliteJobStore(tmp_path / "jobs.sqlite", fsync=False) as store:
+        path = tmp_path / "jobs.jsonl"
+        with _store(path) as store:
             for i, payload in enumerate(payloads):
                 seq = store.append_job("acme", payload, accepted_wall=0.5 * i)
+                assert seq == i + 1
                 assert store.job_seq(payload["job_id"]) == seq
             assert store.job_count() == len(payloads)
-            rows = store.jobs_in_order()
-            assert [p["job_id"] for _, _, p in rows] == [
-                p["job_id"] for p in payloads
-            ]
+        with _store(path) as store:
+            rows = store.take_scanned_accepts()
+            assert [p for _, _, p in rows] == payloads
+            assert [s for s, _, _ in rows] == list(range(1, len(payloads) + 1))
             assert all(tenant == "acme" for _, tenant, _ in rows)
+            # Handed out once: the store keeps no payloads.
+            assert store.take_scanned_accepts() == []
+
+    def test_store_shares_the_traffic_bundle_reader(self, tmp_path,
+                                                    payloads):
+        path = tmp_path / "jobs.jsonl"
+        with _store(path) as store:
+            store.append_job("acme", payloads[0])
+            store.put_result(_result(payloads[0]["job_id"]))
+        loaded = read_traffic(path)
+        assert loaded.schema == JOBSTORE_SCHEMA
+        assert loaded.spec == SERVING.session_spec()
+        assert loaded.job_payloads() == payloads[:1]
+        assert payloads[0]["job_id"] in loaded.results
 
     def test_double_accept_is_typed(self, tmp_path, payloads):
-        with SqliteJobStore(tmp_path / "jobs.sqlite", fsync=False) as store:
+        with _store(tmp_path / "jobs.jsonl") as store:
             store.append_job("acme", payloads[0])
             with pytest.raises(UserInputError):
                 store.append_job("acme", payloads[0])
 
     def test_results_are_exactly_once(self, tmp_path, payloads):
-        with SqliteJobStore(tmp_path / "jobs.sqlite", fsync=False) as store:
+        path = tmp_path / "jobs.jsonl"
+        with _store(path) as store:
             store.append_job("acme", payloads[0])
             job_id = payloads[0]["job_id"]
             first = _result(job_id)
@@ -70,9 +94,11 @@ class TestJobStore:
             assert store.duplicates_suppressed == 1
             assert store.get_result(job_id).status == "completed"
             assert store.result_count() == 1
+        results = [r for r in read_log(path).records if r.type == "result"]
+        assert len(results) == 1
 
     def test_outstanding_is_the_resume_debt(self, tmp_path, payloads):
-        with SqliteJobStore(tmp_path / "jobs.sqlite", fsync=False) as store:
+        with _store(tmp_path / "jobs.jsonl") as store:
             for payload in payloads[:3]:
                 store.append_job("acme", payload)
             store.put_result(_result(payloads[0]["job_id"]))
@@ -82,38 +108,80 @@ class TestJobStore:
             assert store.stats()["outstanding"] == 2
 
     def test_rows_survive_reopen(self, tmp_path, payloads):
-        path = tmp_path / "jobs.sqlite"
-        with SqliteJobStore(path, fsync=False) as store:
+        path = tmp_path / "jobs.jsonl"
+        with _store(path) as store:
             store.append_job("acme", payloads[0])
+            store.append_job("acme", payloads[1])
             store.put_result(_result(payloads[0]["job_id"]))
-        with SqliteJobStore(path, fsync=False) as store:
+        with _store(path) as store:
             assert store.has_job(payloads[0]["job_id"])
             assert store.get_result(payloads[0]["job_id"]) is not None
+            assert store.outstanding() == [payloads[1]["job_id"]]
+            # Numbering continues after the reopened maximum.
+            assert store.append_job("acme", payloads[2]) == 3
 
-    def test_schema_mismatch_is_typed(self, tmp_path):
-        path = tmp_path / "jobs.sqlite"
-        with SqliteJobStore(path, fsync=False) as store:
-            store._db.execute(
-                "UPDATE meta SET value='regraph-jobstore/v0' "
-                "WHERE key='schema'"
-            )
-        with pytest.raises(UserInputError, match=JOBSTORE_SCHEMA):
-            SqliteJobStore(path, fsync=False)
+    def test_no_path_keeps_the_indexes_and_writes_nothing(self, tmp_path,
+                                                          payloads):
+        with _store(None) as store:
+            assert store.append_job("acme", payloads[0]) == 1
+            assert store.put_result(_result(payloads[0]["job_id"]))
+            assert store.stats() == {
+                "jobs": 1, "results": 1, "outstanding": 0,
+                "duplicates_suppressed": 0,
+            }
+        assert list(tmp_path.iterdir()) == []
 
     def test_session_spec_mismatch_is_typed(self, tmp_path):
-        path = tmp_path / "jobs.sqlite"
-        with SqliteJobStore(path, fsync=False) as store:
-            store.set_session_spec(SERVING.session_spec())
-            store.set_session_spec(SERVING.session_spec())  # same: fine
-            other = ServingConfig(devices=("U280",), fsync=False)
-            with pytest.raises(UserInputError, match="different"):
-                store.set_session_spec(other.session_spec())
+        path = tmp_path / "jobs.jsonl"
+        _store(path).close()
+        _store(path).close()  # the same spec: fine
+        other = ServingConfig(devices=("U280",), fsync=False)
+        with pytest.raises(UserInputError, match="different"):
+            _store(path, other.session_spec())
 
-    def test_non_sqlite_file_is_typed(self, tmp_path):
-        path = tmp_path / "not-a-db.sqlite"
-        path.write_text("this is not a database\n" * 100)
-        with pytest.raises(UserInputError, match="not a usable"):
-            SqliteJobStore(path, fsync=False)
+    def test_schema_mismatch_is_typed(self, tmp_path):
+        # A record log of another schema (a traffic bundle) is refused.
+        path = tmp_path / "traffic.jsonl"
+        TrafficRecorder(path, SERVING.session_spec(), fsync=False).close()
+        with pytest.raises(UserInputError, match=JOBSTORE_SCHEMA):
+            _store(path)
+
+    def test_v1_sqlite_store_is_typed_and_left_untouched(self, tmp_path):
+        path = tmp_path / "jobs.sqlite"
+        db = sqlite3.connect(path)
+        db.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        db.execute(
+            "INSERT INTO meta VALUES ('schema', 'regraph-jobstore/v1')"
+        )
+        db.commit()
+        db.close()
+        before = path.read_bytes()
+        with pytest.raises(UserInputError, match="v1 SQLite") as info:
+            _store(path)
+        assert JOBSTORE_SCHEMA in str(info.value)
+        assert path.read_bytes() == before
+
+    def test_a_fresh_sqlite_named_path_is_a_record_log(self, tmp_path,
+                                                       payloads):
+        path = tmp_path / "jobs.sqlite"
+        with _store(path) as store:
+            store.append_job("acme", payloads[0])
+        with _store(path) as store:
+            assert store.has_job(payloads[0]["job_id"])
+
+    @pytest.mark.parametrize("kind", ["torn-write", "partial-fsync"])
+    def test_torn_tail_is_dropped_on_reopen(self, tmp_path, payloads,
+                                            kind):
+        path = tmp_path / "jobs.jsonl"
+        with _store(path) as store:
+            for payload in payloads[:3]:
+                store.append_job("acme", payload)
+        apply_storage_fault(path, StorageFault(kind=kind, target="store"))
+        with _store(path) as store:
+            assert store.has_job(payloads[0]["job_id"])
+            assert not store.has_job(payloads[2]["job_id"])
+            store.append_job("acme", payloads[2])
+        assert read_log(path).clean
 
 
 class TestTrafficBundle:

@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.chaos.fleet_soak import FleetSoakConfig, generate_jobs
+from repro.durable import read_log
 from repro.errors import (
     ServingDrainingError,
     TenantAuthError,
@@ -60,7 +61,7 @@ class TestGatewayRequestPath:
             try:
                 ack = await gateway.submit("acme-key", payloads[0])
                 assert ack["status"] == "accepted"
-                assert ack["seq"] == 1  # sqlite sequence starts at 1
+                assert ack["seq"] == 1
                 assert ack["tenant"] == "acme"
                 assert ack["duplicate"] is False
                 updates = [
@@ -278,12 +279,14 @@ class TestHttpTransport:
                 gateway.close()
         asyncio.run(run())
 
-    def test_bad_fault_plan_is_a_400(self, payloads):
+    def test_bad_fault_plan_is_a_400(self, payloads, tmp_path):
         # An out-of-range fault model would otherwise be accepted and
         # silently inject nothing, or fail its run inside the worker; it
         # is a bad payload like any other, and the worker stays up.  So
         # is an iteration cap below one, which would "complete" a run
-        # that never iterated.
+        # that never iterated, and a graph spec or field the worker (or
+        # every later resume) would die on.  The oversize spec is
+        # rejected from its fields; no graph is ever built.
         bad_plans = [
             ("channel", {"dead_channels": [
                 {"channel": -1, "onset_cycle": 0.0}
@@ -305,10 +308,23 @@ class TestHttpTransport:
         ] + [
             ("max_iterations", {"max_iterations": 0}),
             ("max_iterations", {"max_iterations": -3}),
+            ("fault_plan", {"fault_plan": [1]}),
+        ]
+        graph = payloads[0]["graph"]
+        bad_payloads += [
+            (needle, {"graph": dict(graph, **fields)})
+            for needle, fields in [
+                ("seed", {"seed": -1}),
+                ("exponent", {"kind": "powerlaw", "exponent": float("nan")}),
+                ("exponent", {"kind": "powerlaw", "exponent": -5.0}),
+                ("vertices", {"vertices": 2**40}),
+            ]
         ]
 
+        store = tmp_path / "jobs.jsonl"
+
         async def run():
-            gateway = ServingGateway(_config())
+            gateway = ServingGateway(_config(store_path=str(store)))
             server = HttpServer(gateway, port=0)
             await server.start()
             try:
@@ -323,6 +339,9 @@ class TestHttpTransport:
                     )
                     assert status == 400
                 assert gateway.store.job_count() == 0
+                assert [r.type for r in read_log(store).records] == [
+                    "jobstore-begin"
+                ]
                 ack = await gateway.submit("acme-key", payloads[1])
                 assert ack["status"] == "accepted"
                 await gateway.drain()
