@@ -286,7 +286,7 @@ def run_kill_restart(
         result.lost_jobs = sorted(
             j.job_id for j in jobs if j.job_id not in durable
         )
-        result.duplicate_results = durable.duplicates_suppressed
+        result.duplicate_results = durable.results.duplicates_on_disk
     # The journal must end replayable: a final scan may still see
     # quarantined mid-file records (they are evidence, left in place)
     # but the completed run must have landed its run-end record.

@@ -12,12 +12,17 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import UserInputError
 from repro.faults.plan import FaultPlan
 from repro.graph.coo import MAX_VERTICES, Graph
-from repro.utils.validation import check_mapping, check_max_iterations
+from repro.utils.validation import (
+    check_mapping,
+    check_max_iterations,
+    wire_bool,
+    wire_int,
+)
 
 #: Generator families a cell may draw its graph from.
 GRAPH_KINDS = ("rmat", "powerlaw", "uniform")
@@ -70,6 +75,19 @@ class GraphSpec:
     def name(self) -> str:
         return f"{self.kind}{self.vertices}s{self.seed}"
 
+    def _rmat_shape(self) -> Tuple[int, int]:
+        """RMAT ``(scale, edge_factor)``: ``2**scale`` vertices."""
+        scale = max((self.vertices - 1).bit_length(), 2)
+        return scale, max(self.edges // (1 << scale), 1)
+
+    def built_size(self) -> Tuple[int, int]:
+        """``(vertices, edges)`` of the graph :meth:`build` returns,
+        answered from the spec alone (nothing is allocated)."""
+        if self.kind == "rmat":
+            scale, factor = self._rmat_shape()
+            return 1 << scale, (1 << scale) * factor
+        return self.vertices, self.edges
+
     def build(self) -> Graph:
         """Materialise the graph (deterministic in the spec)."""
         from repro.check.runner import with_random_weights
@@ -80,8 +98,7 @@ class GraphSpec:
         )
 
         if self.kind == "rmat":
-            scale = max((self.vertices - 1).bit_length(), 2)
-            factor = max(self.edges // (1 << scale), 1)
+            scale, factor = self._rmat_shape()
             graph = rmat_graph(scale, factor, seed=self.seed, name=self.name)
         elif self.kind == "powerlaw":
             graph = power_law_graph(
@@ -111,11 +128,11 @@ class GraphSpec:
         check_mapping("graph", data)
         return GraphSpec(
             kind=str(data["kind"]),
-            vertices=int(data["vertices"]),
-            edges=int(data["edges"]),
-            seed=int(data["seed"]),
+            vertices=wire_int("graph vertices", data["vertices"]),
+            edges=wire_int("graph edges", data["edges"]),
+            seed=wire_int("graph seed", data["seed"]),
             exponent=float(data.get("exponent", 1.8)),
-            weighted=bool(data.get("weighted", False)),
+            weighted=wire_bool("graph weighted", data.get("weighted", False)),
         )
 
 

@@ -1383,7 +1383,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pf.add_argument("journal", help="path given to fleet run --journal")
     pf.add_argument("--store", default=None, metavar="PATH",
-                    help="result store of the killed run (restores "
+                    help="result store of the killed run, a "
+                         "regraph-fleet-store/v2 record log (restores "
                          "exactly-once semantics across the crash)")
     pf.add_argument("--quarantine-dir", default=None, metavar="DIR",
                     help="where corrupt journal records are quarantined "

@@ -41,13 +41,11 @@ from repro.compiled.functional import (
     lower_functional_plan,
 )
 from repro.compiled.lower import CompiledPlan, compile_plan
-from repro.compiled.spec import CompiledSpec
 from repro.compiled.trace import synthesize_trace
 
 __all__ = [
     "CompiledEngine",
     "CompiledPlan",
-    "CompiledSpec",
     "FunctionalEngine",
     "FunctionalPlan",
     "compile_plan",

@@ -2,7 +2,7 @@
 
 Four files share one line format: the fleet's write-ahead journal
 (``regraph-fleet-journal/v1``), its result store
-(``regraph-fleet-store/v1``), the serving gateway's job store
+(``regraph-fleet-store/v2``), the serving gateway's job store
 (``regraph-jobstore/v2``) and its traffic bundle
 (``regraph-traffic/v1``).  This module owns every step of that format,
 so the four stay byte-compatible and crash-consistent together:
@@ -13,11 +13,11 @@ so the four stay byte-compatible and crash-consistent together:
 * **the verified scan** (:func:`read_log`) — intact records, the
   :class:`CorruptRecord` lines, whether the damage reaches end-of-file
   (``torn_tail``) and the byte offset just past the last intact record;
-* **the append handle** (:class:`RecordLog`, :class:`SequencedLog`) —
-  one write, one flush and (by default) one fsync per record.  Opening
-  an existing file drops an *unterminated* final fragment first: those
-  bytes already fail verification, and a record appended behind them
-  would be glued onto the fragment and lost;
+* **the append handle** (:class:`SequencedLog`) — one write, one flush
+  and (by default) one fsync per record, under a monotone sequence
+  number.  Opening an existing file drops an *unterminated* final
+  fragment first: those bytes already fail verification, and a record
+  appended behind them would be glued onto the fragment and lost;
 * **repair** (:func:`repair`) — truncate a torn tail, extract every
   damaged line into one ``regraph-fleet-quarantine/v1`` bundle;
 * **atomic replacement** (:func:`atomic_write`) — stage, fsync,
@@ -25,9 +25,9 @@ so the four stay byte-compatible and crash-consistent together:
 * **storage fault injection** (:func:`apply_storage_fault`) — damage
   any of the four files the way real storage does.
 
-Two record shapes exist: sequenced :class:`Record`\\ s ``{seq, type,
-payload}`` (journal, job store, traffic bundle) and :class:`KeyedRecord`\\ s
-``{key, result}`` (result store).  See ``docs/DURABILITY.md``.
+One record shape exists: the sequenced :class:`Record` ``{seq, type,
+payload}``; each log names its own type vocabulary.  See
+``docs/DURABILITY.md``.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class _Damaged(ValueError):
 
 @dataclass(frozen=True)
 class Record:
-    """One intact, checksum-verified record of a sequenced log."""
+    """One intact, checksum-verified record."""
 
     seq: int
     type: str
@@ -88,25 +88,6 @@ class Record:
         if not isinstance(payload, dict):
             raise _Damaged("payload is not an object")
         return Record(seq, rtype, payload)
-
-
-@dataclass(frozen=True)
-class KeyedRecord:
-    """One intact, checksum-verified record of the result store."""
-
-    key: str
-    result: dict
-
-    def line(self) -> str:
-        return _encode({"key": self.key, "result": self.result})
-
-    @staticmethod
-    def decode(fields: dict) -> "KeyedRecord":
-        key = str(fields["key"])
-        result = fields["result"]
-        if not isinstance(result, dict):
-            raise _Damaged("result is not an object")
-        return KeyedRecord(key, result)
 
 
 @dataclass(frozen=True)
@@ -130,7 +111,7 @@ class CorruptRecord:
 class ScanResult:
     """Outcome of scanning one record log."""
 
-    records: list = field(default_factory=list)
+    records: List[Record] = field(default_factory=list)
     corrupt: List[CorruptRecord] = field(default_factory=list)
     #: True when the damage is confined to the file's tail (torn write /
     #: partial fsync): everything after the last intact record.
@@ -146,7 +127,7 @@ class ScanResult:
         return not self.corrupt
 
 
-def _verify(line: str, kind):
+def _verify(line: str) -> Record:
     """-> the decoded record; raises :class:`_Damaged` with the reason."""
     try:
         data = json.loads(line)
@@ -156,7 +137,7 @@ def _verify(line: str, kind):
         raise _Damaged("record is not an object")
     try:
         crc = str(data.pop("crc"))
-        record = kind.decode(data)
+        record = Record.decode(data)
     except _Damaged:
         raise
     except (KeyError, TypeError, ValueError):
@@ -166,18 +147,16 @@ def _verify(line: str, kind):
     return record
 
 
-def read_log(path: Union[str, Path], kind=Record) -> ScanResult:
+def read_log(path: Union[str, Path]) -> ScanResult:
     """Scan ``path``, verifying every line; never modifies the file.
 
-    ``kind`` is the record shape (:class:`Record` or
-    :class:`KeyedRecord`).  Sequenced records must not regress: a
-    record whose ``seq`` is below its predecessor's successor is
-    corrupt.  Damage that extends to end-of-file is flagged as a
-    ``torn_tail`` (repair may truncate it; mid-file damage can only be
-    quarantined, since later intact records must be preserved).
+    Sequence numbers must not regress: a record whose ``seq`` is below
+    its predecessor's successor is corrupt.  Damage that extends to
+    end-of-file is flagged as a ``torn_tail`` (repair may truncate it;
+    mid-file damage can only be quarantined, since later intact records
+    must be preserved).
     """
     result = ScanResult()
-    sequenced = kind is Record
     expected_seq = 0
     offset = 0
     tail_damaged = False
@@ -189,8 +168,8 @@ def read_log(path: Union[str, Path], kind=Record) -> ScanResult:
                 if not blob.endswith(b"\n"):
                     raise _Damaged("unterminated final record")
                 result.terminated_bytes = offset
-                record = _verify(line, kind)
-                if sequenced and record.seq < expected_seq:
+                record = _verify(line)
+                if record.seq < expected_seq:
                     raise _Damaged(
                         f"sequence regression ({record.seq} < {expected_seq})"
                     )
@@ -200,8 +179,7 @@ def read_log(path: Union[str, Path], kind=Record) -> ScanResult:
                 )
                 tail_damaged = True
                 continue
-            if sequenced:
-                expected_seq = record.seq + 1
+            expected_seq = record.seq + 1
             result.records.append(record)
             result.intact_bytes = offset
             tail_damaged = False
@@ -210,21 +188,25 @@ def read_log(path: Union[str, Path], kind=Record) -> ScanResult:
 
 
 # ----------------------------------------------------------------------
-# The append handles
+# The append handle
 # ----------------------------------------------------------------------
-class RecordLog:
-    """Append-side handle over one record log.
+class SequencedLog:
+    """Append-side handle over one record log: monotone sequence
+    numbers and a record-type vocabulary.
 
     Each record is written, flushed and (with ``fsync``, the WAL
-    contract) fsync'd before :meth:`write` returns.  Opening an
+    contract) fsync'd before :meth:`append` returns.  Opening an
     existing file scans it once, hands the scan to :meth:`_load` (which
-    may refuse the file, leaving it untouched), and truncates an
-    unterminated final fragment, so the next record starts on a line of
-    its own; complete corrupt lines stay in place as evidence.
+    may refuse the file, leaving it untouched), continues the sequence
+    after the last intact record — which is how one file spans every
+    restart of the same run — and truncates an unterminated final
+    fragment, so the next record starts on a line of its own; complete
+    corrupt lines stay in place as evidence.
     """
 
-    #: Record shape of this log.
-    kind = Record
+    #: Record types this log accepts, and its name in error messages.
+    RECORD_TYPES: Tuple[str, ...] = ()
+    NOUN = "record"
 
     def __init__(self, path: Union[str, Path], fsync: bool = True):
         self.path = Path(path)
@@ -233,7 +215,7 @@ class RecordLog:
         self.reopened = self.path.exists() and self.path.stat().st_size > 0
         scan = ScanResult()
         if self.reopened:
-            scan = read_log(self.path, self.kind)
+            scan = read_log(self.path)
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._load(scan)
@@ -243,6 +225,7 @@ class RecordLog:
 
     def _load(self, scan: ScanResult) -> None:
         """Take in what the file held at open (empty for a new file)."""
+        self._next_seq = scan.records[-1].seq + 1 if scan.records else 0
 
     def _drop_fragment(self, end: int) -> None:
         if end < self.path.stat().st_size:
@@ -251,8 +234,20 @@ class RecordLog:
                 if self.fsync:
                     os.fsync(fh.fileno())
 
-    def write(self, record) -> None:
-        """Durably append one record."""
+    def append(self, rtype: str, payload: dict) -> int:
+        """Durably append one record; returns its sequence number."""
+        if rtype not in self.RECORD_TYPES:
+            raise UserInputError(
+                f"unknown {self.NOUN} record type {rtype!r}; "
+                f"expected one of {self.RECORD_TYPES}"
+            )
+        seq = self._next_seq
+        self.write(Record(seq, rtype, payload))
+        self._next_seq = seq + 1
+        return seq
+
+    def write(self, record: Record) -> None:
+        """Write, flush and (with ``fsync``) fsync one record line."""
         self._fh.write(record.line())
         self._fh.flush()
         if self.fsync:
@@ -270,33 +265,6 @@ class RecordLog:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class SequencedLog(RecordLog):
-    """A record log with monotone sequence numbers and a type vocabulary.
-
-    Reopening continues the sequence after the last intact record,
-    which is how one file spans every restart of the same run.
-    """
-
-    #: Record types this log accepts, and its name in error messages.
-    RECORD_TYPES: Tuple[str, ...] = ()
-    NOUN = "record"
-
-    def _load(self, scan: ScanResult) -> None:
-        self._next_seq = scan.records[-1].seq + 1 if scan.records else 0
-
-    def append(self, rtype: str, payload: dict) -> int:
-        """Durably append one record; returns its sequence number."""
-        if rtype not in self.RECORD_TYPES:
-            raise UserInputError(
-                f"unknown {self.NOUN} record type {rtype!r}; "
-                f"expected one of {self.RECORD_TYPES}"
-            )
-        seq = self._next_seq
-        self.write(Record(seq, rtype, payload))
-        self._next_seq = seq + 1
-        return seq
 
 
 # ----------------------------------------------------------------------

@@ -304,11 +304,6 @@ class CircuitBreakerBank:
             ch for ch, st in self._states.items() if st.is_open
         )
 
-    @property
-    def open_count(self) -> int:
-        """Number of open breakers (fleet placement scores on this)."""
-        return sum(st.is_open for st in self._states.values())
-
     def open_unretired_channels(self) -> List[int]:
         """Open breakers whose pipeline has not been retired this run."""
         return sorted(
@@ -333,44 +328,6 @@ class CircuitBreakerBank:
             str(ch): self._states[ch].to_dict()
             for ch in sorted(self._states)
         }
-
-    # -- persistence (fleet recovery) -----------------------------------
-    def to_dict(self) -> dict:
-        """Complete, restorable serialisation of the bank.
-
-        Unlike :meth:`snapshot` (the report-facing view), this includes
-        the threshold, trip counter and per-channel ``retired`` flags —
-        everything needed for :meth:`from_dict` to rebuild a bank that
-        makes *identical* open/half-open/closed decisions on the same
-        subsequent event stream.
-        """
-        return {
-            "threshold": self.threshold,
-            "trips": self.trips,
-            "channels": {
-                str(ch): {**st.to_dict(), "retired": st.retired}
-                for ch, st in sorted(self._states.items())
-            },
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "CircuitBreakerBank":
-        """Rebuild a bank from :meth:`to_dict` output."""
-        bank = CircuitBreakerBank(int(data.get("threshold", 5)))
-        bank.trips = int(data.get("trips", 0))
-        for ch, st in data.get("channels", {}).items():
-            opened = st.get("opened_at_cycle")
-            bank._states[int(ch)] = ChannelBreakerState(
-                channel=int(ch),
-                failures=int(st.get("failures", 0)),
-                state=str(st.get("state", "closed")),
-                last_category=str(st.get("last_category", "")),
-                opened_at_cycle=(
-                    float(opened) if opened is not None else None
-                ),
-                retired=bool(st.get("retired", False)),
-            )
-        return bank
 
 
 # ----------------------------------------------------------------------

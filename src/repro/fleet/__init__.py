@@ -20,8 +20,8 @@ faults.  The pieces:
 * :mod:`~repro.fleet.report` — the bit-reproducible run report;
 * :mod:`~repro.fleet.journal` — the write-ahead job journal (append-
   only, checksummed, fsync'd) behind crash recovery;
-* :mod:`~repro.fleet.store` — the durable result store with
-  idempotency-keyed exactly-once writes.
+* :mod:`~repro.fleet.store` — the durable result store and the
+  first-write-wins result index it shares with the serving job store.
 
 Both durable files use the one record codec in :mod:`repro.durable`.
 

@@ -20,7 +20,11 @@ from repro.chaos.generate import CAMPAIGN_APPS
 from repro.chaos.spec import GraphSpec, check_root
 from repro.errors import UserInputError
 from repro.faults.plan import FaultPlan
-from repro.utils.validation import check_mapping, check_max_iterations
+from repro.utils.validation import (
+    check_mapping,
+    check_max_iterations,
+    wire_int,
+)
 
 #: Apps a fleet job may request (each has a chaos conformance oracle).
 FLEET_APPS = CAMPAIGN_APPS
@@ -102,11 +106,12 @@ class Job:
             job_id=str(data["job_id"]),
             app=str(data["app"]),
             graph=GraphSpec.from_dict(data["graph"]),
-            root=int(data.get("root", 0)),
+            root=wire_int("root", data.get("root", 0)),
             max_iterations=(
-                None if max_iterations is None else int(max_iterations)
+                None if max_iterations is None
+                else wire_int("max_iterations", max_iterations)
             ),
-            priority=int(data.get("priority", 0)),
+            priority=wire_int("priority", data.get("priority", 0)),
             deadline_seconds=None if deadline is None else float(deadline),
             submit_time=float(data.get("submit_time", 0.0)),
             fault_plan=FaultPlan.from_dict(data.get("fault_plan", {})),

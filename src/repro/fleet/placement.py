@@ -25,11 +25,25 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.apps.registry import get_app_spec
 from repro.core.framework import PreprocessResult
 from repro.fleet.job import Job
 from repro.fleet.replica import Replica
-from repro.graph.coo import Graph
+from repro.graph.coo import EDGE_BYTES, VERTEX_WORD_BYTES, Graph
 from repro.hbm.capacity import CHANNEL_CAPACITY_BYTES
+
+
+def _fits_channels(
+    replica: Replica, num_vertices: int, num_edges: int, edge_bytes: int
+) -> bool:
+    """The HBM rule: a pipeline's share of the edge records and one
+    vertex-property array must each fit one pseudo-channel."""
+    num_pipes = replica.handle.framework.num_pipelines
+    edges_per_channel = -(-num_edges * edge_bytes // max(num_pipes, 1))
+    props_per_channel = num_vertices * VERTEX_WORD_BYTES
+    return max(edges_per_channel, props_per_channel) <= (
+        CHANNEL_CAPACITY_BYTES
+    )
 
 
 class PlacementEngine:
@@ -89,14 +103,21 @@ class PlacementEngine:
     @staticmethod
     def fits(replica: Replica, graph: Graph) -> bool:
         """Whether the job's buffers respect per-channel HBM capacity."""
-        num_pipes = replica.handle.framework.num_pipelines
-        edges_per_channel = -(-graph.num_edges * graph.edge_bytes // max(
-            num_pipes, 1
-        ))
-        props_per_channel = graph.num_vertices * 4
-        return max(edges_per_channel, props_per_channel) <= (
-            CHANNEL_CAPACITY_BYTES
+        return _fits_channels(
+            replica, graph.num_vertices, graph.num_edges, graph.edge_bytes
         )
+
+    @staticmethod
+    def spec_fits(replica: Replica, job: Job) -> bool:
+        """:meth:`fits` for the graph ``job`` would execute, answered
+        from its spec before anything is built: a symmetric app (WCC)
+        runs twice the edges, unweighted."""
+        vertices, edges = job.graph.built_size()
+        weighted = job.graph.weighted
+        if get_app_spec(job.app).symmetric:
+            edges, weighted = 2 * edges, False
+        edge_bytes = EDGE_BYTES + (VERTEX_WORD_BYTES if weighted else 0)
+        return _fits_channels(replica, vertices, edges, edge_bytes)
 
     def score(
         self, replica: Replica, job: Job, pre: PreprocessResult, now: float

@@ -78,7 +78,7 @@ from repro.fleet.journal import (
 from repro.fleet.placement import PlacementEngine
 from repro.fleet.replica import QUARANTINED, RETIRED, Replica, make_replica
 from repro.fleet.report import AssignmentRecord, FleetReport
-from repro.fleet.store import ResultStore
+from repro.fleet.store import ResultIndex, ResultStore
 from repro.graph.coo import Graph
 from repro.runtime.host import HostTimingConfig, VirtualClock
 
@@ -377,14 +377,6 @@ class FleetRuntime:
         #: lifecycle.  Its counters are a side-channel like
         #: ``recovery_stats`` — never part of the report digest.
         self.autoscaler = autoscaler
-        #: Side-channel recovery accounting, deliberately *outside*
-        #: FleetReport: the report digest certifies the served outcome,
-        #: which must match an uninterrupted run bit-for-bit.
-        self.recovery_stats: Dict[str, int] = {
-            "results_restored": len(store) if store is not None else 0,
-            "duplicates_suppressed": 0,
-            "replay_divergences": 0,
-        }
         #: Events the run loop has processed (crash-point reference).
         self.events_processed = 0
         self.admission = AdmissionController(
@@ -446,20 +438,28 @@ class FleetRuntime:
 
         The journal gets the ``result`` record first (write-ahead), then
         the store either accepts the write or — on resubmission after a
-        crash — suppresses it and the recomputed outcome is cross-checked
+        crash — suppresses it and cross-checks the recomputed outcome
         against the durable one (``replay_divergences`` must stay 0).
         """
         self._wal("result", {
             "result": result.to_dict(), "time": self.clock.now,
         })
-        if self.store is None:
-            return
-        if self.store.put(result):
-            return
-        self.recovery_stats["duplicates_suppressed"] += 1
-        durable = self.store.get(result.job_id)
-        if durable is not None and durable.to_dict() != result.to_dict():
-            self.recovery_stats["replay_divergences"] += 1
+        if self.store is not None:
+            self.store.put(result)
+
+    @property
+    def recovery_stats(self) -> Dict[str, int]:
+        """Side-channel recovery accounting, deliberately *outside*
+        FleetReport: the report digest certifies the served outcome,
+        which must match an uninterrupted run bit-for-bit."""
+        results = (
+            self.store.results if self.store is not None else ResultIndex()
+        )
+        return {
+            "results_restored": results.restored,
+            "duplicates_suppressed": results.duplicates_suppressed,
+            "replay_divergences": results.replay_divergences,
+        }
 
     # -- helpers --------------------------------------------------------
     def _replica(self, replica_id: str) -> Replica:
@@ -589,20 +589,12 @@ class FleetRuntime:
             detail=str(exc),
             deadline_seconds=job.deadline_seconds,
         )
+        # Rejections are terminal too: the same exactly-once store
+        # write, behind the journal's ``reject`` record.
         self._wal("reject", {"result": result.to_dict()})
         if self.store is not None:
-            self._persist_rejection(result)
+            self.store.put(result)
         self._results[job.job_id] = result
-
-    def _persist_rejection(self, result: JobResult) -> None:
-        """Rejections are terminal too — same exactly-once path, minus
-        the journal record (``reject`` already covers it)."""
-        if self.store.put(result):
-            return
-        self.recovery_stats["duplicates_suppressed"] += 1
-        durable = self.store.get(result.job_id)
-        if durable is not None and durable.to_dict() != result.to_dict():
-            self.recovery_stats["replay_divergences"] += 1
 
     def _finalize_completed(self, attempt: _Attempt) -> None:
         entry = attempt.entry
@@ -1291,12 +1283,14 @@ class RecoveredFleet:
         re-attached.  ``halt_after_events`` lets chaos kill the resumed
         run again; the next ``recover`` picks up from the same files.
         """
-        journal = JobJournal(self.journal_path, fsync=fsync)
+        # The store opens first: a store it cannot read is refused
+        # before the journal gains a ``recover`` record.
         store = (
             ResultStore(self.store_path, fsync=fsync)
             if self.store_path is not None
             else None
         )
+        journal = JobJournal(self.journal_path, fsync=fsync)
         journal.append("recover", {
             "restored_results": len(store) if store is not None else 0,
             "outstanding": self.projection.outstanding,

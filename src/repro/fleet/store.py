@@ -1,75 +1,96 @@
-"""Durable result store: exactly-once terminal outcomes across crashes.
+"""Exactly-once terminal results: the first-write-wins index and the
+fleet's durable result store.
 
 The store is the *result* half of the durability pair (the journal logs
-intent, the store holds outcomes).  It is a crash-safe JSONL file — one
-checksummed record per terminal :class:`~repro.fleet.job.JobResult`,
-appended with flush+fsync — keyed by an **idempotency key** (the job
-id): the first write for a key wins, every later ``put`` for the same
-key is suppressed and merely reported.  That is what gives resubmission
-exactly-once semantics: a recovered runtime replays the whole job
-stream, recomputes every result, and the store silently deduplicates
-the ones that were already durable before the crash — a client reading
-the store sees each job's result exactly once, whether the fleet
-crashed zero times or twice.
+intent, the store holds outcomes).  It is a :mod:`repro.durable` record
+log (``regraph-fleet-store/v2``) of sequenced ``result`` records — the
+shape the serving job store and the traffic bundle write — one per
+terminal :class:`~repro.fleet.job.JobResult`, appended with
+flush+fsync.
 
-The line format, the verified load and the append handle are
-:mod:`repro.durable`'s.  Corrupt records (torn tail, bit rot) are
-skipped and counted at load, never raised: losing the *last* result to
-a torn write is recoverable (replay recomputes it), whereas refusing to
-start is not.  Reopening drops an unterminated final fragment, so the
-next ``put`` lands on a line of its own.  ``compact()`` rewrites the
-file through :func:`repro.durable.atomic_write`, dropping any damaged
-lines for good.
+:class:`ResultIndex` is the one exactly-once rule, shared by this store
+and :class:`~repro.serving.jobstore.JobStore`: results are keyed by an
+**idempotency key** (the job id), the first write for a key wins, and
+every later ``put`` for the same key is suppressed, counted and
+cross-checked against the durable copy (a recomputation that differs is
+a replay divergence).  That is what gives resubmission exactly-once
+semantics: a recovered runtime replays the whole job stream, recomputes
+every result, and the index silently deduplicates the ones that were
+already durable before the crash — a client reading the store sees each
+job's result exactly once, whether the fleet crashed zero times or
+twice.
+
+Corrupt records (torn tail, bit rot) are skipped and counted at load,
+never raised: losing the *last* result to a torn write is recoverable
+(replay recomputes it), whereas refusing to start is not.  Reopening
+drops an unterminated final fragment, so the next ``put`` lands on a
+line of its own.  A file the store cannot read as its own — a v1 store
+of ``{key, result}`` lines, or another log such as a journal — is a
+typed error and keeps its bytes: scanned as-is, its lines would be
+dropped as corrupt and replay would write every result a second time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import json
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Union
 
-from repro.durable import KeyedRecord, RecordLog, ScanResult, atomic_write
+from repro.durable import ScanResult, SequencedLog
+from repro.errors import UserInputError
 from repro.fleet.job import JobResult
 
 #: Store line-format identifier; bump on incompatible layout changes.
-STORE_SCHEMA = "regraph-fleet-store/v1"
+STORE_SCHEMA = "regraph-fleet-store/v2"
+
+#: Record types a result store may contain.
+STORE_RECORD_TYPES = ("result",)
 
 
-class ResultStore(RecordLog):
-    """Append-only, checksummed, idempotent JobResult persistence."""
+class ResultIndex:
+    """Terminal results by job id, first write wins."""
 
-    kind = KeyedRecord
-
-    def _load(self, scan: ScanResult) -> None:
+    def __init__(self):
         self._results: Dict[str, JobResult] = {}
-        #: Records skipped at load because they failed verification.
-        self.discarded_at_load = len(scan.corrupt)
+        #: Distinct results folded in at open.
+        self.restored = 0
+        #: ``result`` records at open whose job id already had one.
+        self.duplicates_on_disk = 0
         #: ``put`` calls suppressed by the idempotency key.
         self.duplicates_suppressed = 0
-        for record in scan.records:
-            if record.key in self._results:
-                # An append-only store should never hold two records
-                # for one key (put suppresses them); tolerate it by
-                # first-write-wins, the idempotency contract.
-                self.duplicates_suppressed += 1
-                continue
-            self._results[record.key] = JobResult.from_dict(record.result)
+        #: Suppressed ``put`` calls whose result differed from the
+        #: durable one (deterministic replay keeps this 0).
+        self.replay_divergences = 0
 
-    # -- the exactly-once write path -----------------------------------
-    def put(self, result: JobResult) -> bool:
-        """Persist ``result`` under its idempotency key (the job id).
+    def load(self, payload: dict) -> None:
+        """Fold in the payload of one ``result`` record read at open."""
+        result = JobResult.from_dict(payload["result"])
+        if result.job_id in self._results:
+            self.duplicates_on_disk += 1
+            return
+        self._results[result.job_id] = result
+        self.restored += 1
 
-        Returns True when this call made the result durable; False when
-        the key already had a durable result (the write is suppressed —
-        exactly-once on resubmission).
+    def put(
+        self, result: JobResult, write: Callable[[JobResult], None]
+    ) -> bool:
+        """Make ``result`` durable through ``write`` unless its job id
+        already has a result.
+
+        Returns True when this call wrote it; False when the write was
+        suppressed (counted, and cross-checked against the durable
+        result).
         """
-        key = result.job_id
-        if key in self._results:
+        durable = self._results.get(result.job_id)
+        if durable is not None:
             self.duplicates_suppressed += 1
+            if durable.to_dict() != result.to_dict():
+                self.replay_divergences += 1
             return False
-        self.write(KeyedRecord(key, result.to_dict()))
-        self._results[key] = result
+        write(result)
+        self._results[result.job_id] = result
         return True
 
-    # -- reads ----------------------------------------------------------
     def get(self, job_id: str) -> Optional[JobResult]:
         return self._results.get(job_id)
 
@@ -82,26 +103,70 @@ class ResultStore(RecordLog):
     def job_ids(self) -> List[str]:
         return sorted(self._results)
 
-    def results(self) -> Dict[str, JobResult]:
-        """A snapshot copy of every durable result, by job id."""
-        return dict(self._results)
 
-    def stats(self) -> dict:
-        return {
-            "results": len(self._results),
-            "discarded_at_load": self.discarded_at_load,
-            "duplicates_suppressed": self.duplicates_suppressed,
-        }
+def _refuse_v1(path: Path) -> None:
+    """A v1 store's lines are ``{key, result}``; check the first line
+    before the scan counts them all as corrupt."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.readline()
+    except FileNotFoundError:
+        return
+    try:
+        fields = json.loads(head)
+    except ValueError:
+        return
+    if isinstance(fields, dict) and "key" in fields:
+        raise UserInputError(
+            f"result store {path} is a regraph-fleet-store/v1 file; this "
+            f"build reads {STORE_SCHEMA} record logs (the file is left "
+            "untouched: finish the run with the release that wrote it, "
+            "or pick another --store path)"
+        )
 
-    # -- maintenance -----------------------------------------------------
-    def compact(self) -> None:
-        """Rewrite the file from the in-memory view (drops bad lines),
-        crash-safe through :func:`repro.durable.atomic_write`."""
 
-        def rewrite(fh) -> None:
-            for key in sorted(self._results):
-                fh.write(KeyedRecord(key, self._results[key].to_dict()).line())
+class ResultStore(SequencedLog):
+    """Append-only, checksummed, idempotent JobResult persistence."""
 
-        atomic_write(self.path, rewrite)
-        self._fh.close()
-        self._fh = open(self.path, "a", encoding="utf-8")
+    RECORD_TYPES = STORE_RECORD_TYPES
+    NOUN = "result store"
+
+    def __init__(self, path: Union[str, Path], fsync: bool = True):
+        _refuse_v1(Path(path))
+        super().__init__(path, fsync)
+
+    def _load(self, scan: ScanResult) -> None:
+        foreign = sorted(
+            {r.type for r in scan.records} - set(self.RECORD_TYPES)
+        )
+        if foreign:
+            raise UserInputError(
+                f"{self.path} is not a {STORE_SCHEMA} result store "
+                f"(it holds {foreign} records); pick another --store path"
+            )
+        super()._load(scan)
+        #: Records skipped at load because they failed verification.
+        self.discarded_at_load = len(scan.corrupt)
+        self.results = ResultIndex()
+        for record in scan.records:
+            self.results.load(record.payload)
+
+    def put(self, result: JobResult) -> bool:
+        """Persist ``result`` under its idempotency key (the job id);
+        see :meth:`ResultIndex.put`."""
+        return self.results.put(result, self._append_result)
+
+    def _append_result(self, result: JobResult) -> None:
+        self.append("result", {"result": result.to_dict()})
+
+    def get(self, job_id: str) -> Optional[JobResult]:
+        return self.results.get(job_id)
+
+    def __contains__(self, job_id: str) -> bool:
+        return job_id in self.results
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    def job_ids(self) -> List[str]:
+        return self.results.job_ids()

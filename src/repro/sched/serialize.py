@@ -14,26 +14,9 @@ import json
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from repro.arch.config import AcceleratorConfig, PipelineConfig
-from repro.graph.partition import Partition, PartitionSet
+from repro.graph.partition import PartitionSet
 from repro.sched.plan import BigTask, LittleTask, SchedulingPlan
-
-
-def _edge_range(parent: Partition, sub: Partition):
-    """Locate a slice's [lo, hi) edge range inside its parent partition."""
-    if sub.num_edges == 0:
-        return 0, 0
-    lo = int(
-        np.searchsorted(parent.src, sub.src[0], side="left")
-    )
-    # Advance past equal-src edges that precede the slice's first edge.
-    while lo < parent.num_edges and not (
-        parent.src[lo] == sub.src[0] and parent.dst[lo] == sub.dst[0]
-    ):
-        lo += 1
-    return lo, lo + sub.num_edges
 
 
 def plan_to_dict(plan: SchedulingPlan) -> dict:

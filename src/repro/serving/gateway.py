@@ -56,6 +56,7 @@ from repro.errors import (
 )
 from repro.fleet.admission import AdmissionController
 from repro.fleet.job import Job, JobResult
+from repro.fleet.placement import PlacementEngine
 from repro.serving.config import ServingConfig, TenantSpec
 from repro.serving.jobstore import JobStore
 from repro.serving.session import KernelSession
@@ -155,20 +156,16 @@ class ServingGateway:
                     self.store.append_job(tenant, payload, seq=seq)
                     self.recovery_stats["accepts_merged_from_traffic"] += 1
         self.recovery_stats["accepts_restored"] = len(merged)
-        before = self.store.duplicates_suppressed
         for seq in sorted(merged):
             _, payload = merged[seq]
-            result = self.session.execute(Job.from_dict(payload))
-            if self.store.put_result(result):
-                continue
-            durable = self.store.get_result(result.job_id)
-            if (
-                durable is not None
-                and durable.to_dict() != result.to_dict()
-            ):
-                self.recovery_stats["replay_divergences"] += 1
-        self.recovery_stats["duplicates_suppressed"] = (
-            self.store.duplicates_suppressed - before
+            job = Job.from_dict(payload)
+            self.store.put_result(self.session.execute(job))
+        # The store's index suppressed and cross-checked every result
+        # that was already durable.
+        results = self.store.results
+        self.recovery_stats.update(
+            duplicates_suppressed=results.duplicates_suppressed,
+            replay_divergences=results.replay_divergences,
         )
 
     # -- lifecycle --------------------------------------------------------
@@ -216,7 +213,8 @@ class ServingGateway:
 
         Returns the acknowledgement dict; raises typed errors the
         transport maps onto status codes (401 auth, 429 quota/overload,
-        503 draining, 400 bad payload).
+        503 draining, 400 bad payload — a graph no replica's HBM can
+        hold included, judged from its spec before anything is built).
         """
         self._check_worker()
         tenant = self.registry.authenticate(api_key)
@@ -230,6 +228,15 @@ class ServingGateway:
             if isinstance(exc, UserInputError):
                 raise
             raise UserInputError(f"bad job payload: {exc!r}") from exc
+        if not any(
+            PlacementEngine.spec_fits(replica, job)
+            for replica in self.session.runtime.replicas
+        ):
+            raise UserInputError(
+                f"job {job.job_id}: graph {job.graph.name} with "
+                f"{job.graph.edges} edges does not fit the HBM channels "
+                "of any replica in the pool"
+            )
 
         # Idempotent resubmission: an acknowledged id never runs twice.
         if self.store.has_job(job.job_id):

@@ -10,15 +10,16 @@ traffic bundle) holding
 * ``accept`` — every *acknowledged* submission, the traffic bundle's
   shape (``accept_seq``, tenant, job, wall).  It is appended before the
   client sees the ack, so an acknowledged job is durable;
-* ``result`` — terminal :class:`~repro.fleet.job.JobResult`\\ s with the
-  same **idempotency semantics** as
-  :class:`~repro.fleet.store.ResultStore`: first write wins per job id,
-  every later ``put_result`` for the same key is suppressed and counted
-  — which keeps the client-visible result stream exactly-once across
-  crash/resume replays.
+* ``result`` — terminal :class:`~repro.fleet.job.JobResult`\\ s, the
+  fleet result store's record, under the same index
+  (:class:`~repro.fleet.store.ResultIndex`): first write wins per job
+  id, every later ``put_result`` for the same key is suppressed, counted
+  and cross-checked — which keeps the client-visible result stream
+  exactly-once across crash/resume replays.
 
 The store loads through the traffic bundle's reader
-(:func:`~repro.serving.traffic.fold_records`), so corrupt lines are
+(:func:`~repro.serving.traffic.fold_records`, which folds ``result``
+records into that index), so corrupt lines are
 skipped and counted and a torn tail is dropped on reopen.  Records lost
 that way are re-derived by deterministic replay (and, for acknowledged
 jobs, merged back from the traffic bundle — each file covers for the
@@ -116,21 +117,17 @@ class JobStore(AcceptLog):
         self._spec = loaded.spec
         self._seqs: Dict[str, int] = {}
         self._last_seq = 0
-        self._results: Dict[str, JobResult] = {
-            job_id: JobResult.from_dict(payload)
-            for job_id, payload in loaded.results.items()
-        }
+        #: Exactly-once results (the fleet result store's index).
+        self.results = loaded.results
         self._outstanding: Dict[str, None] = {}
         for seq, _, payload in loaded.accepts:
             self._index(str(payload["job_id"]), seq)
         self._scanned = loaded.accepts
-        #: ``put_result`` calls suppressed by the idempotency key.
-        self.duplicates_suppressed = 0
 
     def _index(self, job_id: str, seq: int) -> None:
         self._seqs[job_id] = seq
         self._last_seq = max(self._last_seq, seq)
-        if job_id not in self._results:
+        if job_id not in self.results:
             self._outstanding[job_id] = None
 
     def write(self, record) -> None:
@@ -183,26 +180,21 @@ class JobStore(AcceptLog):
 
     # -- exactly-once results -------------------------------------------
     def put_result(self, result: JobResult, wall: float = 0.0) -> bool:
-        """Persist ``result`` under its idempotency key (the job id).
-
-        First write wins; a later call for the same key is suppressed
-        and counted, exactly like
-        :meth:`repro.fleet.store.ResultStore.put`.
-        """
-        job_id = result.job_id
-        if job_id in self._results:
-            self.duplicates_suppressed += 1
-            return False
-        self.record_result(result, wall)
-        self._results[job_id] = result
-        self._outstanding.pop(job_id, None)
-        return True
+        """Persist ``result`` under its idempotency key (the job id):
+        first write wins, later calls are suppressed and cross-checked
+        (:meth:`repro.fleet.store.ResultIndex.put`)."""
+        written = self.results.put(
+            result, lambda r: self.record_result(r, wall)
+        )
+        if written:
+            self._outstanding.pop(result.job_id, None)
+        return written
 
     def get_result(self, job_id: str) -> Optional[JobResult]:
-        return self._results.get(job_id)
+        return self.results.get(job_id)
 
     def result_count(self) -> int:
-        return len(self._results)
+        return len(self.results)
 
     def __len__(self) -> int:
         return self.result_count()
@@ -217,7 +209,7 @@ class JobStore(AcceptLog):
             "jobs": self.job_count(),
             "results": self.result_count(),
             "outstanding": len(self._outstanding),
-            "duplicates_suppressed": self.duplicates_suppressed,
+            "duplicates_suppressed": self.results.duplicates_suppressed,
         }
 
     def close(self) -> None:

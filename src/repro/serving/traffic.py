@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Union
 from repro.durable import ScanResult, SequencedLog, read_log
 from repro.errors import UserInputError
 from repro.fleet.job import JobResult
+from repro.fleet.store import ResultIndex
 
 #: Traffic-bundle schema identifier; bump on incompatible changes.
 TRAFFIC_SCHEMA = "regraph-traffic/v1"
@@ -142,8 +143,8 @@ class TrafficBundle:
     #: ``(accept_seq, tenant, job_payload)``.
     accepts: List[tuple] = field(default_factory=list)
     rejects: List[dict] = field(default_factory=list)
-    #: Terminal results as recorded: job_id -> JobResult payload.
-    results: Dict[str, dict] = field(default_factory=dict)
+    #: Terminal results as recorded, first copy per job id.
+    results: ResultIndex = field(default_factory=ResultIndex)
     #: ``traffic-end`` payload; ``None`` for a crashed (undrained) run.
     end: Optional[dict] = None
     #: Lines that failed parsing or their checksum (skipped, counted).
@@ -201,10 +202,10 @@ def fold_records(scan: ScanResult, path: Union[str, Path]) -> TrafficBundle:
         elif record.type == "reject":
             bundle.rejects.append(dict(payload))
         elif record.type == "result":
-            result = payload.get("result", {})
-            job_id = str(result.get("job_id", ""))
-            if job_id:
-                bundle.results.setdefault(job_id, result)
+            try:
+                bundle.results.load(payload)
+            except (KeyError, TypeError, ValueError):
+                bundle.corrupt_lines += 1
         elif record.type == "traffic-end":
             bundle.end = dict(payload)
     bundle.accepts = [accepts[s] for s in sorted(accepts)]

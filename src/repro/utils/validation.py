@@ -6,6 +6,7 @@ defensive clutter while still failing loudly on misuse.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Mapping
 from typing import Optional
 
@@ -58,4 +59,20 @@ def check_mapping(what: str, value) -> Mapping:
         raise UserInputError(
             f"{what} must be an object, got {type(value).__name__}"
         )
+    return value
+
+
+def wire_int(what: str, value) -> int:
+    """A JSON integer field, taken only as an integer: ``int()`` would
+    turn ``2.9`` into 2, ``"2"`` into 2 and ``true`` into 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UserInputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def wire_bool(what: str, value) -> bool:
+    """A JSON boolean field, taken only as a boolean: ``bool()`` would
+    turn ``"false"`` into True."""
+    if not isinstance(value, bool):
+        raise UserInputError(f"{what} must be true or false, got {value!r}")
     return value

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro.arch.config import AcceleratorConfig, PipelineConfig
+from repro.arch.config import PipelineConfig
 from repro.chaos.spec import GraphSpec
-from repro.compiled import CompiledSpec
 from repro.faults.plan import (
     BitFlipFault,
     DeadChannelFault,
@@ -120,27 +119,6 @@ def channel_param_perturbations(draw):
         burst_blocks_per_cycle=draw(
             st.floats(0.25, 2.0, allow_nan=False)
         ),
-    )
-
-
-@st.composite
-def compiled_specs(draw):
-    """Device × pipeline-combo × channel-param compiled-spec space.
-
-    Drives the spec digest key-injectivity test and lets conformance /
-    chaos properties pin the compiled path to arbitrary bindings.
-    """
-    num_little = draw(st.integers(0, 4))
-    num_big = draw(st.integers(0 if num_little else 1, 4))
-    return CompiledSpec(
-        device=draw(st.sampled_from(("U280", "U50", ""))),
-        accelerator=AcceleratorConfig(
-            num_little=num_little,
-            num_big=num_big,
-            pipeline=STRATEGY_CONFIG,
-        ),
-        channel=draw(channel_param_perturbations()),
-        edge_bytes=draw(st.sampled_from((8, 12))),
     )
 
 

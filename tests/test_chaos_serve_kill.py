@@ -18,9 +18,9 @@ from repro.chaos.serve_kill import (
     _serving_config,
     run_serve_kill,
 )
-from repro.durable import RecordLog
+from repro.durable import SequencedLog, apply_storage_fault
 from repro.errors import UserInputError
-from repro.faults.plan import StorageFault
+from repro.faults.plan import STORAGE_FAULT_KINDS, StorageFault
 from repro.serving.gateway import ServingGateway
 from repro.serving.session import KernelSession
 
@@ -122,12 +122,18 @@ def _resume(serving, acked):
     return asyncio.run(run())
 
 
+#: Files the serve-kill cell writes, by storage-fault target.
+_TARGET_FILES = {"store": "jobs.jsonl", "traffic": "traffic.jsonl"}
+
+
 @pytest.mark.slow
 def test_every_append_boundary_recovers(tmp_path, monkeypatch):
     """Crash serve at *every* durable append boundary, not at a sampled
     wall-clock point: resume from the store and bundle as they stood
-    after each append, and once more with half of the next (in-flight)
-    record torn onto its file."""
+    after each append, once more with half of the next (in-flight)
+    record torn onto its file, and once per storage fault kind applied
+    to the store alone and to the bundle alone.  Every ack returned
+    before the boundary wrote both files, so none may be lost."""
     config = _cell()
     payloads = _payloads(config)
     live = _serving_config(config, tmp_path / "live")
@@ -135,13 +141,13 @@ def test_every_append_boundary_recovers(tmp_path, monkeypatch):
     # One uninterrupted serve; note each append's (file, size) and the
     # boundary at which each ack returned.
     appends = []
-    write = RecordLog.write
+    write = SequencedLog.write
 
     def recording_write(self, record):
         write(self, record)
         appends.append((self.path.name, self.path.stat().st_size))
 
-    monkeypatch.setattr(RecordLog, "write", recording_write)
+    monkeypatch.setattr(SequencedLog, "write", recording_write)
     acked_at = []
 
     async def serve():
@@ -160,6 +166,7 @@ def test_every_append_boundary_recovers(tmp_path, monkeypatch):
         name: (tmp_path / "live" / name).read_bytes()
         for name in {name for name, _ in appends}
     }
+    assert set(final) == set(_TARGET_FILES.values())
 
     references = {}
 
@@ -170,27 +177,45 @@ def test_every_append_boundary_recovers(tmp_path, monkeypatch):
             references[accepts] = session.digest() if accepts else ""
         return references[accepts]
 
+    faults = [
+        StorageFault(kind, target=target)
+        for kind in STORAGE_FAULT_KINDS
+        for target in _TARGET_FILES
+    ]
     failures = []
+    cells = 0
     for boundary in range(len(appends) + 1):
         sizes = dict.fromkeys(final, 0)
         for name, size in appends[:boundary]:
             sizes[name] = size
-        torn = [None] + appends[boundary:boundary + 1]
-        for in_flight in torn:
-            content = {name: final[name][:size] for name, size in sizes.items()}
-            if in_flight is not None:
-                name, end = in_flight
+        at_boundary = {
+            name: final[name][:size] for name, size in sizes.items()
+        }
+        acked = [
+            p["job_id"] for p, at in zip(payloads, acked_at)
+            if at <= boundary
+        ]
+        damage = [None, *appends[boundary:boundary + 1], *faults]
+        for index, harm in enumerate(damage):
+            content = dict(at_boundary)
+            if isinstance(harm, tuple):  # the next record, half-written
+                name, end = harm
                 record = final[name][sizes[name]:end]
                 content[name] += record[:len(record) // 2]
-            workdir = tmp_path / f"b{boundary}{'t' if in_flight else ''}"
+            victim = (
+                _TARGET_FILES[harm.target]
+                if isinstance(harm, StorageFault) else None
+            )
+            if victim is not None and not content[victim]:
+                continue  # nothing on disk to damage yet
+            workdir = tmp_path / f"b{boundary}-{index}"
             workdir.mkdir()
             for name, data in content.items():
                 if data:
                     (workdir / name).write_bytes(data)
-            acked = [
-                p["job_id"] for p, at in zip(payloads, acked_at)
-                if at <= boundary
-            ]
+            if victim is not None:
+                apply_storage_fault(workdir / victim, harm)
+            cells += 1
             restored, lost, divergences, digest, drained = _resume(
                 _serving_config(config, workdir), acked
             )
@@ -201,9 +226,10 @@ def test_every_append_boundary_recovers(tmp_path, monkeypatch):
                 or digest != reference(restored)
                 or not drained
             ):
-                failures.append((boundary, in_flight, restored, lost,
+                failures.append((boundary, harm, restored, lost,
                                  divergences, digest))
     # Store: begin + an accept and a result per job; bundle: the same
     # plus its traffic-end.
     assert len(appends) == 4 * len(payloads) + 3
+    assert cells > 6 * len(appends)
     assert failures == []

@@ -61,7 +61,6 @@ from tests.helpers import (
 )
 from tests.strategies import (
     channel_param_perturbations,
-    compiled_specs,
     scheduling_plans,
 )
 
@@ -293,19 +292,6 @@ class TestCacheComposition:
         first = engine.timings(channel)
         second = engine.timings(channel)
         assert second is first
-
-
-class TestSpecDigest:
-    @given(spec_a=compiled_specs(), spec_b=compiled_specs())
-    @settings(max_examples=60, deadline=None)
-    def test_compiled_spec_digest_is_injective(self, spec_a, spec_b):
-        # Two distinct device/combo/channel-param bindings must never
-        # share a digest, or one spec's compiled evaluation could be
-        # reported (or reused) as another's.
-        if spec_a == spec_b:
-            assert spec_a.digest() == spec_b.digest()
-        else:
-            assert spec_a.digest() != spec_b.digest()
 
 
 # ---------------------------------------------------------------------------

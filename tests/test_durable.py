@@ -11,7 +11,7 @@ from itertools import accumulate
 
 import pytest
 
-from repro.durable import KeyedRecord, Record, atomic_write, read_log
+from repro.durable import Record, atomic_write, read_log
 from repro.fleet.job import JobResult
 from repro.fleet.journal import JobJournal, JournalRecord
 from repro.fleet.store import ResultStore
@@ -20,8 +20,8 @@ from repro.serving.traffic import TrafficRecorder
 
 
 class TestGoldenLines:
-    """Byte compatibility with every file written before the codec was
-    shared: the schema tags stay ``v1`` only while these hold."""
+    """Byte compatibility with every file written before: a schema tag
+    stays put only while its golden line holds."""
 
     def test_journal_line(self):
         record = JournalRecord(3, "dispatch", {
@@ -33,13 +33,15 @@ class TestGoldenLines:
         )
 
     def test_store_line(self):
-        record = KeyedRecord("job-0007", {
+        # regraph-fleet-store/v2: the sequenced ``result`` record.
+        record = Record(7, "result", {"result": {
             "job_id": "job-0007", "status": "completed",
             "cycles": 1234.5, "digest": "ab",
-        })
+        }})
         assert record.line() == (
-            '{"crc":"6e3505ed","key":"job-0007","result":{"cycles":1234.5,'
-            '"digest":"ab","job_id":"job-0007","status":"completed"}}\n'
+            '{"crc":"9d985608","payload":{"result":{"cycles":1234.5,'
+            '"digest":"ab","job_id":"job-0007","status":"completed"}},'
+            '"seq":7,"type":"result"}\n'
         )
 
     def test_traffic_line(self):
@@ -58,29 +60,25 @@ def _result(i):
     return JobResult(job_id=f"job-{i}", status="completed", replica_id="r0")
 
 
-#: name -> (record shape, open the append handle, append record ``i``,
-#: the job id a read-back record carries).
+#: name -> (open the append handle, append record ``i``, the job id a
+#: read-back record carries).
 _LOGS = {
     "journal": (
-        Record,
         lambda path: JobJournal(path, fsync=False),
         lambda log, i: log.append("submit", {"job_id": f"job-{i}"}),
         lambda record: record.payload["job_id"],
     ),
     "jobstore": (
-        Record,
         lambda path: JobStore(path, {"devices": ["U50"]}, fsync=False),
         lambda log, i: log.append_job("acme", {"job_id": f"job-{i}"}),
         lambda record: record.payload["job"]["job_id"],
     ),
     "store": (
-        KeyedRecord,
         lambda path: ResultStore(path, fsync=False),
         lambda log, i: log.put(_result(i)),
-        lambda record: record.key,
+        lambda record: record.payload["result"]["job_id"],
     ),
     "traffic": (
-        Record,
         lambda path: TrafficRecorder(path, {"devices": ["U50"]}, fsync=False),
         lambda log, i: log.record_accept(i, "acme", {"job_id": f"job-{i}"},
                                          wall=0.5 * i),
@@ -95,13 +93,13 @@ def test_every_byte_truncation_reopens_and_appends(tmp_path, name):
     handle, append one record, rescan: nothing raises, every record
     wholly before the tear comes back unchanged and in order, the new
     record is intact, and nothing corrupt remains."""
-    kind, open_log, append, job_id = _LOGS[name]
+    open_log, append, job_id = _LOGS[name]
     path = tmp_path / name
     with open_log(path) as log:
         for i in range(4):
             append(log, i)
     data = path.read_bytes()
-    full = read_log(path, kind)
+    full = read_log(path)
     assert full.clean
     ends = list(accumulate(len(line) for line in data.splitlines(True)))
     assert len(ends) == len(full.records)
@@ -110,7 +108,7 @@ def test_every_byte_truncation_reopens_and_appends(tmp_path, name):
         path.write_bytes(data[:offset])
         with open_log(path) as log:
             append(log, 99)
-        scan = read_log(path, kind)
+        scan = read_log(path)
         intact = [r for r, end in zip(full.records, ends) if end <= offset]
         assert scan.clean, (offset, scan.corrupt)
         assert scan.records[: len(intact)] == intact, offset

@@ -313,83 +313,6 @@ class TestCircuitBreakerBank:
             CircuitBreakerBank(threshold=0)
 
 
-#: One breaker event: (channel, category, force) — force models a
-#: permanent fault, everything else a counted transient.
-_breaker_events = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=5),
-        st.sampled_from(["pipeline-stall", "bit-flip", "dead-channel"]),
-        st.booleans(),
-    ),
-    max_size=30,
-)
-
-
-def _apply_events(bank, events, start_cycle=0.0):
-    """Drive a bank and record every externally visible decision."""
-    decisions = []
-    for i, (channel, category, force) in enumerate(events):
-        cycle = start_cycle + float(i)
-        if force:
-            decisions.append(bank.force_open(channel, category, cycle))
-        else:
-            decisions.append(
-                bank.record_failure(channel, category, cycle)
-            )
-    return decisions
-
-
-class TestBreakerPersistence:
-    """The fleet journal snapshots breaker banks via to_dict; recovery
-    rebuilds them via from_dict.  The contract: a restored bank makes
-    *identical* decisions to the original on any subsequent stream."""
-
-    def test_dict_round_trip_is_complete(self):
-        bank = CircuitBreakerBank(threshold=2)
-        bank.record_failure(0, "bit-flip", 1.0)
-        bank.record_failure(0, "bit-flip", 2.0)
-        bank.force_open(3, "dead-channel", 5.0)
-        bank.mark_retired([3])
-        restored = CircuitBreakerBank.from_dict(bank.to_dict())
-        assert restored.threshold == bank.threshold
-        assert restored.trips == bank.trips
-        assert restored.open_channels() == bank.open_channels()
-        assert restored.open_unretired_channels() == \
-            bank.open_unretired_channels()
-        assert restored.snapshot() == bank.snapshot()
-
-    def test_round_trip_survives_json(self):
-        import json
-
-        bank = CircuitBreakerBank(threshold=3)
-        bank.record_failure(1, "pipeline-stall", 7.5)
-        data = json.loads(json.dumps(bank.to_dict()))
-        assert CircuitBreakerBank.from_dict(data).to_dict() == \
-            bank.to_dict()
-
-    @settings(max_examples=40, deadline=None)
-    @given(history=_breaker_events, future=_breaker_events)
-    def test_restored_bank_decides_identically(self, history, future):
-        original = CircuitBreakerBank(threshold=3)
-        _apply_events(original, history)
-        restored = CircuitBreakerBank.from_dict(original.to_dict())
-        assert _apply_events(restored, future, 1000.0) == \
-            _apply_events(original, future, 1000.0)
-        assert restored.to_dict() == original.to_dict()
-
-    def test_restart_survival(self):
-        """A breaker one failure from tripping keeps its count across a
-        serialize/restore restart — the next failure opens it, exactly
-        as it would have without the restart."""
-        before = CircuitBreakerBank(threshold=3)
-        before.record_failure(2, "bit-flip", 1.0)
-        before.record_failure(2, "bit-flip", 2.0)
-        after = CircuitBreakerBank.from_dict(before.to_dict())
-        assert not after.is_open(2)
-        assert after.record_failure(2, "bit-flip", 3.0)  # trips now
-        assert after.open_channels() == [2]
-
-
 # ----------------------------------------------------------------------
 # Injector mechanics
 # ----------------------------------------------------------------------

@@ -77,7 +77,7 @@ class TestRecoverResume:
         assert stats["duplicates_suppressed"] == stats["results_restored"]
         assert stats["replay_divergences"] == 0
         with ResultStore(store_path, fsync=False) as store:
-            assert store.duplicates_suppressed == 0
+            assert store.results.duplicates_on_disk == 0
             assert sorted(store.job_ids()) == sorted(
                 j.job_id for j in generate_jobs(CFG)
             )
@@ -182,20 +182,27 @@ class TestResultStore:
         with ResultStore(path, fsync=False) as store:
             assert store.put(first)
             assert not store.put(shadow)
-            assert store.duplicates_suppressed == 1
+            assert store.results.duplicates_suppressed == 1
+            # The suppressed copy differs: a replay divergence.
+            assert store.results.replay_divergences == 1
             assert store.get(first.job_id).replica_id == first.replica_id
 
-    def test_compact_drops_corrupt_lines(self, tmp_path, reference):
+    def test_v1_store_is_refused_untouched(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        with ResultStore(path, fsync=False) as store:
-            store.put(self._result(reference, 0))
-            store.put(self._result(reference, 1))
-        apply_storage_fault(path, StorageFault(kind="torn-write",
-                                               target="store"))
-        with ResultStore(path, fsync=False) as store:
-            assert store.discarded_at_load == 1
-            assert len(store) == 1
-            store.compact()
-        with ResultStore(path, fsync=False) as store:
-            assert store.discarded_at_load == 0
-            assert len(store) == 1
+        # A regraph-fleet-store/v1 line ({key, result}), torn tail and all.
+        data = (
+            b'{"crc":"6e3505ed","key":"job-0007","result":{"cycles":1234.5,'
+            b'"digest":"ab","job_id":"job-0007","status":"completed"}}\n'
+            b'{"crc":"00'
+        )
+        path.write_bytes(data)
+        with pytest.raises(UserInputError, match="regraph-fleet-store/v1"):
+            ResultStore(path, fsync=False)
+        assert path.read_bytes() == data
+
+    def test_journal_as_store_is_refused_untouched(self, tmp_path):
+        journal_path, _ = _crashed_run(tmp_path)
+        data = journal_path.read_bytes()
+        with pytest.raises(UserInputError, match="not a regraph-fleet-store"):
+            ResultStore(journal_path, fsync=False)
+        assert journal_path.read_bytes() == data

@@ -91,7 +91,7 @@ class TestJobStore:
             # counted, and the durable copy stays the first one.
             second = _result(job_id, status="failed")
             assert not store.put_result(second)
-            assert store.duplicates_suppressed == 1
+            assert store.results.duplicates_suppressed == 1
             assert store.get_result(job_id).status == "completed"
             assert store.result_count() == 1
         results = [r for r in read_log(path).records if r.type == "result"]

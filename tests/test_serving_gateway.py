@@ -24,6 +24,7 @@ from repro.errors import (
     TenantQuotaExceededError,
     UserInputError,
 )
+from repro.fleet.job import Job
 from repro.serving.config import ServingConfig, TenantSpec
 from repro.serving.gateway import ServingGateway
 from repro.serving.http import HttpServer
@@ -52,6 +53,16 @@ def reference_digest(payloads):
     session = KernelSession(_config().session_spec())
     session.replay(payloads)
     return session.digest()
+
+
+def test_every_soak_payload_round_trips():
+    # Strict wire types must still take every payload the fleet writes.
+    jobs = generate_jobs(
+        FleetSoakConfig(jobs=40, seed=11, intensity="heavy")
+    )
+    assert {job.app for job in jobs} >= {"sssp", "wcc"}
+    for job in jobs:
+        assert Job.from_dict(json.loads(json.dumps(job.to_dict()))) == job
 
 
 class TestGatewayRequestPath:
@@ -309,6 +320,10 @@ class TestHttpTransport:
             ("max_iterations", {"max_iterations": 0}),
             ("max_iterations", {"max_iterations": -3}),
             ("fault_plan", {"fault_plan": [1]}),
+            # Wire types are strict: no lossy coercion to int.
+            ("root", {"root": 1.7}),
+            ("priority", {"priority": "2"}),
+            ("max_iterations", {"max_iterations": 2.5}),
         ]
         graph = payloads[0]["graph"]
         bad_payloads += [
@@ -318,6 +333,13 @@ class TestHttpTransport:
                 ("exponent", {"kind": "powerlaw", "exponent": float("nan")}),
                 ("exponent", {"kind": "powerlaw", "exponent": -5.0}),
                 ("vertices", {"vertices": 2**40}),
+                ("weighted", {"weighted": "false"}),
+                ("seed", {"seed": 2.9}),
+                # Specs whose graphs no replica's HBM holds (7.28 TiB of
+                # edges; 2**32 RMAT vertices), refused from the spec.
+                ("HBM", {"kind": "uniform", "vertices": 1000,
+                         "edges": 10**12}),
+                ("HBM", {"kind": "rmat", "vertices": 2**32, "edges": 1}),
             ]
         ]
 
