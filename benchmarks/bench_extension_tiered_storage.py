@@ -14,6 +14,7 @@ import pytest
 
 from repro.graph.datasets import DATASETS, load_dataset
 from repro.hbm.tiered import (
+    BILLION_SCALE,
     SsdTierConfig,
     estimate_tiered_plan,
     graph_needs_tiering,
@@ -21,14 +22,6 @@ from repro.hbm.tiered import (
 from repro.reporting import format_table, write_report
 
 from conftest import BENCH_SCALE, bench_framework
-
-#: Hypothetical billion-scale graphs motivating the extension.
-BILLION_SCALE = {
-    "rmat-27-32": (2**27, 2**27 * 32),
-    "webgraph-1B": (400_000_000, 1_000_000_000),
-    "rmat-30-16": (2**30, 2**30 * 16),
-}
-
 
 def test_tiering_need_table(benchmark):
     """Which graphs exceed the 8 GB HBM (Sec. VIII's limit)?"""

@@ -11,8 +11,9 @@ import pytest
 
 from repro.apps.pagerank import PageRank
 from repro.core.system import SystemSimulator
+from repro.graph.coo import EDGE_BYTES
 from repro.graph.datasets import DATASETS
-from repro.hbm.capacity import CHANNEL_CAPACITY_BYTES
+from repro.hbm.capacity import fits_hbm
 from repro.reporting import format_table, write_report
 
 from conftest import SWEEP_GRAPHS, bench_framework
@@ -24,12 +25,9 @@ PR_ITERATIONS = 5
 def _full_size_oom(key: str, num_pipelines: int) -> bool:
     """OoM check using the published V/E (one channel pair per pipeline)."""
     spec = DATASETS[key]
-    channels = 2 * num_pipelines
-    per_channel = (
-        2 * spec.num_vertices * 4
-        + spec.num_edges * 8 / max(channels, 1)
+    return not fits_hbm(
+        spec.num_vertices, spec.num_edges, EDGE_BYTES, 2 * num_pipelines
     )
-    return per_channel > CHANNEL_CAPACITY_BYTES
 
 
 def _mteps(graph, num_pipelines):

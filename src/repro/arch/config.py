@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.arch.platform import FpgaPlatform
+from repro.errors import UserInputError
 from repro.graph.coo import VERTEX_WORD_BYTES
 from repro.hbm.channel import BLOCK_BYTES
 
@@ -42,6 +43,13 @@ class PipelineConfig:
     last_block_cache: bool = True
     #: Little pipeline: jump access skips unneeded buffer-sized segments.
     jump_access: bool = True
+
+    def __post_init__(self):
+        if self.gather_buffer_vertices < 1:
+            raise UserInputError(
+                "gather_buffer_vertices must be >= 1, got "
+                f"{self.gather_buffer_vertices}"
+            )
 
     @property
     def edges_per_set(self) -> int:

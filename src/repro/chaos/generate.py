@@ -113,6 +113,10 @@ def _graph_spec(rng: np.random.Generator, app: str) -> GraphSpec:
 def _fault_plan(
     rng: np.random.Generator, intensity: str, num_pipelines: int
 ) -> FaultPlan:
+    if num_pipelines < 1:
+        raise UserInputError(
+            f"num_pipelines must be >= 1, got {num_pipelines}"
+        )
     lo, hi, p_dead = INTENSITIES[intensity]
     num_events = int(rng.integers(lo, hi + 1))
     num_channels = 2 * num_pipelines

@@ -405,7 +405,7 @@ def _chaos_run(args) -> int:
         devices=tuple(args.device or ["U280", "U50"]),
         intensity=args.intensity,
         buffer_vertices=args.buffer_vertices,
-        num_pipelines=args.pipelines or 4,
+        num_pipelines=args.pipelines,
         max_iterations=args.iterations,
     )
     print(f"chaos campaign: {config.cells} cells, seed {config.seed}, "
@@ -513,7 +513,7 @@ def _chaos_kill_restart(args) -> int:
             intensity=args.intensity,
             random_kills=args.kills,
             buffer_vertices=args.buffer_vertices,
-            num_pipelines=args.pipelines or 4,
+            num_pipelines=args.pipelines,
             max_iterations=args.iterations,
         ),
         crashes=args.crashes,
@@ -570,7 +570,7 @@ def _chaos_serve_kill(args) -> int:
             replicas=tuple(args.replica or ["U280", "U50"]),
             intensity=args.intensity,
             buffer_vertices=args.buffer_vertices,
-            num_pipelines=args.pipelines or 4,
+            num_pipelines=args.pipelines,
             max_iterations=args.iterations,
         ),
         crash_after_results=args.crash_after,
@@ -684,7 +684,7 @@ def _fleet_run(args) -> int:
         kills=tuple(_parse_kill(s) for s in (args.kill or [])),
         random_kills=args.kills,
         buffer_vertices=args.buffer_vertices,
-        num_pipelines=args.pipelines or 4,
+        num_pipelines=args.pipelines,
         max_iterations=args.iterations,
     )
     policy = FleetPolicy(
@@ -918,11 +918,16 @@ def cmd_serve(args) -> int:
             "--resume needs --store (recovery replays the acknowledged "
             "jobs persisted there, merged with the --record bundle)"
         )
+    if not 0 <= args.port <= 65535:
+        raise UserInputError(
+            f"--port must be in [0, 65535] (0 picks a free one), got "
+            f"{args.port}"
+        )
     tenants = tuple(TenantSpec.parse(s) for s in (args.tenant or []))
     kwargs = dict(
         devices=tuple(args.replica or ["U280", "U50"]),
         buffer_vertices=args.buffer_vertices,
-        num_pipelines=args.pipelines or 4,
+        num_pipelines=args.pipelines,
         rate_jobs_per_second=args.rate_limit,
         max_pending=args.max_pending,
         drain_budget_seconds=args.drain_budget,
@@ -1009,7 +1014,7 @@ def _traffic_record(args) -> int:
         replicas=tuple(args.replica or ["U280", "U50"]),
         intensity=args.intensity,
         buffer_vertices=args.buffer_vertices,
-        num_pipelines=args.pipelines or 4,
+        num_pipelines=args.pipelines,
         max_iterations=args.iterations,
     )
     payloads = [job.to_dict() for job in generate_jobs(soak)]

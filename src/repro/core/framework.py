@@ -92,7 +92,16 @@ class ReGraph:
         )
         self.pipeline = pipeline or default_pipeline_config(self.platform)
         self.channel = channel or HbmChannelModel()
-        self.num_pipelines = num_pipelines or self.platform.max_total_pipelines
+        limit = self.platform.max_total_pipelines
+        if num_pipelines is None:
+            num_pipelines = limit
+        elif not 1 <= num_pipelines <= limit:
+            raise UserInputError(
+                f"num_pipelines must be in [1, {limit}] on "
+                f"{self.platform.name} (its memory-port budget), got "
+                f"{num_pipelines}"
+            )
+        self.num_pipelines = num_pipelines
         self._model: Optional[PerformanceModel] = None
 
     @property

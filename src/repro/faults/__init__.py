@@ -25,7 +25,6 @@ from repro.faults.plan import (
 )
 from repro.faults.resilience import (
     ChannelBreakerState,
-    Checkpoint,
     CheckpointStore,
     CircuitBreakerBank,
     FaultRecord,
@@ -37,7 +36,6 @@ from repro.faults.resilience import (
 __all__ = [
     "BitFlipFault",
     "ChannelBreakerState",
-    "Checkpoint",
     "CheckpointStore",
     "CircuitBreakerBank",
     "DeadChannelFault",

@@ -9,9 +9,9 @@ sequence a run observes — two runs with identical configuration produce
 identical :class:`~repro.faults.resilience.RunHealthReport`\\ s.
 
 Channel ids use the host-runtime layout (:mod:`repro.runtime.host`):
-pipeline ``g`` of the current topology owns pseudo-channels ``2g``
-(edges) and ``2g + 1`` (properties), with Little pipelines numbered
-before Big ones.
+pipeline ``g`` of the current topology owns pseudo-channels ``2g`` and
+``2g + 1``, each holding its share of the edges and both property
+arrays (Fig. 4), with Little pipelines numbered before Big ones.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from dataclasses import asdict, dataclass
 from typing import Tuple
 
 from repro.errors import UserInputError
-from repro.utils.validation import check_mapping
+from repro.utils.validation import check_mapping, wire_bool, wire_int
 
 
 def _check_channel(fault) -> None:
     """Shared checks of the channel-addressed faults."""
-    if fault.channel < 0:
+    if wire_int("channel", fault.channel) < 0:
         raise UserInputError(
             f"channel must be >= 0, got {fault.channel}"
         )
@@ -114,6 +114,7 @@ class BitFlipFault:
 
     def __post_init__(self):
         _check_probability(self)
+        wire_bool("detectable", self.detectable)
         _check_onset(self)
 
 
@@ -134,7 +135,9 @@ class PipelineStallFault:
     def __post_init__(self):
         _check_probability(self)
         _check_onset(self)
-        if self.pipeline is not None and self.pipeline < 0:
+        if self.pipeline is not None and wire_int(
+            "pipeline", self.pipeline
+        ) < 0:
             raise UserInputError(
                 f"pipeline must be None or >= 0, got {self.pipeline}"
             )
@@ -194,6 +197,12 @@ class FaultPlan:
     stalls: Tuple[PipelineStallFault, ...] = ()
     storage: Tuple[StorageFault, ...] = ()
 
+    def __post_init__(self):
+        if wire_int("fault plan seed", self.seed) < 0:
+            raise UserInputError(
+                f"fault plan seed must be >= 0, got {self.seed}"
+            )
+
     @property
     def is_empty(self) -> bool:
         """True when the plan injects nothing *into the simulator*
@@ -234,7 +243,7 @@ class FaultPlan:
             )
 
         return FaultPlan(
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
             dead_channels=faults("dead_channels", DeadChannelFault),
             latency_spikes=faults("latency_spikes", LatencySpikeFault),
             bit_flips=faults("bit_flips", BitFlipFault),

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.apps.registry import get_app_spec
 from repro.chaos.generate import CAMPAIGN_APPS
 from repro.chaos.spec import GraphSpec, check_root
 from repro.errors import UserInputError
 from repro.faults.plan import FaultPlan
+from repro.graph.coo import EDGE_BYTES, VERTEX_WORD_BYTES
 from repro.utils.validation import (
     check_mapping,
     check_max_iterations,
@@ -78,6 +79,19 @@ class Job:
             )
         check_root(self.root, self.graph)
         check_max_iterations(self.max_iterations)
+
+    def executed_size(self) -> Tuple[int, int, int]:
+        """``(vertices, edges, edge_bytes)`` of the graph the job's app
+        executes, answered from the spec before anything is built: a
+        symmetric app (WCC) runs twice the edges, unweighted; a weighted
+        edge carries a 4-byte weight after its 8-byte record."""
+        vertices, edges = self.graph.built_size()
+        weighted = self.graph.weighted
+        if get_app_spec(self.app).symmetric:
+            edges, weighted = 2 * edges, False
+        return vertices, edges, EDGE_BYTES + (
+            VERTEX_WORD_BYTES if weighted else 0
+        )
 
     @property
     def deadline_critical(self) -> bool:

@@ -16,8 +16,9 @@ and hands them in.  The per-iteration makespan is answered by the
 plan's compiled engine (:func:`repro.compiled.plan_engine`) under the
 probed replica's channel parameters — the same engine, memoised per
 parameter set, that the job's own run and the conformance trace use.
-Replicas whose HBM could not hold the job's buffers are filtered out
-entirely.  Ties break on replica id, keeping placement fully
+Replicas whose HBM could not hold the job's graph (the Fig. 4 rule,
+:func:`repro.hbm.capacity.fits_hbm`, answered from the job's spec) are
+filtered out entirely.  Ties break on replica id, keeping placement fully
 deterministic.
 """
 
@@ -25,25 +26,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.apps.registry import get_app_spec
 from repro.core.framework import PreprocessResult
 from repro.fleet.job import Job
 from repro.fleet.replica import Replica
-from repro.graph.coo import EDGE_BYTES, VERTEX_WORD_BYTES, Graph
-from repro.hbm.capacity import CHANNEL_CAPACITY_BYTES
-
-
-def _fits_channels(
-    replica: Replica, num_vertices: int, num_edges: int, edge_bytes: int
-) -> bool:
-    """The HBM rule: a pipeline's share of the edge records and one
-    vertex-property array must each fit one pseudo-channel."""
-    num_pipes = replica.handle.framework.num_pipelines
-    edges_per_channel = -(-num_edges * edge_bytes // max(num_pipes, 1))
-    props_per_channel = num_vertices * VERTEX_WORD_BYTES
-    return max(edges_per_channel, props_per_channel) <= (
-        CHANNEL_CAPACITY_BYTES
-    )
+from repro.hbm.capacity import fits_hbm
 
 
 class PlacementEngine:
@@ -101,23 +87,13 @@ class PlacementEngine:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def fits(replica: Replica, graph: Graph) -> bool:
-        """Whether the job's buffers respect per-channel HBM capacity."""
-        return _fits_channels(
-            replica, graph.num_vertices, graph.num_edges, graph.edge_bytes
-        )
-
-    @staticmethod
-    def spec_fits(replica: Replica, job: Job) -> bool:
-        """:meth:`fits` for the graph ``job`` would execute, answered
-        from its spec before anything is built: a symmetric app (WCC)
-        runs twice the edges, unweighted."""
-        vertices, edges = job.graph.built_size()
-        weighted = job.graph.weighted
-        if get_app_spec(job.app).symmetric:
-            edges, weighted = 2 * edges, False
-        edge_bytes = EDGE_BYTES + (VERTEX_WORD_BYTES if weighted else 0)
-        return _fits_channels(replica, vertices, edges, edge_bytes)
+    def holds(replica: Replica, job: Job) -> bool:
+        """Whether the replica's HBM holds the graph ``job`` executes,
+        answered from the spec (:meth:`Job.executed_size`) before
+        anything is built.  Pipeline ``g`` owns channels ``2g`` and
+        ``2g + 1``, so the replica has two channels per pipeline."""
+        channels = 2 * replica.handle.framework.num_pipelines
+        return fits_hbm(*job.executed_size(), channels)
 
     def score(
         self, replica: Replica, job: Job, pre: PreprocessResult, now: float
@@ -134,22 +110,21 @@ class PlacementEngine:
         self,
         replicas: List[Replica],
         job: Job,
-        graph: Graph,
         preprocess: Callable[[Replica], PreprocessResult],
         now: float,
         exclude: Tuple[str, ...] = (),
     ) -> Optional[Replica]:
         """Best SERVING replica for the job, or ``None`` if there is none.
 
-        ``graph`` is the graph the job executes (the HBM capacity
-        filter); ``preprocess`` answers it preprocessed for a candidate
-        replica, and is asked only for candidates that pass the filter.
+        Candidates must pass :meth:`holds`; ``preprocess`` answers the
+        job's graph preprocessed for a candidate replica, and is asked
+        only for candidates that pass the filter.
         """
         candidates = [
             r for r in replicas
             if r.is_serving
             and r.replica_id not in exclude
-            and self.fits(r, graph)
+            and self.holds(r, job)
         ]
         if not candidates:
             return None

@@ -838,16 +838,15 @@ class FleetRuntime:
             progressed = False
             for entry in self._dispatchable():
                 job = entry.job
-                graph = entry.graph()
                 replica = self.placement.choose(
-                    idle, job, graph, entry.preprocessed, self.clock.now,
+                    idle, job, entry.preprocessed, self.clock.now,
                     exclude=entry.exclude,
                 )
                 if replica is None and entry.exclude:
                     # Failover prefers a different replica but falls back
                     # to the failed one when it is the only card left.
                     replica = self.placement.choose(
-                        idle, job, graph, entry.preprocessed, self.clock.now
+                        idle, job, entry.preprocessed, self.clock.now
                     )
                 if replica is None:
                     if not self._placeable_anywhere(entry):
@@ -871,10 +870,9 @@ class FleetRuntime:
                 return
 
     def _placeable_anywhere(self, entry: _QueuedJob) -> bool:
-        """Could any current or future (non-retired) replica take it?"""
-        graph = entry.graph()
+        """Could any current or future (non-retired) replica hold it?"""
         return any(
-            r.state != RETIRED and self.placement.fits(r, graph)
+            r.state != RETIRED and self.placement.holds(r, entry.job)
             for r in self.replicas
         )
 
@@ -899,8 +897,7 @@ class FleetRuntime:
         if primary.finish <= job.submit_time + job.deadline_seconds:
             return
         backup = self.placement.choose(
-            self._idle_serving(), job, entry.graph(), entry.preprocessed,
-            self.clock.now,
+            self._idle_serving(), job, entry.preprocessed, self.clock.now,
             exclude=entry.exclude + (primary.replica.replica_id,),
         )
         if backup is None:

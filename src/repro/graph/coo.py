@@ -128,18 +128,6 @@ class Graph:
         """Size of one stored edge record in bytes."""
         return EDGE_BYTES + (VERTEX_WORD_BYTES if self.weights is not None else 0)
 
-    @property
-    def footprint_bytes(self) -> int:
-        """Total bytes of edges plus two vertex-property arrays.
-
-        Used by the out-of-memory check of Fig. 12: each HBM channel only
-        offers 256 MB, so small channel counts cannot hold large graphs.
-        """
-        return (
-            self.num_edges * self.edge_bytes
-            + 2 * self.num_vertices * VERTEX_WORD_BYTES
-        )
-
     def in_degrees(self) -> np.ndarray:
         """In-degree of every vertex (cached)."""
         if self._in_degrees is None:

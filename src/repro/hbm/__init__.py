@@ -21,7 +21,7 @@ from repro.hbm.tiered import (
     graph_needs_tiering,
 )
 from repro.hbm.layout import ChannelLayout, build_channel_layout
-from repro.hbm.capacity import channel_capacity_bytes, fits_in_channels
+from repro.hbm.capacity import fits_hbm
 from repro.hbm.ports import PortBinding, bind_ports, max_pipelines
 
 __all__ = [
@@ -39,8 +39,7 @@ __all__ = [
     "graph_needs_tiering",
     "ChannelLayout",
     "build_channel_layout",
-    "channel_capacity_bytes",
-    "fits_in_channels",
+    "fits_hbm",
     "PortBinding",
     "bind_ports",
     "max_pipelines",

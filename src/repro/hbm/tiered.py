@@ -22,7 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.hbm.capacity import CHANNEL_CAPACITY_BYTES
+from repro.hbm.capacity import fits_hbm
+
+
+#: Hypothetical billion-scale graphs motivating the extension:
+#: name -> (vertices, edges).
+BILLION_SCALE = {
+    "rmat-27-32": (2**27, 2**27 * 32),
+    "webgraph-1B": (400_000_000, 1_000_000_000),
+    "rmat-30-16": (2**30, 2**30 * 16),
+}
 
 
 @dataclass(frozen=True)
@@ -77,8 +86,7 @@ def graph_needs_tiering(
     num_channels: int = 32,
 ) -> bool:
     """Whether a graph exceeds the device's HBM (the 8 GB limit)."""
-    footprint = num_edges * edge_bytes + 2 * num_vertices * 4 * num_channels
-    return footprint > num_channels * CHANNEL_CAPACITY_BYTES
+    return not fits_hbm(num_vertices, num_edges, edge_bytes, num_channels)
 
 
 def estimate_tiered_iteration(

@@ -31,8 +31,8 @@ from repro.errors import (
     NoGraphLoadedError,
     UserInputError,
 )
-from repro.graph.coo import Graph
-from repro.hbm.capacity import CHANNEL_CAPACITY_BYTES
+from repro.graph.coo import VERTEX_WORD_BYTES, Graph
+from repro.hbm.capacity import CHANNEL_CAPACITY_BYTES, fits_hbm
 
 #: Modelled one-time xclbin programming latency (seconds).
 PROGRAMMING_SECONDS = 2.5
@@ -208,7 +208,10 @@ class AcceleratorHandle:
 
         ``pre`` optionally reuses an existing preprocess of the *same*
         graph (fleet placement preprocesses once per device type to
-        score replicas, then hands the result to the chosen one).
+        score replicas, then hands the result to the chosen one).  A
+        graph the HBM rule (:func:`~repro.hbm.capacity.fits_hbm`)
+        refuses raises :class:`~repro.errors.DeviceOutOfMemoryError`
+        before anything is preprocessed.
         """
         if not self.programmed:
             raise AcceleratorReleasedError("accelerator released")
@@ -216,15 +219,25 @@ class AcceleratorHandle:
             raise AcceleratorDrainingError(
                 "accelerator is draining; no new graphs accepted"
             )
+        # Pipeline g owns channels 2g and 2g+1; each holds its share of
+        # the edges and both property arrays (Fig. 4).
+        channels = list(range(2 * self.framework.num_pipelines))
+        if not fits_hbm(
+            graph.num_vertices, graph.num_edges, graph.edge_bytes,
+            len(channels),
+        ):
+            raise DeviceOutOfMemoryError(
+                f"graph with {graph.num_vertices} vertices and "
+                f"{graph.num_edges} edges does not fit {len(channels)} "
+                f"HBM channels of {CHANNEL_CAPACITY_BYTES} B"
+            )
         self._pre = pre if pre is not None else self.framework.preprocess(graph)
-        num_pipes = self._pre.plan.accelerator.total_pipelines
         self.allocate(
-            "edges", graph.num_edges * graph.edge_bytes,
-            channels=list(range(0, 2 * num_pipes, 2)),
+            "edges", graph.num_edges * graph.edge_bytes, channels=channels
         )
         self.allocate(
-            "props", graph.num_vertices * 4 * num_pipes,
-            channels=list(range(1, 2 * num_pipes, 2)),
+            "props", 2 * graph.num_vertices * VERTEX_WORD_BYTES * len(channels),
+            channels=channels,
         )
         self._migrate(graph.num_edges * graph.edge_bytes)
         self._migrate(graph.num_vertices * 4)

@@ -21,7 +21,6 @@ from repro.sched.intra import (
 )
 from repro.sched.scheduler import build_schedule
 from repro.sched.dynamic import dynamic_makespan, static_makespan
-from repro.sched.serialize import load_plan_summary, plan_to_dict, save_plan
 from repro.sched.batch import BatchSchedule, naive_batch, plan_batch
 
 __all__ = [
@@ -36,9 +35,6 @@ __all__ = [
     "build_schedule",
     "dynamic_makespan",
     "static_makespan",
-    "load_plan_summary",
-    "plan_to_dict",
-    "save_plan",
     "BatchSchedule",
     "naive_batch",
     "plan_batch",

@@ -229,7 +229,7 @@ class ServingGateway:
                 raise
             raise UserInputError(f"bad job payload: {exc!r}") from exc
         if not any(
-            PlacementEngine.spec_fits(replica, job)
+            PlacementEngine.holds(replica, job)
             for replica in self.session.runtime.replicas
         ):
             raise UserInputError(

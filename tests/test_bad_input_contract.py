@@ -1,0 +1,389 @@
+"""Bad-input contract: a malformed request is refused, never a crash.
+
+Two front doors take untrusted numbers: the serving gateway's job
+payloads and the CLI's argv.  Each property starts from a tiny valid
+request and breaks one field at a time, drawing only values that are
+wrong: wrong types, NaN/inf, negatives, zero where at least one is
+required, and sizes beyond the admission bound.  A large *valid* value
+is never drawn: it would only scale the work (``--jobs`` even starts
+worker processes), and no test here may build an oversize graph.
+
+* A served payload either gets a 400 with nothing but the store's
+  ``jobstore-begin`` record on disk, or it is accepted and finishes as a
+  typed terminal :class:`~repro.fleet.job.JobResult`; the kernel worker
+  survives either way and serves the next valid job.
+* A CLI invocation exits 0, 1, 2 or 3 and never prints a traceback.
+"""
+
+from __future__ import annotations
+
+import argparse
+import asyncio
+import contextlib
+import copy
+import io
+import itertools
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.cli import build_parser, main
+from repro.durable import read_log
+from repro.errors import UserInputError
+from repro.fleet.job import JOB_STATUSES
+from repro.serving.config import ServingConfig, TenantSpec
+from repro.serving.gateway import ServingGateway
+from repro.serving.http import status_for
+
+REPO = Path(__file__).resolve().parents[1]
+
+CONTRACT = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# ----------------------------------------------------------------------
+# Bad values, by what the field requires
+# ----------------------------------------------------------------------
+WRONG_TYPES = st.sampled_from(["abc", "", [1], {"a": 1}, None])
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NEGATIVE_INTS = st.integers(min_value=-10**6, max_value=-1)
+NEGATIVE_FLOATS = st.floats(
+    min_value=-1e6, max_value=-1e-6, allow_nan=False
+)
+
+#: Any integer field: never a float (not even a whole one past the
+#: wire check), a string or a container.
+BAD_INT = WRONG_TYPES | NON_FINITE | st.sampled_from([2.5, True])
+BAD_FLOAT = WRONG_TYPES | NON_FINITE
+BAD_BOOL = WRONG_TYPES | st.sampled_from([0, 1, "false", 1.0])
+
+
+def _bad(kind: str) -> st.SearchStrategy:
+    """Wrong values for one field kind."""
+    if kind == "count>=1":  # iteration caps, sizes
+        return BAD_INT | NEGATIVE_INTS | st.just(0)
+    if kind == "index>=0":  # roots, channels, pipelines, seeds
+        return BAD_INT | NEGATIVE_INTS
+    if kind == "int":  # priority: any integer is valid
+        return BAD_INT
+    if kind == "time>0":
+        return BAD_FLOAT | NEGATIVE_FLOATS | st.just(0.0)
+    if kind == "time>=0":
+        return BAD_FLOAT | NEGATIVE_FLOATS
+    if kind == "probability":
+        return BAD_FLOAT | NEGATIVE_FLOATS | st.sampled_from([1.5, 7.0])
+    if kind == "factor>=1":
+        return BAD_FLOAT | NEGATIVE_FLOATS | st.sampled_from([0.0, 0.5])
+    if kind == "bool":
+        return BAD_BOOL
+    if kind == "str":
+        return st.sampled_from([5, 2.5, [1], {"a": 1}, None])
+    if kind == "object":
+        return st.sampled_from(["abc", 5, [1], None])
+    if kind == "list":
+        return st.sampled_from(["abc", 5, {"a": 1}, [1], [None]])
+    raise AssertionError(kind)
+
+
+# ----------------------------------------------------------------------
+# Served payloads
+# ----------------------------------------------------------------------
+#: A tiny valid payload carrying one fault of every kind, so every
+#: fault-model field has something to break.
+BASE_PAYLOAD = {
+    "job_id": "probe",
+    "app": "pagerank",
+    "graph": {
+        "kind": "powerlaw", "vertices": 64, "edges": 256, "seed": 3,
+        "exponent": 1.8, "weighted": False,
+    },
+    "root": 0,
+    "max_iterations": 5,
+    "priority": 0,
+    "deadline_seconds": 1.0,
+    "submit_time": 0.0,
+    "fault_plan": {
+        "seed": 1,
+        "dead_channels": [{"channel": 1, "onset_cycle": 0.0}],
+        "latency_spikes": [{
+            "channel": 2, "onset_cycle": 0.0, "duration_cycles": 1000.0,
+            "multiplier": 2.0,
+        }],
+        "bit_flips": [
+            {"probability": 0.01, "detectable": True, "onset_cycle": 0.0}
+        ],
+        "stalls": [
+            {"probability": 0.05, "pipeline": 0, "onset_cycle": 0.0}
+        ],
+    },
+}
+
+#: A follow-up job the worker must still serve after any bad payload.
+NEXT_PAYLOAD = {
+    "job_id": "next",
+    "app": "pagerank",
+    "graph": {"kind": "uniform", "vertices": 32, "edges": 96, "seed": 1},
+    "max_iterations": 3,
+}
+
+#: field path -> kind of value it requires.  Oversize entries are the
+#: admission bound: the vertex-ID contract and the HBM rule.
+PAYLOAD_FIELDS = {
+    ("job_id",): "str",
+    ("app",): "str",
+    ("root",): "index>=0",
+    ("max_iterations",): "count>=1",
+    ("priority",): "int",
+    ("deadline_seconds",): "time>0",
+    ("submit_time",): "time>=0",
+    ("graph",): "object",
+    ("graph", "kind"): "str",
+    ("graph", "vertices"): "count>=1",
+    ("graph", "edges"): "count>=1",
+    ("graph", "seed"): "index>=0",
+    ("graph", "exponent"): "factor>=1",
+    ("graph", "weighted"): "bool",
+    ("fault_plan",): "object",
+    ("fault_plan", "seed"): "index>=0",
+    ("fault_plan", "dead_channels"): "list",
+    ("fault_plan", "dead_channels", 0, "channel"): "index>=0",
+    ("fault_plan", "dead_channels", 0, "onset_cycle"): "time>=0",
+    ("fault_plan", "latency_spikes"): "list",
+    ("fault_plan", "latency_spikes", 0, "channel"): "index>=0",
+    ("fault_plan", "latency_spikes", 0, "onset_cycle"): "time>=0",
+    ("fault_plan", "latency_spikes", 0, "duration_cycles"): "time>0",
+    ("fault_plan", "latency_spikes", 0, "multiplier"): "factor>=1",
+    ("fault_plan", "bit_flips"): "list",
+    ("fault_plan", "bit_flips", 0, "probability"): "probability",
+    ("fault_plan", "bit_flips", 0, "detectable"): "bool",
+    ("fault_plan", "bit_flips", 0, "onset_cycle"): "time>=0",
+    ("fault_plan", "stalls"): "list",
+    ("fault_plan", "stalls", 0, "probability"): "probability",
+    ("fault_plan", "stalls", 0, "pipeline"): "index>=0",
+    ("fault_plan", "stalls", 0, "onset_cycle"): "time>=0",
+}
+
+OVERSIZE = {
+    ("root",): st.sampled_from([64, 10**12]),
+    ("graph", "vertices"): st.sampled_from([2**32 + 1, 2**40]),
+    ("graph", "edges"): st.sampled_from([10**12, 2**62]),
+    ("fault_plan", "dead_channels", 0, "channel"): st.just(10**6),
+    ("fault_plan", "latency_spikes", 0, "channel"): st.just(10**6),
+    ("fault_plan", "stalls", 0, "pipeline"): st.just(10**6),
+}
+
+
+@st.composite
+def mutated_payloads(draw):
+    """The base payload with exactly one field broken."""
+    path = draw(st.sampled_from(sorted(PAYLOAD_FIELDS, key=str)))
+    values = _bad(PAYLOAD_FIELDS[path])
+    if path in OVERSIZE:
+        values = values | OVERSIZE[path]
+    payload = copy.deepcopy(BASE_PAYLOAD)
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = draw(values)
+    return path, payload
+
+
+def _serve_one(workdir: Path, payload: dict) -> None:
+    store = workdir / "jobs.jsonl"
+
+    async def run():
+        gateway = ServingGateway(ServingConfig(
+            devices=("U50",),
+            tenants=(TenantSpec(name="t", api_key="k"),),
+            store_path=str(store),
+            fsync=False,
+        ))
+        try:
+            try:
+                ack = await gateway.submit("k", payload)
+            except UserInputError as exc:
+                assert status_for(exc) == 400
+                assert [r.type for r in read_log(store).records] == [
+                    "jobstore-begin"
+                ]
+                job_id = None
+            else:
+                assert ack["status"] == "accepted"
+                job_id = ack["job_id"]
+            await gateway.submit("k", NEXT_PAYLOAD)
+            await gateway.drain()
+            if job_id is not None:
+                result = gateway.status(job_id)["result"]
+                assert result["status"] in JOB_STATUSES
+                assert result["status"] == "completed" or (
+                    result["error_type"]
+                )
+            assert gateway.status("next")["status"] == "completed"
+        finally:
+            gateway.close()
+
+    asyncio.run(run())
+
+
+_runs = itertools.count()
+
+
+@CONTRACT
+@given(case=mutated_payloads())
+def test_bad_payload_is_a_400_or_a_typed_result(case, tmp_path_factory):
+    _, payload = case
+    workdir = tmp_path_factory.mktemp(f"payload{next(_runs)}")
+    _serve_one(workdir, payload)
+
+
+def test_base_payload_is_served(tmp_path):
+    # The property is vacuous unless the unbroken payload is accepted.
+    _serve_one(tmp_path, copy.deepcopy(BASE_PAYLOAD))
+
+
+# ----------------------------------------------------------------------
+# CLI argv
+# ----------------------------------------------------------------------
+def _base_argv(command: str, workdir: Path) -> list:
+    """A tiny valid invocation of ``command`` writing under workdir."""
+    dataset = ["--dataset", "HD", "--scale", "0.02",
+               "--buffer-vertices", "256", "--pipelines", "4"]
+    fresh = str(workdir / f"out{next(_runs)}")
+    return {
+        "run": ["run", *dataset, "--iterations", "2"],
+        "preprocess": ["preprocess", *dataset],
+        "sweep": ["sweep", *dataset],
+        "faultsim": ["faultsim", *dataset, "--iterations", "2",
+                     "--stall-rate", "0.01", "--spike-channel", "1"],
+        "check": ["check", "--app", "pagerank", "--quick"],
+        "chaos run": ["chaos", "run", "--cells", "1", "--no-shrink",
+                      "--max-probes", "2"],
+        "chaos kill-restart": ["chaos", "kill-restart", "--num-jobs", "2",
+                               "--crashes", "1", "--no-fsync",
+                               "--workdir", fresh],
+        "chaos serve-kill": ["chaos", "serve-kill", "--num-jobs", "2",
+                             "--crash-after", "1", "--no-fsync",
+                             "--workdir", fresh],
+        "fleet run": ["fleet", "run", "--num-jobs", "2",
+                      "--replica", "U280"],
+        "traffic record": ["traffic", "record", fresh + ".jsonl",
+                           "--num-jobs", "2", "--no-fsync"],
+        "serve": ["serve", "--port", "0", "--no-fsync"],
+    }[command]
+
+
+def _numeric_flags():
+    """(command, flag, type) for every int/float option of the CLI."""
+    def walk(parser, prefix):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    yield from walk(sub, prefix + (name,))
+                return
+        for action in parser._actions:
+            if action.option_strings and action.type in (int, float):
+                yield " ".join(prefix), action.option_strings[0], action.type
+
+    return list(walk(build_parser(), ()))
+
+
+NUMERIC_FLAGS = _numeric_flags()
+#: Flags where zero is valid (ports pick a free one; seeds and start
+#: offsets may be zero); zero is drawn only where >= 1 is required.
+ZERO_ALLOWED = {
+    "--port", "--seed", "--fleet-seed", "--chaos-seed", "--fault-seed",
+    "--root", "--onset", "--kills", "--dead-channel", "--stall-pipeline",
+    "--spike-channel", "--bit-flip-rate", "--stall-rate",
+    "--crash-after", "--max-probes", "--retries",
+}
+
+
+@st.composite
+def mutated_argv(draw):
+    command, flag, kind = draw(st.sampled_from(NUMERIC_FLAGS))
+    bad = ["abc", "", "-1", "-7", "nan", "inf", "-inf"]
+    if kind is int:
+        bad += ["2.5", "1e3"]
+    if flag not in ZERO_ALLOWED:
+        bad += ["0"]
+    return command, flag, draw(st.sampled_from(bad))
+
+
+def _run_cli(argv: list) -> tuple:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _run_serve(argv: list) -> tuple:
+    # A serve that accepted its flags would listen until signalled: run
+    # it as a child with a timeout, so a regression fails, not hangs.
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=60, cwd=REPO,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"repro {' '.join(argv)} started serving")
+    return proc.returncode, proc.stderr
+
+
+@CONTRACT
+@given(case=mutated_argv())
+def test_bad_cli_number_exits_with_a_contract_code(case):
+    command, flag, value = case
+    with tempfile.TemporaryDirectory() as workdir:
+        argv = _base_argv(command, Path(workdir)) + [flag, value]
+        run = _run_serve if command == "serve" else _run_cli
+        code, stderr = run(argv)
+    assert code in (0, 1, 2, 3), (argv, code, stderr)
+    assert "Traceback" not in stderr, (argv, stderr)
+    if command == "serve":
+        # Every drawn serve value is invalid, and serving would hang.
+        assert code == 2, (argv, stderr)
+
+
+def test_every_numeric_flag_has_a_base():
+    with tempfile.TemporaryDirectory() as workdir:
+        for command, _, _ in NUMERIC_FLAGS:
+            assert _base_argv(command, Path(workdir))
+
+
+@pytest.mark.parametrize("argv", [
+    # ReGraph took 0 as "all the port budget allows".
+    ["run", "--dataset", "HD", "--scale", "0.02", "--pipelines", "0"],
+    # The fleet, chaos, serve and traffic parsers turned 0 into 4.
+    ["fleet", "run", "--num-jobs", "1", "--pipelines", "0"],
+    ["chaos", "run", "--cells", "1", "--pipelines", "0"],
+    ["traffic", "record", "{tmp}/t.jsonl", "--num-jobs", "1",
+     "--pipelines", "0"],
+    # The U280's port budget allows 14 pipelines, not 99.
+    ["run", "--dataset", "HD", "--scale", "0.02", "--pipelines", "99"],
+])
+def test_pipelines_outside_the_device_exit_2(argv, tmp_path):
+    code, stderr = _run_cli([a.format(tmp=tmp_path) for a in argv])
+    assert code == 2, stderr
+    assert "num_pipelines" in stderr
+
+
+def test_serve_pipelines_outside_the_device_exit_2():
+    for value in ("0", "99"):
+        code, stderr = _run_serve(
+            ["serve", "--port", "0", "--no-fsync", "--pipelines", value]
+        )
+        assert code == 2, stderr

@@ -41,6 +41,16 @@ def small_graph(seed=1, weighted=False):
     )
 
 
+def oversize_job(job_id="big"):
+    """A job no replica's HBM can hold (never build its graph)."""
+    return Job(
+        job_id=job_id, app="pagerank",
+        graph=GraphSpec(
+            kind="uniform", vertices=1000, edges=10**12, seed=0
+        ),
+    )
+
+
 def make_job(job_id="j0", app="pagerank", seed=1, **kwargs):
     # High enough for BFS/SSSP/closeness to converge — the conformance
     # oracles compare against fully-converged references.
@@ -173,7 +183,7 @@ class TestPlacement:
         pool = pool3()
         engine = PlacementEngine()
         entry = _QueuedJob(make_job(), 0)
-        placing = (entry.job, entry.graph(), entry.preprocessed)
+        placing = (entry.job, entry.preprocessed)
         first = engine.choose(pool, *placing, now=0.0)
         assert first is engine.choose(pool, *placing, now=0.0)
         other = engine.choose(
@@ -188,15 +198,27 @@ class TestPlacement:
         engine = PlacementEngine()
         entry = _QueuedJob(make_job(), 0)
         assert engine.choose(
-            pool, entry.job, entry.graph(), entry.preprocessed, 0.0
+            pool, entry.job, entry.preprocessed, 0.0
         ) is None
 
     def test_oversized_graph_fits_nowhere(self):
         replica = make_replica("r0", "U280")
-        assert PlacementEngine.fits(replica, small_graph().build())
-        # A graph whose per-channel edge share exceeds HBM capacity.
-        too_big = _FakeGraph(num_edges=2**33, num_vertices=2)
-        assert not PlacementEngine.fits(replica, too_big)
+        assert PlacementEngine.holds(replica, make_job())
+        # A spec whose per-channel edge share exceeds HBM capacity,
+        # judged from its counts: nothing is built.
+        assert not PlacementEngine.holds(replica, oversize_job())
+
+    def test_executed_size_counts_what_the_app_runs(self):
+        # RMAT rounds to its built size, WCC runs twice the edges
+        # unweighted, and a weighted edge is 12 bytes.
+        rmat = GraphSpec(kind="rmat", vertices=1000, edges=5000, seed=0)
+        vertices, edges = rmat.built_size()
+        job = Job(job_id="r", app="pagerank", graph=rmat)
+        assert job.executed_size() == (vertices, edges, 8)
+        wcc = Job(job_id="w", app="wcc", graph=small_graph(weighted=True))
+        assert wcc.executed_size() == (128, 1024, 8)
+        sssp = make_job("s", app="sssp")
+        assert sssp.executed_size() == (128, 512, 12)
 
     def test_predicted_seconds_positive_and_cached(self):
         # A live job preprocesses once per replica configuration: the
@@ -249,14 +271,6 @@ class TestJobOwnedPreprocessing:
         assert all(any(pre is last for last in loaded) for pre in alive)
 
 
-class _FakeGraph:
-    edge_bytes = 8
-
-    def __init__(self, num_edges, num_vertices):
-        self.num_edges = num_edges
-        self.num_vertices = num_vertices
-
-
 # ----------------------------------------------------------------------
 # The happy path and failover
 # ----------------------------------------------------------------------
@@ -299,6 +313,30 @@ class TestServing:
         assert result.status == "failed"
         assert result.error_type == NoServingReplicaError.__name__
         assert ReplicaCrashError.__name__ in result.detail
+        assert report.lost == 0
+
+    def test_unplaceable_spec_fails_without_building(self, monkeypatch):
+        built = []
+        build = GraphSpec.build
+
+        def guarded_build(spec):
+            built.append(spec.edges)
+            if spec.edges > 10**9:
+                raise AssertionError("built a graph no replica can hold")
+            return build(spec)
+
+        monkeypatch.setattr(GraphSpec, "build", guarded_build)
+        runtime = FleetRuntime([make_replica("r0", "U50")])
+        report = runtime.run([
+            oversize_job(),
+            make_job("next", submit_time=0.001),
+        ])
+        results = {r.job_id: r for r in report.jobs}
+        big, after = results["big"], results["next"]
+        assert big.status == "failed"
+        assert big.error_type == NoServingReplicaError.__name__
+        assert after.status == "completed"
+        assert 10**12 not in built
         assert report.lost == 0
 
     def test_failover_exhaustion_is_typed(self):

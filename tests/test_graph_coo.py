@@ -162,10 +162,6 @@ class TestFootprint:
         g = Graph(2, [0], [1], weights=[5])
         assert g.edge_bytes == EDGE_BYTES + VERTEX_WORD_BYTES
 
-    def test_footprint_accounts_properties(self, tiny_graph):
-        expected = 8 * EDGE_BYTES + 2 * 6 * VERTEX_WORD_BYTES
-        assert tiny_graph.footprint_bytes == expected
-
 
 class TestTransformations:
     def test_relabel_identity(self, tiny_graph):

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.graph.generators import erdos_renyi_graph
-from repro.hbm.capacity import (
-    CHANNEL_CAPACITY_BYTES,
-    channel_capacity_bytes,
-    fits_in_channels,
-)
+from repro.graph.datasets import DATASETS
+from repro.hbm.capacity import CHANNEL_CAPACITY_BYTES, fits_hbm
 from repro.hbm.channel import BLOCK_BYTES
 from repro.hbm.layout import build_channel_layout
+from repro.hbm.tiered import BILLION_SCALE, graph_needs_tiering
 from repro.hbm.ports import (
     PORTS_PER_PIPELINE_UNWRAPPED,
     PORTS_PER_PIPELINE_WRAPPED,
@@ -55,21 +52,71 @@ class TestLayout:
 
 class TestCapacity:
     def test_capacity_scales_linearly(self):
-        assert channel_capacity_bytes(4) == 4 * CHANNEL_CAPACITY_BYTES
+        # Edges stripe over the channels: twice the channels hold twice
+        # the edges next to the same property arrays.
+        edges = (CHANNEL_CAPACITY_BYTES - 2 * 4096) // 8
+        assert fits_hbm(1024, edges, 8, 1)
+        assert not fits_hbm(1024, 2 * edges, 8, 1)
+        assert fits_hbm(1024, 2 * edges, 8, 2)
 
     def test_negative_channels_raise(self):
-        with pytest.raises(ValueError):
-            channel_capacity_bytes(-1)
+        for channels in (0, -1):
+            with pytest.raises(ValueError):
+                fits_hbm(10, 10, 8, channels)
 
     def test_small_graph_fits_one_channel(self):
-        g = erdos_renyi_graph(1000, 10_000, seed=0)
-        assert fits_in_channels(g, 1)
+        assert fits_hbm(1000, 10_000, 8, 1)
 
     def test_fig12_oom_semantics(self):
         # A graph whose replicated property arrays exceed one channel
-        # is OoM at low channel counts regardless of striped edges.
-        g = erdos_renyi_graph(40_000_000, 10, seed=0)
-        assert not fits_in_channels(g, 2)
+        # is OoM at any channel count, however thin the edge share.
+        assert not fits_hbm(40_000_000, 10, 8, 2)
+        assert not fits_hbm(40_000_000, 10, 8, 32)
+
+    def test_rule_is_the_channel_layout(self):
+        # The boundary is exactly Fig. 4's block-aligned layout.
+        for vertices, edges, edge_bytes, channels in (
+            (1000, 10_000, 8, 1), (2**24, 2**30, 12, 8),
+            (33_554_432, 2**20, 8, 2), (10**6, 3 * 10**9, 8, 28),
+        ):
+            layout = build_channel_layout(
+                -(-edges // channels), vertices, edge_bytes
+            )
+            assert fits_hbm(vertices, edges, edge_bytes, channels) == (
+                layout.total_bytes <= CHANNEL_CAPACITY_BYTES
+            )
+
+
+class TestPaperCapacityVerdicts:
+    """The paper's memory verdicts, from published counts alone."""
+
+    def test_fig12_oom_points(self):
+        # Fig. 12: one channel pair per pipeline; OoM exactly at R24
+        # with 2/4 pipelines, G23 with 2/4/8 and DB with 2/4.
+        oom = {
+            (key, pipelines)
+            for key, spec in DATASETS.items()
+            for pipelines in (2, 4, 8, 14)
+            if not fits_hbm(
+                spec.num_vertices, spec.num_edges, 8, 2 * pipelines
+            )
+        }
+        assert len(DATASETS) == 16
+        assert oom == {
+            ("R24", 2), ("R24", 4),
+            ("G23", 2), ("G23", 4), ("G23", 8),
+            ("DB", 2), ("DB", 4),
+        }
+
+    def test_only_billion_scale_graphs_need_tiering(self):
+        # Sec. VIII: every Table III graph ran from HBM; billion-scale
+        # graphs exceed the device's 8 GB.
+        for key, spec in DATASETS.items():
+            assert not graph_needs_tiering(
+                spec.num_edges, 8, spec.num_vertices
+            ), key
+        for name, (vertices, edges) in BILLION_SCALE.items():
+            assert graph_needs_tiering(edges, 8, vertices), name
 
 
 class TestPorts:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.reference import bfs_reference
 from repro.arch.config import PipelineConfig
+from repro.errors import DeviceOutOfMemoryError
 from repro.hbm.capacity import CHANNEL_CAPACITY_BYTES
 from repro.runtime.host import (
     PROGRAMMING_SECONDS,
@@ -42,6 +43,22 @@ class TestBuffers:
     def test_allocate_over_capacity_raises(self, handle):
         with pytest.raises(MemoryError):
             handle.allocate("big", 2 * CHANNEL_CAPACITY_BYTES, channels=[0])
+
+    def test_oversize_graph_refused_before_preprocessing(
+        self, handle, monkeypatch
+    ):
+        class OversizeGraph:
+            num_vertices = 1000
+            num_edges = 10**12
+            edge_bytes = 8
+
+        def preprocess(graph):
+            raise AssertionError("preprocessed a graph that cannot fit")
+
+        monkeypatch.setattr(handle.framework, "preprocess", preprocess)
+        with pytest.raises(DeviceOutOfMemoryError):
+            handle.load_graph(OversizeGraph())
+        assert handle.buffers == {}
 
     def test_allocate_after_release_raises(self, handle):
         handle.release()

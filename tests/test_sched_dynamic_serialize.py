@@ -1,4 +1,4 @@
-"""Tests for dynamic scheduling and plan serialization."""
+"""Tests for dynamic scheduling."""
 
 import pytest
 
@@ -8,12 +8,6 @@ from repro.sched.dynamic import (
     static_makespan,
 )
 from repro.sched.scheduler import build_schedule
-from repro.sched.serialize import (
-    load_plan_summary,
-    plan_to_dict,
-    save_plan,
-    verify_plan_against,
-)
 
 
 @pytest.fixture()
@@ -62,48 +56,3 @@ class TestMakespans:
         fifo = dynamic_makespan(plan, longest_first=False)
         assert lpt <= 1.1 * fifo
 
-
-class TestSerialize:
-    def test_roundtrip(self, plan, tmp_path):
-        path = save_plan(plan, tmp_path / "plan.json")
-        summary = load_plan_summary(path)
-        assert summary["accelerator"]["num_little"] == plan.accelerator.num_little
-        assert summary["total_edges"] == plan.total_edges()
-
-    def test_dict_structure(self, plan):
-        d = plan_to_dict(plan)
-        assert len(d["little_tasks"]) == plan.accelerator.num_little
-        assert len(d["big_tasks"]) == plan.accelerator.num_big
-        little_edges = sum(
-            t["edges"] for tasks in d["little_tasks"] for t in tasks
-        )
-        big_edges = sum(
-            sum(t["edges"]) for tasks in d["big_tasks"] for t in tasks
-        )
-        assert little_edges + big_edges == d["total_edges"]
-
-    def test_verify_accepts_matching(self, plan, rmat_partitions):
-        summary = plan_to_dict(plan)
-        assert verify_plan_against(summary, rmat_partitions, plan.accelerator)
-
-    def test_verify_rejects_wrong_shape(self, plan, rmat_partitions):
-        from repro.arch.config import AcceleratorConfig
-
-        summary = plan_to_dict(plan)
-        other = AcceleratorConfig(
-            plan.accelerator.num_little + 1,
-            max(plan.accelerator.num_big - 1, 0) or 1,
-            plan.accelerator.pipeline,
-        )
-        assert not verify_plan_against(summary, rmat_partitions, other)
-
-    def test_verify_rejects_wrong_buffer(self, plan, rmat_partitions):
-        from repro.arch.config import AcceleratorConfig, PipelineConfig
-
-        summary = plan_to_dict(plan)
-        other = AcceleratorConfig(
-            plan.accelerator.num_little,
-            plan.accelerator.num_big,
-            PipelineConfig(gather_buffer_vertices=64),
-        )
-        assert not verify_plan_against(summary, rmat_partitions, other)
