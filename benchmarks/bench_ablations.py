@@ -19,10 +19,9 @@ from repro.arch.big_pipeline import BigPipelineSim
 from repro.arch.config import PipelineConfig
 from repro.arch.little_pipeline import LittlePipelineSim
 from repro.arch.vertex_loader import VertexLoaderSim
+from repro.core.framework import PreparedGraph
 from repro.core.system import SystemSimulator
 from repro.graph.datasets import load_dataset
-from repro.graph.partition import partition_graph
-from repro.graph.reorder import degree_based_grouping
 from repro.hbm.channel import HbmChannelModel
 from repro.reporting import format_table, write_report
 
@@ -35,10 +34,9 @@ PR_ITERATIONS = 5
 def hd_partitions():
     graph = load_dataset("HD", scale=BENCH_SCALE, seed=1)
     config = bench_pipeline_config()
-    pset = partition_graph(
-        degree_based_grouping(graph).graph, config.gather_buffer_vertices
-    )
-    return pset.nonempty()
+    return PreparedGraph(graph).partitions(
+        config.gather_buffer_vertices
+    ).nonempty()
 
 
 def _mteps(framework, pre):

@@ -9,9 +9,8 @@ on the table versus an idealised dynamic (work-stealing) runtime.
 
 import pytest
 
+from repro.core.framework import PreparedGraph
 from repro.graph.datasets import load_dataset
-from repro.graph.partition import partition_graph
-from repro.graph.reorder import degree_based_grouping
 from repro.hbm.channel import HbmChannelModel
 from repro.model.bottleneck import compare_pipeline_choice
 from repro.model.calibrate import calibrate_performance_model
@@ -27,10 +26,9 @@ def setup():
     channel = HbmChannelModel()
     model = calibrate_performance_model(config, channel)
     graph = load_dataset("HD", scale=BENCH_SCALE, seed=1)
-    pset = partition_graph(
-        degree_based_grouping(graph).graph, config.gather_buffer_vertices
-    )
-    return {"model": model, "pset": pset, "graph": graph}
+    prepared = PreparedGraph(graph)
+    pset = prepared.partitions(config.gather_buffer_vertices)
+    return {"model": model, "pset": pset, "prepared": prepared}
 
 
 def test_bottleneck_attribution(benchmark, setup):
@@ -83,7 +81,7 @@ def test_bottleneck_attribution(benchmark, setup):
 
 def test_static_vs_dynamic_scheduling(benchmark, setup):
     fw = bench_framework("U280", num_pipelines=8)
-    pre = fw.preprocess(setup["graph"])
+    pre = fw.preprocess(setup["prepared"])
 
     def measure():
         return (

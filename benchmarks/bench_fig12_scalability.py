@@ -10,6 +10,7 @@ determined from the *published* full-size dataset footprints against the
 import pytest
 
 from repro.apps.pagerank import PageRank
+from repro.core.framework import PreparedGraph
 from repro.core.system import SystemSimulator
 from repro.graph.coo import EDGE_BYTES
 from repro.graph.datasets import DATASETS
@@ -30,9 +31,9 @@ def _full_size_oom(key: str, num_pipelines: int) -> bool:
     )
 
 
-def _mteps(graph, num_pipelines):
+def _mteps(prepared, num_pipelines):
     fw = bench_framework("U280", num_pipelines=num_pipelines)
-    pre = fw.preprocess(graph)
+    pre = fw.preprocess(prepared)
     sim = SystemSimulator(pre.plan, fw.platform, fw.channel)
     run = sim.run(
         PageRank(pre.graph), max_iterations=PR_ITERATIONS, functional=False
@@ -46,12 +47,13 @@ def test_fig12_scalability(benchmark, datasets):
     def run_all():
         results.clear()
         for key in SWEEP_GRAPHS:
+            prepared = PreparedGraph(datasets[key])
             series = []
             for n in PIPELINE_COUNTS:
                 if _full_size_oom(key, n):
                     series.append(None)
                 else:
-                    series.append(_mteps(datasets[key], n))
+                    series.append(_mteps(prepared, n))
             results[key] = series
         return results
 

@@ -7,9 +7,8 @@ checks the dense-head / sparse-tail structure the figure shows.
 
 import pytest
 
+from repro.core.framework import PreparedGraph
 from repro.graph.datasets import load_dataset
-from repro.graph.partition import partition_graph
-from repro.graph.reorder import degree_based_grouping, identity_ordering
 from repro.graph.stats import diversity_summary, profile_partitions
 from repro.reporting import format_table, write_report
 
@@ -18,16 +17,15 @@ from conftest import BENCH_BUFFER_U280, BENCH_SCALE
 FIG2_GRAPHS = ("R24", "G23", "HD", "WP")
 
 
-def _profile(graph, reorder):
-    res = reorder(graph)
-    pset = partition_graph(res.graph, BENCH_BUFFER_U280)
-    return profile_partitions(pset)
+def _profile(graph, use_dbg=True):
+    prepared = PreparedGraph(graph, use_dbg)
+    return profile_partitions(prepared.partitions(BENCH_BUFFER_U280))
 
 
 def _build_report(graphs) -> str:
     sections = []
     for key, graph in graphs.items():
-        profiles = _profile(graph, degree_based_grouping)
+        profiles = _profile(graph)
         rows = [
             (p.index, p.num_edges, f"{p.edge_percent:.2f}%",
              f"{p.src_percent:.2f}%")
@@ -67,7 +65,7 @@ def test_fig2_partition_diversity(benchmark, fig2_graphs):
     write_report("fig2_workload_characteristics", text)
 
     for key, graph in fig2_graphs.items():
-        profiles = _profile(graph, degree_based_grouping)
+        profiles = _profile(graph)
         # Dense head: the first partition concentrates edges and sources.
         assert profiles[0].edge_percent > 5.0, key
         # Sparse tail: the last partition is much lighter than the head.
@@ -82,8 +80,8 @@ def test_fig2_dbg_vs_no_dbg(benchmark, fig2_graphs):
     def profile_all():
         return {
             key: (
-                _profile(graph, degree_based_grouping),
-                _profile(graph, identity_ordering),
+                _profile(graph),
+                _profile(graph, use_dbg=False),
             )
             for key, graph in fig2_graphs.items()
         }

@@ -11,9 +11,8 @@ import pytest
 
 from repro.arch.big_pipeline import BigPipelineSim
 from repro.arch.little_pipeline import LittlePipelineSim
+from repro.core.framework import PreparedGraph
 from repro.graph.datasets import load_dataset
-from repro.graph.partition import partition_graph
-from repro.graph.reorder import degree_based_grouping
 from repro.hbm.channel import HbmChannelModel
 from repro.model.calibrate import calibrate_performance_model
 from repro.reporting import format_table, write_report
@@ -37,10 +36,9 @@ def setup():
 
 
 def _groups(graph, config):
-    pset = partition_graph(
-        degree_based_grouping(graph).graph, config.gather_buffer_vertices
-    )
-    parts = pset.nonempty()
+    parts = PreparedGraph(graph).partitions(
+        config.gather_buffer_vertices
+    ).nonempty()
     n = config.n_gpe
     return [parts[i : i + n] for i in range(0, len(parts), n)]
 

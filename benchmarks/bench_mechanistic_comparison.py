@@ -50,7 +50,7 @@ def test_mechanistic_thundergp_comparison(benchmark, datasets):
             ours = _mteps(regraph, pre)
 
             mono_pre = thundergp_like_plan(
-                regraph, graph, num_pipelines=MONO_PIPELINES
+                regraph, pre.prepared, num_pipelines=MONO_PIPELINES
             )
             mono_fw = ReGraph(
                 "U280",

@@ -512,7 +512,7 @@ def compare_to_baseline(report, baseline_path, min_speedup):
         if bench["digest"] != base["digest"]:
             print(f"FAIL: {name} digest differs from baseline "
                   f"({bench['digest'][:12]} vs {base['digest'][:12]}) — "
-                  f"parallel execution changed the outcome")
+                  f"the simulated outcome changed")
             failed = True
             continue
         speedup = base["median_seconds"] / max(bench["median_seconds"], 1e-9)

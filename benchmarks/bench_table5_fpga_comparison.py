@@ -18,6 +18,7 @@ from repro.baselines.fpga import (
     TABLE5_PAPER_SPEEDUPS,
     THUNDERGP,
 )
+from repro.core.framework import PreparedGraph
 from repro.core.system import SystemSimulator
 from repro.graph.datasets import load_dataset
 from repro.reporting import format_table, write_report
@@ -61,8 +62,9 @@ def measurements():
     out = {}
     for key in graphs:
         graph = load_dataset(key, scale=BENCH_SCALE, seed=1)
-        pre280 = u280.preprocess(graph)
-        pre50 = u50.preprocess(graph)
+        prepared = PreparedGraph(graph)
+        pre280 = u280.preprocess(prepared)
+        pre50 = u50.preprocess(prepared)
         for app in apps:
             out[(app, key, "U280")] = _regraph_mteps(u280, pre280, app)
             out[(app, key, "U50")] = _regraph_mteps(u50, pre50, app)

@@ -172,11 +172,13 @@ ASIATICI = FpgaBaseline(
 ALL_FPGA_BASELINES = (THUNDERGP, GRAPHLILY, ASIATICI)
 
 
-def thundergp_like_plan(framework, graph: Graph, num_pipelines: int = 4):
+def thundergp_like_plan(framework, graph, num_pipelines: int = 4):
     """Simulate a monolithic (ThunderGP-style) accelerator with our own
     machinery: homogeneous Little-style pipelines at the resource-bound
     count, scheduled without dense/sparse awareness.
 
+    ``graph`` is a :class:`Graph` or an already prepared graph (the
+    heterogeneous run's ``pre.prepared``, whose DBG it then reuses).
     Returns the framework preprocess result with a forced homogeneous
     combo, so callers can run apps on it exactly like on ReGraph.
     """

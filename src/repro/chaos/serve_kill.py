@@ -187,6 +187,17 @@ def _payloads(config: ServeKillConfig) -> List[dict]:
     return [job.to_dict() for job in generate_jobs(config.soak)]
 
 
+def _cell_wall() -> float:
+    """The cell's wall clock: a constant, so record bytes reproduce.
+
+    The durable records stamp ``wall``; a real clock's float changes
+    their printed length, and with it the storage-fault byte counts.
+    Nothing in the cell reads the wall: its one tenant is unmetered and
+    the gateway has no rate limit, so admission ignores ``now``.
+    """
+    return 0.0
+
+
 def _serving_config(config: ServeKillConfig, workdir: Path) -> ServingConfig:
     return ServingConfig(
         devices=tuple(config.soak.replicas),
@@ -230,7 +241,7 @@ def run_serve_kill(
     # Every record is flushed as it is appended, so the files hold
     # exactly what a SIGKILL would leave behind.
     async def live() -> None:
-        gateway = ServingGateway(serving)
+        gateway = ServingGateway(serving, wall=_cell_wall)
         try:
             for payload in payloads:
                 await gateway.submit("chaos-key", payload)
@@ -256,7 +267,7 @@ def run_serve_kill(
 
     # 4. Rebirth: resume-by-replay, then a graceful drain.
     async def resumed() -> None:
-        gateway = ServingGateway(serving, resume=True)
+        gateway = ServingGateway(serving, resume=True, wall=_cell_wall)
         try:
             result.replay_divergences = gateway.recovery_stats[
                 "replay_divergences"

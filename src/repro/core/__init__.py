@@ -11,7 +11,7 @@ from repro.core.accelerator import (
     feasible_accelerators,
 )
 from repro.core.system import IterationReport, RunReport, SystemSimulator
-from repro.core.framework import PreprocessResult, ReGraph
+from repro.core.framework import PreparedGraph, PreprocessResult, ReGraph
 
 __all__ = [
     "enumerate_accelerators",
@@ -19,6 +19,7 @@ __all__ = [
     "IterationReport",
     "RunReport",
     "SystemSimulator",
+    "PreparedGraph",
     "PreprocessResult",
     "ReGraph",
 ]

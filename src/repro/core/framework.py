@@ -5,6 +5,9 @@ would run: hand it a platform and a graph, and it performs DBG grouping,
 destination-interval partitioning, model calibration, model-guided
 scheduling (choosing the best pipeline combination) and execution on the
 simulated heterogeneous accelerator — push-button, as Sec. V promises.
+DBG and partitioning depend only on the graph, so they live on a
+:class:`PreparedGraph` that any number of configurations can share;
+calibration and scheduling belong to each :class:`ReGraph`.
 
 Vertex IDs: preprocessing relabels the graph (DBG), so the framework maps
 roots into, and results out of, the relabelled space transparently.
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,23 +43,68 @@ _RUN_KEYWORDS = (
 )
 
 
-@dataclass
-class PreprocessResult:
-    """Everything the offline phase produces for one graph."""
+class PreparedGraph:
+    """The graph-only half of the offline phase (Fig. 8 steps 3-4).
 
-    dbg: DbgResult
-    pset: PartitionSet
-    model: PerformanceModel
-    plan: SchedulingPlan
-    resources: ResourceReport
-    #: wall-clock seconds of DBG and of partitioning+scheduling
-    dbg_seconds: float
-    schedule_seconds: float
+    DBG (or the identity ordering) runs once, here; the destination-
+    interval partitions are cut on first request per interval and
+    memoised.  Nothing here depends on the accelerator, so one prepared
+    graph serves every device configuration, sweep point and model
+    check of its owner (a job, a sweep, a run).  It keeps the relabelled
+    graph, not the input one beside it, and lives exactly as long as its
+    owner keeps it.
+    """
+
+    def __init__(self, graph: Graph, use_dbg: bool = True):
+        t0 = time.perf_counter()
+        self.dbg: DbgResult = (
+            degree_based_grouping(graph) if use_dbg
+            else identity_ordering(graph)
+        )
+        #: wall-clock seconds of this graph's one DBG call (Table IV)
+        self.dbg_seconds = time.perf_counter() - t0
+        self._partitions: Dict[int, PartitionSet] = {}
 
     @property
     def graph(self) -> Graph:
         """The relabelled graph the accelerator executes."""
         return self.dbg.graph
+
+    def partitions(self, interval: int) -> PartitionSet:
+        """The graph cut into destination intervals of ``interval``."""
+        pset = self._partitions.get(interval)
+        if pset is None:
+            pset = partition_graph(self.dbg.graph, interval)
+            self._partitions[interval] = pset
+        return pset
+
+
+@dataclass
+class PreprocessResult:
+    """A prepared graph plus one configuration's offline products."""
+
+    prepared: PreparedGraph
+    pset: PartitionSet
+    model: PerformanceModel
+    plan: SchedulingPlan
+    resources: ResourceReport
+    #: wall-clock seconds of partitioning (or its memo) and scheduling
+    schedule_seconds: float
+
+    @property
+    def dbg(self) -> DbgResult:
+        """The prepared graph's DBG result (relabelling and inverse)."""
+        return self.prepared.dbg
+
+    @property
+    def dbg_seconds(self) -> float:
+        """Wall-clock seconds of the prepared graph's one DBG call."""
+        return self.prepared.dbg_seconds
+
+    @property
+    def graph(self) -> Graph:
+        """The relabelled graph the accelerator executes."""
+        return self.prepared.graph
 
     def to_original_order(self, props: np.ndarray) -> np.ndarray:
         """Map per-vertex results back to the input graph's vertex IDs."""
@@ -116,35 +164,40 @@ class ReGraph:
     # ------------------------------------------------------------------
     def preprocess(
         self,
-        graph: Graph,
+        graph: Union[Graph, PreparedGraph],
         use_dbg: bool = True,
         forced_combo: Optional[Tuple[int, int]] = None,
     ) -> PreprocessResult:
-        """Offline phase: DBG, partition, schedule (Fig. 8 steps 3-4)."""
-        t0 = time.perf_counter()
-        dbg = (
-            degree_based_grouping(graph) if use_dbg else identity_ordering(graph)
+        """Offline phase: DBG, partition, schedule (Fig. 8 steps 3-4).
+
+        A :class:`Graph` is prepared here (``use_dbg`` picks DBG or the
+        identity ordering); a :class:`PreparedGraph` already fixed its
+        ordering, so only its partitions for this configuration's
+        interval and the schedule are produced.
+        """
+        prepared = (
+            graph if isinstance(graph, PreparedGraph)
+            else PreparedGraph(graph, use_dbg)
         )
-        t1 = time.perf_counter()
-        pset = partition_graph(dbg.graph, self.pipeline.partition_vertices)
+        t0 = time.perf_counter()
+        pset = prepared.partitions(self.pipeline.partition_vertices)
         plan = build_schedule(
             pset, self.model, self.num_pipelines, forced_combo=forced_combo
         )
-        t2 = time.perf_counter()
+        t1 = time.perf_counter()
         return PreprocessResult(
-            dbg=dbg,
+            prepared=prepared,
             pset=pset,
             model=self.model,
             plan=plan,
             resources=resource_report(plan.accelerator, self.platform),
-            dbg_seconds=t1 - t0,
-            schedule_seconds=t2 - t1,
+            schedule_seconds=t1 - t0,
         )
 
     # ------------------------------------------------------------------
     def run(
         self,
-        graph_or_pre: Union[Graph, PreprocessResult],
+        graph_or_pre: Union[Graph, PreparedGraph, PreprocessResult],
         app_builder: Callable[[Graph], object],
         max_iterations: Optional[int] = None,
         functional: bool = True,
@@ -208,7 +261,7 @@ class ReGraph:
 
     def run_app(
         self,
-        graph_or_pre: Union[Graph, PreprocessResult],
+        graph_or_pre: Union[Graph, PreparedGraph, PreprocessResult],
         app: str,
         root: int = 0,
         **kwargs,
@@ -216,13 +269,13 @@ class ReGraph:
         """Run a registered application by name (the push-button flow).
 
         Looks the app up in :mod:`repro.apps.registry`, preprocesses a
-        plain :class:`Graph`, maps ``root`` (an input-graph vertex ID)
-        into the relabelled space for the apps that take one, and calls
-        :meth:`run`.  Keywords :meth:`run` accepts go there; the rest
-        go to the app's constructor.  The graph is executed as given:
-        callers pass ``spec.prepare(graph)`` for apps that run on a
-        transformed edge set (WCC).  Unknown names raise
-        :class:`~repro.errors.UserInputError`.
+        :class:`Graph` or :class:`PreparedGraph`, maps ``root`` (an
+        input-graph vertex ID) into the relabelled space for the apps
+        that take one, and calls :meth:`run`.  Keywords :meth:`run`
+        accepts go there; the rest go to the app's constructor.  The
+        graph is executed as given: callers pass ``spec.prepare(graph)``
+        for apps that run on a transformed edge set (WCC).  Unknown
+        names raise :class:`~repro.errors.UserInputError`.
         """
         from repro.apps.registry import get_app_spec
 

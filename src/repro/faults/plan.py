@@ -216,6 +216,30 @@ class FaultPlan:
             or self.stalls
         )
 
+    def check_topology(self, num_pipelines: int) -> None:
+        """Refuse fault ids a ``num_pipelines`` topology does not have.
+
+        Pipeline ``g`` owns channels ``2g`` and ``2g + 1``, so a channel
+        at or above ``2 * num_pipelines``, or a stall pipeline at or
+        above ``num_pipelines``, names hardware that does not exist and
+        the fault would never fire.  Raises
+        :class:`~repro.errors.UserInputError`.
+        """
+        channels = 2 * num_pipelines
+        for fault in self.dead_channels + self.latency_spikes:
+            if fault.channel >= channels:
+                raise UserInputError(
+                    f"{type(fault).__name__} channel {fault.channel} is "
+                    f"not in the pool: {num_pipelines} pipelines own "
+                    f"channels 0..{channels - 1}"
+                )
+        for stall in self.stalls:
+            if stall.pipeline is not None and stall.pipeline >= num_pipelines:
+                raise UserInputError(
+                    f"stall pipeline {stall.pipeline} is not in the pool: "
+                    f"expected 0 <= pipeline < {num_pipelines}"
+                )
+
     def to_dict(self) -> dict:
         """JSON-serialisable description of the plan."""
         data = {

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.apps.registry import get_app_spec
 from repro.chaos.spec import CellSpec, GraphSpec
 from repro.check.tolerances import DEFAULT_BANDS, ToleranceBands
-from repro.core.framework import PreprocessResult
+from repro.core.framework import PreparedGraph, PreprocessResult
 from repro.errors import (
     FleetKilledError,
     FleetOverloadError,
@@ -251,17 +251,21 @@ class ReplicaKill:
 class _QueuedJob:
     """Mutable per-job state while the job is alive in the runtime.
 
-    The entry owns the job's preprocessing: the graph its app executes
-    and one :class:`~repro.core.framework.PreprocessResult` per replica
-    configuration.  Placement probes and every attempt (primary,
-    failover, hedge) share them, so replicas of one configuration run
-    one plan and one compiled engine; :meth:`finish` drops them when
+    The entry owns the job's graph (the oracles judge against it), its
+    one :class:`~repro.core.framework.PreparedGraph` (DBG once,
+    partitions once per interval) and one
+    :class:`~repro.core.framework.PreprocessResult` per replica
+    configuration built on it.  Placement probes and every attempt
+    (primary, failover, hedge) share them, so configurations with one
+    buffer size share one partition set and every configuration shares
+    the graph's one functional engine; :meth:`finish` drops them when
     the job reaches its terminal result.
     """
 
     __slots__ = (
         "job", "index", "next_attempt", "earliest_start", "exclude",
-        "active", "done", "last_error", "hedged", "_graph", "pres",
+        "active", "done", "last_error", "hedged", "_graph", "_prepared",
+        "pres",
     )
 
     def __init__(self, job: Job, index: int):
@@ -276,6 +280,7 @@ class _QueuedJob:
         self.last_error: Tuple[str, str] = ("", "")
         self.hedged = False
         self._graph: Optional[Graph] = None
+        self._prepared: Optional[PreparedGraph] = None
         #: :attr:`Replica.config` -> the job's preprocessed graph.
         self.pres: Dict[tuple, PreprocessResult] = {}
 
@@ -287,11 +292,17 @@ class _QueuedJob:
             )
         return self._graph
 
+    def prepared(self) -> PreparedGraph:
+        """The job's graph, DBG-relabelled once (built on first use)."""
+        if self._prepared is None:
+            self._prepared = PreparedGraph(self.graph())
+        return self._prepared
+
     def preprocessed(self, replica: Replica) -> PreprocessResult:
         """The job's graph preprocessed for ``replica``'s configuration."""
         pre = self.pres.get(replica.config)
         if pre is None:
-            pre = replica.handle.framework.preprocess(self.graph())
+            pre = replica.handle.framework.preprocess(self.prepared())
             self.pres[replica.config] = pre
         return pre
 
@@ -299,6 +310,7 @@ class _QueuedJob:
         """Terminal result reached: drop the preprocessed state."""
         self.done = True
         self._graph = None
+        self._prepared = None
         self.pres = {}
 
     def sort_key(self) -> tuple:
@@ -522,7 +534,7 @@ class FleetRuntime:
         })
         attempt = _Attempt(entry, replica, entry.next_attempt, kind, now, now)
         try:
-            handle.load_graph(graph, pre=pre)
+            handle.load_graph(pre)
             run = handle.execute(
                 job.app,
                 root=job.root,

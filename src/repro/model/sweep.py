@@ -15,13 +15,15 @@ size and the partition-switch overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence, Union
 
 from repro.arch.config import PipelineConfig
 from repro.graph.coo import Graph
-from repro.graph.partition import partition_graph
 from repro.hbm.channel import HbmChannelModel
 from repro.model.calibrate import calibrate_performance_model
+
+if TYPE_CHECKING:
+    from repro.core.framework import PreparedGraph
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class SweepPoint:
 
 
 def sweep_parameter(
-    graph: Graph,
+    graph: Union[Graph, PreparedGraph],
     base_config: PipelineConfig,
     parameter: str,
     values: Sequence[int],
@@ -49,24 +51,30 @@ def sweep_parameter(
 ) -> List[SweepPoint]:
     """Estimate scheduled makespan across settings of one parameter.
 
-    Every point re-calibrates the model, re-partitions the graph and
-    re-schedules it, so points are independent (only
-    ``gather_buffer_vertices`` actually changes the partition set).  Uses
-    modelled (not simulated) cycles, so whole sweeps stay cheap enough
-    for interactive use.
+    Every point re-calibrates the model and re-schedules; the partitions
+    come from one :class:`~repro.core.framework.PreparedGraph` (a plain
+    ``graph`` is prepared in its given vertex order), which cuts each
+    distinct interval once, so only ``gather_buffer_vertices`` points
+    partition anew.  Uses modelled (not simulated) cycles, so whole
+    sweeps stay cheap enough for interactive use.
     """
-    # Imported here: repro.sched pulls the performance model back in,
-    # which would cycle at package-import time.
+    # Imported here: repro.sched and repro.core pull the performance
+    # model back in, which would cycle at package-import time.
+    from repro.core.framework import PreparedGraph
     from repro.sched.scheduler import build_schedule
 
     if not hasattr(base_config, parameter):
         raise ValueError(f"unknown PipelineConfig field {parameter!r}")
     channel = channel or HbmChannelModel()
+    prepared = (
+        graph if isinstance(graph, PreparedGraph)
+        else PreparedGraph(graph, use_dbg=False)
+    )
     points = []
     for value in values:
         config = replace(base_config, **{parameter: int(value)})
         model = calibrate_performance_model(config, channel)
-        pset = partition_graph(graph, config.partition_vertices)
+        pset = prepared.partitions(config.partition_vertices)
         plan = build_schedule(pset, model, num_pipelines)
         points.append(SweepPoint(
             parameter=parameter,
@@ -84,8 +92,14 @@ def sensitivity_report(
     num_pipelines: int = 8,
     channel: HbmChannelModel = None,
 ) -> Dict[str, List[SweepPoint]]:
-    """Sweep the standard knobs around their Sec. VI-A defaults."""
+    """Sweep the standard knobs around their Sec. VI-A defaults.
+
+    All four sweeps share one prepared graph in the given vertex order.
+    """
+    from repro.core.framework import PreparedGraph
+
     channel = channel or HbmChannelModel()
+    prepared = PreparedGraph(graph, use_dbg=False)
     buffer_base = base_config.gather_buffer_vertices
     sweeps = {
         "n_spe": [2, 4, 8, 16],
@@ -97,7 +111,7 @@ def sensitivity_report(
     }
     return {
         name: sweep_parameter(
-            graph, base_config, name, values, num_pipelines, channel
+            prepared, base_config, name, values, num_pipelines, channel
         )
         for name, values in sweeps.items()
     }

@@ -19,9 +19,8 @@ import numpy as np
 from repro.arch.big_pipeline import BigPipelineSim
 from repro.arch.config import PipelineConfig
 from repro.arch.little_pipeline import LittlePipelineSim
+from repro.core.framework import PreparedGraph
 from repro.graph.coo import Graph
-from repro.graph.partition import partition_graph
-from repro.graph.reorder import degree_based_grouping
 from repro.hbm.channel import HbmChannelModel
 from repro.model.calibrate import calibrate_performance_model
 
@@ -61,16 +60,17 @@ def validate_model_on_graph(
 
     Little errors are measured per partition; Big errors per
     ``N_gpe``-partition group — the units each pipeline actually
-    executes.
+    executes.  The partitions are the DBG-relabelled graph's, cut by a
+    :class:`~repro.core.framework.PreparedGraph` as the framework cuts
+    them.
     """
     channel = channel or HbmChannelModel()
     model = calibrate_performance_model(config, channel)
     little = LittlePipelineSim(config, channel)
     big = BigPipelineSim(config, channel)
-    pset = partition_graph(
-        degree_based_grouping(graph).graph, config.partition_vertices
-    )
-    parts = pset.nonempty()
+    parts = PreparedGraph(graph).partitions(
+        config.partition_vertices
+    ).nonempty()
 
     little_signed = []
     for p in parts:

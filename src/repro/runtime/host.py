@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 
 from repro.arch.platform import PLATFORMS, FpgaPlatform, get_platform
@@ -202,13 +202,14 @@ class AcceleratorHandle:
 
     # -- graph loading --------------------------------------------------
     def load_graph(
-        self, graph: Graph, pre: Optional[PreprocessResult] = None
+        self, graph: Union[Graph, PreprocessResult]
     ) -> PreprocessResult:
         """Preprocess and 'migrate' a graph onto the device.
 
-        ``pre`` optionally reuses an existing preprocess of the *same*
-        graph (fleet placement preprocesses once per device type to
-        score replicas, then hands the result to the chosen one).  A
+        A :class:`Graph` is preprocessed for this handle's configuration;
+        a :class:`~repro.core.framework.PreprocessResult` of this
+        configuration is loaded as it is (a fleet job hands over the one
+        it scored replicas with, built on its one prepared graph).  A
         graph the HBM rule (:func:`~repro.hbm.capacity.fits_hbm`)
         refuses raises :class:`~repro.errors.DeviceOutOfMemoryError`
         before anything is preprocessed.
@@ -222,6 +223,9 @@ class AcceleratorHandle:
         # Pipeline g owns channels 2g and 2g+1; each holds its share of
         # the edges and both property arrays (Fig. 4).
         channels = list(range(2 * self.framework.num_pipelines))
+        pre = graph if isinstance(graph, PreprocessResult) else None
+        if pre is not None:
+            graph = pre.graph
         if not fits_hbm(
             graph.num_vertices, graph.num_edges, graph.edge_bytes,
             len(channels),

@@ -214,7 +214,8 @@ class ServingGateway:
         Returns the acknowledgement dict; raises typed errors the
         transport maps onto status codes (401 auth, 429 quota/overload,
         503 draining, 400 bad payload — a graph no replica's HBM can
-        hold included, judged from its spec before anything is built).
+        hold and a fault on a channel or pipeline the pool does not have
+        included, judged before anything is built or stored).
         """
         self._check_worker()
         tenant = self.registry.authenticate(api_key)
@@ -228,6 +229,7 @@ class ServingGateway:
             if isinstance(exc, UserInputError):
                 raise
             raise UserInputError(f"bad job payload: {exc!r}") from exc
+        job.fault_plan.check_topology(self.config.num_pipelines)
         if not any(
             PlacementEngine.holds(replica, job)
             for replica in self.session.runtime.replicas

@@ -172,13 +172,26 @@ PAYLOAD_FIELDS = {
     ("fault_plan", "stalls", 0, "onset_cycle"): "time>=0",
 }
 
+#: The served pool's pipelines (``ServingConfig``'s default): pipeline
+#: ``g`` owns channels ``2g`` and ``2g + 1``.
+POOL_PIPELINES = 4
+
+#: Fault ids the pool does not have start here; any integer at or above
+#: its limit must be a 400, never an accepted job whose fault never fires.
+POOL_LIMITS = {
+    ("fault_plan", "dead_channels", 0, "channel"): 2 * POOL_PIPELINES,
+    ("fault_plan", "latency_spikes", 0, "channel"): 2 * POOL_PIPELINES,
+    ("fault_plan", "stalls", 0, "pipeline"): POOL_PIPELINES,
+}
+
 OVERSIZE = {
     ("root",): st.sampled_from([64, 10**12]),
     ("graph", "vertices"): st.sampled_from([2**32 + 1, 2**40]),
     ("graph", "edges"): st.sampled_from([10**12, 2**62]),
-    ("fault_plan", "dead_channels", 0, "channel"): st.just(10**6),
-    ("fault_plan", "latency_spikes", 0, "channel"): st.just(10**6),
-    ("fault_plan", "stalls", 0, "pipeline"): st.just(10**6),
+    **{
+        path: st.sampled_from([limit, limit + 1, 10**6])
+        for path, limit in POOL_LIMITS.items()
+    },
 }
 
 
@@ -197,12 +210,24 @@ def mutated_payloads(draw):
     return path, payload
 
 
-def _serve_one(workdir: Path, payload: dict) -> None:
+def _outside_pool(path: tuple, payload: dict) -> bool:
+    """Whether ``payload`` names a fault id the pool does not have."""
+    if path not in POOL_LIMITS:
+        return False
+    value = payload
+    for key in path:
+        value = value[key]
+    return type(value) is int and value >= POOL_LIMITS[path]
+
+
+def _serve_one(workdir: Path, payload: dict, refused: bool = False) -> None:
+    """Submit ``payload``; ``refused`` requires the 400."""
     store = workdir / "jobs.jsonl"
 
     async def run():
         gateway = ServingGateway(ServingConfig(
             devices=("U50",),
+            num_pipelines=POOL_PIPELINES,
             tenants=(TenantSpec(name="t", api_key="k"),),
             store_path=str(store),
             fsync=False,
@@ -217,6 +242,7 @@ def _serve_one(workdir: Path, payload: dict) -> None:
                 ]
                 job_id = None
             else:
+                assert not refused, f"acked a payload it must refuse: {ack}"
                 assert ack["status"] == "accepted"
                 job_id = ack["job_id"]
             await gateway.submit("k", NEXT_PAYLOAD)
@@ -240,9 +266,22 @@ _runs = itertools.count()
 @CONTRACT
 @given(case=mutated_payloads())
 def test_bad_payload_is_a_400_or_a_typed_result(case, tmp_path_factory):
-    _, payload = case
+    path, payload = case
     workdir = tmp_path_factory.mktemp(f"payload{next(_runs)}")
-    _serve_one(workdir, payload)
+    _serve_one(workdir, payload, refused=_outside_pool(path, payload))
+
+
+@pytest.mark.parametrize("path", sorted(POOL_LIMITS), ids=lambda p: p[1])
+def test_fault_ids_outside_the_pool_are_a_400(path, tmp_path):
+    # The last id of the pool is served; the first one past it is a 400
+    # with nothing but the store header on disk.
+    for offset, workdir in ((-1, tmp_path / "last"), (0, tmp_path / "past")):
+        payload = copy.deepcopy(BASE_PAYLOAD)
+        payload["fault_plan"][path[1]][0][path[3]] = POOL_LIMITS[path] + offset
+        workdir.mkdir()
+        _serve_one(
+            workdir, payload, refused=_outside_pool(path, payload)
+        )
 
 
 def test_base_payload_is_served(tmp_path):

@@ -59,6 +59,20 @@ def test_torn_traffic_bundle_still_recovers(tmp_path):
     assert result.passed
 
 
+def test_a_torn_write_cell_reproduces_byte_for_byte(tmp_path):
+    # The records carry the cell's fixed wall, so the durable files, the
+    # torn record's length and every reported count repeat exactly.
+    cell = _cell(storage_fault=StorageFault("torn-write", target="traffic"))
+    first = run_serve_kill(cell, tmp_path / "first").to_dict()
+    second = run_serve_kill(cell, tmp_path / "second").to_dict()
+    assert first == second
+    assert "torn write" in first["storage_fault_log"]
+    for name in ("jobs.jsonl", "traffic.jsonl"):
+        assert (tmp_path / "first" / name).read_bytes() == (
+            tmp_path / "second" / name
+        ).read_bytes(), name
+
+
 def test_partial_fsync_of_the_store_is_covered_by_the_bundle(tmp_path):
     # Crashing before any result lands leaves accepts at the store's
     # tail, so the fault destroys the last two acknowledged jobs there;

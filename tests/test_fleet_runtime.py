@@ -3,10 +3,16 @@ lifecycle, hedging, reporting)."""
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
 from repro.chaos.spec import CellSpec, GraphSpec
+from repro.compiled import (
+    compiled_stats,
+    functional_engine,
+    reset_compiled_stats,
+)
 from repro.errors import (
     AcceleratorDrainingError,
     FleetOverloadError,
@@ -222,7 +228,8 @@ class TestPlacement:
 
     def test_predicted_seconds_positive_and_cached(self):
         # A live job preprocesses once per replica configuration: the
-        # probed replica and a same-config sibling share one result,
+        # probed replica and a same-config sibling share one result.
+        # Every configuration builds on the job's one prepared graph,
         # which the job drops when it finishes.
         engine = PlacementEngine()
         replica = make_replica("r0", "U280")
@@ -230,11 +237,65 @@ class TestPlacement:
         pre = entry.preprocessed(replica)
         assert engine.predicted_seconds(replica, entry.job, pre) > 0
         assert entry.preprocessed(make_replica("r1", "U280")) is pre
-        assert len(entry.pres) == 1
-        entry.preprocessed(make_replica("r2", "U50"))
-        assert len(entry.pres) == 2
+        other = entry.preprocessed(make_replica("r2", "U50"))
+        assert other is not pre and other.prepared is pre.prepared
+        prepared = weakref.ref(pre.prepared)
+        del pre, other
         entry.finish()
-        assert entry.done and not entry.pres
+        gc.collect()
+        assert entry.done and prepared() is None
+
+
+class TestOnePreparedGraphPerJob:
+    @staticmethod
+    def count_graph_work(monkeypatch) -> Counter:
+        """Count DBG and partition calls where the framework makes them."""
+        import repro.core.framework as framework
+
+        calls = Counter()
+        for name in ("degree_based_grouping", "partition_graph"):
+            original = getattr(framework, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(framework, name, counted)
+        return calls
+
+    def test_a_job_on_a_mixed_pool_relabels_and_partitions_once(
+        self, monkeypatch
+    ):
+        # U280 and U50 with one buffer size: both configurations are
+        # probed, and both share the job's one DBG and one partition set.
+        calls = self.count_graph_work(monkeypatch)
+        runtime = FleetRuntime(
+            [make_replica("r0", "U280"), make_replica("r1", "U50")]
+        )
+        report = runtime.run([make_job()])
+        assert report.jobs[0].status == "completed"
+        assert calls == {"degree_based_grouping": 1, "partition_graph": 1}
+
+    def test_configurations_share_partitions_and_functional_engine(
+        self, monkeypatch
+    ):
+        calls = self.count_graph_work(monkeypatch)
+        reset_compiled_stats()
+        entry = _QueuedJob(make_job(), 0)
+        u280 = entry.preprocessed(make_replica("r0", "U280"))
+        u50 = entry.preprocessed(make_replica("r1", "U50"))
+        assert u280.plan is not u50.plan and u280.pset is u50.pset
+        assert functional_engine(u50.plan) is functional_engine(u280.plan)
+        assert compiled_stats()["functional_plans"] == 1
+        # Another interval is cut once more; DBG is still not rerun.
+        wide = entry.preprocessed(
+            make_replica("r2", "U280", buffer_vertices=512)
+        )
+        assert wide.pset is not u280.pset
+        assert entry.preprocessed(
+            make_replica("r3", "U50", buffer_vertices=512)
+        ).pset is wide.pset
+        assert calls == {"degree_based_grouping": 1, "partition_graph": 2}
 
 
 class TestJobOwnedPreprocessing:

@@ -96,3 +96,43 @@ class TestSweep:
         }
         for points in report.values():
             assert len(points) == 4
+
+    def test_sensitivity_report_partitions_each_interval_once(
+        self, small_rmat, base, monkeypatch
+    ):
+        # 16 points, 4 distinct intervals: one shared prepared graph cuts
+        # each interval once, and every point matches an independent
+        # partition + schedule of the input graph.
+        from dataclasses import replace
+
+        import repro.core.framework as framework
+        from repro.graph.partition import partition_graph
+        from repro.hbm.channel import HbmChannelModel
+        from repro.model.calibrate import calibrate_performance_model
+        from repro.sched.scheduler import build_schedule
+
+        intervals = []
+        original = framework.partition_graph
+
+        def counted(graph, interval):
+            intervals.append(interval)
+            return original(graph, interval)
+
+        monkeypatch.setattr(framework, "partition_graph", counted)
+        report = sensitivity_report(small_rmat, base, num_pipelines=4)
+        buffer = base.gather_buffer_vertices
+        assert sorted(intervals) == [
+            buffer // 4, buffer // 2, buffer, buffer * 2
+        ]
+        for name, points in report.items():
+            for point in points:
+                config = replace(base, **{name: point.value})
+                pset = partition_graph(small_rmat, config.partition_vertices)
+                plan = build_schedule(
+                    pset,
+                    calibrate_performance_model(config, HbmChannelModel()),
+                    4,
+                )
+                assert point.makespan_cycles == plan.estimated_makespan
+                assert point.num_partitions == len(pset.nonempty())
+                assert point.combo_label == plan.accelerator.label
