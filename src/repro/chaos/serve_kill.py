@@ -29,11 +29,12 @@ logs.  One cell:
    and digest equality — the recovered session's report digest is
    bit-identical to the uninterrupted reference's.
 
-The wall-clock crash point is deliberately *not* deterministic (the
-worker races the poll loop) — digest equality holding anyway is the
-point: the kernel outcome depends only on the acceptance sequence,
-which is durable before each ack.  Every append boundary is crashed in
-turn by ``tests/test_chaos_serve_kill.py``'s slow suite.
+The crash point is deterministic (the cell awaits the N-th acked job,
+and one worker runs jobs in acceptance order), so a cell repeats byte
+for byte.  Digest equality holds wherever a crash falls: the outcome
+depends only on the acceptance sequence, durable before each ack.
+Every append boundary is crashed by the slow suite of
+``tests/test_chaos_serve_kill.py``.
 """
 
 from __future__ import annotations
@@ -246,10 +247,10 @@ def run_serve_kill(
             for payload in payloads:
                 await gateway.submit("chaos-key", payload)
             result.acked = gateway.store.job_count()
-            while (
-                gateway.store.result_count() < config.crash_after_results
-            ):
-                await asyncio.sleep(0.002)
+            if config.crash_after_results:
+                last = payloads[config.crash_after_results - 1]["job_id"]
+                async for _ in gateway.stream(last):
+                    pass
         finally:
             result.results_at_crash = gateway.store.result_count()
             gateway.abandon()

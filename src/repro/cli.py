@@ -156,7 +156,6 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     from repro.apps.pagerank import PageRank
     from repro.core.system import SystemSimulator
-    from repro.sched.scheduler import build_schedule
 
     graph = _load_graph(args)
     framework = _framework(args)
@@ -164,8 +163,8 @@ def cmd_sweep(args) -> int:
     n_pip = framework.num_pipelines
     rows = []
     for m in range(n_pip + 1):
-        plan = build_schedule(
-            pre.pset, framework.model, n_pip, forced_combo=(m, n_pip - m)
+        plan = pre.prepared.plan(
+            framework.model, n_pip, forced_combo=(m, n_pip - m)
         )
         sim = SystemSimulator(plan, framework.platform, framework.channel)
         run = sim.run(

@@ -6,8 +6,8 @@ destination-interval partitioning, model calibration, model-guided
 scheduling (choosing the best pipeline combination) and execution on the
 simulated heterogeneous accelerator — push-button, as Sec. V promises.
 DBG and partitioning depend only on the graph, so they live on a
-:class:`PreparedGraph` that any number of configurations can share;
-calibration and scheduling belong to each :class:`ReGraph`.
+:class:`PreparedGraph` that any number of configurations can share, as
+do the schedules memoised there; calibration belongs to each ReGraph.
 
 Vertex IDs: preprocessing relabels the graph (DBG), so the framework maps
 roots into, and results out of, the relabelled space transparently.
@@ -44,13 +44,14 @@ _RUN_KEYWORDS = (
 
 
 class PreparedGraph:
-    """The graph-only half of the offline phase (Fig. 8 steps 3-4).
+    """The offline phase of one graph (Fig. 8 steps 3-4).
 
     DBG (or the identity ordering) runs once, here; the destination-
-    interval partitions are cut on first request per interval and
-    memoised.  Nothing here depends on the accelerator, so one prepared
-    graph serves every device configuration, sweep point and model
-    check of its owner (a job, a sweep, a run).  It keeps the relabelled
+    interval partitions are cut on first request per interval, and the
+    schedule on first request per schedule key, both memoised.  Nothing
+    here depends on the device, so one prepared graph serves every
+    device configuration, sweep point, degraded re-plan and model check
+    of its owner (a job, a sweep, a run).  It keeps the relabelled
     graph, not the input one beside it, and lives exactly as long as its
     owner keeps it.
     """
@@ -64,6 +65,7 @@ class PreparedGraph:
         #: wall-clock seconds of this graph's one DBG call (Table IV)
         self.dbg_seconds = time.perf_counter() - t0
         self._partitions: Dict[int, PartitionSet] = {}
+        self._plans: Dict[tuple, SchedulingPlan] = {}
 
     @property
     def graph(self) -> Graph:
@@ -78,6 +80,25 @@ class PreparedGraph:
             self._partitions[interval] = pset
         return pset
 
+    def plan(
+        self,
+        model: PerformanceModel,
+        num_pipelines: int,
+        forced_combo: Optional[Tuple[int, int]] = None,
+    ) -> SchedulingPlan:
+        """The Sec. IV-B schedule, memoised on what :func:`build_schedule`
+        reads (the interval is the model's): equal configurations, on any
+        device, share one plan object and so one compiled engine."""
+        key = (model, num_pipelines, forced_combo)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = build_schedule(
+                self.partitions(model.config.partition_vertices),
+                model, num_pipelines, forced_combo=forced_combo,
+            )
+            self._plans[key] = plan
+        return plan
+
 
 @dataclass
 class PreprocessResult:
@@ -88,7 +109,7 @@ class PreprocessResult:
     model: PerformanceModel
     plan: SchedulingPlan
     resources: ResourceReport
-    #: wall-clock seconds of partitioning (or its memo) and scheduling
+    #: wall-clock seconds of partitioning and scheduling (or their memos)
     schedule_seconds: float
 
     @property
@@ -173,7 +194,7 @@ class ReGraph:
         A :class:`Graph` is prepared here (``use_dbg`` picks DBG or the
         identity ordering); a :class:`PreparedGraph` already fixed its
         ordering, so only its partitions for this configuration's
-        interval and the schedule are produced.
+        interval and the schedule are produced (or found in its memo).
         """
         prepared = (
             graph if isinstance(graph, PreparedGraph)
@@ -181,8 +202,8 @@ class ReGraph:
         )
         t0 = time.perf_counter()
         pset = prepared.partitions(self.pipeline.partition_vertices)
-        plan = build_schedule(
-            pset, self.model, self.num_pipelines, forced_combo=forced_combo
+        plan = prepared.plan(
+            self.model, self.num_pipelines, forced_combo=forced_combo
         )
         t1 = time.perf_counter()
         return PreprocessResult(

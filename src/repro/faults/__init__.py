@@ -7,8 +7,7 @@ Public surface:
 * :class:`~repro.faults.injector.FaultInjector` — seeded evaluator wired
   into the HBM-channel and pipeline boundaries;
 * :class:`~repro.faults.resilience.ResilientExecutor`,
-  :class:`~repro.faults.resilience.ResiliencePolicy`,
-  :class:`~repro.faults.resilience.CheckpointStore` and
+  :class:`~repro.faults.resilience.ResiliencePolicy` and
   :class:`~repro.faults.resilience.RunHealthReport` — the resilient
   execution layer used by :meth:`repro.core.framework.ReGraph.run`.
 """
@@ -25,7 +24,6 @@ from repro.faults.plan import (
 )
 from repro.faults.resilience import (
     ChannelBreakerState,
-    CheckpointStore,
     CircuitBreakerBank,
     FaultRecord,
     ResiliencePolicy,
@@ -36,7 +34,6 @@ from repro.faults.resilience import (
 __all__ = [
     "BitFlipFault",
     "ChannelBreakerState",
-    "CheckpointStore",
     "CircuitBreakerBank",
     "DeadChannelFault",
     "FaultInjector",

@@ -42,8 +42,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import (
     ChannelFaultError,
     FaultInjectedError,
@@ -53,7 +51,6 @@ from repro.errors import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.sched.scheduler import build_schedule
 
 
 @dataclass(frozen=True)
@@ -152,26 +149,6 @@ class ResiliencePolicy:
     def from_dict(data: dict) -> "ResiliencePolicy":
         """Rebuild a policy from :meth:`to_dict` output."""
         return ResiliencePolicy(**data)
-
-
-# ----------------------------------------------------------------------
-# Checkpoints
-# ----------------------------------------------------------------------
-class CheckpointStore:
-    """Holds the vertex state entering the current iteration."""
-
-    def __init__(self):
-        self._props: Optional[np.ndarray] = None
-
-    def save(self, props: np.ndarray) -> None:
-        """Snapshot the state entering an iteration."""
-        self._props = np.array(props, copy=True)
-
-    def restore(self) -> np.ndarray:
-        """A copy of the snapshot to resume from."""
-        if self._props is None:
-            raise ResilienceExhaustedError("no checkpoint to restore")
-        return self._props.copy()
 
 
 # ----------------------------------------------------------------------
@@ -461,7 +438,7 @@ class ResilientExecutor:
             edges_per_iteration=plan.total_edges(),
         )
         props = app.init_props() if functional else None
-        store = CheckpointStore()
+        snapshot = None  # private copy of the state entering an iteration
         budget = policy.watchdog_budget(plan.estimated_makespan)
 
         bank = self.breakers
@@ -487,7 +464,7 @@ class ResilientExecutor:
         iteration = 0
         while iteration < limit:
             if functional:
-                store.save(props)
+                snapshot = props.copy()
             attempt = 0
             while True:
                 injector.now = run.total_cycles
@@ -523,7 +500,7 @@ class ResilientExecutor:
                     plan, sim, budget = self._degrade(
                         plan, fault.victim, injector, health
                     )
-                    props = self._restore(store, health, props, functional)
+                    props = self._restore(snapshot, health, props, functional)
                     attempt = 0
                 except FaultInjectedError as fault:
                     health.record(
@@ -562,7 +539,7 @@ class ResilientExecutor:
                         run.total_cycles += backoff
                         health.backoff_cycles += backoff
                         health.retries += 1
-                    props = self._restore(store, health, props, functional)
+                    props = self._restore(snapshot, health, props, functional)
 
             run.iteration_reports.append(report)
             run.total_cycles += report.total_cycles
@@ -642,12 +619,12 @@ class ResilientExecutor:
         count = acc.num_little if kind == "little" else acc.num_big
         return (kind, min(index, max(count - 1, 0)))
 
-    def _restore(self, store, health, props, functional):
-        """Roll vertex state back to the last checkpoint."""
+    def _restore(self, snapshot, health, props, functional):
+        """Roll vertex state back to a copy of the last checkpoint."""
         if not functional:
             return props
         health.checkpoint_restores += 1
-        return store.restore()
+        return snapshot.copy()
 
     def _degrade(self, plan, victim, injector, health):
         """Retire ``victim``, re-plan onto the survivors, revalidate."""
@@ -660,7 +637,7 @@ class ResilientExecutor:
             )
         kind, index = victim
         injector.retire_pipeline(kind, index)
-        new_plan = build_schedule(self.pre.pset, self.pre.model, survivors)
+        new_plan = self.pre.prepared.plan(self.pre.model, survivors)
         new_plan.validate(expected_edges=self.pre.graph.num_edges)
         injector.bind_topology(
             new_plan.accelerator.num_little, new_plan.accelerator.num_big

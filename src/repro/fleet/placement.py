@@ -10,11 +10,11 @@ completion time, penalised by the replica's live health:
 ``predicted_seconds`` is a **what-if probe** over the job's graph as
 preprocessed for the probed replica's configuration.  The engine holds
 no per-graph state: the caller owns the preprocessed results (the
-fleet runtime keeps one per replica configuration for each live job, so
-replicas of the same configuration share one plan until the job ends)
-and hands them in.  The per-iteration makespan is answered by the
-plan's compiled engine (:func:`repro.compiled.plan_engine`) under the
-probed replica's channel parameters — the same engine, memoised per
+fleet runtime preprocesses on each live job's one prepared graph, whose
+plan memo gives replicas with equal configurations one plan until the
+job ends) and hands them in.  The per-iteration makespan is answered by
+the plan's compiled engine (:func:`repro.compiled.plan_engine`) under
+the probed replica's channel parameters — the same engine, memoised per
 parameter set, that the job's own run and the conformance trace use.
 Replicas whose HBM could not hold the job's graph (the Fig. 4 rule,
 :func:`repro.hbm.capacity.fits_hbm`, answered from the job's spec) are

@@ -70,15 +70,6 @@ class Replica:
     def is_serving(self) -> bool:
         return self.state == SERVING
 
-    @property
-    def config(self) -> tuple:
-        """``(device, gather buffer vertices, pipelines)``: replicas that
-        share it preprocess a graph into the same plan."""
-        fw = self.handle.framework
-        return (
-            self.device, fw.pipeline.gather_buffer_vertices, fw.num_pipelines
-        )
-
     def available_at(self, now: float) -> float:
         """Earliest virtual time this replica can start new work."""
         return max(self.busy_until, now)

@@ -13,7 +13,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.errors import UserInputError
 from repro.fleet.job import JobResult
+
+#: The JSON type of every field of a :meth:`Replica.to_dict` row.
+_REPLICA_FIELDS = {
+    "replica_id": str, "device": str, "state": str, "retired_reason": str,
+    "jobs_completed": int, "jobs_failed": int, "consecutive_failures": int,
+    "canaries_run": int, "repairs": int, "open_breakers": int,
+    "killed": bool,
+}
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,19 @@ class AssignmentRecord:
             attempt=int(data["attempt"]),
             kind=str(data["kind"]),
         )
+
+
+def _replica_row(data) -> dict:
+    """A stored replica row, type-checked (no ``bool`` for ``int``): the
+    CLI prints it, so a bad field is a malformed report, not a crash."""
+    row = dict(data)
+    for name, kind in _REPLICA_FIELDS.items():
+        if type(row.get(name)) is not kind:
+            raise UserInputError(
+                f"replica row field {name!r} must be a {kind.__name__}, "
+                f"got {row.get(name)!r}"
+            )
+    return row
 
 
 def _percentile(sorted_values: List[float], fraction: float) -> float:
@@ -155,7 +177,7 @@ class FleetReport:
         return FleetReport(
             config=dict(data.get("config", {})),
             jobs=[JobResult.from_dict(j) for j in data.get("jobs", [])],
-            replicas=[dict(r) for r in data.get("replicas", [])],
+            replicas=[_replica_row(r) for r in data.get("replicas", [])],
             assignments=[
                 AssignmentRecord.from_dict(a)
                 for a in data.get("assignments", [])

@@ -251,21 +251,19 @@ class ReplicaKill:
 class _QueuedJob:
     """Mutable per-job state while the job is alive in the runtime.
 
-    The entry owns the job's graph (the oracles judge against it), its
-    one :class:`~repro.core.framework.PreparedGraph` (DBG once,
-    partitions once per interval) and one
-    :class:`~repro.core.framework.PreprocessResult` per replica
-    configuration built on it.  Placement probes and every attempt
-    (primary, failover, hedge) share them, so configurations with one
-    buffer size share one partition set and every configuration shares
-    the graph's one functional engine; :meth:`finish` drops them when
-    the job reaches its terminal result.
+    The entry owns the job's graph (the oracles judge against it) and
+    its one :class:`~repro.core.framework.PreparedGraph` (DBG once,
+    partitions once per interval, one plan per schedule key).
+    Placement probes and every attempt (primary, failover, hedge)
+    preprocess on it, so replicas with equal configurations share one
+    plan and its compiled engine, whatever their device, and every
+    configuration shares the graph's one functional engine;
+    :meth:`finish` drops it when the job reaches its terminal result.
     """
 
     __slots__ = (
         "job", "index", "next_attempt", "earliest_start", "exclude",
         "active", "done", "last_error", "hedged", "_graph", "_prepared",
-        "pres",
     )
 
     def __init__(self, job: Job, index: int):
@@ -281,8 +279,6 @@ class _QueuedJob:
         self.hedged = False
         self._graph: Optional[Graph] = None
         self._prepared: Optional[PreparedGraph] = None
-        #: :attr:`Replica.config` -> the job's preprocessed graph.
-        self.pres: Dict[tuple, PreprocessResult] = {}
 
     def graph(self) -> Graph:
         """The graph the job's app executes (built on first use)."""
@@ -300,18 +296,13 @@ class _QueuedJob:
 
     def preprocessed(self, replica: Replica) -> PreprocessResult:
         """The job's graph preprocessed for ``replica``'s configuration."""
-        pre = self.pres.get(replica.config)
-        if pre is None:
-            pre = replica.handle.framework.preprocess(self.prepared())
-            self.pres[replica.config] = pre
-        return pre
+        return replica.handle.framework.preprocess(self.prepared())
 
     def finish(self) -> None:
         """Terminal result reached: drop the preprocessed state."""
         self.done = True
         self._graph = None
         self._prepared = None
-        self.pres = {}
 
     def sort_key(self) -> tuple:
         """Dispatch order: priority desc, tighter deadline, FIFO."""

@@ -51,17 +51,16 @@ def sweep_parameter(
 ) -> List[SweepPoint]:
     """Estimate scheduled makespan across settings of one parameter.
 
-    Every point re-calibrates the model and re-schedules; the partitions
-    come from one :class:`~repro.core.framework.PreparedGraph` (a plain
-    ``graph`` is prepared in its given vertex order), which cuts each
-    distinct interval once, so only ``gather_buffer_vertices`` points
-    partition anew.  Uses modelled (not simulated) cycles, so whole
-    sweeps stay cheap enough for interactive use.
+    Every point re-calibrates the model; one
+    :class:`~repro.core.framework.PreparedGraph` (a plain ``graph`` is
+    prepared in its given vertex order) cuts each distinct interval and
+    schedules each distinct model once, so a point equal to an earlier
+    one is not rescheduled.  Uses modelled (not simulated) cycles, so
+    whole sweeps stay cheap enough for interactive use.
     """
-    # Imported here: repro.sched and repro.core pull the performance
-    # model back in, which would cycle at package-import time.
+    # Imported here: repro.core pulls the performance model back in,
+    # which would cycle at package-import time.
     from repro.core.framework import PreparedGraph
-    from repro.sched.scheduler import build_schedule
 
     if not hasattr(base_config, parameter):
         raise ValueError(f"unknown PipelineConfig field {parameter!r}")
@@ -75,7 +74,7 @@ def sweep_parameter(
         config = replace(base_config, **{parameter: int(value)})
         model = calibrate_performance_model(config, channel)
         pset = prepared.partitions(config.partition_vertices)
-        plan = build_schedule(pset, model, num_pipelines)
+        plan = prepared.plan(model, num_pipelines)
         points.append(SweepPoint(
             parameter=parameter,
             value=int(value),

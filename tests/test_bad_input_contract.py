@@ -426,3 +426,39 @@ def test_serve_pipelines_outside_the_device_exit_2():
             ["serve", "--port", "0", "--no-fsync", "--pipelines", value]
         )
         assert code == 2, stderr
+
+
+# ----------------------------------------------------------------------
+# Files a command reads
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def fleet_report_json(tmp_path_factory) -> dict:
+    """A real ``fleet run --report-json`` file, as parsed JSON."""
+    import json
+
+    path = tmp_path_factory.mktemp("fleet") / "report.json"
+    code, stderr = _run_cli(
+        _base_argv("fleet run", path.parent) + ["--report-json", str(path)]
+    )
+    assert code == 0, stderr
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("command", ["report", "status"])
+@pytest.mark.parametrize("field, value", [
+    ("retired_reason", None), ("retired_reason", -1),
+    ("retired_reason", 1e308), ("jobs_completed", "3"),
+    ("open_breakers", True), ("killed", 0),
+])
+def test_malformed_replica_row_exits_2(
+    fleet_report_json, command, field, value, tmp_path
+):
+    import json
+
+    data = copy.deepcopy(fleet_report_json)
+    data["report"]["replicas"][0][field] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    code, stderr = _run_cli(["fleet", command, str(path)])
+    assert code == 2, stderr
+    assert field in stderr and "Traceback" not in stderr

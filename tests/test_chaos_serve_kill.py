@@ -36,13 +36,13 @@ def _cell(**overrides):
 def test_clean_crash_recovers_to_the_reference_digest(tmp_path):
     result = run_serve_kill(_cell(), tmp_path)
     assert result.acked == SOAK.jobs  # every job was acknowledged
-    assert result.results_at_crash >= 2
+    # The cell dies right after the second result lands, never later.
+    assert result.results_at_crash == 2
     assert result.lost_acked == []
     assert result.replay_divergences == 0
     # Results durable at crash time are suppressed on replay, never
-    # re-emitted — the visible exactly-once guarantee.  (>=: the worker
-    # may land one more result between the count and the abandon.)
-    assert result.duplicates_suppressed >= result.results_at_crash
+    # re-emitted — the visible exactly-once guarantee.
+    assert result.duplicates_suppressed == result.results_at_crash
     assert result.equivalent
     assert result.drained
     assert result.passed

@@ -866,9 +866,13 @@ class TestPlacementProbes:
         entry = _QueuedJob(job, 0)
         slow_params = HbmTimingParams(min_latency=48.0, max_latency=112.0)
         engine = PlacementEngine()
-        predictions = []
-        for rid, params in (("r0", HbmTimingParams()), ("r1", slow_params)):
-            replica = make_replica(rid, "U280")
+        predictions, plans = [], []
+        for rid, device, params in (
+            ("r0", "U280", HbmTimingParams()),
+            ("r1", "U280", slow_params),
+            ("r2", "U50", HbmTimingParams()),
+        ):
+            replica = make_replica(rid, device)
             fw = replica.handle.framework
             fw.channel = HbmChannelModel(params)
             pre = entry.preprocessed(replica)
@@ -878,12 +882,16 @@ class TestPlacementProbes:
             hz = pre.resources.frequency_mhz * 1e6
             assert seconds == cycles * job.max_iterations / hz
             predictions.append(seconds)
-        # Same device, one preprocessed plan: both probes evaluated on
-        # its one engine, under two parameter sets.
-        assert len(entry.pres) == 1
-        assert len(plan_engine(pre.plan)._memo) == 2
+            plans.append(pre.plan)
+        # The plan is scheduled on the model calibrated under the
+        # replica's channel: other parameters, another plan.  Equal
+        # parameters on another device find the same plan, and the probe
+        # prices it on its one engine, memoised per parameter set.
+        assert plans[1] is not plans[0] and plans[2] is plans[0]
+        assert plan_engine(plans[2]) is plan_engine(plans[0])
+        assert len(plan_engine(plans[0])._memo) == 1
         assert predictions[1] > predictions[0]
-        assert engine.probe_stats == {"probes": 2}
+        assert engine.probe_stats == {"probes": 3}
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from repro.errors import (
 )
 from repro.faults import (
     BitFlipFault,
-    CheckpointStore,
     CircuitBreakerBank,
     DeadChannelFault,
     FaultInjector,
@@ -174,30 +173,36 @@ class TestErrorHierarchy:
 # ----------------------------------------------------------------------
 # Checkpoints
 # ----------------------------------------------------------------------
-class TestCheckpointStore:
-    def test_save_restore_round_trip(self):
-        store = CheckpointStore()
-        props = np.arange(8, dtype=np.float64)
-        store.save(props)
-        props[:] = -1.0  # the snapshot must be an independent copy
-        restored = store.restore()
-        np.testing.assert_array_equal(restored, np.arange(8))
-        restored[:] = -2.0  # and so must every restore
-        np.testing.assert_array_equal(store.restore(), np.arange(8))
+class TestCheckpoint:
+    def test_snapshot_is_copied_on_save_and_on_restore(
+        self, framework, pre, monkeypatch
+    ):
+        # The first two attempts of every iteration dirty the state they
+        # were handed, then fail.  A snapshot sharing memory with the
+        # live state, or a restore sharing memory with the snapshot,
+        # would hand the third attempt a dirty state.
+        from repro.core.system import SystemSimulator
 
-    def test_keeps_only_recent(self):
-        store = CheckpointStore()
-        for i in range(5):
-            store.save(np.full(2, float(i)))
-        np.testing.assert_array_equal(store.restore(), [4.0, 4.0])
+        clean = framework.run_pagerank(pre, max_iterations=4)
+        original = SystemSimulator.functional_iteration
+        calls = []
 
-    def test_restore_empty_raises(self):
-        with pytest.raises(ResilienceExhaustedError):
-            CheckpointStore().restore()
+        def dirty_then_fail(self, app, props):
+            calls.append(None)
+            if len(calls) % 3:
+                props[:] = -1.0
+                raise PipelineStallError("stalled after a partial write")
+            return original(self, app, props)
 
-    def test_restore_empty_message_names_the_problem(self):
-        with pytest.raises(ResilienceExhaustedError, match="checkpoint"):
-            CheckpointStore().restore()
+        monkeypatch.setattr(
+            SystemSimulator, "functional_iteration", dirty_then_fail
+        )
+        run = framework.run_pagerank(
+            pre, max_iterations=4, fault_plan=FaultPlan()
+        )
+        assert run.iterations == clean.iterations == 4
+        assert run.health.checkpoint_restores == 8
+        np.testing.assert_array_equal(run.props, clean.props)
 
 
 class TestCheckpointInterval:
@@ -514,6 +519,35 @@ class TestResilientRuns:
         assert sorted(breakers) == sorted(str(c) for c in range(12))
         assert all(s["state"] == "closed" for s in breakers.values())
         assert run.health.breaker_trips == 0
+
+    def test_a_repeated_degrade_finds_its_plan(
+        self, framework, small_powerlaw, monkeypatch
+    ):
+        # Two runs on one prepared graph lose a pipeline each: the second
+        # re-plan onto the same survivor count is a memo lookup, still
+        # validated, not a second schedule.
+        import repro.core.framework as core
+
+        pre = framework.preprocess(small_powerlaw)
+        calls = []
+        original = core.build_schedule
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(core, "build_schedule", counted)
+        plan = FaultPlan(dead_channels=(
+            DeadChannelFault(channel=0, onset_cycle=6000.0),
+        ))
+        first = framework.run_pagerank(pre, max_iterations=6, fault_plan=plan)
+        second = framework.run_pagerank(
+            pre, max_iterations=6, fault_plan=plan
+        )
+        assert first.health.replans == second.health.replans == 1
+        assert calls == [5]
+        assert second.final_plan is first.final_plan
+        np.testing.assert_array_equal(second.props, first.props)
 
     def test_dead_channel_force_opens_breaker(self, framework, pre):
         plan = FaultPlan(dead_channels=(

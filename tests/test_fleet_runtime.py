@@ -11,6 +11,7 @@ from repro.chaos.spec import CellSpec, GraphSpec
 from repro.compiled import (
     compiled_stats,
     functional_engine,
+    plan_engine,
     reset_compiled_stats,
 )
 from repro.errors import (
@@ -227,18 +228,20 @@ class TestPlacement:
         assert sssp.executed_size() == (128, 512, 12)
 
     def test_predicted_seconds_positive_and_cached(self):
-        # A live job preprocesses once per replica configuration: the
-        # probed replica and a same-config sibling share one result.
-        # Every configuration builds on the job's one prepared graph,
-        # which the job drops when it finishes.
+        # A live job schedules once per schedule key: a same-config
+        # sibling and a U50 of equal configuration get the probed
+        # replica's plan, each with its own device's resources.  Every
+        # result builds on the job's one prepared graph, which the job
+        # drops when it finishes.
         engine = PlacementEngine()
         replica = make_replica("r0", "U280")
         entry = _QueuedJob(make_job(), 0)
         pre = entry.preprocessed(replica)
         assert engine.predicted_seconds(replica, entry.job, pre) > 0
-        assert entry.preprocessed(make_replica("r1", "U280")) is pre
+        assert entry.preprocessed(make_replica("r1", "U280")).plan is pre.plan
         other = entry.preprocessed(make_replica("r2", "U50"))
-        assert other is not pre and other.prepared is pre.prepared
+        assert other.plan is pre.plan and other.prepared is pre.prepared
+        assert other.resources != pre.resources
         prepared = weakref.ref(pre.prepared)
         del pre, other
         entry.finish()
@@ -284,18 +287,36 @@ class TestOnePreparedGraphPerJob:
         entry = _QueuedJob(make_job(), 0)
         u280 = entry.preprocessed(make_replica("r0", "U280"))
         u50 = entry.preprocessed(make_replica("r1", "U50"))
-        assert u280.plan is not u50.plan and u280.pset is u50.pset
+        # Equal configurations on two devices: one plan, one engine.
+        assert u280.plan is u50.plan and u280.pset is u50.pset
+        assert plan_engine(u50.plan) is plan_engine(u280.plan)
+        assert compiled_stats()["plans_compiled"] == 1
         assert functional_engine(u50.plan) is functional_engine(u280.plan)
         assert compiled_stats()["functional_plans"] == 1
-        # Another interval is cut once more; DBG is still not rerun.
+        # Another interval is cut and scheduled once more; DBG is still
+        # not rerun, and the graph's functional engine is still shared.
         wide = entry.preprocessed(
             make_replica("r2", "U280", buffer_vertices=512)
         )
-        assert wide.pset is not u280.pset
-        assert entry.preprocessed(
+        assert wide.pset is not u280.pset and wide.plan is not u280.plan
+        wide_u50 = entry.preprocessed(
             make_replica("r3", "U50", buffer_vertices=512)
-        ).pset is wide.pset
+        )
+        assert wide_u50.pset is wide.pset and wide_u50.plan is wide.plan
+        assert functional_engine(wide.plan) is functional_engine(u280.plan)
         assert calls == {"degree_based_grouping": 1, "partition_graph": 2}
+
+    def test_a_job_on_a_mixed_pool_compiles_one_plan(self):
+        # U280 and U50 at one buffer size and pipeline count: both are
+        # probed, one runs the job, and all three share one lowering.
+        reset_compiled_stats()
+        runtime = FleetRuntime(
+            [make_replica("r0", "U280"), make_replica("r1", "U50")]
+        )
+        report = runtime.run([make_job()])
+        assert report.jobs[0].status == "completed"
+        assert runtime.placement.probe_stats["probes"] >= 2
+        assert compiled_stats()["plans_compiled"] == 1
 
 
 class TestJobOwnedPreprocessing:

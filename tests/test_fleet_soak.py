@@ -202,3 +202,51 @@ class TestJournaledSoak:
         # In-memory soaks serialize without the key at all, keeping
         # pre-durability result files byte-identical.
         assert "recovery" not in soak_result.to_dict()
+
+
+#: Three 60-job seed-0 soaks, their report digests, and bounds on the
+#: schedules and lowerings they make: each job's one prepared graph
+#: schedules once per schedule key, so replicas of equal configuration
+#: (here every U280 and U50) and repeated re-plans share one plan.
+PINNED_SOAKS = {
+    "default-pool": (
+        FleetSoakConfig(seed=0, jobs=60),
+        "73ed97cd976d3458d3af9197c8348ebac2d3a93a5c66f95eec3b2f242f23371e",
+        119, 109,
+    ),
+    "serving-pool": (
+        FleetSoakConfig(seed=0, jobs=60, replicas=("U280", "U50")),
+        "97b19660f80376cc882b397965c055efa9156ff882064a47bc006d897a78148b",
+        145, 109,
+    ),
+    "four-replicas-two-kills": (
+        FleetSoakConfig(
+            seed=0, jobs=60, replicas=("U280", "U280", "U50", "U50"),
+            random_kills=2,
+        ),
+        "aeded21e7a8f43e2fa2a5a0fdd3d26fba10e6d78e3926e303b9cca54e00f6a8e",
+        114, 104,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SOAKS))
+def test_pinned_soak_digest_and_schedule_counts(name, monkeypatch):
+    import repro.compiled.evaluate as evaluate
+    import repro.core.framework as framework
+
+    config, digest, max_schedules, max_lowerings = PINNED_SOAKS[name]
+    calls = {"build_schedule": 0, "compile_plan": 0}
+    for module, attr in (
+        (framework, "build_schedule"), (evaluate, "compile_plan")
+    ):
+        original = getattr(module, attr)
+
+        def counted(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    assert run_fleet_soak(config).report.digest() == digest
+    assert calls["build_schedule"] <= max_schedules
+    assert calls["compile_plan"] <= max_lowerings

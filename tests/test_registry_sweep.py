@@ -136,3 +136,30 @@ class TestSweep:
                 assert point.makespan_cycles == plan.estimated_makespan
                 assert point.num_partitions == len(pset.nonempty())
                 assert point.combo_label == plan.accelerator.label
+
+    def test_sensitivity_report_schedules_each_distinct_model_once(
+        self, small_rmat, base, monkeypatch
+    ):
+        # Every sweep passes through the base configuration: 16 points
+        # are 13 distinct calibrated models, so 13 schedules, counted
+        # where the prepared graph's plan memo makes them.
+        import repro.core.framework as framework
+
+        calls = []
+        original = framework.build_schedule
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(framework, "build_schedule", counted)
+        report = sensitivity_report(small_rmat, base, num_pipelines=4)
+        assert sum(len(points) for points in report.values()) == 16
+        assert calls == [4] * 13
+        # The repeats are the base point, equal in every sweep.
+        base_points = {
+            (p.makespan_cycles, p.num_partitions, p.combo_label)
+            for name, points in report.items()
+            for p in points if p.value == getattr(base, name)
+        }
+        assert len(base_points) == 1
