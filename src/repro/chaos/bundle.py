@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, TypedDict, Union
 
 from repro.errors import UserInputError
 from repro.faults.plan import FaultPlan
@@ -23,12 +23,43 @@ from repro.check.tolerances import DEFAULT_BANDS, ToleranceBands
 from repro.chaos.campaign import CellResult, run_cell
 from repro.chaos.shrink import ShrinkResult
 from repro.chaos.spec import CellSpec
+from repro.utils.wire import decode
 
 #: Bundle schema identifier; bump on incompatible layout changes.
 BUNDLE_SCHEMA = "regraph-chaos-repro/v1"
 
 
-def _failure_dict(result: CellResult) -> dict:
+class FailureRecord(TypedDict):
+    """One outcome a bundle records (:func:`_failure_dict`)."""
+
+    status: str
+    category: str
+    detail: str
+    digest: str
+
+
+class ShrinkStats(TypedDict):
+    """:meth:`~repro.chaos.shrink.ShrinkResult.stats` of a bundle."""
+
+    probes: int
+    original_events: int
+    shrunk_events: int
+    exhausted: bool
+
+
+class ReproBundle(TypedDict):
+    """A bundle file, decoded (:func:`make_bundle` writes it)."""
+
+    schema: str
+    cell: CellSpec
+    policy: ResiliencePolicy
+    shrunk_plan: Optional[FaultPlan]
+    failure: FailureRecord
+    original_failure: FailureRecord
+    shrink: Optional[ShrinkStats]
+
+
+def _failure_dict(result: CellResult) -> FailureRecord:
     return {
         "status": result.status,
         "category": result.category,
@@ -78,17 +109,17 @@ def write_bundle(
     return path
 
 
-def load_bundle(path: str) -> dict:
-    """Read and schema-check a bundle file."""
+def load_bundle(path: str) -> ReproBundle:
+    """Read, schema-check and decode a bundle file."""
     with open(path) as fh:
         data = json.load(fh)
-    schema = data.get("schema")
+    schema = data.get("schema") if isinstance(data, dict) else None
     if schema != BUNDLE_SCHEMA:
         raise UserInputError(
             f"{path}: unsupported bundle schema {schema!r} "
             f"(expected {BUNDLE_SCHEMA})"
         )
-    return data
+    return decode(ReproBundle, data, path)
 
 
 @dataclass
@@ -102,16 +133,16 @@ class ReplayResult:
 
 
 def replay_bundle(
-    bundle, bands: ToleranceBands = DEFAULT_BANDS
+    bundle: Union[str, ReproBundle], bands: ToleranceBands = DEFAULT_BANDS
 ) -> ReplayResult:
-    """Re-execute a bundle (dict or path) and compare failure digests."""
+    """Re-execute a bundle (decoded, or its path) and compare failure
+    digests."""
     if isinstance(bundle, str):
         bundle = load_bundle(bundle)
-    cell = CellSpec.from_dict(bundle["cell"])
-    if bundle.get("shrunk_plan") is not None:
-        cell = cell.with_plan(FaultPlan.from_dict(bundle["shrunk_plan"]))
-    policy = ResiliencePolicy.from_dict(bundle.get("policy", {}))
-    result = run_cell(cell, policy=policy, bands=bands)
+    cell = bundle["cell"]
+    if bundle["shrunk_plan"] is not None:
+        cell = cell.with_plan(bundle["shrunk_plan"])
+    result = run_cell(cell, policy=bundle["policy"], bands=bands)
     expected = bundle["failure"]["digest"]
     return ReplayResult(
         reproduced=(result.digest == expected),

@@ -41,6 +41,7 @@ from repro.check.tolerances import DEFAULT_BANDS, ToleranceBands
 from repro.chaos.oracles import validate_cell
 from repro.chaos.spec import CellSpec
 from repro.perf.parallel import parallel_map
+from repro.utils.wire import Wire
 
 #: Campaign default: breakers trip fast (threshold 3) so soak runs
 #: exercise them, while retry-only faults (detectable flips) get enough
@@ -78,7 +79,7 @@ def failure_digest(
 
 
 @dataclass
-class CellResult:
+class CellResult(Wire):
     """Outcome of one cell execution."""
 
     cell_id: str
@@ -113,20 +114,6 @@ class CellResult:
             "iterations": self.iterations,
             "total_cycles": self.total_cycles,
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "CellResult":
-        return CellResult(
-            cell_id=str(data["cell_id"]),
-            status=str(data["status"]),
-            category=str(data.get("category", "")),
-            detail=str(data.get("detail", "")),
-            digest=str(data.get("digest", "")),
-            violations=list(data.get("violations", [])),
-            health=dict(data.get("health", {})),
-            iterations=int(data.get("iterations", 0)),
-            total_cycles=float(data.get("total_cycles", 0.0)),
-        )
 
 
 def _framework(cell: CellSpec) -> ReGraph:
@@ -186,7 +173,7 @@ def run_cell(
 
 
 @dataclass
-class CampaignReport:
+class CampaignReport(Wire):
     """Aggregate outcome of one campaign."""
 
     config: dict
@@ -222,17 +209,6 @@ class CampaignReport:
             "results": [r.to_dict() for r in self.results],
             "bundles": list(self.bundles),
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "CampaignReport":
-        return CampaignReport(
-            config=dict(data.get("config", {})),
-            cells=list(data.get("cells", [])),
-            results=[
-                CellResult.from_dict(r) for r in data.get("results", [])
-            ],
-            bundles=list(data.get("bundles", [])),
-        )
 
 
 def run_campaign(

@@ -32,10 +32,11 @@ from repro.fleet.job import Job
 from repro.fleet.replica import Replica, make_replica
 from repro.fleet.report import FleetReport
 from repro.fleet.runtime import FleetPolicy, FleetRuntime, ReplicaKill
+from repro.utils.wire import Wire, decode
 
 
 @dataclass(frozen=True)
-class FleetSoakConfig:
+class FleetSoakConfig(Wire):
     """Inputs that fully determine one fleet soak."""
 
     seed: int = 0
@@ -106,27 +107,6 @@ class FleetSoakConfig:
             "num_pipelines": self.num_pipelines,
             "max_iterations": self.max_iterations,
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "FleetSoakConfig":
-        return FleetSoakConfig(
-            seed=int(data.get("seed", 0)),
-            jobs=int(data.get("jobs", 30)),
-            replicas=tuple(data.get("replicas", ("U280", "U280", "U50"))),
-            intensity=str(data.get("intensity", "moderate")),
-            fault_fraction=float(data.get("fault_fraction", 0.5)),
-            deadline_fraction=float(data.get("deadline_fraction", 0.33)),
-            submit_spacing_seconds=float(
-                data.get("submit_spacing_seconds", 0.0005)
-            ),
-            kills=tuple(
-                ReplicaKill.from_dict(k) for k in data.get("kills", [])
-            ),
-            random_kills=int(data.get("random_kills", 0)),
-            buffer_vertices=int(data.get("buffer_vertices", 256)),
-            num_pipelines=int(data.get("num_pipelines", 4)),
-            max_iterations=int(data.get("max_iterations", 30)),
-        )
 
 
 def generate_jobs(config: FleetSoakConfig) -> List[Job]:
@@ -206,7 +186,7 @@ def generate_kills(config: FleetSoakConfig) -> List[ReplicaKill]:
 
 
 @dataclass
-class FleetSoakResult:
+class FleetSoakResult(Wire):
     """Config + report of one soak (what ``repro fleet run`` serialises)."""
 
     config: FleetSoakConfig
@@ -242,16 +222,15 @@ class FleetSoakResult:
             data["autoscale"] = dict(self.autoscale)
         return data
 
-    @staticmethod
-    def from_dict(data: dict) -> "FleetSoakResult":
-        return FleetSoakResult(
-            config=FleetSoakConfig.from_dict(data["soak_config"]),
-            report=FleetReport.from_dict(data["report"]),
-            kills=[ReplicaKill.from_dict(k) for k in data.get("kills", [])],
-            perf=dict(data.get("perf", {})),
-            recovery=dict(data.get("recovery", {})),
-            autoscale=dict(data.get("autoscale", {})),
-        )
+    @classmethod
+    def from_dict(
+        cls, data, what: str = "FleetSoakResult"
+    ) -> "FleetSoakResult":
+        # ``config`` is written under the key ``soak_config``.
+        fields = decode(dict, data, what)
+        if "soak_config" in fields:
+            fields["config"] = fields.pop("soak_config")
+        return super().from_dict(fields, what)
 
 
 def run_fleet_soak(

@@ -82,19 +82,6 @@ class CampaignConfig:
             "max_iterations": self.max_iterations,
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "CampaignConfig":
-        return CampaignConfig(
-            seed=int(data.get("seed", 0)),
-            cells=int(data.get("cells", 50)),
-            devices=tuple(data.get("devices", ("U280", "U50"))),
-            apps=tuple(data.get("apps", CAMPAIGN_APPS)),
-            intensity=str(data.get("intensity", "moderate")),
-            buffer_vertices=int(data.get("buffer_vertices", 256)),
-            num_pipelines=int(data.get("num_pipelines", 4)),
-            max_iterations=int(data.get("max_iterations", 30)),
-        )
-
 
 def _graph_spec(rng: np.random.Generator, app: str) -> GraphSpec:
     kind = GRAPH_KINDS[int(rng.integers(len(GRAPH_KINDS)))]

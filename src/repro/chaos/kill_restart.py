@@ -94,17 +94,6 @@ class KillRestartConfig:
             "fsync": self.fsync,
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "KillRestartConfig":
-        return KillRestartConfig(
-            soak=FleetSoakConfig.from_dict(data.get("soak", {})),
-            crashes=int(data.get("crashes", 2)),
-            storage_faults=tuple(
-                StorageFault(**f) for f in data.get("storage_faults", [])
-            ),
-            fsync=bool(data.get("fsync", True)),
-        )
-
 
 @dataclass
 class KillRestartResult:

@@ -110,18 +110,6 @@ class ServeKillConfig:
             "fsync": self.fsync,
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "ServeKillConfig":
-        fault = data.get("storage_fault")
-        return ServeKillConfig(
-            soak=FleetSoakConfig.from_dict(data.get("soak", {})),
-            crash_after_results=int(data.get("crash_after_results", 3)),
-            storage_fault=(
-                StorageFault(**fault) if fault is not None else None
-            ),
-            fsync=bool(data.get("fsync", True)),
-        )
-
 
 @dataclass
 class ServeKillResult:

@@ -11,25 +11,21 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.errors import UserInputError
 from repro.faults.plan import FaultPlan
 from repro.graph.coo import MAX_VERTICES, Graph
-from repro.utils.validation import (
-    check_mapping,
-    check_max_iterations,
-    wire_bool,
-    wire_int,
-)
+from repro.utils.validation import check_max_iterations
+from repro.utils.wire import Wire
 
 #: Generator families a cell may draw its graph from.
 GRAPH_KINDS = ("rmat", "powerlaw", "uniform")
 
 
 @dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(Wire):
     """A graph described by its generator inputs, not its edges.
 
     ``build()`` is deterministic: the same spec always yields the same
@@ -123,18 +119,6 @@ class GraphSpec:
             "weighted": self.weighted,
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "GraphSpec":
-        check_mapping("graph", data)
-        return GraphSpec(
-            kind=str(data["kind"]),
-            vertices=wire_int("graph vertices", data["vertices"]),
-            edges=wire_int("graph edges", data["edges"]),
-            seed=wire_int("graph seed", data["seed"]),
-            exponent=float(data.get("exponent", 1.8)),
-            weighted=wire_bool("graph weighted", data.get("weighted", False)),
-        )
-
 
 def check_root(root: int, graph: GraphSpec) -> None:
     """Reject a root outside ``[0, graph.vertices)`` before anything
@@ -147,7 +131,7 @@ def check_root(root: int, graph: GraphSpec) -> None:
 
 
 @dataclass(frozen=True)
-class CellSpec:
+class CellSpec(Wire):
     """One campaign cell: everything needed to re-execute it exactly."""
 
     cell_id: str
@@ -166,17 +150,7 @@ class CellSpec:
 
     def with_plan(self, plan: FaultPlan) -> "CellSpec":
         """The same cell under a different fault plan (used by shrinking)."""
-        return CellSpec(
-            cell_id=self.cell_id,
-            device=self.device,
-            app=self.app,
-            graph=self.graph,
-            fault_plan=plan,
-            root=self.root,
-            max_iterations=self.max_iterations,
-            buffer_vertices=self.buffer_vertices,
-            num_pipelines=self.num_pipelines,
-        )
+        return replace(self, fault_plan=plan)
 
     def to_dict(self) -> dict:
         return {
@@ -190,20 +164,3 @@ class CellSpec:
             "buffer_vertices": self.buffer_vertices,
             "num_pipelines": self.num_pipelines,
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "CellSpec":
-        max_iterations = data.get("max_iterations", 30)
-        return CellSpec(
-            cell_id=str(data["cell_id"]),
-            device=str(data["device"]),
-            app=str(data["app"]),
-            graph=GraphSpec.from_dict(data["graph"]),
-            fault_plan=FaultPlan.from_dict(data.get("fault_plan", {})),
-            root=int(data.get("root", 0)),
-            max_iterations=(
-                None if max_iterations is None else int(max_iterations)
-            ),
-            buffer_vertices=int(data.get("buffer_vertices", 256)),
-            num_pipelines=int(data.get("num_pipelines", 4)),
-        )

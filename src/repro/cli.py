@@ -445,10 +445,10 @@ def _chaos_replay(args) -> int:
 
     bundle = load_bundle(args.bundle)
     cell = bundle["cell"]
-    shrink = bundle.get("shrink")
-    print(f"replaying {cell['cell_id']}: {cell['app']} on "
-          f"{cell['device']} ({cell['graph']['kind']} graph, "
-          f"{cell['graph']['vertices']} vertices)")
+    shrink = bundle["shrink"]
+    print(f"replaying {cell.cell_id}: {cell.app} on "
+          f"{cell.device} ({cell.graph.kind} graph, "
+          f"{cell.graph.vertices} vertices)")
     if shrink:
         print(f"shrunk plan: {shrink['original_events']} -> "
               f"{shrink['shrunk_events']} fault event(s) "
@@ -809,20 +809,30 @@ def _fleet_resume(args) -> int:
 
 def _print_perf_stats(perf: dict) -> None:
     """Placement-probe line for a soak (silent when none ran)."""
-    placement = perf.get("placement")
-    if placement and placement.get("probes", 0):
+    from typing import Dict
+
+    from repro.utils.wire import decode
+
+    placement = decode(
+        Dict[str, int], perf.get("placement", {}), "perf.placement"
+    )
+    if placement.get("probes", 0):
         print(f"placement probes: {placement['probes']} what-if probes")
 
 
 def _print_autoscale_stats(autoscale: dict) -> None:
     """Autoscaler side-channel lines (silent when not attached)."""
+    from repro.fleet.autoscale import AutoscaleStats
+    from repro.utils.wire import decode
+
     if not autoscale:
         return
-    p99 = autoscale.get("p99_latency_seconds")
-    print(f"autoscaler: {autoscale.get('spawned', 0)} spawned / "
-          f"{autoscale.get('retired', 0)} retired"
+    autoscale = decode(AutoscaleStats, autoscale, "autoscale")
+    p99 = autoscale["p99_latency_seconds"]
+    print(f"autoscaler: {autoscale['spawned']} spawned / "
+          f"{autoscale['retired']} retired"
           + (f", p99 latency {p99 * 1e3:.2f} ms" if p99 else ""))
-    for decision in autoscale.get("decisions", []):
+    for decision in autoscale["decisions"]:
         print(f"  {decision['action']}: {decision['replica_id']} "
               f"at t={decision['time'] * 1e3:.2f} ms")
 
@@ -863,15 +873,10 @@ def _load_fleet_report(path):
         raise UserInputError(
             f"fleet report {path} does not contain a report object"
         )
-    try:
-        if "report" in data:
-            result = FleetSoakResult.from_dict(data)
-            return result.report, result.perf, result.autoscale
-        return FleetReport.from_dict(data), {}, {}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise UserInputError(
-            f"fleet report {path} is malformed: {exc!r}"
-        ) from exc
+    if "report" in data:
+        result = FleetSoakResult.from_dict(data, f"fleet report {path}")
+        return result.report, result.perf, result.autoscale
+    return FleetReport.from_dict(data, f"fleet report {path}"), {}, {}
 
 
 def _fleet_status(args) -> int:

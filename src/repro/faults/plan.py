@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.errors import UserInputError
-from repro.utils.validation import check_mapping, wire_bool, wire_int
+from repro.utils.wire import Wire
 
 
 def _check_channel(fault) -> None:
     """Shared checks of the channel-addressed faults."""
-    if wire_int("channel", fault.channel) < 0:
+    if fault.channel < 0:
         raise UserInputError(
             f"channel must be >= 0, got {fault.channel}"
         )
@@ -114,7 +114,6 @@ class BitFlipFault:
 
     def __post_init__(self):
         _check_probability(self)
-        wire_bool("detectable", self.detectable)
         _check_onset(self)
 
 
@@ -129,15 +128,13 @@ class PipelineStallFault:
     """
 
     probability: float
-    pipeline: int = None
+    pipeline: Optional[int] = None
     onset_cycle: float = 0.0
 
     def __post_init__(self):
         _check_probability(self)
         _check_onset(self)
-        if self.pipeline is not None and wire_int(
-            "pipeline", self.pipeline
-        ) < 0:
+        if self.pipeline is not None and self.pipeline < 0:
             raise UserInputError(
                 f"pipeline must be None or >= 0, got {self.pipeline}"
             )
@@ -175,19 +172,19 @@ class StorageFault:
 
     def __post_init__(self):
         if self.kind not in STORAGE_FAULT_KINDS:
-            raise ValueError(
+            raise UserInputError(
                 f"storage fault kind must be one of {STORAGE_FAULT_KINDS}, "
                 f"got {self.kind!r}"
             )
         if self.target not in STORAGE_FAULT_TARGETS:
-            raise ValueError(
+            raise UserInputError(
                 f"storage fault target must be one of "
                 f"{STORAGE_FAULT_TARGETS}, got {self.target!r}"
             )
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Wire):
     """The full fault configuration of one run (deterministic via seed)."""
 
     seed: int = 0
@@ -198,7 +195,7 @@ class FaultPlan:
     storage: Tuple[StorageFault, ...] = ()
 
     def __post_init__(self):
-        if wire_int("fault plan seed", self.seed) < 0:
+        if self.seed < 0:
             raise UserInputError(
                 f"fault plan seed must be >= 0, got {self.seed}"
             )
@@ -254,23 +251,3 @@ class FaultPlan:
             # stay byte-identical (chaos bundle digests include them).
             data["storage"] = [asdict(f) for f in self.storage]
         return data
-
-    @staticmethod
-    def from_dict(data: dict) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_dict` output."""
-        check_mapping("fault_plan", data)
-
-        def faults(key: str, cls) -> tuple:
-            return tuple(
-                cls(**check_mapping(f"fault_plan.{key}[]", f))
-                for f in data.get(key, [])
-            )
-
-        return FaultPlan(
-            seed=data.get("seed", 0),
-            dead_channels=faults("dead_channels", DeadChannelFault),
-            latency_spikes=faults("latency_spikes", LatencySpikeFault),
-            bit_flips=faults("bit_flips", BitFlipFault),
-            stalls=faults("stalls", PipelineStallFault),
-            storage=faults("storage", StorageFault),
-        )

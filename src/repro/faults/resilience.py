@@ -51,10 +51,11 @@ from repro.errors import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.utils.wire import Wire
 
 
 @dataclass(frozen=True)
-class ResiliencePolicy:
+class ResiliencePolicy(Wire):
     """Tunables of the resilient execution layer.
 
     Every field is validated at construction: a policy that could loop
@@ -144,11 +145,6 @@ class ResiliencePolicy:
     def to_dict(self) -> dict:
         """JSON-serialisable description (used by chaos repro bundles)."""
         return asdict(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "ResiliencePolicy":
-        """Rebuild a policy from :meth:`to_dict` output."""
-        return ResiliencePolicy(**data)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, TypedDict
 
 from repro.errors import UserInputError
 
@@ -127,9 +127,26 @@ class AutoscalePolicy:
             "latency_window": self.latency_window,
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "AutoscalePolicy":
-        return AutoscalePolicy(**dict(data))
+
+class AutoscaleDecision(TypedDict):
+    """One scale-up / scale-down of the decision trace."""
+
+    action: str
+    replica_id: str
+    time: float
+
+
+class AutoscaleStats(TypedDict):
+    """:meth:`Autoscaler.stats`, as a soak report file carries it."""
+
+    policy: dict
+    spawned: int
+    retired: int
+    p99_latency_seconds: Optional[float]
+    breach_streak: int
+    idle_streak: int
+    draining_down: List[str]
+    decisions: List[AutoscaleDecision]
 
 
 class Autoscaler:
@@ -278,7 +295,7 @@ class Autoscaler:
         self.retired += 1
 
     # -- reporting ------------------------------------------------------
-    def stats(self) -> dict:
+    def stats(self) -> AutoscaleStats:
         """Side-channel snapshot for CLI / health surfaces."""
         return {
             "policy": self.policy.to_dict(),

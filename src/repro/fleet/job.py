@@ -21,11 +21,8 @@ from repro.chaos.spec import GraphSpec, check_root
 from repro.errors import UserInputError
 from repro.faults.plan import FaultPlan
 from repro.graph.coo import EDGE_BYTES, VERTEX_WORD_BYTES
-from repro.utils.validation import (
-    check_mapping,
-    check_max_iterations,
-    wire_int,
-)
+from repro.utils.validation import check_max_iterations
+from repro.utils.wire import Wire
 
 #: Apps a fleet job may request (each has a chaos conformance oracle).
 FLEET_APPS = CAMPAIGN_APPS
@@ -38,7 +35,7 @@ JOB_STATUSES = ("completed", "rejected", "failed")
 
 
 @dataclass(frozen=True)
-class Job:
+class Job(Wire):
     """One graph-analytics request submitted to the fleet."""
 
     job_id: str
@@ -111,29 +108,9 @@ class Job:
             "fault_plan": self.fault_plan.to_dict(),
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "Job":
-        check_mapping("job", data)
-        max_iterations = data.get("max_iterations", 20)
-        deadline = data.get("deadline_seconds")
-        return Job(
-            job_id=str(data["job_id"]),
-            app=str(data["app"]),
-            graph=GraphSpec.from_dict(data["graph"]),
-            root=wire_int("root", data.get("root", 0)),
-            max_iterations=(
-                None if max_iterations is None
-                else wire_int("max_iterations", max_iterations)
-            ),
-            priority=wire_int("priority", data.get("priority", 0)),
-            deadline_seconds=None if deadline is None else float(deadline),
-            submit_time=float(data.get("submit_time", 0.0)),
-            fault_plan=FaultPlan.from_dict(data.get("fault_plan", {})),
-        )
-
 
 @dataclass
-class JobResult:
+class JobResult(Wire):
     """Terminal outcome of one job (exactly one per submitted job)."""
 
     job_id: str
@@ -197,23 +174,3 @@ class JobResult:
             "hedged": self.hedged,
             "deadline_seconds": self.deadline_seconds,
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "JobResult":
-        deadline = data.get("deadline_seconds")
-        return JobResult(
-            job_id=str(data["job_id"]),
-            status=str(data["status"]),
-            replica_id=str(data.get("replica_id", "")),
-            attempts=int(data.get("attempts", 0)),
-            submit_time=float(data.get("submit_time", 0.0)),
-            start_time=float(data.get("start_time", 0.0)),
-            finish_time=float(data.get("finish_time", 0.0)),
-            error_type=str(data.get("error_type", "")),
-            detail=str(data.get("detail", "")),
-            violations=list(data.get("violations", [])),
-            result_digest=str(data.get("result_digest", "")),
-            iterations=int(data.get("iterations", 0)),
-            hedged=bool(data.get("hedged", False)),
-            deadline_seconds=None if deadline is None else float(deadline),
-        )

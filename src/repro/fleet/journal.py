@@ -51,6 +51,7 @@ from repro.durable import (  # noqa: F401
 )
 from repro.durable import Record as JournalRecord
 from repro.errors import UserInputError
+from repro.utils.wire import decode
 
 #: Journal line-format identifier; bump on incompatible layout changes.
 JOURNAL_SCHEMA = "regraph-fleet-journal/v1"
@@ -162,17 +163,31 @@ class JournalProjection:
         }
 
 
+def _read(record: JournalRecord, key: str, tp, default=None, node=None):
+    """Field ``key`` of a record's payload (or of ``node`` inside it),
+    decoded as ``tp``; ``default`` stands in for an absent key."""
+    node = record.payload if node is None else node
+    return decode(
+        tp, node.get(key, default),
+        f"journal record {record.seq} ({record.type}) {key}",
+    )
+
+
 def project_journal(records: List[JournalRecord]) -> JournalProjection:
     """Fold intact records into the last-known runtime state.
 
     Tolerant by design: quarantined (missing) records merely leave the
     projection slightly stale, which is acceptable because replay — not
-    the projection — is what rebuilds authoritative state.
+    the projection — is what rebuilds authoritative state.  A verified
+    record whose fields have the wrong JSON types is a typed error.
     """
     view = JournalProjection()
     for record in records:
         payload = record.payload
         rtype = record.type
+        if rtype in ("reject", "result"):
+            result = _read(record, "result", dict, {})
+            job_id = _read(record, "job_id", str, "", result)
         if rtype == "run-begin":
             if view.run_begin is None:
                 view.run_begin = payload
@@ -184,32 +199,35 @@ def project_journal(records: List[JournalRecord]) -> JournalProjection:
             view.inflight.clear()
             view.replicas.clear()
         elif rtype == "admit":
-            view.queued[payload["job_id"]] = payload.get("job", {})
+            view.queued[_read(record, "job_id", str)] = _read(
+                record, "job", dict, {}
+            )
         elif rtype == "reject":
-            result = payload.get("result", {})
-            view.rejected[result.get("job_id", "")] = result
+            view.rejected[job_id] = result
         elif rtype == "dispatch":
-            view.inflight[payload["job_id"]] = {
-                "replica_id": payload.get("replica_id", ""),
-                "attempt": payload.get("attempt", 0),
-                "kind": payload.get("kind", ""),
-                "time": payload.get("time", 0.0),
+            view.inflight[_read(record, "job_id", str)] = {
+                "replica_id": _read(record, "replica_id", str, ""),
+                "attempt": _read(record, "attempt", int, 0),
+                "kind": _read(record, "kind", str, ""),
+                "time": _read(record, "time", float, 0.0),
             }
         elif rtype == "attempt-end":
-            view.inflight.pop(payload.get("job_id", ""), None)
+            view.inflight.pop(_read(record, "job_id", str, ""), None)
         elif rtype == "kill":
-            entry = view.replicas.setdefault(payload.get("replica_id", ""), {})
+            entry = view.replicas.setdefault(
+                _read(record, "replica_id", str, ""), {}
+            )
             entry["state"] = "RETIRED"
-            entry["reason"] = payload.get("reason", "killed")
+            entry["reason"] = _read(record, "reason", str, "killed")
         elif rtype == "replica-state":
-            entry = view.replicas.setdefault(payload.get("replica_id", ""), {})
-            entry["state"] = payload.get("state", "")
-            entry["reason"] = payload.get("reason", "")
+            entry = view.replicas.setdefault(
+                _read(record, "replica_id", str, ""), {}
+            )
+            entry["state"] = _read(record, "state", str, "")
+            entry["reason"] = _read(record, "reason", str, "")
             if "breakers" in payload:
-                entry["breakers"] = payload["breakers"]
+                entry["breakers"] = _read(record, "breakers", dict)
         elif rtype == "result":
-            result = payload.get("result", {})
-            job_id = result.get("job_id", "")
             view.results[job_id] = result
             view.inflight.pop(job_id, None)
         elif rtype == "run-end":

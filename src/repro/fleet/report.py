@@ -11,22 +11,30 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, TypedDict
 
-from repro.errors import UserInputError
 from repro.fleet.job import JobResult
+from repro.utils.wire import Wire, decode
 
-#: The JSON type of every field of a :meth:`Replica.to_dict` row.
-_REPLICA_FIELDS = {
-    "replica_id": str, "device": str, "state": str, "retired_reason": str,
-    "jobs_completed": int, "jobs_failed": int, "consecutive_failures": int,
-    "canaries_run": int, "repairs": int, "open_breakers": int,
-    "killed": bool,
-}
+
+class ReplicaRow(TypedDict):
+    """One :meth:`Replica.to_dict` row of a report (the CLI prints it)."""
+
+    replica_id: str
+    device: str
+    state: str
+    jobs_completed: int
+    jobs_failed: int
+    consecutive_failures: int
+    canaries_run: int
+    repairs: int
+    killed: bool
+    retired_reason: str
+    open_breakers: int
 
 
 @dataclass(frozen=True)
-class AssignmentRecord:
+class AssignmentRecord(Wire):
     """One dispatch decision (the failover-determinism property's log).
 
     ``kind`` is ``"primary"`` (first attempt), ``"requeue"`` (failover
@@ -51,30 +59,6 @@ class AssignmentRecord:
             "kind": self.kind,
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "AssignmentRecord":
-        return AssignmentRecord(
-            seq=int(data["seq"]),
-            time=float(data["time"]),
-            job_id=str(data["job_id"]),
-            replica_id=str(data["replica_id"]),
-            attempt=int(data["attempt"]),
-            kind=str(data["kind"]),
-        )
-
-
-def _replica_row(data) -> dict:
-    """A stored replica row, type-checked (no ``bool`` for ``int``): the
-    CLI prints it, so a bad field is a malformed report, not a crash."""
-    row = dict(data)
-    for name, kind in _REPLICA_FIELDS.items():
-        if type(row.get(name)) is not kind:
-            raise UserInputError(
-                f"replica row field {name!r} must be a {kind.__name__}, "
-                f"got {row.get(name)!r}"
-            )
-    return row
-
 
 def _percentile(sorted_values: List[float], fraction: float) -> float:
     """Nearest-rank percentile over an already-sorted list."""
@@ -85,12 +69,12 @@ def _percentile(sorted_values: List[float], fraction: float) -> float:
 
 
 @dataclass
-class FleetReport:
+class FleetReport(Wire):
     """Everything one fleet run produced."""
 
     config: dict = field(default_factory=dict)
     jobs: List[JobResult] = field(default_factory=list)
-    replicas: List[dict] = field(default_factory=list)
+    replicas: List[ReplicaRow] = field(default_factory=list)
     assignments: List[AssignmentRecord] = field(default_factory=list)
     admission: dict = field(default_factory=dict)
     #: Fleet-level counters: failovers, hedges, hedge wins, canaries...
@@ -172,20 +156,12 @@ class FleetReport:
             },
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "FleetReport":
-        return FleetReport(
-            config=dict(data.get("config", {})),
-            jobs=[JobResult.from_dict(j) for j in data.get("jobs", [])],
-            replicas=[_replica_row(r) for r in data.get("replicas", [])],
-            assignments=[
-                AssignmentRecord.from_dict(a)
-                for a in data.get("assignments", [])
-            ],
-            admission=dict(data.get("admission", {})),
-            counters=dict(data.get("counters", {})),
-            makespan_seconds=float(data.get("makespan_seconds", 0.0)),
-        )
+    @classmethod
+    def from_dict(cls, data, what: str = "FleetReport") -> "FleetReport":
+        # ``summary`` is derived from the other fields on every to_dict.
+        fields = decode(dict, data, what)
+        fields.pop("summary", None)
+        return super().from_dict(fields, what)
 
     def digest(self) -> str:
         """SHA-256 over canonical JSON (bit-reproducibility contract)."""

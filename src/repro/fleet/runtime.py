@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, TypedDict, Union
 
 from repro.apps.registry import get_app_spec
 from repro.chaos.spec import CellSpec, GraphSpec
@@ -81,10 +81,11 @@ from repro.fleet.report import AssignmentRecord, FleetReport
 from repro.fleet.store import ResultIndex, ResultStore
 from repro.graph.coo import Graph
 from repro.runtime.host import HostTimingConfig, VirtualClock
+from repro.utils.wire import Wire, decode
 
 
 @dataclass(frozen=True)
-class FleetPolicy:
+class FleetPolicy(Wire):
     """Tunables of the fleet serving runtime (validated on construction)."""
 
     #: Jobs allowed to wait; deeper backlogs are shed with a typed error.
@@ -207,22 +208,9 @@ class FleetPolicy:
             "resilience": self.resilience.to_dict(),
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "FleetPolicy":
-        data = dict(data)
-        resilience = data.pop("resilience", None)
-        return FleetPolicy(
-            **data,
-            **(
-                {"resilience": ResiliencePolicy.from_dict(resilience)}
-                if resilience is not None
-                else {}
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class ReplicaKill:
+class ReplicaKill(Wire):
     """A fleet-level chaos event: ``replica_id`` dies at ``at_seconds``."""
 
     replica_id: str
@@ -236,13 +224,6 @@ class ReplicaKill:
 
     def to_dict(self) -> dict:
         return {"replica_id": self.replica_id, "at_seconds": self.at_seconds}
-
-    @staticmethod
-    def from_dict(data: dict) -> "ReplicaKill":
-        return ReplicaKill(
-            replica_id=str(data["replica_id"]),
-            at_seconds=float(data["at_seconds"]),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -1170,23 +1151,14 @@ class FleetRuntime:
                 "the input batch is unrecoverable (was the journal "
                 "attached before run() was called?)"
             )
-        try:
-            policy = FleetPolicy.from_dict(begin["policy"])
-            pool_spec = [dict(spec) for spec in begin["pool"]]
-            jobs = [Job.from_dict(j) for j in begin["jobs"]]
-            kills = [ReplicaKill.from_dict(k) for k in begin["kills"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UserInputError(
-                f"journal {journal_path} run-begin record is malformed: "
-                f"{exc!r}"
-            ) from exc
+        begin = decode(RunBegin, begin, f"journal {journal_path} run-begin")
         return RecoveredFleet(
             journal_path=journal_path,
             store_path=Path(store_path) if store_path is not None else None,
-            policy=policy,
-            pool_spec=pool_spec,
-            jobs=jobs,
-            kills=kills,
+            policy=begin["policy"],
+            pool_spec=begin["pool"],
+            jobs=begin["jobs"],
+            kills=begin["kills"],
             projection=projection,
             repair=repair,
         )
@@ -1232,6 +1204,25 @@ class FleetRuntime:
         )
 
 
+class PoolEntry(TypedDict):
+    """One replica of a journal ``run-begin`` pool recipe."""
+
+    replica_id: str
+    device: str
+    buffer_vertices: int
+    num_pipelines: int
+    timing: HostTimingConfig
+
+
+class RunBegin(TypedDict):
+    """The journal ``run-begin`` record: the whole input batch."""
+
+    policy: FleetPolicy
+    pool: List[PoolEntry]
+    jobs: List[Job]
+    kills: List[ReplicaKill]
+
+
 @dataclass
 class RecoveredFleet:
     """Everything :meth:`FleetRuntime.recover` pulled off disk.
@@ -1249,7 +1240,7 @@ class RecoveredFleet:
     journal_path: Path
     store_path: Optional[Path]
     policy: FleetPolicy
-    pool_spec: List[dict]
+    pool_spec: List[PoolEntry]
     jobs: List[Job]
     kills: List[ReplicaKill]
     projection: JournalProjection
@@ -1264,9 +1255,9 @@ class RecoveredFleet:
             make_replica(
                 spec["replica_id"],
                 spec["device"],
-                buffer_vertices=int(spec["buffer_vertices"]),
-                num_pipelines=int(spec["num_pipelines"]),
-                timing=HostTimingConfig.from_dict(spec["timing"]),
+                buffer_vertices=spec["buffer_vertices"],
+                num_pipelines=spec["num_pipelines"],
+                timing=spec["timing"],
             )
             for spec in self.pool_spec
         ]
@@ -1283,8 +1274,10 @@ class RecoveredFleet:
         re-attached.  ``halt_after_events`` lets chaos kill the resumed
         run again; the next ``recover`` picks up from the same files.
         """
-        # The store opens first: a store it cannot read is refused
-        # before the journal gains a ``recover`` record.
+        # The pool and the store come first: a pool recipe or a store
+        # it cannot use is refused before the journal gains a
+        # ``recover`` record.
+        pool = self.build_pool()
         store = (
             ResultStore(self.store_path, fsync=fsync)
             if self.store_path is not None
@@ -1298,7 +1291,7 @@ class RecoveredFleet:
             "truncated_bytes": self.repair.truncated_bytes,
         })
         self.runtime = FleetRuntime(
-            self.build_pool(),
+            pool,
             policy=self.policy,
             journal=journal,
             store=store,

@@ -64,7 +64,7 @@ class ResultIndex:
 
     def load(self, payload: dict) -> None:
         """Fold in the payload of one ``result`` record read at open."""
-        result = JobResult.from_dict(payload["result"])
+        result = JobResult.from_dict(payload.get("result"), "result record")
         if result.job_id in self._results:
             self.duplicates_on_disk += 1
             return

@@ -33,6 +33,7 @@ from repro.errors import (
 )
 from repro.graph.coo import VERTEX_WORD_BYTES, Graph
 from repro.hbm.capacity import CHANNEL_CAPACITY_BYTES, fits_hbm
+from repro.utils.wire import Wire
 
 #: Modelled one-time xclbin programming latency (seconds).
 PROGRAMMING_SECONDS = 2.5
@@ -42,15 +43,9 @@ PCIE_BYTES_PER_SECOND = 12e9
 
 
 @dataclass(frozen=True)
-class HostTimingConfig:
-    """Per-handle host-side timing knobs.
-
-    Historically :data:`PROGRAMMING_SECONDS` and
-    :data:`PCIE_BYTES_PER_SECOND` were module constants, which forced
-    fleet tests and benchmarks to monkeypatch them; the module constants
-    remain as the defaults, but every :class:`AcceleratorHandle` now
-    carries its own instance.
-    """
+class HostTimingConfig(Wire):
+    """Per-handle host-side timing knobs (defaults: the module's
+    :data:`PROGRAMMING_SECONDS` and :data:`PCIE_BYTES_PER_SECOND`)."""
 
     programming_seconds: float = PROGRAMMING_SECONDS
     pcie_bytes_per_second: float = PCIE_BYTES_PER_SECOND
@@ -84,17 +79,6 @@ class HostTimingConfig:
             "programming_seconds": self.programming_seconds,
             "pcie_bytes_per_second": self.pcie_bytes_per_second,
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "HostTimingConfig":
-        return HostTimingConfig(
-            programming_seconds=float(
-                data.get("programming_seconds", PROGRAMMING_SECONDS)
-            ),
-            pcie_bytes_per_second=float(
-                data.get("pcie_bytes_per_second", PCIE_BYTES_PER_SECOND)
-            ),
-        )
 
 
 class VirtualClock:

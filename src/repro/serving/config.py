@@ -80,17 +80,6 @@ class TenantSpec:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "TenantSpec":
-        rate = data.get("rate_jobs_per_second")
-        return TenantSpec(
-            name=str(data["name"]),
-            api_key=str(data["api_key"]),
-            rate_jobs_per_second=None if rate is None else float(rate),
-            rate_burst=int(data.get("rate_burst", 8)),
-            max_pending=int(data.get("max_pending", 64)),
-        )
-
-    @staticmethod
     def parse(spec: str) -> "TenantSpec":
         """``NAME:KEY[:RATE[:BURST]]`` (the ``--tenant`` CLI syntax)."""
         parts = spec.split(":")

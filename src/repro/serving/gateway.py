@@ -140,6 +140,7 @@ class ServingGateway:
         merged: Dict[int, tuple] = {
             seq: (tenant, payload) for seq, tenant, payload in scanned
         }
+        lost: List[int] = []
         if self.config.traffic_path:
             try:
                 bundle = read_traffic(self.config.traffic_path)
@@ -147,18 +148,23 @@ class ServingGateway:
                 bundle = None  # never recorded: the store is the WAL
             if bundle is not None:
                 for seq, tenant, payload in bundle.accepts:
-                    if seq in merged:
-                        continue
-                    # The store lost this accept (crash or storage
-                    # fault); the bundle copy restores it under its
-                    # original sequence number.
-                    merged[seq] = (tenant, payload)
-                    self.store.append_job(tenant, payload, seq=seq)
-                    self.recovery_stats["accepts_merged_from_traffic"] += 1
+                    if seq not in merged:
+                        merged[seq] = (tenant, payload)
+                        lost.append(seq)
+        # Every accept decodes before anything is written or replayed,
+        # so a malformed one refuses the resume and both files keep
+        # their bytes.
+        jobs = [
+            Job.from_dict(merged[seq][1], f"accept {seq} job")
+            for seq in sorted(merged)
+        ]
+        for seq in lost:
+            # The store lost this accept (crash or storage fault); the
+            # bundle copy restores it under its original sequence number.
+            self.store.append_job(*merged[seq], seq=seq)
+        self.recovery_stats["accepts_merged_from_traffic"] = len(lost)
         self.recovery_stats["accepts_restored"] = len(merged)
-        for seq in sorted(merged):
-            _, payload = merged[seq]
-            job = Job.from_dict(payload)
+        for job in jobs:
             self.store.put_result(self.session.execute(job))
         # The store's index suppressed and cross-checked every result
         # that was already durable.
@@ -223,12 +229,7 @@ class ServingGateway:
             raise ServingDrainingError(
                 "gateway is draining; new submissions are not accepted"
             )
-        try:
-            job = Job.from_dict(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, UserInputError):
-                raise
-            raise UserInputError(f"bad job payload: {exc!r}") from exc
+        job = Job.from_dict(payload)
         job.fault_plan.check_topology(self.config.num_pipelines)
         if not any(
             PlacementEngine.holds(replica, job)

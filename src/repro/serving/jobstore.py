@@ -39,6 +39,7 @@ from repro.durable import ScanResult
 from repro.errors import UserInputError
 from repro.fleet.job import JobResult
 from repro.serving.traffic import AcceptLog, fold_records
+from repro.utils.wire import decode
 
 #: Store schema identifier; bump on incompatible layout changes.
 JOBSTORE_SCHEMA = "regraph-jobstore/v2"
@@ -121,7 +122,10 @@ class JobStore(AcceptLog):
         self.results = loaded.results
         self._outstanding: Dict[str, None] = {}
         for seq, _, payload in loaded.accepts:
-            self._index(str(payload["job_id"]), seq)
+            self._index(
+                decode(str, payload.get("job_id"), f"accept {seq} job_id"),
+                seq,
+            )
         self._scanned = loaded.accepts
 
     def _index(self, job_id: str, seq: int) -> None:

@@ -17,28 +17,37 @@ construction; no wall-clock timestamp ever reaches the kernel.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional
+from typing import List, Optional, TypedDict
 
 from repro.errors import UserInputError
 from repro.fleet.job import Job, JobResult
 from repro.fleet.replica import Replica, make_replica
 from repro.fleet.report import FleetReport
 from repro.fleet.runtime import FleetPolicy, FleetRuntime
+from repro.utils.wire import decode
 
 
-def build_pool(spec: dict) -> List[Replica]:
-    """Fresh replicas from a ``session_spec()`` dict (one per device)."""
-    devices = list(spec["devices"])
-    if not devices:
+class SessionSpec(TypedDict):
+    """A ``ServingConfig.session_spec()`` dict, as stored and recorded."""
+
+    devices: List[str]
+    buffer_vertices: int
+    num_pipelines: int
+    policy: FleetPolicy
+
+
+def build_pool(spec: SessionSpec) -> List[Replica]:
+    """Fresh replicas from a decoded session spec (one per device)."""
+    if not spec["devices"]:
         raise UserInputError("session spec names no devices")
     return [
         make_replica(
-            f"serve-{i}-{str(device).lower()}",
-            str(device),
-            buffer_vertices=int(spec["buffer_vertices"]),
-            num_pipelines=int(spec["num_pipelines"]),
+            f"serve-{i}-{device.lower()}",
+            device,
+            buffer_vertices=spec["buffer_vertices"],
+            num_pipelines=spec["num_pipelines"],
         )
-        for i, device in enumerate(devices)
+        for i, device in enumerate(spec["devices"])
     ]
 
 
@@ -46,14 +55,9 @@ class KernelSession:
     """Deterministic executor behind the wall-clock gateway."""
 
     def __init__(self, spec: dict):
-        self.spec = dict(spec)
-        policy = self.spec.get("policy")
-        self.policy = (
-            FleetPolicy.from_dict(policy)
-            if policy is not None
-            else FleetPolicy()
-        )
-        self.runtime = FleetRuntime(build_pool(self.spec), policy=self.policy)
+        spec = decode(SessionSpec, spec, "session spec")
+        self.policy = spec["policy"]
+        self.runtime = FleetRuntime(build_pool(spec), policy=self.policy)
         #: Jobs served so far, acceptance order, with the submit times
         #: the kernel actually used (the report input).
         self.served_jobs: List[Job] = []

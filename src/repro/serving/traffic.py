@@ -34,12 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, TypedDict, Union
 
 from repro.durable import ScanResult, SequencedLog, read_log
 from repro.errors import UserInputError
 from repro.fleet.job import JobResult
 from repro.fleet.store import ResultIndex
+from repro.utils.wire import decode
 
 #: Traffic-bundle schema identifier; bump on incompatible changes.
 TRAFFIC_SCHEMA = "regraph-traffic/v1"
@@ -58,6 +59,15 @@ TRAFFIC_RECORD_TYPES = (
 #: bundle's and the job store's first record, and the bundle's resume
 #: marker (which covers for a damaged ``traffic-begin``).
 _BEGIN_RECORD_TYPES = ("traffic-begin", "resume", "jobstore-begin")
+
+
+class AcceptRecord(TypedDict):
+    """The payload of an ``accept`` record."""
+
+    accept_seq: int
+    tenant: str
+    job: dict
+    wall: float
 
 
 class AcceptLog(SequencedLog):
@@ -191,20 +201,18 @@ def fold_records(scan: ScanResult, path: Union[str, Path]) -> TrafficBundle:
                 bundle.spec = payload.get("session")
         elif record.type == "accept":
             try:
-                seq = int(payload["accept_seq"])
-                job = dict(payload["job"])
-            except (KeyError, TypeError, ValueError):
+                accept = decode(AcceptRecord, payload, "accept record")
+            except UserInputError:
                 bundle.corrupt_lines += 1
                 continue
-            accepts.setdefault(
-                seq, (seq, str(payload.get("tenant", "")), job)
-            )
+            seq = accept["accept_seq"]
+            accepts.setdefault(seq, (seq, accept["tenant"], accept["job"]))
         elif record.type == "reject":
             bundle.rejects.append(dict(payload))
         elif record.type == "result":
             try:
                 bundle.results.load(payload)
-            except (KeyError, TypeError, ValueError):
+            except UserInputError:
                 bundle.corrupt_lines += 1
         elif record.type == "traffic-end":
             bundle.end = dict(payload)

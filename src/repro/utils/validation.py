@@ -6,8 +6,6 @@ defensive clutter while still failing loudly on misuse.
 
 from __future__ import annotations
 
-import numbers
-from collections.abc import Mapping
 from typing import Optional
 
 import numpy as np
@@ -49,30 +47,3 @@ def check_max_iterations(max_iterations: Optional[int]) -> None:
         raise UserInputError(
             f"max_iterations must be None or >= 1, got {max_iterations}"
         )
-
-
-def check_mapping(what: str, value) -> Mapping:
-    """Reject a non-mapping where a JSON object is expected (a served
-    payload field, say), so it is a typed 400 rather than an
-    ``AttributeError`` deep inside a ``from_dict``."""
-    if not isinstance(value, Mapping):
-        raise UserInputError(
-            f"{what} must be an object, got {type(value).__name__}"
-        )
-    return value
-
-
-def wire_int(what: str, value) -> int:
-    """A JSON integer field, taken only as an integer: ``int()`` would
-    turn ``2.9`` into 2, ``"2"`` into 2 and ``true`` into 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise UserInputError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def wire_bool(what: str, value) -> bool:
-    """A JSON boolean field, taken only as a boolean: ``bool()`` would
-    turn ``"false"`` into True."""
-    if not isinstance(value, bool):
-        raise UserInputError(f"{what} must be true or false, got {value!r}")
-    return value

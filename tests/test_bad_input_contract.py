@@ -1,18 +1,23 @@
 """Bad-input contract: a malformed request is refused, never a crash.
 
-Two front doors take untrusted numbers: the serving gateway's job
-payloads and the CLI's argv.  Each property starts from a tiny valid
-request and breaks one field at a time, drawing only values that are
-wrong: wrong types, NaN/inf, negatives, zero where at least one is
-required, and sizes beyond the admission bound.  A large *valid* value
-is never drawn: it would only scale the work (``--jobs`` even starts
-worker processes), and no test here may build an oversize graph.
+Three front doors take untrusted input: the serving gateway's job
+payloads, the CLI's argv and the files commands read back.  Each
+property starts from a valid request or a committed file and breaks one
+field at a time, drawing only values that are wrong: wrong types,
+NaN/inf, negatives, zero where at least one is required, and sizes
+beyond the admission bound.  A large *valid* value is never drawn: it
+would only scale the work (``--jobs`` even starts worker processes),
+and no test here may build an oversize graph.
 
 * A served payload either gets a 400 with nothing but the store's
   ``jobstore-begin`` record on disk, or it is accepted and finishes as a
   typed terminal :class:`~repro.fleet.job.JobResult`; the kernel worker
-  survives either way and serves the next valid job.
+  survives either way and serves the next valid job.  A value of the
+  wrong JSON type is always a 400.
 * A CLI invocation exits 0, 1, 2 or 3 and never prints a traceback.
+* A committed file under ``tests/fixtures/`` with one field of one
+  CRC-valid record broken is refused or served by every command that
+  reads it, under the CLI's exit codes; a refused file keeps its bytes.
 """
 
 from __future__ import annotations
@@ -23,8 +28,10 @@ import contextlib
 import copy
 import io
 import itertools
+import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -35,12 +42,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
-from repro.durable import read_log
+from repro.durable import Record, read_log
 from repro.errors import UserInputError
-from repro.fleet.job import JOB_STATUSES
+from repro.fleet.job import JOB_STATUSES, Job
 from repro.serving.config import ServingConfig, TenantSpec
 from repro.serving.gateway import ServingGateway
 from repro.serving.http import status_for
+
+from tests.test_golden_fixtures import FIXTURES_DIR, resume_gateway, sha256
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -63,7 +72,7 @@ NEGATIVE_FLOATS = st.floats(
 #: Any integer field: never a float (not even a whole one past the
 #: wire check), a string or a container.
 BAD_INT = WRONG_TYPES | NON_FINITE | st.sampled_from([2.5, True])
-BAD_FLOAT = WRONG_TYPES | NON_FINITE
+BAD_FLOAT = WRONG_TYPES | NON_FINITE | st.sampled_from([True, False])
 BAD_BOOL = WRONG_TYPES | st.sampled_from([0, 1, "false", 1.0])
 
 
@@ -172,6 +181,20 @@ PAYLOAD_FIELDS = {
     ("fault_plan", "stalls", 0, "onset_cycle"): "time>=0",
 }
 
+#: The JSON type each field kind takes; anything else is a 400.
+JSON_TYPES = {
+    "count>=1": (int,), "index>=0": (int,), "int": (int,),
+    "time>0": (int, float), "time>=0": (int, float),
+    "probability": (int, float), "factor>=1": (int, float),
+    "bool": (bool,), "str": (str,), "object": (dict,), "list": (list,),
+}
+
+#: Fields where ``null`` is a valid value, not a wrong type.
+NULLABLE = {
+    ("max_iterations",), ("deadline_seconds",),
+    ("fault_plan", "stalls", 0, "pipeline"),
+}
+
 #: The served pool's pipelines (``ServingConfig``'s default): pipeline
 #: ``g`` owns channels ``2g`` and ``2g + 1``.
 POOL_PIPELINES = 4
@@ -208,6 +231,17 @@ def mutated_payloads(draw):
         node = node[key]
     node[path[-1]] = draw(values)
     return path, payload
+
+
+def _wrong_json_type(path: tuple, payload: dict) -> bool:
+    """Whether the field at ``path`` holds a value of the wrong JSON
+    type (``true`` is not a number, nor ``2.0`` an integer)."""
+    value = payload
+    for key in path:
+        value = value[key]
+    if value is None:
+        return path not in NULLABLE
+    return type(value) not in JSON_TYPES[PAYLOAD_FIELDS[path]]
 
 
 def _outside_pool(path: tuple, payload: dict) -> bool:
@@ -268,7 +302,35 @@ _runs = itertools.count()
 def test_bad_payload_is_a_400_or_a_typed_result(case, tmp_path_factory):
     path, payload = case
     workdir = tmp_path_factory.mktemp(f"payload{next(_runs)}")
-    _serve_one(workdir, payload, refused=_outside_pool(path, payload))
+    _serve_one(workdir, payload, refused=(
+        _outside_pool(path, payload) or _wrong_json_type(path, payload)
+    ))
+
+
+@pytest.mark.parametrize("path, value", [
+    # Each was accepted, or a bare TypeError, before payloads were
+    # decoded from the Job declaration.
+    (("job_id",), 5),
+    (("submit_time",), None),
+    (("submit_time",), "1.5"),
+    (("fault_plan", "dead_channels", 0, "onset_cycle"), True),
+    (("fault_plan", "latency_spikes", 0, "duration_cycles"), None),
+    (("fault_plan", "stalls", 0, "probability"), None),
+    (("fault_plan", "bit_flips", 0, "probability"), "0.5"),
+    # Undeclared keys, at top level and inside a fault.
+    (("tenant",), "t"),
+    (("fault_plan", "stalls", 0, "channel"), 1),
+    (("graph", "directed"), True),
+], ids=str)
+def test_wrong_type_or_undeclared_key_is_a_400(path, value, tmp_path):
+    payload = copy.deepcopy(BASE_PAYLOAD)
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(UserInputError, match=str(path[-1])):
+        Job.from_dict(payload)  # the 400 names the field
+    _serve_one(tmp_path, payload, refused=True)
 
 
 @pytest.mark.parametrize("path", sorted(POOL_LIMITS), ids=lambda p: p[1])
@@ -434,8 +496,6 @@ def test_serve_pipelines_outside_the_device_exit_2():
 @pytest.fixture(scope="module")
 def fleet_report_json(tmp_path_factory) -> dict:
     """A real ``fleet run --report-json`` file, as parsed JSON."""
-    import json
-
     path = tmp_path_factory.mktemp("fleet") / "report.json"
     code, stderr = _run_cli(
         _base_argv("fleet run", path.parent) + ["--report-json", str(path)]
@@ -453,8 +513,6 @@ def fleet_report_json(tmp_path_factory) -> dict:
 def test_malformed_replica_row_exits_2(
     fleet_report_json, command, field, value, tmp_path
 ):
-    import json
-
     data = copy.deepcopy(fleet_report_json)
     data["report"]["replicas"][0][field] = value
     path = tmp_path / "report.json"
@@ -462,3 +520,196 @@ def test_malformed_replica_row_exits_2(
     code, stderr = _run_cli(["fleet", command, str(path)])
     assert code == 2, stderr
     assert field in stderr and "Traceback" not in stderr
+
+
+# ----------------------------------------------------------------------
+# Committed durable files, one field broken
+# ----------------------------------------------------------------------
+def _set(node, path: tuple, value) -> None:
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+def _nodes(node, path=()):
+    """The path of every value under ``node`` (itself excluded)."""
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+def _wrong_types(value) -> list:
+    """Values of every JSON type ``value`` does not have."""
+    if isinstance(value, bool):
+        return [0, "true", None]
+    if isinstance(value, int):
+        return [True, 2.5, "7", None]
+    if isinstance(value, float):
+        return [True, "0.5", None, [1.0]]
+    if isinstance(value, str):
+        return [5, 1e308, None, ["x"], {}]
+    if isinstance(value, list):
+        return ["x", 5, {}]
+    if isinstance(value, dict):
+        return ["x", 5, []]
+    return ["x", 1.5, [1], {"x": 1}]  # null
+
+
+def _mutate_log(path: Path, index: int, field: tuple, value) -> None:
+    """Break ``field`` of the ``index``-th record of a durable log and
+    re-encode the line's CRC, so the record still verifies."""
+    lines = path.read_text().splitlines(keepends=True)
+    fields = json.loads(lines[index])
+    _set(fields, ("payload",) + field, value)
+    lines[index] = Record(
+        fields["seq"], fields["type"], fields["payload"]
+    ).line()
+    path.write_text("".join(lines))
+
+
+def _mutate_json(path: Path, field: tuple, value) -> None:
+    data = json.loads(path.read_text())
+    _set(data, field, value)
+    path.write_text(json.dumps(data))
+
+
+def _log_fields(path: Path) -> list:
+    """(record index, payload field path) of every field of a log."""
+    return [
+        (index, field)
+        for index, line in enumerate(path.read_text().splitlines())
+        for field in _nodes(json.loads(line)["payload"])
+    ]
+
+
+def _resume_gateway(workdir: Path) -> int:
+    """Resume a gateway over ``workdir``: 0 served, 2 refused (typed)."""
+    try:
+        resume_gateway(workdir)
+    except UserInputError:
+        return 2
+    return 0
+
+
+#: target -> (fixture directory, mutated file, how the file is broken,
+#: the runs over the broken copy).  A run maps the copy's directory to
+#: ``(exit code, stderr)``.
+FILE_TARGETS = {
+    "traffic": ("traffic", "seed1.jsonl", "log", [
+        lambda d: _run_cli(["traffic", "replay", str(d / "seed1.jsonl")]),
+        lambda d: _run_cli(["traffic", "show", str(d / "seed1.jsonl")]),
+    ]),
+    "journal": ("fleet", "fleet.journal", "log", [
+        lambda d: _run_cli([
+            "fleet", "resume", str(d / "fleet.journal"),
+            "--store", str(d / "results.jsonl"), "--no-fsync",
+        ]),
+    ]),
+    "fleet-store": ("fleet", "results.jsonl", "log", [
+        lambda d: _run_cli([
+            "fleet", "resume", str(d / "fleet.journal"),
+            "--store", str(d / "results.jsonl"), "--no-fsync",
+        ]),
+    ]),
+    "report": ("fleet", "report.json", "json", [
+        lambda d: _run_cli(["fleet", "report", str(d / "report.json")]),
+        lambda d: _run_cli(["fleet", "status", str(d / "report.json")]),
+    ]),
+    "soak-report": ("fleet", "soak.json", "json", [
+        lambda d: _run_cli(["fleet", "report", str(d / "soak.json")]),
+        lambda d: _run_cli(["fleet", "status", str(d / "soak.json")]),
+    ]),
+    "chaos-bundle": ("chaos", "regress-0.repro.json", "json", [
+        lambda d: _run_cli(
+            ["chaos", "replay", str(d / "regress-0.repro.json")]
+        ),
+    ]),
+    "job-store": ("serve", "jobs.jsonl", "log", [
+        lambda d: (_resume_gateway(d), ""),
+    ]),
+    "serve-bundle": ("serve", "traffic.jsonl", "log", [
+        lambda d: (_resume_gateway(d), ""),
+    ]),
+}
+
+
+def _fields(target: str) -> list:
+    directory, name, layout, _ = FILE_TARGETS[target]
+    path = FIXTURES_DIR / directory / name
+    if layout == "log":
+        return _log_fields(path)
+    return [(None, field) for field in _nodes(json.loads(path.read_text()))]
+
+
+@st.composite
+def broken_files(draw):
+    """One field of one committed file, and a wrong-typed value."""
+    target = draw(st.sampled_from(sorted(FILE_TARGETS)))
+    index, field = draw(st.sampled_from(_fields(target)))
+    directory, name, layout, _ = FILE_TARGETS[target]
+    path = FIXTURES_DIR / directory / name
+    if layout == "log":
+        node = json.loads(path.read_text().splitlines()[index])["payload"]
+    else:
+        node = json.loads(path.read_text())
+    for key in field:
+        node = node[key]
+    return target, index, field, draw(st.sampled_from(_wrong_types(node)))
+
+
+def _run_broken(target, index, field, value, workdir: Path) -> int:
+    """Break one field of a copy of the target's fixture and run every
+    command over it; returns the first command's exit code."""
+    directory, name, layout, runs = FILE_TARGETS[target]
+    committed = {
+        p: sha256(p) for p in (FIXTURES_DIR / directory).iterdir()
+    }
+    workcopy = Path(
+        shutil.copytree(FIXTURES_DIR / directory, workdir / directory)
+    )
+    broken = workcopy / name
+    if layout == "log":
+        _mutate_log(broken, index, field, value)
+    else:
+        _mutate_json(broken, field, value)
+    codes = []
+    for run in runs:
+        before = sha256(broken)
+        code, stderr = run(workcopy)
+        assert code in (0, 1, 2, 3), (target, field, value, code, stderr)
+        assert "Traceback" not in stderr, (target, field, value, stderr)
+        if code == 2:
+            # A refused file keeps its bytes.
+            assert sha256(broken) == before, (target, field, value)
+        codes.append(code)
+    assert {p: sha256(p) for p in committed} == committed
+    return codes[0]
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=broken_files())
+def test_broken_committed_file_is_refused_or_served(case, tmp_path_factory):
+    workdir = tmp_path_factory.mktemp(f"file{next(_runs)}")
+    _run_broken(*case, workdir)
+
+
+@pytest.mark.parametrize("target, index, field, value", [
+    # Each of these was a traceback, or silently resumed, before every
+    # file was decoded from its type declaration.
+    ("traffic", 1, ("job", "submit_time"), None),
+    ("journal", 0, ("pool", 1, "device"), 1e308),
+    ("journal", 0, ("pool", 1, "device"), {}),
+    ("journal", 0, ("pool", 0, "buffer_vertices"), "256"),
+    ("journal", 0, ("jobs", 0, "job_id"), {}),
+], ids=["submit_time-null", "device-1e308", "device-object",
+        "buffer_vertices-string", "job_id-object"])
+def test_known_bad_files_exit_2(target, index, field, value, tmp_path):
+    assert _run_broken(target, index, field, value, tmp_path) == 2

@@ -125,10 +125,6 @@ class TestGeneration:
         with pytest.raises(UserInputError, match="oracle"):
             CampaignConfig(apps=("pagerank", "radii"))
 
-    def test_config_round_trip(self):
-        config = CampaignConfig(seed=3, cells=7, intensity="heavy")
-        assert CampaignConfig.from_dict(config.to_dict()) == config
-
 
 # ----------------------------------------------------------------------
 # Cell execution

@@ -49,10 +49,6 @@ class TestPolicyValidation:
         with pytest.raises(UserInputError):
             AutoscalePolicy(**kwargs)
 
-    def test_round_trips_through_dict(self):
-        policy = AutoscalePolicy(max_replicas=6, cooldown_seconds=0.25)
-        assert AutoscalePolicy.from_dict(policy.to_dict()) == policy
-
 
 class TestDecisionEngine:
     def test_hysteresis_needs_consecutive_breaches(self):
