@@ -16,7 +16,7 @@ conformance-clean — no matter which cards die under it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, TypedDict
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.chaos.generate import (
 )
 from repro.errors import UserInputError
 from repro.faults.plan import FaultPlan
+from repro.fleet.autoscale import Autoscaler, AutoscaleStats
 from repro.fleet.job import Job
 from repro.fleet.replica import Replica, make_replica
 from repro.fleet.report import FleetReport
@@ -185,6 +186,15 @@ def generate_kills(config: FleetSoakConfig) -> List[ReplicaKill]:
     return sorted(kills, key=lambda k: (k.at_seconds, k.replica_id))
 
 
+class SoakPerf(TypedDict, total=False):
+    """:attr:`FleetSoakResult.perf`.  Reports written while fleet
+    prewarm existed also carry ``workers`` and ``prewarmed_specs``."""
+
+    placement: Dict[str, int]
+    workers: int
+    prewarmed_specs: int
+
+
 @dataclass
 class FleetSoakResult(Wire):
     """Config + report of one soak (what ``repro fleet run`` serialises)."""
@@ -195,18 +205,18 @@ class FleetSoakResult(Wire):
     #: Execution stats (placement probe counters).  Deliberately kept
     #: *outside* :class:`FleetReport`: the report digest certifies the
     #: served outcome, while these counters describe how we got there.
-    perf: dict = field(default_factory=dict)
+    perf: SoakPerf = field(default_factory=dict)
     #: Durability accounting (results restored from the store, replay
     #: duplicates suppressed, divergences) — same side-channel contract
     #: as ``perf``: a journaled/recovered soak's report digest must stay
     #: bit-identical to an in-memory one, so these never enter the
     #: report.
-    recovery: dict = field(default_factory=dict)
+    recovery: Dict[str, int] = field(default_factory=dict)
     #: Autoscaler decision trace + counters — the third side-channel:
     #: scaling changes *when* jobs run, never what they compute, so the
     #: per-job result digests stay pure while this records the pool's
     #: shape over time.
-    autoscale: dict = field(default_factory=dict)
+    autoscale: Optional[AutoscaleStats] = None
 
     def to_dict(self) -> dict:
         data = {
@@ -273,8 +283,6 @@ def run_fleet_soak(
     )
     scaler = autoscale
     if scaler is not None and not hasattr(scaler, "observe"):
-        from repro.fleet.autoscale import Autoscaler
-
         scaler = Autoscaler(scaler)
     runtime = FleetRuntime(
         pool, policy, journal=journal, store=store, autoscaler=scaler

@@ -809,25 +809,15 @@ def _fleet_resume(args) -> int:
 
 def _print_perf_stats(perf: dict) -> None:
     """Placement-probe line for a soak (silent when none ran)."""
-    from typing import Dict
-
-    from repro.utils.wire import decode
-
-    placement = decode(
-        Dict[str, int], perf.get("placement", {}), "perf.placement"
-    )
+    placement = perf.get("placement", {})
     if placement.get("probes", 0):
         print(f"placement probes: {placement['probes']} what-if probes")
 
 
-def _print_autoscale_stats(autoscale: dict) -> None:
+def _print_autoscale_stats(autoscale: Optional[dict]) -> None:
     """Autoscaler side-channel lines (silent when not attached)."""
-    from repro.fleet.autoscale import AutoscaleStats
-    from repro.utils.wire import decode
-
     if not autoscale:
         return
-    autoscale = decode(AutoscaleStats, autoscale, "autoscale")
     p99 = autoscale["p99_latency_seconds"]
     print(f"autoscaler: {autoscale['spawned']} spawned / "
           f"{autoscale['retired']} retired"
@@ -838,7 +828,8 @@ def _print_autoscale_stats(autoscale: dict) -> None:
 
 
 def _load_fleet_report(path):
-    """-> (FleetReport, perf dict, autoscale dict) from either layout.
+    """-> (FleetReport, perf dict, autoscale stats or None) from either
+    layout.
 
     Missing, empty or undecodable files raise a typed
     :class:`~repro.errors.UserInputError` (one-line message, exit 2)
@@ -876,7 +867,7 @@ def _load_fleet_report(path):
     if "report" in data:
         result = FleetSoakResult.from_dict(data, f"fleet report {path}")
         return result.report, result.perf, result.autoscale
-    return FleetReport.from_dict(data, f"fleet report {path}"), {}, {}
+    return FleetReport.from_dict(data, f"fleet report {path}"), {}, None
 
 
 def _fleet_status(args) -> int:

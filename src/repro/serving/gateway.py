@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from pathlib import Path
 from typing import AsyncIterator, Callable, Dict, List, Optional
 
 from repro.errors import (
@@ -141,16 +142,13 @@ class ServingGateway:
             seq: (tenant, payload) for seq, tenant, payload in scanned
         }
         lost: List[int] = []
-        if self.config.traffic_path:
-            try:
-                bundle = read_traffic(self.config.traffic_path)
-            except UserInputError:
-                bundle = None  # never recorded: the store is the WAL
-            if bundle is not None:
-                for seq, tenant, payload in bundle.accepts:
-                    if seq not in merged:
-                        merged[seq] = (tenant, payload)
-                        lost.append(seq)
+        # A bundle never recorded leaves the store as the only WAL.
+        traffic = self.config.traffic_path
+        if traffic and Path(traffic).exists():
+            for seq, tenant, payload in read_traffic(traffic).accepts:
+                if seq not in merged:
+                    merged[seq] = (tenant, payload)
+                    lost.append(seq)
         # Every accept decodes before anything is written or replayed,
         # so a malformed one refuses the resume and both files keep
         # their bytes.

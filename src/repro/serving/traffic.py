@@ -189,6 +189,11 @@ def fold_records(scan: ScanResult, path: Union[str, Path]) -> TrafficBundle:
     acceptance sequence — replays after a resume repeat earlier
     accepts) and each result (by job id).  That keeps the sequence and
     the result stream exactly-once however often a file was reopened.
+
+    A verified ``accept`` that does not decode refuses the file with a
+    :class:`UserInputError`: skipping it would silently drop an
+    acknowledged job.  A malformed ``result`` is counted corrupt and
+    skipped, since its job is simply executed again.
     """
     bundle = TrafficBundle(path=str(path), corrupt_lines=len(scan.corrupt))
     accepts: Dict[int, tuple] = {}
@@ -200,11 +205,9 @@ def fold_records(scan: ScanResult, path: Union[str, Path]) -> TrafficBundle:
             if bundle.spec is None:
                 bundle.spec = payload.get("session")
         elif record.type == "accept":
-            try:
-                accept = decode(AcceptRecord, payload, "accept record")
-            except UserInputError:
-                bundle.corrupt_lines += 1
-                continue
+            accept = decode(
+                AcceptRecord, payload, f"{path} record {record.seq}"
+            )
             seq = accept["accept_seq"]
             accepts.setdefault(seq, (seq, accept["tenant"], accept["job"]))
         elif record.type == "reject":
@@ -226,7 +229,8 @@ def read_traffic(path: Union[str, Path]) -> TrafficBundle:
     Never raises on corruption — a torn or bit-flipped bundle still
     yields every record that was durably written, which is exactly the
     property the dual-durability recovery path relies on.  Only a
-    missing file is a typed error.
+    missing file and a verified accept that does not decode are typed
+    errors.
     """
     path = Path(path)
     if not path.exists():

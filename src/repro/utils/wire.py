@@ -41,12 +41,13 @@ _SCALARS = {
 @functools.lru_cache(maxsize=None)
 def _table(cls) -> Tuple[dict, frozenset]:
     """The field table of a record class, built on first use: field
-    name -> declared type, and the names that have no default."""
+    name -> decoder of its declared type, and the names that have no
+    default."""
     hints = typing.get_type_hints(cls)
     if dataclasses.is_dataclass(cls):
         fields = [f for f in dataclasses.fields(cls) if f.init]
         return (
-            {f.name: hints[f.name] for f in fields},
+            {f.name: _decoder(hints[f.name]) for f in fields},
             frozenset(
                 f.name for f in fields
                 if f.default is dataclasses.MISSING
@@ -54,7 +55,10 @@ def _table(cls) -> Tuple[dict, frozenset]:
             ),
         )
     if hasattr(cls, "__required_keys__"):  # a TypedDict
-        return hints, frozenset(cls.__required_keys__)
+        return (
+            {key: _decoder(tp) for key, tp in hints.items()},
+            frozenset(cls.__required_keys__),
+        )
     raise TypeError(f"{cls!r} is not a wire type")
 
 
@@ -72,63 +76,83 @@ def decode_record(cls, value, what: str):
     if missing:
         raise UserInputError(f"{what} is missing required key(s) {missing}")
     return cls(**{
-        key: decode(declared[key], item, f"{what}.{key}")
+        key: declared[key](item, f"{what}.{key}")
         for key, item in value.items()
     })
 
 
 def decode(tp, value, what: str):
     """``value`` (parsed JSON) as the declared type ``tp``."""
+    return _decoder(tp)(value, what)
+
+
+@functools.lru_cache(maxsize=None)
+def _decoder(tp):
+    """The function ``(value, what) -> decoded`` for the declared type
+    ``tp``, built once per type."""
     if tp in _SCALARS:
         kind, expected = _SCALARS[tp]
-        if not isinstance(value, kind) or (
-            tp is not bool and isinstance(value, bool)
-        ):
-            raise UserInputError(
-                f"{what} must be {expected}, got {value!r:.80}"
-            )
-        try:
-            return tp(value)
-        except OverflowError:
-            raise UserInputError(
-                f"{what} is out of range: {value!r:.80}"
-            ) from None
+        exact = tp is bool
+
+        def scalar(value, what):
+            if not isinstance(value, kind) or (
+                not exact and isinstance(value, bool)
+            ):
+                raise UserInputError(
+                    f"{what} must be {expected}, got {value!r:.80}"
+                )
+            try:
+                return tp(value)
+            except OverflowError:
+                raise UserInputError(
+                    f"{what} is out of range: {value!r:.80}"
+                ) from None
+
+        return scalar
     origin = typing.get_origin(tp)
     args = typing.get_args(tp)
     if origin is Union:
-        if value is None and type(None) in args:
-            return None
         (inner,) = [a for a in args if a is not type(None)]
-        return decode(inner, value, what)
+        present = _decoder(inner)
+        return lambda value, what: (
+            None if value is None else present(value, what)
+        )
     if origin in (list, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise UserInputError(
-                f"{what} must be an array, got {type(value).__name__}"
-            )
-        items = [
-            decode(args[0], item, f"{what}[{i}]")
-            for i, item in enumerate(value)
-        ]
-        return tuple(items) if origin is tuple else items
+        item = _decoder(args[0])
+
+        def array(value, what):
+            if not isinstance(value, (list, tuple)):
+                raise UserInputError(
+                    f"{what} must be an array, got {type(value).__name__}"
+                )
+            items = [item(v, f"{what}[{i}]") for i, v in enumerate(value)]
+            return tuple(items) if origin is tuple else items
+
+        return array
     if tp is dict or origin is dict:
-        if not isinstance(value, Mapping):
-            raise UserInputError(
-                f"{what} must be an object, got {type(value).__name__}"
-            )
-        if not args:
-            return dict(value)
-        return {
-            decode(args[0], key, f"{what} key"): decode(
-                args[1], item, f"{what}.{key}"
-            )
-            for key, item in value.items()
-        }
+        key_of, item = (
+            (_decoder(args[0]), _decoder(args[1])) if args else (None, None)
+        )
+
+        def mapping(value, what):
+            if not isinstance(value, Mapping):
+                raise UserInputError(
+                    f"{what} must be an object, got {type(value).__name__}"
+                )
+            if key_of is None:
+                return dict(value)
+            return {
+                key_of(k, f"{what} key"): item(v, f"{what}.{k}")
+                for k, v in value.items()
+            }
+
+        return mapping
     # A record class decodes through its own from_dict, so a class whose
     # wire keys differ from its fields does so nested, too.
     from_dict = getattr(tp, "from_dict", None)
     if from_dict is not None:
-        return from_dict(value, what)
-    return decode_record(tp, value, what)
+        return from_dict
+    return functools.partial(decode_record, tp)
 
 
 class Wire:

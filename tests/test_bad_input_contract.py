@@ -587,11 +587,15 @@ def _log_fields(path: Path) -> list:
 
 
 def _resume_gateway(workdir: Path) -> int:
-    """Resume a gateway over ``workdir``: 0 served, 2 refused (typed)."""
+    """Resume a gateway over ``workdir``: 0 served, 2 refused (typed).
+
+    A resume that serves must restore every acknowledged job: a broken
+    record may be refused, never skipped at the cost of an accept."""
     try:
-        resume_gateway(workdir)
+        stats, _ = resume_gateway(workdir)
     except UserInputError:
         return 2
+    assert stats["accepts_restored"] == 5, stats
     return 0
 
 
@@ -709,7 +713,15 @@ def test_broken_committed_file_is_refused_or_served(case, tmp_path_factory):
     ("journal", 0, ("pool", 1, "device"), {}),
     ("journal", 0, ("pool", 0, "buffer_vertices"), "256"),
     ("journal", 0, ("jobs", 0, "job_id"), {}),
+    # A malformed accept dropped its acknowledged job from replay and
+    # resume; every field of an accept now refuses the file alike.
+    ("traffic", 1, ("wall",), "x"),
+    ("serve-bundle", 2, ("tenant",), 5),
+    ("job-store", 3, ("wall",), None),
+    ("job-store", 4, ("accept_seq",), "4"),
 ], ids=["submit_time-null", "device-1e308", "device-object",
-        "buffer_vertices-string", "job_id-object"])
+        "buffer_vertices-string", "job_id-object", "accept-wall-string",
+        "bundle-accept-tenant-number", "store-accept-wall-null",
+        "store-accept-seq-string"])
 def test_known_bad_files_exit_2(target, index, field, value, tmp_path):
     assert _run_broken(target, index, field, value, tmp_path) == 2
