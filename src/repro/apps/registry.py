@@ -55,7 +55,7 @@ class AppSpec:
         ``options`` are forwarded to the app's constructor (e.g.
         PageRank's ``tolerance``).
         """
-        if self.needs_weights and graph.weights is None:
+        if self.needs_weights and not graph.weighted:
             raise ValueError(f"{self.name} needs a weighted graph")
         if self.takes_root:
             return self.factory(graph, root=root or 0, **options)

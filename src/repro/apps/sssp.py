@@ -31,9 +31,10 @@ class SingleSourceShortestPaths(GasApp):
 
     def __init__(self, graph: Graph, root: int = 0):
         super().__init__(graph)
-        if graph.weights is None:
+        if not graph.weighted:
             raise ValueError("SSSP needs a weighted graph")
-        if np.any(np.asarray(graph.weights) < 0):
+        # An order-free check: it reads the stored weights, never sorting.
+        if np.any(graph.stored_edges[2] < 0):
             raise ValueError("SSSP needs non-negative weights")
         if not 0 <= root < graph.num_vertices:
             raise ValueError(f"root {root} out of range")

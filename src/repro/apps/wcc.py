@@ -19,11 +19,16 @@ from repro.graph.coo import Graph
 
 
 def symmetrized(graph: Graph) -> Graph:
-    """Union of the graph and its transpose, for weak-component runs."""
+    """Union of the graph and its transpose, for weak-component runs.
+
+    The union is unweighted, so its sorted edges do not depend on the
+    input's edge order: it reads the stored edges, which never sorts.
+    """
+    src, dst, _ = graph.stored_edges
     return Graph(
         graph.num_vertices,
-        np.concatenate((graph.src, graph.dst)),
-        np.concatenate((graph.dst, graph.src)),
+        np.concatenate((src, dst)),
+        np.concatenate((dst, src)),
         name=f"{graph.name}-sym",
     )
 

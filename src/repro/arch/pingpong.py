@@ -81,31 +81,42 @@ class PingPongBufferSim:
         k = self.config.edges_per_set
         src = np.asarray(src, dtype=np.int64)
         num_sets = -(-src.size // k)
-        # Last (largest) source block needed by each set.
+        # Only the last (largest) source of each set is ever read, so
+        # every per-block quantity below is evaluated at set boundaries.
         last_of_set = np.minimum(
             np.arange(1, num_sets + 1) * k - 1, src.size - 1
         )
-        blocks = src // self.config.vertices_per_block
-        base = blocks[0]
-        rel = blocks - base
+        vpb = self.config.vertices_per_block
+        base = int(src[0]) // vpb
+        rel = src[last_of_set] // vpb - base
         span = int(rel[-1] + 1)
 
         seg_blocks = self.config.pingpong_blocks_per_side
         segments = rel // seg_blocks
-        # seg_rank[i] = position of edge i's segment among the streamed
-        # ones.  ``segments`` ascends from 0, so with jump access (only
-        # touched segments stream) the rank counts segment changes;
-        # without it every segment streams and the rank is the segment.
+        # seg_rank = position of a set's segment among the streamed ones.
+        # With jump access only touched segments stream, so the rank is
+        # the number of touched segments below it; without it every
+        # segment streams and the rank is the segment.
         if self.config.jump_access:
-            seg_rank = np.cumsum(np.diff(segments, prepend=0) != 0)
+            num_segs = int(segments[-1]) + 1
+            if num_segs <= src.size:
+                # ``src`` ascends: segment s is touched iff some source
+                # lies at or beyond its first vertex and below the next's.
+                firsts = (base + seg_blocks * np.arange(num_segs + 1)) * vpb
+                touched = np.flatnonzero(np.diff(np.searchsorted(src, firsts)))
+            else:
+                # Sources sparser than segments: bound the work by E.
+                touched = np.unique((src // vpb - base) // seg_blocks)
+            seg_rank = np.searchsorted(touched, segments)
         else:
             seg_rank = segments
         num_needed = int(seg_rank[-1]) + 1
 
-        # fill_pos[block] = cycle (from burst start) its fill completes:
-        # whole needed segments stream back-to-back at 1 block/cycle.
-        fill_pos = seg_rank * seg_blocks + (rel - segments * seg_blocks) + 1.0
-        fill_at_set = fill_pos[last_of_set]
+        # Fill-completion cycle (from burst start) of each set's last
+        # block: needed segments stream back-to-back at 1 block/cycle.
+        fill_at_set = (
+            seg_rank * seg_blocks + (rel - segments * seg_blocks) + 1.0
+        )
 
         fetched = num_needed * seg_blocks
         # The final segment is only streamed up to the last needed block.

@@ -35,7 +35,7 @@ from repro.apps.registry import get_app_spec
 from repro.arch.config import PipelineConfig
 from repro.core.framework import ReGraph
 from repro.errors import ReproError, UserInputError
-from repro.faults.resilience import ResiliencePolicy
+from repro.faults.resilience import ResiliencePolicy, RunHealthDict
 from repro.check.oracles import ORACLE_APPS
 from repro.check.tolerances import DEFAULT_BANDS, ToleranceBands
 from repro.chaos.oracles import validate_cell
@@ -88,7 +88,7 @@ class CellResult(Wire):
     detail: str = ""
     digest: str = ""
     violations: List[str] = field(default_factory=list)
-    health: dict = field(default_factory=dict)
+    health: RunHealthDict = field(default_factory=dict)
     iterations: int = 0
     total_cycles: float = 0.0
 
@@ -198,7 +198,7 @@ class CampaignReport(Wire):
         counts: dict = {}
         for result in self.results:
             for fault in result.health.get("faults", []):
-                category = fault.get("category", "?")
+                category = fault["category"]
                 counts[category] = counts.get(category, 0) + 1
         return counts
 

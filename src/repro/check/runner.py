@@ -60,7 +60,6 @@ def with_random_weights(
         graph.dst,
         weights=weights,
         name=f"{graph.name}-w",
-        assume_sorted=True,
     )
 
 

@@ -99,18 +99,22 @@ def lower_functional_plan(plan) -> FunctionalPlan:
     across iterations, retries, apps and every plan of the graph; only
     :meth:`FunctionalEngine.accumulate` touches the property array.
 
-    The sort key packs ``dst`` above just enough low bits for its low
-    field.  Unweighted, that field is ``src`` itself, so one in-place
-    sort yields the sources.  Weighted, it is the edge index, which
-    gathers ``src`` and ``weights`` (duplicate edges keep their own
-    weights).
+    It reads the graph's stored edges, so it never triggers the graph's
+    (src, dst) sort.  The sort key packs ``dst`` above just enough low
+    bits for its low field.  Unweighted, that field is ``src`` itself,
+    so one in-place sort yields the sources, whatever order the edges
+    are stored in.  Weighted, it is the stored edge index, which gathers
+    ``src`` and ``weights`` (duplicate edges keep their own weights);
+    only the order inside one destination's run depends on the stored
+    order, and the reduction over a run is order-free (module
+    docstring).
     """
     graph = _plan_graph(plan)
     counts = graph.in_degrees()
     dsts = np.flatnonzero(counts)
     starts = np.zeros(dsts.size, dtype=np.intp)
     np.cumsum(counts[dsts[:-1]], out=starts[1:])
-    weights = graph.weights
+    src, dst, weights = graph.stored_edges
     low = graph.num_vertices if weights is None else graph.num_edges
     low_bits = max(int(low - 1).bit_length(), 1)
     high_bits = max(int(graph.num_vertices - 1).bit_length(), 1)
@@ -118,9 +122,9 @@ def lower_functional_plan(plan) -> FunctionalPlan:
         raise ValueError(
             f"functional sort key needs {low_bits + high_bits} bits (> 64)"
         )
-    key = graph.dst.view(np.uint64) << low_bits
+    key = dst.view(np.uint64) << low_bits
     key |= (
-        graph.src.view(np.uint64) if weights is None
+        src.view(np.uint64) if weights is None
         else np.arange(graph.num_edges, dtype=np.uint64)
     )
     key.sort()
@@ -128,7 +132,7 @@ def lower_functional_plan(plan) -> FunctionalPlan:
     order = key.view(np.int64)
     if weights is None:
         return FunctionalPlan(order, None, starts, dsts)
-    return FunctionalPlan(graph.src[order], weights[order], starts, dsts)
+    return FunctionalPlan(src[order], weights[order], starts, dsts)
 
 
 class FunctionalEngine:

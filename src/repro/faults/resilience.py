@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, TypedDict
 
 from repro.errors import (
     ChannelFaultError,
@@ -295,6 +295,36 @@ class FaultRecord:
     cycle: float
 
 
+class FaultDict(TypedDict):
+    """:class:`FaultRecord` on the wire."""
+
+    iteration: int
+    category: str
+    detail: str
+    cycle: float
+
+
+class RunHealthDict(TypedDict, total=False):
+    """:meth:`RunHealthReport.to_dict` on the wire: every key on a
+    resilient run's report, none on a run that has no health report
+    (a crashed chaos cell)."""
+
+    faults: List[FaultDict]
+    retries: int
+    replans: int
+    checkpoint_restores: int
+    watchdog_trips: int
+    backoff_cycles: float
+    wasted_cycles: float
+    useful_cycles: float
+    overhead_cycles: float
+    degraded_pipelines: List[str]
+    initial_label: str
+    final_label: str
+    breaker_trips: int
+    channel_breakers: Dict[str, dict]
+
+
 @dataclass
 class RunHealthReport:
     """Everything the resilient layer absorbed during one run."""
@@ -345,7 +375,7 @@ class RunHealthReport:
         """Append one fault occurrence."""
         self.faults.append(FaultRecord(iteration, category, detail, cycle))
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> RunHealthDict:
         """JSON-serialisable summary (used by the CLI and benchmarks)."""
         return {
             "faults": [

@@ -128,8 +128,9 @@ class JournalProjection:
     results.
     """
 
-    #: Jobs admitted but not terminal: job_id -> full Job payload.
-    queued: Dict[str, dict] = field(default_factory=dict)
+    #: job_ids admitted since the last ``recover`` marker, in admit
+    #: order (``admit`` records carry only the id, its seq and the time).
+    queued: List[str] = field(default_factory=list)
     #: Jobs with an attempt in flight at the last record: job_id ->
     #: {replica_id, attempt, kind, time}.
     inflight: Dict[str, dict] = field(default_factory=dict)
@@ -199,9 +200,7 @@ def project_journal(records: List[JournalRecord]) -> JournalProjection:
             view.inflight.clear()
             view.replicas.clear()
         elif rtype == "admit":
-            view.queued[_read(record, "job_id", str)] = _read(
-                record, "job", dict, {}
-            )
+            view.queued.append(_read(record, "job_id", str))
         elif rtype == "reject":
             view.rejected[job_id] = result
         elif rtype == "dispatch":

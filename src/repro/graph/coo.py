@@ -3,8 +3,16 @@
 ReGraph's input format (Fig. 1b): a directed graph stored as parallel arrays
 of source and destination vertex IDs, with the source IDs in ascending order.
 The ascending-source invariant is what lets the Big pipeline's Vertex Loader
-cache only the last requested block (Sec. III-B), so :class:`Graph` enforces
-and tracks it explicitly.
+cache only the last requested block (Sec. III-B).
+
+:class:`Graph` sorts on first read.  The constructor validates and stores
+the edges in the order given; the ``src``/``dst``/``weights`` properties
+sort them by (src, dst) the first time one is read and keep the result.
+Readers that do not depend on edge order (degrees, :meth:`Graph.relabel`,
+:meth:`Graph.reversed`, partitioning, the functional lowering) use the
+stored edges and never pay for that sort: on the accelerator path the
+ascending-source order is produced per partition by
+:func:`~repro.graph.partition.partition_graph`'s one packed sort.
 """
 
 from __future__ import annotations
@@ -54,9 +62,11 @@ class Graph:
     num_vertices:
         Number of vertices ``V``; vertex IDs are ``0 .. V - 1``.
     src, dst:
-        Parallel edge arrays.  They are copied into ``int64`` and sorted by
-        (src, dst) unless ``assume_sorted`` is set.  Vertex IDs are 32-bit
-        words, so ``num_vertices`` may be at most ``2**32``.
+        Parallel edge arrays, copied into ``int64`` in the order given and
+        sorted by (src, dst) on first read of ``src``/``dst``/``weights``.
+        Both sorts are stable over the given order, so duplicate edges keep
+        it.  Vertex IDs are 32-bit words, so ``num_vertices`` may be at
+        most ``2**32``.
     weights:
         Optional per-edge 32-bit payload (e.g. SSSP edge lengths).
     name:
@@ -70,7 +80,6 @@ class Graph:
         dst,
         weights=None,
         name: str = "graph",
-        assume_sorted: bool = False,
     ):
         check_positive("num_vertices", num_vertices)
         if num_vertices > MAX_VERTICES:
@@ -78,10 +87,8 @@ class Graph:
                 f"num_vertices must be <= 2**32 (vertex IDs are 32-bit "
                 f"words), got {num_vertices}"
             )
-        # One copy per input: an explicit one when the order is kept,
-        # otherwise the packed sort key below is the copy.
-        src = check_array_1d("src", src).astype(np.int64, copy=assume_sorted)
-        dst = check_array_1d("dst", dst).astype(np.int64, copy=assume_sorted)
+        src = check_array_1d("src", src).astype(np.int64)
+        dst = check_array_1d("dst", dst).astype(np.int64)
         if src.shape != dst.shape:
             raise ValueError(
                 f"src and dst must have equal length, "
@@ -91,24 +98,60 @@ class Graph:
             weights = check_array_1d("weights", weights)
             if weights.shape != src.shape:
                 raise ValueError("weights must have one entry per edge")
-        if src.size and (src.min() < 0 or src.max() >= num_vertices):
+            weights = weights.copy()
+        # Viewed as uint64 a negative ID is >= 2**63, so one max per
+        # array checks both bounds.
+        if src.size and src.view(np.uint64).max() >= num_vertices:
             raise ValueError("src IDs out of range")
-        if dst.size and (dst.min() < 0 or dst.max() >= num_vertices):
+        if dst.size and dst.view(np.uint64).max() >= num_vertices:
             raise ValueError("dst IDs out of range")
 
-        if assume_sorted:
-            if weights is not None:
-                weights = weights.copy()
-        else:
-            src, dst, weights = _sort_edges(src, dst, weights)
-
         self.num_vertices = int(num_vertices)
-        self.src = src
-        self.dst = dst
-        self.weights = weights
         self.name = name
+        #: The edges as given until the first sorted read, then sorted.
+        self._edges = (src, dst, weights)
+        self._sorted = False
         self._in_degrees: Optional[np.ndarray] = None
         self._out_degrees: Optional[np.ndarray] = None
+
+    # ------------------------------------------------------------------
+    # Edge arrays
+    # ------------------------------------------------------------------
+    def _sorted_edges(self):
+        """The edges sorted by (src, dst), sorting them on the first call.
+
+        Two threads racing on the first call both sort the same stored
+        edges (sorting sorted edges is the identity), so the race only
+        repeats identical work.
+        """
+        if not self._sorted:
+            self._edges = _sort_edges(*self._edges)
+            self._sorted = True
+        return self._edges
+
+    @property
+    def src(self) -> np.ndarray:
+        """Source vertex of each edge, ascending."""
+        return self._sorted_edges()[0]
+
+    @property
+    def dst(self) -> np.ndarray:
+        """Destination of each edge, ascending within one source."""
+        return self._sorted_edges()[1]
+
+    @property
+    def weights(self) -> Optional[np.ndarray]:
+        """Per-edge weight in (src, dst) order, or None."""
+        return self._sorted_edges()[2]
+
+    @property
+    def stored_edges(self):
+        """``(src, dst, weights)`` in whatever order they are stored.
+
+        For readers whose result does not depend on edge order; reading
+        these never sorts.
+        """
+        return self._edges
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -116,7 +159,7 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of directed edges ``E``."""
-        return int(self.src.size)
+        return int(self._edges[0].size)
 
     @property
     def average_degree(self) -> float:
@@ -124,15 +167,20 @@ class Graph:
         return self.num_edges / self.num_vertices
 
     @property
+    def weighted(self) -> bool:
+        """Whether the edges carry weights (never sorts)."""
+        return self._edges[2] is not None
+
+    @property
     def edge_bytes(self) -> int:
         """Size of one stored edge record in bytes."""
-        return EDGE_BYTES + (VERTEX_WORD_BYTES if self.weights is not None else 0)
+        return EDGE_BYTES + (VERTEX_WORD_BYTES if self.weighted else 0)
 
     def in_degrees(self) -> np.ndarray:
         """In-degree of every vertex (cached)."""
         if self._in_degrees is None:
             self._in_degrees = np.bincount(
-                self.dst, minlength=self.num_vertices
+                self._edges[1], minlength=self.num_vertices
             ).astype(np.int64)
         return self._in_degrees
 
@@ -140,7 +188,7 @@ class Graph:
         """Out-degree of every vertex (cached)."""
         if self._out_degrees is None:
             self._out_degrees = np.bincount(
-                self.src, minlength=self.num_vertices
+                self._edges[0], minlength=self.num_vertices
             ).astype(np.int64)
         return self._out_degrees
 
@@ -166,33 +214,46 @@ class Graph:
             or not np.all(np.bincount(mapping, minlength=self.num_vertices) == 1)
         ):
             raise ValueError("mapping must be a permutation of 0 .. V - 1")
-        return Graph(
+        src, dst, weights = self._edges
+        relabelled = Graph(
             self.num_vertices,
-            mapping[self.src],
-            mapping[self.dst],
-            weights=self.weights,
+            mapping[src],
+            mapping[dst],
+            weights=weights,
             name=name or self.name,
         )
+        # A degree already counted moves with its vertex: O(V), not O(E).
+        for attr in ("_in_degrees", "_out_degrees"):
+            degrees = getattr(self, attr)
+            if degrees is not None:
+                moved = np.empty_like(degrees)
+                moved[mapping] = degrees
+                setattr(relabelled, attr, moved)
+        return relabelled
 
     def reversed(self) -> "Graph":
         """Return the transpose graph (every edge flipped)."""
+        src, dst, weights = self._edges
         return Graph(
             self.num_vertices,
-            self.dst,
-            self.src,
-            weights=self.weights,
+            dst,
+            src,
+            weights=weights,
             name=f"{self.name}-rev",
         )
 
     def with_weights(self, weights) -> "Graph":
-        """Return a copy of this graph carrying the given edge weights."""
+        """Return a copy of this graph carrying the given edge weights.
+
+        ``weights[i]`` belongs to edge ``(src[i], dst[i])`` of the sorted
+        edge arrays.
+        """
         return Graph(
             self.num_vertices,
             self.src,
             self.dst,
             weights=weights,
             name=self.name,
-            assume_sorted=True,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

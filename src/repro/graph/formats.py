@@ -40,8 +40,8 @@ def save_npz(graph: Graph, path: Union[str, Path]) -> Path:
 def load_npz(path: Union[str, Path]) -> Graph:
     """Load a graph written by :func:`save_npz`.
 
-    The stored arrays are already in sorted COO order, so loading skips
-    the sort.
+    The file holds the edges in sorted COO order, which the graph's sort
+    on first read keeps.
     """
     with np.load(Path(path), allow_pickle=False) as data:
         version = int(data["version"][0])
@@ -57,5 +57,4 @@ def load_npz(path: Union[str, Path]) -> Graph:
             data["dst"],
             weights=weights,
             name=str(data["name"][0]),
-            assume_sorted=True,
         )

@@ -3,9 +3,11 @@
 Following ThunderGP's scheme, which the paper adopts verbatim: a graph with
 ``V`` vertices is cut into ``ceil(V / U)`` partitions, the i-th owning the
 destination-vertex interval ``[i*U, (i+1)*U)``.  Each partition's edge list
-contains every edge whose destination falls in its interval, kept in
-ascending source order (inherited from the globally sorted COO input) —
-the invariant the Vertex Loader's last-block cache relies on.
+contains every edge whose destination falls in its interval, in ascending
+(src, dst) order — the invariant the Vertex Loader's last-block cache
+relies on.  :func:`partition_graph` produces that order itself with one
+packed sort of the graph's stored edges, so the graph's own (src, dst)
+sort is never needed on the accelerator path.
 
 ``U`` equals the number of destination vertices one pipeline's Gather PEs
 can buffer on chip (65,536 on U280, 32,768 on U50; Sec. VI-A).
@@ -105,32 +107,62 @@ class PartitionSet:
 def partition_graph(graph: Graph, interval: int) -> PartitionSet:
     """Partition ``graph`` into destination intervals of size ``interval``.
 
-    One stable sort on the partition ID groups edges by partition while
-    preserving the ascending-source order within each partition.  The ID is
-    narrowed to the smallest unsigned type that holds ``num_parts - 1``;
-    for up to 65,536 partitions that is uint8 or uint16, which NumPy sorts
-    with an O(E) radix pass, the paper's partitioning scan.
+    One sort of the stored edges on the packed ``uint64`` key
+    ``pid << (b + u) | src << u | (dst - pid * interval)``, with
+    ``pid = dst // interval``, groups the edges by partition and orders
+    each partition by (src, dst).  ``b`` and ``u`` are the bit widths of
+    the largest source and of the largest in-interval offset; for any
+    ``V <= 2**31`` the key fits in 64 bits, and a graph whose key does
+    not fit raises ``ValueError`` before anything is allocated.
+    Unweighted edges sort the key in place; weighted ones take a stable
+    argsort and one weight gather, so duplicate edges keep their stored
+    order, as the graph's own stable (src, dst) sort would.  Partition
+    bounds are a ``searchsorted`` of each partition's first key.
     """
     check_positive("interval", interval)
-    num_parts = -(-graph.num_vertices // interval)
-    pid = graph.dst // interval
-    order = np.argsort(
-        pid.astype(np.min_scalar_type(num_parts - 1)), kind="stable"
-    )
-    src = graph.src[order]
-    dst = graph.dst[order]
-    weights = None if graph.weights is None else graph.weights[order]
-    counts = np.bincount(pid, minlength=num_parts)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
+    num_vertices = graph.num_vertices
+    num_parts = -(-num_vertices // interval)
+    pid_bits = (num_parts - 1).bit_length()
+    src_bits = (num_vertices - 1).bit_length()
+    low_bits = (min(interval, num_vertices) - 1).bit_length()
+    if pid_bits + src_bits + low_bits > 64:
+        raise ValueError(
+            f"partition sort key needs {pid_bits + src_bits + low_bits} "
+            f"bits (> 64) for {num_vertices} vertices at interval {interval}"
+        )
+    src, dst, weights = graph.stored_edges
+    shift = src_bits + low_bits
+    # key = pid << shift | src << low_bits | (dst - pid * interval), built
+    # as pid * (2**shift - interval) + (src << low_bits) + dst; uint64
+    # arithmetic wraps modulo 2**64, so the sum is exact.
+    key = (dst // interval).view(np.uint64)
+    key *= np.uint64(((1 << shift) - interval) % (1 << 64))
+    key += src.view(np.uint64) << np.uint64(low_bits)
+    key += dst.view(np.uint64)
+    if weights is None:
+        key.sort()
+    else:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        weights = weights[order]
+    firsts = np.arange(num_parts, dtype=np.uint64) << np.uint64(shift)
+    bounds = np.append(np.searchsorted(key, firsts), key.size)
+    src = (key >> np.uint64(low_bits)).view(np.int64)
+    src &= (1 << src_bits) - 1
+    key &= np.uint64((1 << low_bits) - 1)
+    dst = key.view(np.int64)
 
     partitions = []
     for i in range(num_parts):
         lo, hi = bounds[i], bounds[i + 1]
+        vertex_lo = i * interval
+        if vertex_lo:
+            dst[lo:hi] += vertex_lo
         partitions.append(
             Partition(
                 index=i,
-                vertex_lo=i * interval,
-                vertex_hi=min((i + 1) * interval, graph.num_vertices),
+                vertex_lo=vertex_lo,
+                vertex_hi=min(vertex_lo + interval, num_vertices),
                 src=src[lo:hi],
                 dst=dst[lo:hi],
                 weights=None if weights is None else weights[lo:hi],

@@ -34,7 +34,6 @@ def sample_edges(graph: Graph, fraction: float, seed: int = 0) -> Graph:
         graph.dst[keep],
         weights=None if graph.weights is None else graph.weights[keep],
         name=f"{graph.name}-s{fraction:g}",
-        assume_sorted=True,
     )
 
 

@@ -39,6 +39,25 @@ STRATEGY_MODEL = calibrate_performance_model(
 
 
 @st.composite
+def multigraphs(draw, max_vertices=24, max_edges=150, weighted=None):
+    """Unsorted ``(num_vertices, src, dst, weights)`` multigraph edges:
+    few vertices, so duplicate edges and self loops are common; 32-bit
+    weights (drawn, or forced on/off by ``weighted``) rarely repeat, so
+    a duplicate edge's weight shows where it went."""
+    n = draw(st.integers(1, max_vertices))
+    m = draw(st.integers(0, max_edges))
+    ids = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    src, dst = draw(ids), draw(ids)
+    if weighted is None:
+        weighted = draw(st.booleans())
+    weights = (
+        draw(st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m))
+        if weighted else None
+    )
+    return n, src, dst, weights
+
+
+@st.composite
 def edge_lists(draw, min_vertices=2, max_vertices=64, max_edges=200):
     """Random ``(num_vertices, src, dst)`` triples."""
     n = draw(st.integers(min_vertices, max_vertices))

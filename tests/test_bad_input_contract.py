@@ -627,6 +627,9 @@ FILE_TARGETS = {
         lambda d: _run_cli(["fleet", "report", str(d / "soak.json")]),
         lambda d: _run_cli(["fleet", "status", str(d / "soak.json")]),
     ]),
+    "campaign-report": ("chaos", "campaign.json", "json", [
+        lambda d: _run_cli(["chaos", "report", str(d / "campaign.json")]),
+    ]),
     "chaos-bundle": ("chaos", "regress-0.repro.json", "json", [
         lambda d: _run_cli(
             ["chaos", "replay", str(d / "regress-0.repro.json")]
@@ -719,9 +722,12 @@ def test_broken_committed_file_is_refused_or_served(case, tmp_path_factory):
     ("serve-bundle", 2, ("tenant",), 5),
     ("job-store", 3, ("wall",), None),
     ("job-store", 4, ("accept_seq",), "4"),
+    # A campaign report's health blocks were free-form dicts, read with
+    # ``.get`` on whatever the faults list held.
+    ("campaign-report", None, ("results", 0, "health", "faults", 0), 5),
 ], ids=["submit_time-null", "device-1e308", "device-object",
         "buffer_vertices-string", "job_id-object", "accept-wall-string",
         "bundle-accept-tenant-number", "store-accept-wall-null",
-        "store-accept-seq-string"])
+        "store-accept-seq-string", "campaign-fault-number"])
 def test_known_bad_files_exit_2(target, index, field, value, tmp_path):
     assert _run_broken(target, index, field, value, tmp_path) == 2

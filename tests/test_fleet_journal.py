@@ -254,10 +254,29 @@ class TestProjection:
         )
         view = project_journal(read_journal(path).records)
         assert view.recoveries == 1
-        assert view.queued == {} and view.inflight == {} \
+        assert view.queued == [] and view.inflight == {} \
             and view.replicas == {}
         # The original run-begin is kept: it is the replay input.
         assert view.run_begin == {"jobs": []}
+
+    def test_queued_keeps_admit_order_across_recover_markers(self, tmp_path):
+        path = tmp_path / "j"
+        _write(
+            path,
+            ("run-begin", {"jobs": []}),
+            ("admit", {"job_id": "c", "seq": 1, "time": 0.0}),
+            ("admit", {"job_id": "a", "seq": 2, "time": 0.1}),
+            ("result", {"result": {"job_id": "c", "status": "completed"}}),
+            ("recover", {}),
+            ("admit", {"job_id": "c", "seq": 1, "time": 0.0}),
+            ("admit", {"job_id": "b", "seq": 2, "time": 0.1}),
+            ("admit", {"job_id": "a", "seq": 3, "time": 0.2}),
+        )
+        view = project_journal(read_journal(path).records)
+        assert view.queued == ["c", "b", "a"]
+        # Durable results survive the marker and stay out of outstanding.
+        assert view.outstanding == ["b", "a"]
+        assert view.to_dict()["queued"] == ["a", "b"]
 
     def test_kill_retires_replica(self, tmp_path):
         path = tmp_path / "j"

@@ -30,6 +30,8 @@ FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
 #: sha256 of every committed fixture, as generated.
 FIXTURE_SHA256 = {
+    "chaos/campaign.json":
+        "b985e2339de5175c819dc881736d377523f207e8b31a38c361ea0c3ff0d40990",
     "chaos/regress-0.repro.json":
         "00fc522883949eed204189c5a31600ebe4a02dea66c366a674bb960000e8e741",
     "fleet/fleet.journal":
@@ -198,3 +200,11 @@ def test_chaos_bundle_reproduces(fixture_copy):
     assert code == 0
     assert f"actual digest:   {CHAOS_DIGEST}" in out
     assert "failure reproduced bit-for-bit" in out
+
+
+def test_chaos_campaign_report_rereads(fixture_copy):
+    report = fixture_copy("chaos") / "campaign.json"
+    code, out, _ = run_cli(["chaos", "report", report])
+    assert code == 0
+    assert "chaos campaign: 3/3 cells survived" in out
+    assert "faults absorbed: 1 bit-flip, 2 dead-channel" in out

@@ -3,24 +3,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.graph.coo import EDGE_BYTES, MAX_VERTICES, VERTEX_WORD_BYTES, Graph
 
-
-@st.composite
-def multigraphs(draw):
-    """Small multigraphs: few vertices, so duplicate edges and self loops
-    are common; optional 32-bit weights."""
-    n = draw(st.integers(1, 24))
-    m = draw(st.integers(0, 150))
-    ids = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
-    src, dst = draw(ids), draw(ids)
-    weights = draw(
-        st.none()
-        | st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m)
-    )
-    return n, src, dst, weights
+from tests.strategies import multigraphs
 
 
 def lexsort_reference(src, dst, weights=None):
@@ -45,10 +31,19 @@ class TestConstruction:
         sel = g.src == 1
         assert np.all(np.diff(g.dst[sel]) >= 0)
 
-    def test_assume_sorted_skips_sort(self):
-        # Deliberately unsorted input survives with assume_sorted.
-        g = Graph(4, [3, 0], [0, 1], assume_sorted=True)
-        assert g.src[0] == 3
+    def test_stored_order_kept_until_first_read(self):
+        g = Graph(4, [3, 0], [0, 1], weights=[7, 9])
+        # Order-free readers see the edges as given and do not sort.
+        assert g.num_edges == 2 and g.edge_bytes == EDGE_BYTES + 4
+        np.testing.assert_array_equal(g.out_degrees(), [1, 0, 0, 1])
+        src, dst, w = g.stored_edges
+        np.testing.assert_array_equal(src, [3, 0])
+        np.testing.assert_array_equal(dst, [0, 1])
+        np.testing.assert_array_equal(w, [7, 9])
+        # The first sorted read sorts once and keeps the result.
+        np.testing.assert_array_equal(g.src, [0, 3])
+        np.testing.assert_array_equal(g.weights, [9, 7])
+        assert g.stored_edges[0] is g.src
 
     def test_weights_follow_sort(self):
         g = Graph(3, [2, 0, 1], [0, 1, 2], weights=[20, 0, 10])
@@ -116,21 +111,25 @@ class TestPackedKeySort:
         np.testing.assert_array_equal(g.dst, [1, 2, 0])
         assert g.src.dtype == np.int64 and g.dst.dtype == np.int64
 
-    @pytest.mark.parametrize("assume_sorted", [False, True])
-    def test_owns_its_arrays(self, assume_sorted):
+    @pytest.mark.parametrize("read_sorted", [False, True])
+    def test_owns_its_arrays(self, read_sorted):
+        # Already sorted input: the sort on read changes no order, so
+        # only an explicit copy keeps the caller's arrays out.
         src = np.array([0, 1, 2], dtype=np.int64)
         dst = np.array([1, 2, 0], dtype=np.int64)
         w = np.array([7, 8, 9])
-        g = Graph(3, src, dst, weights=w, assume_sorted=assume_sorted)
-        for ours, theirs in ((g.src, src), (g.dst, dst), (g.weights, w)):
+        g = Graph(3, src, dst, weights=w)
+        if read_sorted:
+            g.src
+        for ours, theirs in zip(g.stored_edges, (src, dst, w)):
             assert not np.shares_memory(ours, theirs)
 
-    def test_with_weights_skips_the_sort(self):
-        g = Graph(4, [3, 0, 2], [0, 1, 1], assume_sorted=True)
-        w = g.with_weights([30, 0, 20])
-        np.testing.assert_array_equal(w.src, [3, 0, 2])
-        np.testing.assert_array_equal(w.dst, [0, 1, 1])
-        np.testing.assert_array_equal(w.weights, [30, 0, 20])
+    def test_with_weights_follows_the_sorted_edges(self):
+        g = Graph(4, [3, 0, 2], [0, 1, 1])
+        w = g.with_weights([0, 20, 30])
+        np.testing.assert_array_equal(w.src, [0, 2, 3])
+        np.testing.assert_array_equal(w.dst, [1, 1, 0])
+        np.testing.assert_array_equal(w.weights, [0, 20, 30])
 
 
 class TestDegrees:
