@@ -102,19 +102,6 @@ class CellResult(Wire):
         cycle-exact detail (removing fault events shifts cycle counts)."""
         return (self.status, self.category)
 
-    def to_dict(self) -> dict:
-        return {
-            "cell_id": self.cell_id,
-            "status": self.status,
-            "category": self.category,
-            "detail": self.detail,
-            "digest": self.digest,
-            "violations": list(self.violations),
-            "health": dict(self.health),
-            "iterations": self.iterations,
-            "total_cycles": self.total_cycles,
-        }
-
 
 def _framework(cell: CellSpec) -> ReGraph:
     return ReGraph(
@@ -201,14 +188,6 @@ class CampaignReport(Wire):
                 category = fault["category"]
                 counts[category] = counts.get(category, 0) + 1
         return counts
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "cells": self.cells,
-            "results": [r.to_dict() for r in self.results],
-            "bundles": list(self.bundles),
-        }
 
 
 def run_campaign(

@@ -93,22 +93,6 @@ class FleetSoakConfig(Wire):
                 f"{self.submit_spacing_seconds}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "replicas": list(self.replicas),
-            "intensity": self.intensity,
-            "fault_fraction": self.fault_fraction,
-            "deadline_fraction": self.deadline_fraction,
-            "submit_spacing_seconds": self.submit_spacing_seconds,
-            "kills": [k.to_dict() for k in self.kills],
-            "random_kills": self.random_kills,
-            "buffer_vertices": self.buffer_vertices,
-            "num_pipelines": self.num_pipelines,
-            "max_iterations": self.max_iterations,
-        }
-
 
 def generate_jobs(config: FleetSoakConfig) -> List[Job]:
     """The soak's job stream (deterministic in the config).
@@ -219,17 +203,11 @@ class FleetSoakResult(Wire):
     autoscale: Optional[AutoscaleStats] = None
 
     def to_dict(self) -> dict:
-        data = {
-            "soak_config": self.config.to_dict(),
-            "kills": [k.to_dict() for k in self.kills],
-            "report": self.report.to_dict(),
-        }
-        if self.perf:
-            data["perf"] = dict(self.perf)
-        if self.recovery:
-            data["recovery"] = dict(self.recovery)
-        if self.autoscale:
-            data["autoscale"] = dict(self.autoscale)
+        data = super().to_dict()
+        data["soak_config"] = data.pop("config")
+        for side in ("perf", "recovery", "autoscale"):
+            if not data[side]:
+                del data[side]
         return data
 
     @classmethod

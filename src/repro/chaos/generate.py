@@ -28,6 +28,7 @@ from repro.faults.plan import (
     PipelineStallFault,
 )
 from repro.chaos.spec import GRAPH_KINDS, CellSpec, GraphSpec
+from repro.utils.wire import Wire
 
 #: Apps the campaign can validate: the judged apps.
 CAMPAIGN_APPS = ORACLE_APPS
@@ -41,7 +42,7 @@ INTENSITIES = {
 
 
 @dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(Wire):
     """Inputs that fully determine a campaign's cell matrix."""
 
     seed: int = 0
@@ -69,18 +70,6 @@ class CampaignConfig:
                 f"apps without chaos oracles: {unknown}; "
                 f"available: {CAMPAIGN_APPS}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "cells": self.cells,
-            "devices": list(self.devices),
-            "apps": list(self.apps),
-            "intensity": self.intensity,
-            "buffer_vertices": self.buffer_vertices,
-            "num_pipelines": self.num_pipelines,
-            "max_iterations": self.max_iterations,
-        }
 
 
 def _graph_spec(rng: np.random.Generator, app: str) -> GraphSpec:

@@ -47,6 +47,7 @@ from repro.faults.plan import StorageFault
 from repro.fleet.journal import JobJournal, read_journal
 from repro.fleet.runtime import FleetPolicy, FleetRuntime
 from repro.fleet.store import ResultStore
+from repro.utils.wire import Wire, encode_record
 
 #: Seed offset for the crash-point stream (kills use +0x5EED, jobs +0).
 _CRASH_SEED_OFFSET = 0xC4A5
@@ -57,7 +58,7 @@ KILL_RESTART_FAULT_TARGETS = ("journal", "store")
 
 
 @dataclass(frozen=True)
-class KillRestartConfig:
+class KillRestartConfig(Wire):
     """Inputs that fully determine one kill-restart cell."""
 
     soak: FleetSoakConfig = field(default_factory=FleetSoakConfig)
@@ -82,17 +83,6 @@ class KillRestartConfig:
                     f"kill-restart fault target must be one of "
                     f"{KILL_RESTART_FAULT_TARGETS}, got {fault.target!r}"
                 )
-
-    def to_dict(self) -> dict:
-        return {
-            "soak": self.soak.to_dict(),
-            "crashes": self.crashes,
-            "storage_faults": [
-                {"kind": f.kind, "record": f.record, "target": f.target}
-                for f in self.storage_faults
-            ],
-            "fsync": self.fsync,
-        }
 
 
 @dataclass
@@ -144,22 +134,8 @@ class KillRestartResult:
 
     def to_dict(self) -> dict:
         return {
-            "config": self.config.to_dict(),
-            "reference_digest": self.reference_digest,
-            "final_digest": self.final_digest,
+            **encode_record(self),
             "equivalent": self.equivalent,
-            "crash_points": list(self.crash_points),
-            "storage_fault_log": list(self.storage_fault_log),
-            "restarts": self.restarts,
-            "lost_jobs": list(self.lost_jobs),
-            "duplicate_results": self.duplicate_results,
-            "replay_divergences": self.replay_divergences,
-            "quarantined_records": self.quarantined_records,
-            "truncated_bytes": self.truncated_bytes,
-            "quarantine_path": self.quarantine_path,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "results_restored": self.results_restored,
-            "journal_complete": self.journal_complete,
             "passed": self.passed,
         }
 

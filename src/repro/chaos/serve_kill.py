@@ -52,13 +52,14 @@ from repro.serving.config import ServingConfig, TenantSpec
 from repro.serving.gateway import ServingGateway
 from repro.serving.session import KernelSession
 from repro.serving.traffic import read_traffic
+from repro.utils.wire import Wire, encode_record
 
 #: Storage-fault targets a serve-kill cell understands.
 SERVE_FAULT_TARGETS = ("traffic", "store")
 
 
 @dataclass(frozen=True)
-class ServeKillConfig:
+class ServeKillConfig(Wire):
     """Inputs of one serving kill-restart cell."""
 
     #: Job stream recipe (apps/graphs/fault plans; arrival times and
@@ -93,22 +94,6 @@ class ServeKillConfig:
                 f"{SERVE_FAULT_TARGETS}, got "
                 f"{self.storage_fault.target!r}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "soak": self.soak.to_dict(),
-            "crash_after_results": self.crash_after_results,
-            "storage_fault": (
-                {
-                    "kind": self.storage_fault.kind,
-                    "record": self.storage_fault.record,
-                    "target": self.storage_fault.target,
-                }
-                if self.storage_fault is not None
-                else None
-            ),
-            "fsync": self.fsync,
-        }
 
 
 @dataclass
@@ -154,19 +139,8 @@ class ServeKillResult:
 
     def to_dict(self) -> dict:
         return {
-            "config": self.config.to_dict(),
-            "reference_digest": self.reference_digest,
-            "final_digest": self.final_digest,
+            **encode_record(self),
             "equivalent": self.equivalent,
-            "acked": self.acked,
-            "results_at_crash": self.results_at_crash,
-            "storage_fault_log": self.storage_fault_log,
-            "lost_acked": list(self.lost_acked),
-            "replay_divergences": self.replay_divergences,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "accepts_merged_from_traffic": self.accepts_merged_from_traffic,
-            "drained": self.drained,
-            "corrupt_traffic_lines": self.corrupt_traffic_lines,
             "passed": self.passed,
         }
 

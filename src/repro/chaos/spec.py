@@ -109,16 +109,6 @@ class GraphSpec(Wire):
             graph = with_random_weights(graph, seed=self.seed)
         return graph
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "seed": self.seed,
-            "exponent": self.exponent,
-            "weighted": self.weighted,
-        }
-
 
 def check_root(root: int, graph: GraphSpec) -> None:
     """Reject a root outside ``[0, graph.vertices)`` before anything
@@ -151,16 +141,3 @@ class CellSpec(Wire):
     def with_plan(self, plan: FaultPlan) -> "CellSpec":
         """The same cell under a different fault plan (used by shrinking)."""
         return replace(self, fault_plan=plan)
-
-    def to_dict(self) -> dict:
-        return {
-            "cell_id": self.cell_id,
-            "device": self.device,
-            "app": self.app,
-            "graph": self.graph.to_dict(),
-            "fault_plan": self.fault_plan.to_dict(),
-            "root": self.root,
-            "max_iterations": self.max_iterations,
-            "buffer_vertices": self.buffer_vertices,
-            "num_pipelines": self.num_pipelines,
-        }

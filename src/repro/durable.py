@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Callable, List, Optional, Tuple, Union
 
 from repro.errors import UserInputError
+from repro.utils.wire import Wire
 
 #: Quarantine-bundle schema (damaged lines extracted during repair).
 QUARANTINE_SCHEMA = "regraph-fleet-quarantine/v1"
@@ -91,20 +92,13 @@ class Record:
 
 
 @dataclass(frozen=True)
-class CorruptRecord:
+class CorruptRecord(Wire):
     """One line that failed parsing, checksum, or sequence checks."""
 
     line_number: int
     reason: str
     #: Raw line content, truncated so a quarantine bundle stays small.
     raw: str
-
-    def to_dict(self) -> dict:
-        return {
-            "line_number": self.line_number,
-            "reason": self.reason,
-            "raw": self.raw,
-        }
 
 
 @dataclass
@@ -299,19 +293,12 @@ def atomic_write(
 
 
 @dataclass
-class RepairReport:
+class RepairReport(Wire):
     """What :func:`repair` did to a damaged file."""
 
     truncated_bytes: int = 0
     quarantined: int = 0
     quarantine_path: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "truncated_bytes": self.truncated_bytes,
-            "quarantined": self.quarantined,
-            "quarantine_path": self.quarantine_path,
-        }
 
 
 def _write_quarantine_bundle(

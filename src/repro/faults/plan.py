@@ -17,7 +17,7 @@ arrays (Fig. 4), with Little pipelines numbered before Big ones.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import UserInputError
@@ -238,16 +238,9 @@ class FaultPlan(Wire):
                 )
 
     def to_dict(self) -> dict:
-        """JSON-serialisable description of the plan."""
-        data = {
-            "seed": self.seed,
-            "dead_channels": [asdict(f) for f in self.dead_channels],
-            "latency_spikes": [asdict(f) for f in self.latency_spikes],
-            "bit_flips": [asdict(f) for f in self.bit_flips],
-            "stalls": [asdict(f) for f in self.stalls],
-        }
-        if self.storage:
+        data = super().to_dict()
+        if not self.storage:
             # Emitted only when present, so pre-durability plan dicts
             # stay byte-identical (chaos bundle digests include them).
-            data["storage"] = [asdict(f) for f in self.storage]
+            del data["storage"]
         return data

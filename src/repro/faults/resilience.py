@@ -39,7 +39,7 @@ resilience is idle.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, TypedDict
 
 from repro.errors import (
@@ -51,7 +51,7 @@ from repro.errors import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.utils.wire import Wire
+from repro.utils.wire import Wire, encode_record
 
 
 @dataclass(frozen=True)
@@ -141,10 +141,6 @@ class ResiliencePolicy(Wire):
             self.watchdog_slack * max(estimated_makespan, 0.0)
             + self.watchdog_floor_cycles
         )
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable description (used by chaos repro bundles)."""
-        return asdict(self)
 
 
 # ----------------------------------------------------------------------
@@ -376,33 +372,10 @@ class RunHealthReport:
         self.faults.append(FaultRecord(iteration, category, detail, cycle))
 
     def to_dict(self) -> RunHealthDict:
-        """JSON-serialisable summary (used by the CLI and benchmarks)."""
-        return {
-            "faults": [
-                {
-                    "iteration": f.iteration,
-                    "category": f.category,
-                    "detail": f.detail,
-                    "cycle": f.cycle,
-                }
-                for f in self.faults
-            ],
-            "retries": self.retries,
-            "replans": self.replans,
-            "checkpoint_restores": self.checkpoint_restores,
-            "watchdog_trips": self.watchdog_trips,
-            "backoff_cycles": self.backoff_cycles,
-            "wasted_cycles": self.wasted_cycles,
-            "useful_cycles": self.useful_cycles,
-            "overhead_cycles": self.overhead_cycles,
-            "degraded_pipelines": list(self.degraded_pipelines),
-            "initial_label": self.initial_label,
-            "final_label": self.final_label,
-            "breaker_trips": self.breaker_trips,
-            "channel_breakers": {
-                ch: dict(state) for ch, state in self.channel_breakers.items()
-            },
-        }
+        """JSON-serialisable summary (used by the CLI and benchmarks),
+        in :class:`RunHealthDict`'s key order."""
+        data = {**encode_record(self), "overhead_cycles": self.overhead_cycles}
+        return {key: data[key] for key in RunHealthDict.__annotations__}
 
 
 # ----------------------------------------------------------------------

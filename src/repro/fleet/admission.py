@@ -29,6 +29,7 @@ from repro.errors import (
     TenantQuotaExceededError,
     UserInputError,
 )
+from repro.utils.wire import Wire
 
 
 class TokenBucket:
@@ -75,7 +76,7 @@ class TokenBucket:
 
 
 @dataclass
-class AdmissionStats:
+class AdmissionStats(Wire):
     """Counters the admission controller accumulates for the report."""
 
     submitted: int = 0
@@ -83,15 +84,6 @@ class AdmissionStats:
     shed_queue_depth: int = 0
     shed_rate_limit: int = 0
     shed_tenant_quota: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "shed_queue_depth": self.shed_queue_depth,
-            "shed_rate_limit": self.shed_rate_limit,
-            "shed_tenant_quota": self.shed_tenant_quota,
-        }
 
 
 class AdmissionController:

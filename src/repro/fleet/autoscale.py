@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, TypedDict
 
 from repro.errors import UserInputError
+from repro.utils.wire import Wire
 
 #: Decision labels recorded in the trace.
 SCALE_UP = "scale-up"
@@ -39,7 +40,7 @@ SCALE_DOWN = "scale-down"
 
 
 @dataclass(frozen=True)
-class AutoscalePolicy:
+class AutoscalePolicy(Wire):
     """Tunables of the autoscaler (validated on construction)."""
 
     #: Pool size bounds (serving + draining + quarantined, i.e. every
@@ -113,19 +114,6 @@ class AutoscalePolicy:
             raise UserInputError(
                 f"latency_window must be >= 1, got {self.latency_window}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "min_replicas": self.min_replicas,
-            "max_replicas": self.max_replicas,
-            "queue_depth_per_replica": self.queue_depth_per_replica,
-            "shed_rate_trigger": self.shed_rate_trigger,
-            "p99_latency_target_seconds": self.p99_latency_target_seconds,
-            "breach_streak": self.breach_streak,
-            "idle_streak": self.idle_streak,
-            "cooldown_seconds": self.cooldown_seconds,
-            "latency_window": self.latency_window,
-        }
 
 
 class AutoscaleDecision(TypedDict):

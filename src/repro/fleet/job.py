@@ -95,19 +95,6 @@ class Job(Wire):
         """Deadline jobs are eligible for hedged execution."""
         return self.deadline_seconds is not None
 
-    def to_dict(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "app": self.app,
-            "graph": self.graph.to_dict(),
-            "root": self.root,
-            "max_iterations": self.max_iterations,
-            "priority": self.priority,
-            "deadline_seconds": self.deadline_seconds,
-            "submit_time": self.submit_time,
-            "fault_plan": self.fault_plan.to_dict(),
-        }
-
 
 @dataclass
 class JobResult(Wire):
@@ -156,21 +143,3 @@ class JobResult(Wire):
         return self.completed and (
             self.latency_seconds <= self.deadline_seconds
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "status": self.status,
-            "replica_id": self.replica_id,
-            "attempts": self.attempts,
-            "submit_time": self.submit_time,
-            "start_time": self.start_time,
-            "finish_time": self.finish_time,
-            "error_type": self.error_type,
-            "detail": self.detail,
-            "violations": list(self.violations),
-            "result_digest": self.result_digest,
-            "iterations": self.iterations,
-            "hedged": self.hedged,
-            "deadline_seconds": self.deadline_seconds,
-        }

@@ -49,16 +49,6 @@ class AssignmentRecord(Wire):
     attempt: int
     kind: str
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "time": self.time,
-            "job_id": self.job_id,
-            "replica_id": self.replica_id,
-            "attempt": self.attempt,
-            "kind": self.kind,
-        }
-
 
 def _percentile(sorted_values: List[float], fraction: float) -> float:
     """Nearest-rank percentile over an already-sorted list."""
@@ -137,13 +127,7 @@ class FleetReport(Wire):
     def to_dict(self) -> dict:
         percentiles = self.latency_percentiles()
         return {
-            "config": dict(self.config),
-            "jobs": [j.to_dict() for j in self.jobs],
-            "replicas": [dict(r) for r in self.replicas],
-            "assignments": [a.to_dict() for a in self.assignments],
-            "admission": dict(self.admission),
-            "counters": dict(self.counters),
-            "makespan_seconds": self.makespan_seconds,
+            **super().to_dict(),
             "summary": {
                 "completed": self.completed,
                 "rejected": self.rejected,

@@ -187,27 +187,6 @@ class FleetPolicy(Wire):
             seed=7,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "max_queue_depth": self.max_queue_depth,
-            "rate_limit_jobs_per_second": self.rate_limit_jobs_per_second,
-            "rate_limit_burst": self.rate_limit_burst,
-            "max_attempts": self.max_attempts,
-            "retry_backoff_seconds": self.retry_backoff_seconds,
-            "retry_backoff_factor": self.retry_backoff_factor,
-            "failure_threshold": self.failure_threshold,
-            "quarantine_cooldown_seconds": self.quarantine_cooldown_seconds,
-            "canary_vertices": self.canary_vertices,
-            "canary_edges": self.canary_edges,
-            "canary_iterations": self.canary_iterations,
-            "hedge_enabled": self.hedge_enabled,
-            "watchdog_factor": self.watchdog_factor,
-            "breaker_penalty": self.breaker_penalty,
-            "degraded_penalty": self.degraded_penalty,
-            "check_conformance": self.check_conformance,
-            "resilience": self.resilience.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class ReplicaKill(Wire):
@@ -221,9 +200,6 @@ class ReplicaKill(Wire):
             raise UserInputError(
                 f"kill time must be non-negative, got {self.at_seconds}"
             )
-
-    def to_dict(self) -> dict:
-        return {"replica_id": self.replica_id, "at_seconds": self.at_seconds}
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from typing import Union
 
 import numpy as np
 
+from repro.errors import UserInputError
 from repro.graph.coo import Graph
 
 
@@ -49,14 +50,25 @@ def read_edge_list(
     with path.open() as handle:
         first = handle.readline()
         if first.startswith("#") and "vertices:" in first:
-            header_vertices = int(first.split("vertices:")[1])
+            count = first.split("vertices:")[1].strip()
+            if not count.isdigit():
+                raise UserInputError(
+                    f"{path}: '# vertices:' needs a non-negative integer, "
+                    f"got {count!r}"
+                )
+            header_vertices = int(count)
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         data = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
     if data.size == 0:
-        raise ValueError(f"{path} contains no edges")
+        raise UserInputError(f"{path} contains no edges")
+    if data.shape[1] < 2:
+        raise UserInputError(
+            f"{path}: an edge needs a src and a dst column, got "
+            f"{data.shape[1]} column(s)"
+        )
     src, dst = data[:, 0], data[:, 1]
     weights = data[:, 2] if data.shape[1] > 2 else None
     if num_vertices == 0:

@@ -74,12 +74,6 @@ class HostTimingConfig(Wire):
             programming_seconds=0.0, pcie_bytes_per_second=float("inf")
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "programming_seconds": self.programming_seconds,
-            "pcie_bytes_per_second": self.pcie_bytes_per_second,
-        }
-
 
 class VirtualClock:
     """Deterministic monotone clock the fleet runtime schedules against.
@@ -323,19 +317,6 @@ class AcceleratorHandle:
     def hbm_bytes_free(self) -> int:
         """Remaining modelled HBM capacity (placement signal)."""
         return max(self.hbm_bytes_total() - self.hbm_bytes_used(), 0)
-
-    # -- perf introspection --------------------------------------------
-    def compiled_stats(self) -> dict:
-        """Compiled-core counters (plans/nodes compiled, evaluations,
-        memo hits).
-
-        The counters are process-global (executions on any handle share
-        them), surfaced here because the host handle is where callers
-        already look for run accounting.
-        """
-        from repro.compiled import compiled_stats
-
-        return compiled_stats()
 
     def release(self) -> None:
         """Free the context; further calls raise."""

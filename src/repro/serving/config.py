@@ -29,10 +29,11 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import TenantAuthError, UserInputError
 from repro.fleet.runtime import FleetPolicy
+from repro.utils.wire import Wire
 
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(Wire):
     """One tenant of the serving gateway."""
 
     name: str
@@ -69,15 +70,6 @@ class TenantSpec:
                 f"tenant {self.name!r}: max_pending must be >= 1, "
                 f"got {self.max_pending}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "api_key": self.api_key,
-            "rate_jobs_per_second": self.rate_jobs_per_second,
-            "rate_burst": self.rate_burst,
-            "max_pending": self.max_pending,
-        }
 
     @staticmethod
     def parse(spec: str) -> "TenantSpec":

@@ -1,10 +1,12 @@
-"""The one wire decoder: JSON values in, typed objects out.
+"""The one wire codec: typed objects to JSON values and back.
 
-Every JSON document the program reads back (served job payloads,
-journal and store records, traffic and chaos bundles, report files) is
-decoded here, from the type declarations of what it becomes: dataclass
-fields with their defaults, and ``TypedDict`` keys.  One rule per JSON
-type, the same everywhere:
+Every JSON document the program writes or reads back (served job
+payloads, journal and store records, traffic and chaos bundles, report
+files) is encoded and decoded here, from the type declarations of the
+records: dataclass fields with their defaults, and ``TypedDict`` keys.
+One table per class, built on first use, drives both directions.
+
+Decoding has one rule per JSON type, the same everywhere:
 
 * ``int`` takes only a JSON integer (never ``true``, ``2.0`` or ``"2"``);
 * ``float`` takes an integer or a float (never ``true``), via ``float()``;
@@ -17,6 +19,14 @@ A wrong type, a missing required field or a key the type does not
 declare raises :class:`~repro.errors.UserInputError` naming the field
 path (``Job.fault_plan.stalls[0].probability``).  Range checks stay in
 each class's ``__post_init__``.
+
+Encoding mirrors it rule for rule: scalars are copied as they are,
+tuples and lists become lists, dicts and ``TypedDict`` values become
+dicts, ``None`` passes through an ``Optional``, and a dataclass becomes
+an object of its init fields in declaration order.  A nested record
+encodes through its own ``to_dict`` (as it decodes through its own
+``from_dict``), so a class whose wire shape differs from its fields
+overrides the pair once and keeps that shape wherever it is nested.
 """
 
 from __future__ import annotations
@@ -24,9 +34,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import numbers
+import operator
 import typing
 from collections.abc import Mapping
-from typing import Tuple, Union
+from typing import Callable, Tuple, Union
 
 from repro.errors import UserInputError
 
@@ -39,27 +50,28 @@ _SCALARS = {
 
 
 @functools.lru_cache(maxsize=None)
-def _table(cls) -> Tuple[dict, frozenset]:
+def _table(cls) -> Tuple[dict, frozenset, dict]:
     """The field table of a record class, built on first use: field
-    name -> decoder of its declared type, and the names that have no
-    default."""
+    name -> decoder of its declared type, the names that have no
+    default, and field name -> encoder, in declaration order."""
     hints = typing.get_type_hints(cls)
     if dataclasses.is_dataclass(cls):
         fields = [f for f in dataclasses.fields(cls) if f.init]
-        return (
-            {f.name: _decoder(hints[f.name]) for f in fields},
-            frozenset(
-                f.name for f in fields
-                if f.default is dataclasses.MISSING
-                and f.default_factory is dataclasses.MISSING
-            ),
+        names = [f.name for f in fields]
+        required = frozenset(
+            f.name for f in fields
+            if f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
         )
-    if hasattr(cls, "__required_keys__"):  # a TypedDict
-        return (
-            {key: _decoder(tp) for key, tp in hints.items()},
-            frozenset(cls.__required_keys__),
-        )
-    raise TypeError(f"{cls!r} is not a wire type")
+    elif hasattr(cls, "__required_keys__"):  # a TypedDict
+        names, required = list(hints), frozenset(cls.__required_keys__)
+    else:
+        raise TypeError(f"{cls!r} is not a wire type")
+    return (
+        {name: _decoder(hints[name]) for name in names},
+        required,
+        {name: _encoder(hints[name]) for name in names},
+    )
 
 
 def decode_record(cls, value, what: str):
@@ -68,7 +80,7 @@ def decode_record(cls, value, what: str):
         raise UserInputError(
             f"{what} must be an object, got {type(value).__name__}"
         )
-    declared, required = _table(cls)
+    declared, required, _ = _table(cls)
     unknown = sorted(str(k) for k in value if k not in declared)
     if unknown:
         raise UserInputError(f"{what} has undeclared key(s) {unknown}")
@@ -155,8 +167,58 @@ def _decoder(tp):
     return functools.partial(decode_record, tp)
 
 
+def encode_record(record) -> dict:
+    """The JSON object of a dataclass ``record``, field by field."""
+    return {
+        name: encode(getattr(record, name))
+        for name, encode in _table(type(record))[2].items()
+    }
+
+
+def _identity(value):
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(tp) -> Callable:
+    """The function ``value -> JSON value`` for the declared type
+    ``tp``, built once per type."""
+    if tp in _SCALARS:
+        return _identity
+    origin = typing.get_origin(tp)
+    args = typing.get_args(tp)
+    if origin is Union:
+        (inner,) = [a for a in args if a is not type(None)]
+        present = _encoder(inner)
+        if present is _identity:
+            return _identity
+        return lambda value: None if value is None else present(value)
+    if origin in (list, tuple):
+        item = _encoder(args[0])
+        if item is _identity:
+            return list
+        return lambda value: [item(v) for v in value]
+    if tp is dict or origin is dict:
+        item = _encoder(args[1]) if args else _identity
+        if item is _identity:
+            return dict
+        return lambda value: {k: item(v) for k, v in value.items()}
+    if hasattr(tp, "__required_keys__"):  # a TypedDict
+        keys = _table(tp)[2]
+        return lambda value: {k: keys[k](v) for k, v in value.items()}
+    # A record class encodes through its own to_dict, so a class whose
+    # wire keys differ from its fields does so nested, too.
+    if hasattr(tp, "to_dict"):
+        return operator.methodcaller("to_dict")
+    return encode_record
+
+
 class Wire:
-    """Mixin: ``cls.from_dict(data)`` decodes ``data`` into ``cls``."""
+    """Mixin: ``record.to_dict()`` encodes a record and
+    ``cls.from_dict(data)`` decodes one, both from the class's field
+    declarations."""
+
+    to_dict = encode_record
 
     @classmethod
     def from_dict(cls, data, what: str = ""):

@@ -16,7 +16,8 @@ and no test here may build an oversize graph.
   wrong JSON type is always a 400.
 * A CLI invocation exits 0, 1, 2 or 3 and never prints a traceback.
 * A committed file under ``tests/fixtures/`` with one field of one
-  CRC-valid record broken is refused or served by every command that
+  CRC-valid record broken (for the edge list: one cell, or its
+  ``# vertices:`` header) is refused or served by every command that
   reads it, under the CLI's exit codes; a refused file keeps its bytes.
 """
 
@@ -577,6 +578,39 @@ def _mutate_json(path: Path, field: tuple, value) -> None:
     path.write_text(json.dumps(data))
 
 
+#: Wrong cells of an edge list: ``None`` drops the column.
+BAD_CELLS = ["x", "1.5", "-1", "", None]
+#: Wrong ``# vertices:`` header counts.
+BAD_HEADERS = ["banana", "-3", "2.5", "1", ""]
+
+
+def _mutate_edges(path: Path, index: int, field: tuple, value) -> None:
+    """Break one cell of an edge list (field ``(column,)``), or its
+    ``# vertices:`` header (field ``("vertices",)``)."""
+    lines = path.read_text().splitlines()
+    if field == ("vertices",):
+        lines[index] = f"# vertices: {value}"
+    else:
+        cells = lines[index].split()
+        if value is None:
+            del cells[field[0]]
+        else:
+            cells[field[0]] = value
+        lines[index] = " ".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edge_fields(path: Path) -> list:
+    """(line index, field) of the header and of every cell."""
+    lines = path.read_text().splitlines()
+    return [(0, ("vertices",))] + [
+        (index, (column,))
+        for index, line in enumerate(lines)
+        if not line.startswith("#")
+        for column in range(len(line.split()))
+    ]
+
+
 def _log_fields(path: Path) -> list:
     """(record index, payload field path) of every field of a log."""
     return [
@@ -635,6 +669,12 @@ FILE_TARGETS = {
             ["chaos", "replay", str(d / "regress-0.repro.json")]
         ),
     ]),
+    "edge-list": ("graph", "small.el", "edges", [
+        lambda d: _run_cli([
+            "run", "--edge-list", str(d / "small.el"), "--platform", "U50",
+            "--pipelines", "2", "--buffer-vertices", "16",
+        ]),
+    ]),
     "job-store": ("serve", "jobs.jsonl", "log", [
         lambda d: (_resume_gateway(d), ""),
     ]),
@@ -649,6 +689,8 @@ def _fields(target: str) -> list:
     path = FIXTURES_DIR / directory / name
     if layout == "log":
         return _log_fields(path)
+    if layout == "edges":
+        return _edge_fields(path)
     return [(None, field) for field in _nodes(json.loads(path.read_text()))]
 
 
@@ -659,6 +701,9 @@ def broken_files(draw):
     index, field = draw(st.sampled_from(_fields(target)))
     directory, name, layout, _ = FILE_TARGETS[target]
     path = FIXTURES_DIR / directory / name
+    if layout == "edges":
+        bad = BAD_HEADERS if field == ("vertices",) else BAD_CELLS
+        return target, index, field, draw(st.sampled_from(bad))
     if layout == "log":
         node = json.loads(path.read_text().splitlines()[index])["payload"]
     else:
@@ -681,6 +726,8 @@ def _run_broken(target, index, field, value, workdir: Path) -> int:
     broken = workcopy / name
     if layout == "log":
         _mutate_log(broken, index, field, value)
+    elif layout == "edges":
+        _mutate_edges(broken, index, field, value)
     else:
         _mutate_json(broken, field, value)
     codes = []
@@ -725,9 +772,17 @@ def test_broken_committed_file_is_refused_or_served(case, tmp_path_factory):
     # A campaign report's health blocks were free-form dicts, read with
     # ``.get`` on whatever the faults list held.
     ("campaign-report", None, ("results", 0, "health", "faults", 0), 5),
+    # An edge list with a dropped column, a non-integer or negative ID,
+    # or a header that is not a vertex count.
+    ("edge-list", 1, (1,), None),
+    ("edge-list", 2, (0,), "x"),
+    ("edge-list", 3, (1,), "-1"),
+    ("edge-list", 0, ("vertices",), "banana"),
 ], ids=["submit_time-null", "device-1e308", "device-object",
         "buffer_vertices-string", "job_id-object", "accept-wall-string",
         "bundle-accept-tenant-number", "store-accept-wall-null",
-        "store-accept-seq-string", "campaign-fault-number"])
+        "store-accept-seq-string", "campaign-fault-number",
+        "edge-dropped-column", "edge-non-integer", "edge-negative-id",
+        "edge-bad-header"])
 def test_known_bad_files_exit_2(target, index, field, value, tmp_path):
     assert _run_broken(target, index, field, value, tmp_path) == 2

@@ -176,6 +176,15 @@ class TestErrorPaths:
                      "--buffer-vertices", "4", "--pipelines", "2"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_one_column_edge_list_returns_2(self, tmp_path, capsys):
+        # Used to index column 1 of a one-column array: an IndexError
+        # traceback and exit 1.
+        bad = tmp_path / "f.txt"
+        bad.write_text("0\n")
+        assert main(["run", "--edge-list", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "column" in err
+
     def test_check_unknown_app_returns_2(self, capsys):
         assert main(["check", "--app", "nope", "--quick"]) == 2
         err = capsys.readouterr().err

@@ -42,6 +42,8 @@ FIXTURE_SHA256 = {
         "d06936b3f9ca70c575cf991316f9110c190393227159541ea87c103e9a20721a",
     "fleet/soak.json":
         "76e190a746cfeaa49db1afee8928a36f7e3190b1769a1f5c139efd20fc786039",
+    "graph/small.el":
+        "927c1836594f1c2d952edbad0f220c73c065092c46313d441d66a47607917219",
     "serve/jobs.jsonl":
         "11024bafd2d589e5c24de8bddd9163728e3680c2a9e3b9b1a1623b502fff7634",
     "serve/traffic.jsonl":
