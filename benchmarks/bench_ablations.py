@@ -20,7 +20,6 @@ from repro.arch.config import PipelineConfig
 from repro.arch.little_pipeline import LittlePipelineSim
 from repro.arch.vertex_loader import VertexLoaderSim
 from repro.core.framework import PreparedGraph
-from repro.core.system import SystemSimulator
 from repro.graph.datasets import load_dataset
 from repro.hbm.channel import HbmChannelModel
 from repro.reporting import format_table, write_report
@@ -40,9 +39,8 @@ def hd_partitions():
 
 
 def _mteps(framework, pre):
-    sim = SystemSimulator(pre.plan, framework.platform, framework.channel)
-    run = sim.run(
-        PageRank(pre.graph), max_iterations=PR_ITERATIONS, functional=False
+    run = framework.run(
+        pre, PageRank, max_iterations=PR_ITERATIONS, functional=False
     )
     return run.mteps
 

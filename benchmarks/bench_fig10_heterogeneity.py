@@ -10,8 +10,6 @@ real-world graphs.
 import pytest
 
 from repro.apps.pagerank import PageRank
-from repro.core.system import SystemSimulator
-from repro.sched.scheduler import build_schedule
 from repro.reporting import format_table, write_report
 
 from conftest import SWEEP_GRAPHS, bench_framework
@@ -22,10 +20,9 @@ NUM_PIPELINES = 8
 PR_ITERATIONS = 5
 
 
-def _mteps(framework, plan, graph):
-    sim = SystemSimulator(plan, framework.platform, framework.channel)
-    run = sim.run(
-        PageRank(graph), max_iterations=PR_ITERATIONS, functional=False
+def _mteps(framework, pre):
+    run = framework.run(
+        pre, PageRank, max_iterations=PR_ITERATIONS, functional=False
     )
     return run.mteps
 
@@ -34,16 +31,11 @@ def _sweep(framework, pre):
     """MTEPS for every forced combination plus the selected one."""
     per_combo = {}
     for m in range(NUM_PIPELINES + 1):
-        plan = build_schedule(
-            pre.pset,
-            framework.model,
-            NUM_PIPELINES,
-            forced_combo=(m, NUM_PIPELINES - m),
+        forced = framework.preprocess(
+            pre.prepared, forced_combo=(m, NUM_PIPELINES - m)
         )
-        per_combo[f"{m}L{NUM_PIPELINES - m}B"] = _mteps(
-            framework, plan, pre.graph
-        )
-    selected = _mteps(framework, pre.plan, pre.graph)
+        per_combo[f"{m}L{NUM_PIPELINES - m}B"] = _mteps(framework, forced)
+    selected = _mteps(framework, pre)
     return per_combo, selected
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from repro.apps.pagerank import PageRank
 from repro.core.framework import PreparedGraph
-from repro.core.system import SystemSimulator
 from repro.graph.coo import EDGE_BYTES
 from repro.graph.datasets import DATASETS
 from repro.hbm.capacity import fits_hbm
@@ -34,9 +33,8 @@ def _full_size_oom(key: str, num_pipelines: int) -> bool:
 def _mteps(prepared, num_pipelines):
     fw = bench_framework("U280", num_pipelines=num_pipelines)
     pre = fw.preprocess(prepared)
-    sim = SystemSimulator(pre.plan, fw.platform, fw.channel)
-    run = sim.run(
-        PageRank(pre.graph), max_iterations=PR_ITERATIONS, functional=False
+    run = fw.run(
+        pre, PageRank, max_iterations=PR_ITERATIONS, functional=False
     )
     return run.mteps
 

@@ -15,7 +15,6 @@ from repro.arch.config import AcceleratorConfig, PipelineConfig
 from repro.arch.platform import get_platform
 from repro.arch.resources import report
 from repro.baselines.fpga import ASIATICI, GRAPHLILY, THUNDERGP
-from repro.core.system import SystemSimulator
 from repro.graph.datasets import load_dataset
 from repro.model.roofline import (
     RooflinePoint,
@@ -65,8 +64,7 @@ def simulated_regraph_point():
     fw = bench_framework("U280")
     graph = load_dataset("R21", scale=BENCH_SCALE, seed=1)
     pre = fw.preprocess(graph)
-    sim = SystemSimulator(pre.plan, fw.platform, fw.channel)
-    run = sim.run(PageRank(pre.graph), max_iterations=10, functional=False)
+    run = fw.run(pre, PageRank, max_iterations=10, functional=False)
     return RooflinePoint(
         "ReGraph (simulated)", run.gteps, pre.resources.lut_util, "U280"
     )

@@ -13,7 +13,6 @@ from repro.apps.bfs import BreadthFirstSearch
 from repro.apps.pagerank import PageRank
 from repro.baselines.energy import PLATFORM_POWER_WATTS, efficiency_ratio
 from repro.baselines.gunrock import GUNROCK_A100, GUNROCK_P100
-from repro.core.system import SystemSimulator
 from repro.reporting import format_table, write_report
 
 from conftest import SWEEP_GRAPHS, bench_framework
@@ -29,11 +28,10 @@ def measurements(datasets):
     for key in SWEEP_GRAPHS:
         graph = datasets[key]
         pre = fw.preprocess(graph)
-        sim = SystemSimulator(pre.plan, fw.platform, fw.channel)
-        pr = sim.run(
-            PageRank(pre.graph), max_iterations=PR_ITERATIONS, functional=False
+        pr = fw.run(
+            pre, PageRank, max_iterations=PR_ITERATIONS, functional=False
         )
-        bfs = sim.run(BreadthFirstSearch(pre.graph, root=0))
+        bfs = fw.run(pre, lambda g: BreadthFirstSearch(g, root=0))
         out.append(
             {
                 "graph": key,

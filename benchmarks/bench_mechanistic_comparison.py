@@ -15,7 +15,6 @@ import pytest
 from repro.apps.pagerank import PageRank
 from repro.baselines.fpga import thundergp_like_plan
 from repro.core.framework import ReGraph
-from repro.core.system import SystemSimulator
 from repro.reporting import format_table, write_report
 
 from conftest import SWEEP_GRAPHS, bench_framework
@@ -31,9 +30,8 @@ REGRAPH_PIPELINES = 14
 
 
 def _mteps(framework, pre):
-    sim = SystemSimulator(pre.plan, framework.platform, framework.channel)
-    run = sim.run(
-        PageRank(pre.graph), max_iterations=PR_ITERATIONS, functional=False
+    run = framework.run(
+        pre, PageRank, max_iterations=PR_ITERATIONS, functional=False
     )
     return run.mteps
 

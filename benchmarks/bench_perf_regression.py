@@ -23,6 +23,7 @@ Usage::
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -50,20 +51,31 @@ COMPILED_CHANNEL_VARIANTS = (
     {"min_latency": 12.0, "burst_blocks_per_cycle": 1.5},
 )
 
-def _simulator_paths():
-    """``(label, simulator class)`` of production and the interpreted
-    reference oracle, whose passes all take the per-task walks."""
+@contextlib.contextmanager
+def _interpreted_oracle():
+    """Every simulator pass takes the interpreted per-task walks inside
+    the block (the class-patching of ``tests/helpers.py``'s
+    ``interpreted_oracle``)."""
+    from unittest import mock
+
     from repro.core.system import SystemSimulator
 
-    class InterpretedSimulator(SystemSimulator):
-        _compiled_timing = SystemSimulator._compute_timing
-        _faulted_timing = SystemSimulator._compute_timing
-        _compiled_functional = SystemSimulator._interpreted_functional
+    with contextlib.ExitStack() as stack:
+        for name, oracle in (
+            ("_compiled_timing", SystemSimulator._compute_timing),
+            ("_faulted_timing", SystemSimulator._compute_timing),
+            ("functional_iteration", SystemSimulator._interpreted_functional),
+        ):
+            stack.enter_context(mock.patch.object(SystemSimulator, name, oracle))
+        yield
 
-    return (
-        ("compiled", SystemSimulator),
-        ("interpreted", InterpretedSimulator),
-    )
+
+#: ``(label, context)`` of production and the interpreted reference
+#: oracle, whose passes all take the per-task walks.
+SIMULATOR_PATHS = (
+    ("compiled", contextlib.nullcontext),
+    ("interpreted", _interpreted_oracle),
+)
 
 
 #: Benches whose work actually fans out over workers: only these take
@@ -96,14 +108,14 @@ def bench_pipeline_execute():
     """PageRank on HD through the full simulator."""
     from repro.apps.pagerank import PageRank
     from repro.core.framework import ReGraph
-    from repro.core.system import SystemSimulator
+    from repro.faults.resilience import ResilientExecutor
     from repro.graph.datasets import load_dataset
 
     graph = load_dataset("HD", scale=0.05, seed=1)
     framework = ReGraph("U280")
     pre = framework.preprocess(graph)
-    sim = SystemSimulator(pre.plan, framework.platform, framework.channel)
-    run = sim.run(PageRank(pre.graph), max_iterations=5)
+    executor = ResilientExecutor(pre, framework.platform, framework.channel)
+    run = executor.run(PageRank(pre.graph), max_iterations=5)
     return {
         "iterations": run.iterations,
         "total_cycles": run.total_cycles,
@@ -200,6 +212,7 @@ def run_compiled_bench(reps, min_speedup):
     from repro.compiled import CompiledEngine, compile_plan
     from repro.core.framework import ReGraph
     from repro.core.system import SystemSimulator
+    from repro.faults.resilience import ResilientExecutor
     from repro.graph.generators import rmat_graph
     from repro.hbm.channel import HbmChannelModel, HbmTimingParams
 
@@ -261,13 +274,14 @@ def run_compiled_bench(reps, min_speedup):
     app_graph = rmat_graph(10, 8, seed=5)
     for app in ("pagerank", "bfs", "closeness", "sssp", "wcc"):
         per_path = {}
-        for key, sim_class in _simulator_paths():
+        for key, path in SIMULATOR_PATHS:
             fw = ReGraph("U280")
             start = time.perf_counter()
             pre, app_instance = _app_case(fw, app, app_graph)
-            run = sim_class(pre.plan, fw.platform, fw.channel).run(
-                app_instance, max_iterations=8
-            )
+            with path():
+                run = ResilientExecutor(pre, fw.platform, fw.channel).run(
+                    app_instance, max_iterations=8
+                )
             seconds = time.perf_counter() - start
             per_path[key] = {
                 "mteps": run.mteps,
@@ -320,7 +334,7 @@ def run_functional_bench(reps, min_speedup):
     from repro.check.runner import with_random_weights
     from repro.compiled import functional_engine
     from repro.core.framework import ReGraph
-    from repro.core.system import SystemSimulator
+    from repro.faults.resilience import ResilientExecutor
     from repro.graph.generators import rmat_graph
 
     graph = rmat_graph(12, 16, seed=3)
@@ -362,12 +376,13 @@ def run_functional_bench(reps, min_speedup):
         times = {"compiled": [], "interpreted": []}
         outcomes = {}
         for _ in range(reps):
-            for key, sim_class in _simulator_paths():
-                sim = sim_class(
-                    case_pre.plan, framework.platform, framework.channel
+            for key, path in SIMULATOR_PATHS:
+                executor = ResilientExecutor(
+                    case_pre, framework.platform, framework.channel
                 )
                 start = time.perf_counter()
-                run = sim.run(make_app(), max_iterations=30)
+                with path():
+                    run = executor.run(make_app(), max_iterations=30)
                 times[key].append(time.perf_counter() - start)
                 outcome = {
                     "iterations": run.iterations,

@@ -19,7 +19,6 @@ from repro.baselines.fpga import (
     THUNDERGP,
 )
 from repro.core.framework import PreparedGraph
-from repro.core.system import SystemSimulator
 from repro.graph.datasets import load_dataset
 from repro.reporting import format_table, write_report
 
@@ -42,13 +41,11 @@ def _app_factory(app, graph):
 
 
 def _regraph_mteps(framework, pre, app):
-    sim = SystemSimulator(pre.plan, framework.platform, framework.channel)
-    instance = _app_factory(app, pre.graph)
-    functional = app != "PR"
-    run = sim.run(
-        instance,
+    run = framework.run(
+        pre,
+        lambda graph: _app_factory(app, graph),
         max_iterations=PR_ITERATIONS if app == "PR" else None,
-        functional=functional,
+        functional=app != "PR",
     )
     return run.mteps
 

@@ -12,12 +12,8 @@ Run:  python examples/design_space_exploration.py
 
 from repro import ReGraph
 from repro.apps.pagerank import PageRank
-from repro.arch.config import AcceleratorConfig, PipelineConfig
-from repro.arch.platform import get_platform
-from repro.arch.resources import report
-from repro.core.system import SystemSimulator
+from repro.arch.config import PipelineConfig
 from repro.graph.generators import rmat_graph
-from repro.sched.scheduler import build_schedule
 
 NUM_PIPELINES = 10
 PR_ITERATIONS = 5
@@ -36,21 +32,12 @@ def sweep(platform_name: str, graph):
           f"{'MTEPS':>7} |")
     best = ("", 0.0)
     for m in range(NUM_PIPELINES + 1):
-        accel = AcceleratorConfig(
-            m, NUM_PIPELINES - m, framework.pipeline
+        forced = framework.preprocess(
+            pre.prepared, forced_combo=(m, NUM_PIPELINES - m)
         )
-        resources = report(accel, get_platform(platform_name))
-        plan = build_schedule(
-            pre.pset,
-            framework.model,
-            NUM_PIPELINES,
-            forced_combo=(m, NUM_PIPELINES - m),
-        )
-        sim = SystemSimulator(plan, framework.platform, framework.channel)
-        run = sim.run(
-            PageRank(pre.graph),
-            max_iterations=PR_ITERATIONS,
-            functional=False,
+        accel, resources = forced.plan.accelerator, forced.resources
+        run = framework.run(
+            forced, PageRank, max_iterations=PR_ITERATIONS, functional=False
         )
         marker = ""
         if accel.label == pre.plan.accelerator.label:

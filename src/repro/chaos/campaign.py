@@ -153,7 +153,7 @@ def run_cell(
         detail=detail,
         digest=failure_digest(status, category, detail, result_digest(run)),
         violations=violations,
-        health=run.health.to_dict() if run.health is not None else {},
+        health=run.health.to_dict(),
         iterations=run.iterations,
         total_cycles=run.total_cycles,
     )

@@ -29,6 +29,7 @@ config alone.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
@@ -106,6 +107,8 @@ class KillRestartResult:
     #: Corruption containment: records quarantined / tail bytes dropped.
     quarantined_records: int = 0
     truncated_bytes: int = 0
+    #: The quarantine bundle, relative to the cell's workdir (so the
+    #: report does not depend on where the cell ran).
     quarantine_path: str = ""
     #: Results that were already durable and got suppressed on replay —
     #: the exactly-once mechanism visibly doing its job.
@@ -228,7 +231,9 @@ def run_kill_restart(
         result.quarantined_records += recovered.repair.quarantined
         result.truncated_bytes += recovered.repair.truncated_bytes
         if recovered.repair.quarantine_path:
-            result.quarantine_path = recovered.repair.quarantine_path
+            result.quarantine_path = os.path.relpath(
+                recovered.repair.quarantine_path, workdir
+            )
         result.restarts += 1
         halt = halts[crash_index]
         crash_index += 1

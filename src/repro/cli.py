@@ -37,6 +37,7 @@ hard-killed but resumable.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -155,7 +156,6 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     from repro.apps.pagerank import PageRank
-    from repro.core.system import SystemSimulator
 
     graph = _load_graph(args)
     framework = _framework(args)
@@ -163,17 +163,15 @@ def cmd_sweep(args) -> int:
     n_pip = framework.num_pipelines
     rows = []
     for m in range(n_pip + 1):
-        plan = pre.prepared.plan(
-            framework.model, n_pip, forced_combo=(m, n_pip - m)
+        forced = framework.preprocess(
+            pre.prepared, forced_combo=(m, n_pip - m)
         )
-        sim = SystemSimulator(plan, framework.platform, framework.channel)
-        run = sim.run(
-            PageRank(pre.graph), max_iterations=5, functional=False
+        run = framework.run(
+            forced, PageRank, max_iterations=5, functional=False
         )
-        marker = "<- selected" if (
-            plan.accelerator.label == pre.plan.accelerator.label
-        ) else ""
-        rows.append((plan.accelerator.label, f"{run.mteps:,.0f}", marker))
+        label = forced.plan.accelerator.label
+        marker = "<- selected" if label == pre.plan.accelerator.label else ""
+        rows.append((label, f"{run.mteps:,.0f}", marker))
     print(format_table(
         ["combo", "PR MTEPS", ""],
         rows,
@@ -539,7 +537,7 @@ def _chaos_kill_restart(args) -> int:
         print(f"corruption contained: {result.quarantined_records} "
               f"record(s) quarantined, {result.truncated_bytes} tail "
               f"byte(s) truncated"
-              + (f" -> {result.quarantine_path}"
+              + (" -> " + os.path.join(args.workdir, result.quarantine_path)
                  if result.quarantine_path else ""))
     print(f"reference digest: {result.reference_digest}")
     print(f"recovered digest: {result.final_digest}")

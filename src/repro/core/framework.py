@@ -24,8 +24,9 @@ import numpy as np
 from repro.arch.config import PipelineConfig, default_pipeline_config
 from repro.arch.platform import FpgaPlatform, get_platform
 from repro.arch.resources import ResourceReport, report as resource_report
-from repro.core.system import RunReport, SystemSimulator
+from repro.core.system import RunReport
 from repro.errors import UserInputError
+from repro.faults.resilience import ResilientExecutor
 from repro.graph.coo import Graph
 from repro.graph.partition import PartitionSet, partition_graph
 from repro.graph.reorder import DbgResult, degree_based_grouping, identity_ordering
@@ -232,12 +233,15 @@ class ReGraph:
         results in the returned report are mapped back to input-graph
         order.
 
-        Passing a :class:`~repro.faults.plan.FaultPlan` (and optionally a
-        :class:`~repro.faults.resilience.ResiliencePolicy`) routes the
-        run through the resilient execution layer: injected faults are
-        absorbed by watchdog/retry/checkpoint/degrade and accounted in
-        ``run.health``.  With both left ``None`` the plain simulator runs
-        — bit-for-bit the historical code path.
+        Every run iterates in the resilient executor
+        (:meth:`~repro.faults.resilience.ResilientExecutor.run`): faults
+        injected by ``fault_plan`` (a
+        :class:`~repro.faults.plan.FaultPlan`; ``None`` is the empty
+        plan) are absorbed by watchdog/retry/checkpoint/degrade under
+        ``resilience`` (a
+        :class:`~repro.faults.resilience.ResiliencePolicy`; ``None`` is
+        the default policy) and accounted in ``run.health``, which a
+        fault-free run reports clean.
 
         ``breakers`` optionally shares a
         :class:`~repro.faults.resilience.CircuitBreakerBank` across runs
@@ -254,23 +258,15 @@ class ReGraph:
             if isinstance(graph_or_pre, PreprocessResult)
             else self.preprocess(graph_or_pre)
         )
-        app = app_builder(pre.graph)
-        if fault_plan is not None or resilience is not None:
-            from repro.faults.resilience import ResilientExecutor
-
-            executor = ResilientExecutor(
-                pre, self.platform, self.channel,
-                fault_plan=fault_plan, policy=resilience,
-                breakers=breakers,
-            )
-            run = executor.run(
-                app, max_iterations=max_iterations, functional=functional
-            )
-        else:
-            sim = SystemSimulator(pre.plan, self.platform, self.channel)
-            run = sim.run(
-                app, max_iterations=max_iterations, functional=functional
-            )
+        executor = ResilientExecutor(
+            pre, self.platform, self.channel,
+            fault_plan=fault_plan, policy=resilience, breakers=breakers,
+        )
+        run = executor.run(
+            app_builder(pre.graph),
+            max_iterations=max_iterations,
+            functional=functional,
+        )
         if run.props is not None and run.props.size == pre.graph.num_vertices:
             run.props = pre.to_original_order(run.props)
             if (

@@ -1,16 +1,21 @@
 """Full-system simulator: heterogeneous clusters + Apply + Writer.
 
-Executes a static :class:`~repro.sched.plan.SchedulingPlan` iteration by
-iteration.  Within an iteration every pipeline runs its task list; the two
-clusters proceed concurrently and the Apply module streams the merged
-accumulations against the old properties (Fig. 3c), so the iteration's
-cycle count is the slowest pipeline's busy time overlapped with the
-Apply/Writer stream.
+Simulates one iteration of a static
+:class:`~repro.sched.plan.SchedulingPlan` as two passes, timing and
+functional; :meth:`repro.faults.resilience.ResilientExecutor.run` is the
+one loop that iterates them.  Within an iteration every pipeline runs its
+task list; the two clusters proceed concurrently and the Apply module
+streams the merged accumulations against the old properties (Fig. 3c), so
+the iteration's cycle count is the slowest pipeline's busy time
+overlapped with the Apply/Writer stream.
 
 Task timings are invariant across iterations (the edge lists never
-change), so they are evaluated once and cached; the *functional* pass —
-running the app's UDFs through the modelled PEs — repeats every iteration
-because properties evolve.
+change), so they are evaluated once and cached while no timing fault is
+active; the *functional* pass — running the app's UDFs through the
+modelled PEs — repeats every iteration because properties evolve.  Every
+simulator carries a :class:`~repro.faults.injector.FaultInjector`; one
+built from an empty :class:`~repro.faults.plan.FaultPlan` draws nothing
+and scales nothing.
 
 Production passes run on the plan's compiled engines
 (:mod:`repro.compiled`), fault-active passes included.  The per-task
@@ -32,6 +37,9 @@ from repro.arch.little_pipeline import LittlePipelineSim
 from repro.arch.platform import FpgaPlatform
 from repro.arch.resources import report as resource_report
 from repro.arch.writer import WriterSim
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
+from repro.faults.resilience import RunHealthReport
 from repro.hbm.channel import HbmChannelModel
 from repro.sched.plan import SchedulingPlan
 
@@ -76,9 +84,9 @@ class RunReport:
     iteration_reports: List[IterationReport] = field(default_factory=list)
     props: Optional[np.ndarray] = None
     result: Optional[object] = None
-    #: :class:`repro.faults.resilience.RunHealthReport` when the run used
-    #: the resilient execution layer; None for plain runs.
-    health: Optional[object] = None
+    #: Everything the resilient executor absorbed during the run (clean
+    #: on a fault-free run: no faults, retries, re-plans or open breakers).
+    health: RunHealthReport = field(default_factory=RunHealthReport)
     #: :class:`repro.sched.scheduler.SchedulingPlan` the final iterations
     #: executed under (differs from the initial plan after degradation).
     final_plan: Optional[object] = None
@@ -107,33 +115,30 @@ class RunReport:
 
 
 class SystemSimulator:
-    """Executes a scheduling plan on the modelled heterogeneous system."""
+    """One iteration of a scheduling plan on the modelled system."""
 
     def __init__(
         self,
         plan: SchedulingPlan,
         platform: FpgaPlatform,
         channel: Optional[HbmChannelModel] = None,
-        injector=None,
+        injector: Optional[FaultInjector] = None,
     ):
         self.plan = plan
         self.platform = platform
-        self.channel = channel or HbmChannelModel()
-        self.injector = injector
-        if injector is not None:
-            # Private channel copy so fault wiring never leaks into the
-            # caller's (shared, possibly fault-free) channel model.
-            self.channel = HbmChannelModel(
-                self.channel.params, fault_site=injector
-            )
+        self.injector = injector = injector or FaultInjector(FaultPlan())
+        # Private channel copy so fault wiring never leaks into the
+        # caller's shared channel model.
+        self.channel = HbmChannelModel(
+            (channel or HbmChannelModel()).params, fault_site=injector
+        )
         config = plan.accelerator.pipeline
         self._little = LittlePipelineSim(config, self.channel)
         self._big = BigPipelineSim(config, self.channel)
         self._apply = ApplySim(self.channel)
         self._writer = WriterSim(self.channel)
-        if injector is not None:
-            self._little.fault_site = injector
-            self._big.fault_site = injector
+        self._little.fault_site = injector
+        self._big.fault_site = injector
         self._resource_report = resource_report(plan.accelerator, platform)
         self._cached_iteration: Optional[IterationReport] = None
 
@@ -143,7 +148,7 @@ class SystemSimulator:
         return self._resource_report.frequency_mhz
 
     # ------------------------------------------------------------------
-    def _timing_pass(self, num_vertices: int) -> IterationReport:
+    def iteration_timing(self, num_vertices: int) -> IterationReport:
         """Simulate one iteration's timing on the compiled engine.
 
         The fault-free report is computed once per simulator and reused
@@ -155,8 +160,7 @@ class SystemSimulator:
         randomness and scale nothing while ``timing_faults_active()``
         is False.
         """
-        injector = self.injector
-        if injector is not None and injector.timing_faults_active():
+        if self.injector.timing_faults_active():
             return self._faulted_timing(num_vertices)
         if self._cached_iteration is None:
             self._cached_iteration = self._compiled_timing(num_vertices)
@@ -174,7 +178,7 @@ class SystemSimulator:
         from repro.compiled import plan_engine
 
         little, big = plan_engine(self.plan).busy_cycles(self.channel)
-        return self._iteration_report(little, big, num_vertices)
+        return self.iteration_report(little, big, num_vertices)
 
     def _faulted_timing(self, num_vertices: int) -> IterationReport:
         """One timing pass with active timing faults, on the engine.
@@ -203,13 +207,15 @@ class SystemSimulator:
         little, big = plan_engine(self.plan).busy_cycles(
             self.channel, injector.latency_scales()
         )
-        return self._iteration_report(little, big, num_vertices)
+        return self.iteration_report(little, big, num_vertices)
 
-    def _iteration_report(
+    def iteration_report(
         self, little: List[float], big: List[float], num_vertices: int
     ) -> IterationReport:
         """Pipeline busy times plus the Apply/Writer stream (unscoped:
-        no pipeline context is active while they are charged)."""
+        no pipeline context is active while they are charged).  With no
+        pipelines it is the stream alone, which floors the watchdog
+        budget (:class:`~repro.faults.resilience.ResiliencePolicy`)."""
         return IterationReport(
             little_cycles=little,
             big_cycles=big,
@@ -219,14 +225,12 @@ class SystemSimulator:
 
     def _compute_timing(self, num_vertices: int) -> IterationReport:
         """One interpreted timing pass over every pipeline's task list
-        (the reference oracle of :meth:`_timing_pass`)."""
+        (the reference oracle of :meth:`iteration_timing`)."""
         injector = self.injector
-        if injector is not None:
-            injector.pass_kind = "timing"
+        injector.pass_kind = "timing"
         little = []
         for idx, tasks in enumerate(self.plan.little_tasks):
-            if injector is not None:
-                injector.enter_pipeline("little", idx)
+            injector.enter_pipeline("little", idx)
             busy = 0.0
             for task in tasks:
                 timing, _ = self._little.execute(task.partition)
@@ -234,19 +238,18 @@ class SystemSimulator:
             little.append(busy)
         big = []
         for idx, tasks in enumerate(self.plan.big_tasks):
-            if injector is not None:
-                injector.enter_pipeline("big", idx)
+            injector.enter_pipeline("big", idx)
             busy = 0.0
             for task in tasks:
                 timing, _ = self._big.execute(task.partitions)
                 busy += timing.total_cycles
             big.append(busy)
-        if injector is not None:
-            injector.exit_pipeline()
-        return self._iteration_report(little, big, num_vertices)
+        injector.exit_pipeline()
+        return self.iteration_report(little, big, num_vertices)
 
-    def _compiled_functional(self, app, props: np.ndarray) -> np.ndarray:
-        """One functional pass through the compiled engine.
+    def functional_iteration(self, app, props: np.ndarray) -> np.ndarray:
+        """One functional iteration through the compiled engine: UDFs,
+        global merge, Apply.
 
         The engine lowers the plan's graph into destination order on
         first use (cached on the graph, shared by every plan of it,
@@ -254,97 +257,41 @@ class SystemSimulator:
         iteration as one scatter plus one segmented
         ``gather_ufunc.reduceat`` per destination,
         bit-identical to the interpreted walk
-        (``tests/test_compiled_functional.py`` is the contract).  With an
-        injector, ``pass_kind`` flips to "functional" and
+        (``tests/test_compiled_functional.py`` is the contract).  The
+        injector's ``pass_kind`` flips to "functional" and
         :func:`~repro.compiled.functional.replay_flips` replays the
-        walk's bit-flip draws: a detectable hit raises at the same drain,
+        walk's bit-flip draws (none while no flip window is open): a detectable hit raises at the same drain,
         a silent one re-folds the interval it corrupted, and the pipeline
         context ends as the walk leaves it.
         """
         from repro.compiled.functional import functional_engine, replay_flips
 
         acc = functional_engine(self.plan).accumulate(app, props)
-        injector = self.injector
-        if injector is not None:
-            injector.pass_kind = "functional"
-            replay_flips(self.plan, injector, app, props, acc)
+        self.injector.pass_kind = "functional"
+        replay_flips(self.plan, self.injector, app, props, acc)
         return self._apply.run(app, props, acc)
 
     def _interpreted_functional(self, app, props: np.ndarray) -> np.ndarray:
         """The per-task interpreted walk (reference oracle of
-        :meth:`_compiled_functional`).
+        :meth:`functional_iteration`).
 
         ``execute`` with an app returns no timing: this pass only moves
         data, the timing pass already charged every task's cycles.
         """
         injector = self.injector
-        if injector is not None:
-            injector.pass_kind = "functional"
+        injector.pass_kind = "functional"
         acc = np.full(props.size, app.gather_identity, dtype=app.prop_dtype)
         for idx, tasks in enumerate(self.plan.little_tasks):
-            if injector is not None:
-                injector.enter_pipeline("little", idx)
+            injector.enter_pipeline("little", idx)
             for task in tasks:
                 _, output = self._little.execute(task.partition, app, props)
                 lo, hi, buffer = output
                 acc[lo:hi] = app.gather(acc[lo:hi], buffer)
         for idx, tasks in enumerate(self.plan.big_tasks):
-            if injector is not None:
-                injector.enter_pipeline("big", idx)
+            injector.enter_pipeline("big", idx)
             for task in tasks:
                 _, outputs = self._big.execute(task.partitions, app, props)
                 for lo, hi, buffer in outputs:
                     acc[lo:hi] = app.gather(acc[lo:hi], buffer)
-        if injector is not None:
-            injector.exit_pipeline()
+        injector.exit_pipeline()
         return self._apply.run(app, props, acc)
-
-    # -- public single-iteration surface (used by the resilient layer) --
-    def iteration_timing(self, num_vertices: int) -> IterationReport:
-        """Timing of one iteration (cached when no fault is active)."""
-        return self._timing_pass(num_vertices)
-
-    def functional_iteration(self, app, props: np.ndarray) -> np.ndarray:
-        """One functional iteration: UDFs, global merge, Apply."""
-        return self._compiled_functional(app, props)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        app,
-        max_iterations: Optional[int] = None,
-        functional: bool = True,
-    ) -> RunReport:
-        """Execute the app until convergence or the iteration cap.
-
-        With ``functional=False`` only timing is simulated (properties are
-        not evolved) and exactly ``max_iterations`` iterations are
-        charged — the mode used by pure-throughput sweeps.
-        """
-        limit = max_iterations if max_iterations is not None else app.max_iterations
-        graph = app.graph
-        run = RunReport(
-            app_name=app.name,
-            graph_name=graph.name,
-            accel_label=self.plan.accelerator.label,
-            frequency_mhz=self.frequency_mhz,
-            edges_per_iteration=self.plan.total_edges(),
-            final_plan=self.plan,
-        )
-        props = app.init_props() if functional else None
-        for _ in range(limit):
-            iteration = self._timing_pass(graph.num_vertices)
-            run.iteration_reports.append(iteration)
-            run.total_cycles += iteration.total_cycles
-            run.iterations += 1
-            if functional:
-                new_props = self._compiled_functional(app, props)
-                if app.has_converged(props, new_props, run.iterations):
-                    props = new_props
-                    run.converged = True
-                    break
-                props = new_props
-        if functional:
-            run.props = props
-            run.result = app.finalize(props)
-        return run

@@ -9,7 +9,8 @@ Public surface:
 * :class:`~repro.faults.resilience.ResilientExecutor`,
   :class:`~repro.faults.resilience.ResiliencePolicy` and
   :class:`~repro.faults.resilience.RunHealthReport` — the resilient
-  execution layer used by :meth:`repro.core.framework.ReGraph.run`.
+  execution layer every :meth:`repro.core.framework.ReGraph.run`
+  iterates in.
 """
 
 from repro.faults.injector import FaultInjector

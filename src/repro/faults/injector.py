@@ -1,6 +1,7 @@
 """Seeded fault injector wired into the simulator's hardware boundaries.
 
-One :class:`FaultInjector` instance accompanies a resilient run.  It is
+One :class:`FaultInjector` instance accompanies every run (one built from
+an empty :class:`FaultPlan` draws nothing and scales nothing).  It is
 installed at two boundaries:
 
 * the **HBM channel boundary** — :class:`~repro.hbm.channel.HbmChannelModel`
@@ -25,6 +26,7 @@ is a pure function of ``(seed, FaultPlan)``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -42,7 +44,6 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.rng = np.random.default_rng(plan.seed)
         #: Simulated kernel-clock time, set by the executor each attempt.
         self.now = 0.0
         #: "timing" or "functional" — which simulator pass is running.
@@ -52,6 +53,12 @@ class FaultInjector:
         self._num_big = 0
         self._retired_channels = set()
         self._retired_pipelines = set()  # global pipeline indices
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The plan-seeded generator, built on first use: a run whose
+        plan never draws (an empty one) never pays for it."""
+        return np.random.default_rng(self.plan.seed)
 
     # ------------------------------------------------------------------
     # Topology mapping (host-runtime channel layout)
@@ -92,8 +99,8 @@ class FaultInjector:
         """True while any fault can alter or abort the timing pass.
 
         While this is False the system simulator reuses its cached
-        fault-free iteration timing, which is what makes a zero-fault
-        plan reproduce the fault-free cycle counts exactly.  While it is
+        fault-free iteration timing, which is what keeps a zero-fault
+        plan's cycle counts those of a clean iteration exactly.  While it is
         True each timing pass replays the ``on_task`` hooks and scales
         the spiked pipelines (:meth:`latency_scales`) on the compiled
         engine.

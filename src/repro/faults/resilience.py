@@ -1,13 +1,15 @@
 """Resilient execution: watchdog, retry, checkpoint, degrade.
 
-The :class:`ResilientExecutor` runs an application the same way
-:meth:`repro.core.system.SystemSimulator.run` does, but wraps every
-iteration in a fault-handling loop:
+:meth:`ResilientExecutor.run` is the one loop that runs iterations: every
+run, fault-free or not, iterates there, one
+:class:`~repro.core.system.SystemSimulator` timing and functional pass per
+attempt, and every iteration is wrapped in a fault-handling loop:
 
 * **Watchdog** — each iteration gets a cycle budget derived from the
-  Eq. 1-4 model's predicted makespan times a slack factor; an iteration
-  that exceeds it (latency spikes) or never finishes (stalls, dead
-  channels) is reclaimed after charging the budget.
+  Eq. 1-4 model's predicted makespan times a slack factor, never below
+  the Apply/Writer stream; an iteration that exceeds it (latency spikes)
+  or never finishes (stalls, dead channels) is reclaimed after charging
+  the budget.
 * **Bounded retry with backoff** — transient faults re-run the iteration
   from its checkpoint; each attempt charges the wasted cycles plus an
   exponentially growing backoff, which advances simulated time and lets
@@ -30,10 +32,11 @@ iteration in a fault-handling loop:
   iteration.
 
 Everything the run survived is accounted in a :class:`RunHealthReport`
-attached to the returned :class:`~repro.core.system.RunReport`.  With an
-empty :class:`~repro.faults.plan.FaultPlan` the executor follows the
-exact cached code path of the plain simulator — zero cycle overhead when
-resilience is idle.
+attached to the returned :class:`~repro.core.system.RunReport`.  Under an
+empty :class:`~repro.faults.plan.FaultPlan` nothing fires: every
+iteration reuses the simulator's cached fault-free timing, no cycle is
+charged beyond the iterations themselves, and the health report is clean
+(no faults, retries, re-plans or watchdog trips; every breaker closed).
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ class ResiliencePolicy(Wire):
     #: Cycles charged for the first backoff; grows by ``backoff_factor``.
     backoff_base_cycles: float = 10_000.0
     backoff_factor: float = 2.0
-    #: Watchdog budget = slack * model-predicted iteration makespan.
+    #: Watchdog budget = slack * model-predicted pipeline makespan, never
+    #: below the Apply/Writer stream (see :meth:`watchdog_budget`).
     watchdog_slack: float = 8.0
     #: Additive floor so degenerate plans still get a usable budget.
     watchdog_floor_cycles: float = 10_000.0
@@ -135,10 +139,23 @@ class ResiliencePolicy(Wire):
         """Exponential backoff charged before retry ``attempt`` (1-based)."""
         return self.backoff_base_cycles * self.backoff_factor ** (attempt - 1)
 
-    def watchdog_budget(self, estimated_makespan: float) -> float:
-        """Per-iteration cycle budget from the Eq. 1-4 estimate."""
+    def watchdog_budget(
+        self, estimated_makespan: float, stream_cycles: float
+    ) -> float:
+        """Per-iteration cycle budget from the Eq. 1-4 estimate.
+
+        Eq. 1-4 estimate the pipelines' busy time only, while a clean
+        iteration costs ``max(cluster, apply) + writer``
+        (:class:`~repro.core.system.IterationReport`), and the Apply and
+        Writer stream grows with V alone.  So the budget never falls
+        below ``stream_cycles``, that stream's cycles; where the slacked
+        makespan already covers it the budget is the slacked makespan.
+        """
         return (
-            self.watchdog_slack * max(estimated_makespan, 0.0)
+            max(
+                self.watchdog_slack * max(estimated_makespan, 0.0),
+                stream_cycles,
+            )
             + self.watchdog_floor_cycles
         )
 
@@ -302,8 +319,7 @@ class FaultDict(TypedDict):
 
 class RunHealthDict(TypedDict, total=False):
     """:meth:`RunHealthReport.to_dict` on the wire: every key on a
-    resilient run's report, none on a run that has no health report
-    (a crashed chaos cell)."""
+    run's report, none on a crashed chaos cell (it has no run)."""
 
     faults: List[FaultDict]
     retries: int
@@ -410,8 +426,11 @@ class ResilientExecutor:
     def run(self, app, max_iterations=None, functional: bool = True):
         """Execute ``app`` to convergence or the iteration cap.
 
-        Mirrors :meth:`SystemSimulator.run` exactly on the fault-free
-        path; returns a :class:`RunReport` with ``health`` populated.
+        The one loop every run iterates in, fault-free or not.  With
+        ``functional=False`` only timing is simulated (properties are not
+        evolved) and exactly the cap's iterations are charged — the mode
+        of pure-throughput sweeps.  Returns a :class:`RunReport` whose
+        ``health`` is clean when nothing fired.
         """
         from repro.core.system import RunReport, SystemSimulator
 
@@ -435,10 +454,14 @@ class ResilientExecutor:
             accel_label=plan.accelerator.label,
             frequency_mhz=sim.frequency_mhz,
             edges_per_iteration=plan.total_edges(),
+            health=health,
         )
         props = app.init_props() if functional else None
         snapshot = None  # private copy of the state entering an iteration
-        budget = policy.watchdog_budget(plan.estimated_makespan)
+        # The Apply/Writer stream depends only on V and the channel, so
+        # it floors every budget of the run, re-planned ones included.
+        stream = sim.iteration_report([], [], graph.num_vertices).total_cycles
+        budget = policy.watchdog_budget(plan.estimated_makespan, stream)
 
         bank = self.breakers
         bank.reset_retired()
@@ -458,10 +481,11 @@ class ResilientExecutor:
                 run.total_cycles,
             )
             bank.mark_retired(self._victim_channels(victim, plan))
-            plan, sim, budget = self._degrade(plan, victim, injector, health)
+            plan, sim, budget = self._degrade(
+                plan, victim, injector, health, stream
+            )
 
-        iteration = 0
-        while iteration < limit:
+        for iteration in range(limit):
             if functional:
                 snapshot = props.copy()
             attempt = 0
@@ -469,12 +493,11 @@ class ResilientExecutor:
                 injector.now = run.total_cycles
                 try:
                     report = sim.iteration_timing(graph.num_vertices)
-                    if report.total_cycles > budget:
+                    cycles = report.total_cycles
+                    if cycles > budget:
                         health.watchdog_trips += 1
                         raise WatchdogTimeoutError(
-                            report.total_cycles,
-                            budget,
-                            victim=injector.spike_victim(),
+                            cycles, budget, victim=injector.spike_victim()
                         )
                     new_props = (
                         sim.functional_iteration(app, props)
@@ -497,7 +520,7 @@ class ResilientExecutor:
                         self._victim_channels(fault.victim, plan)
                     )
                     plan, sim, budget = self._degrade(
-                        plan, fault.victim, injector, health
+                        plan, fault.victim, injector, health, stream
                     )
                     props = self._restore(snapshot, health, props, functional)
                     attempt = 0
@@ -530,7 +553,7 @@ class ResilientExecutor:
                             self._victim_channels(fault.victim, plan)
                         )
                         plan, sim, budget = self._degrade(
-                            plan, fault.victim, injector, health
+                            plan, fault.victim, injector, health, stream
                         )
                         attempt = 0
                     else:
@@ -541,10 +564,9 @@ class ResilientExecutor:
                     props = self._restore(snapshot, health, props, functional)
 
             run.iteration_reports.append(report)
-            run.total_cycles += report.total_cycles
+            run.total_cycles += cycles
             run.iterations += 1
-            health.useful_cycles += report.total_cycles
-            iteration += 1
+            health.useful_cycles += cycles
             if functional:
                 if app.has_converged(props, new_props, run.iterations):
                     props = new_props
@@ -557,7 +579,6 @@ class ResilientExecutor:
             run.result = app.finalize(props)
         health.final_label = plan.accelerator.label
         health.channel_breakers = bank.snapshot()
-        run.health = health
         run.final_plan = plan
         return run
 
@@ -625,7 +646,7 @@ class ResilientExecutor:
         health.checkpoint_restores += 1
         return snapshot.copy()
 
-    def _degrade(self, plan, victim, injector, health):
+    def _degrade(self, plan, victim, injector, health, stream):
         """Retire ``victim``, re-plan onto the survivors, revalidate."""
         from repro.core.system import SystemSimulator
 
@@ -646,5 +667,7 @@ class ResilientExecutor:
         sim = SystemSimulator(
             new_plan, self.platform, self.channel, injector=injector
         )
-        budget = self.policy.watchdog_budget(new_plan.estimated_makespan)
+        budget = self.policy.watchdog_budget(
+            new_plan.estimated_makespan, stream
+        )
         return new_plan, sim, budget

@@ -47,10 +47,12 @@ class HbmChannelModel:
     """Timing oracle for one pseudo-channel.
 
     ``fault_site`` is the injection hook of :mod:`repro.faults`: when set
-    (resilient runs only), every latency figure the channel charges is
-    passed through ``fault_site.scale_latency`` so latency-spike faults
-    inflate it while their window is active.  The default ``None`` keeps
-    the fault-free code path untouched.
+    (on every simulator's private channel copy), every latency figure the
+    channel charges is passed through ``fault_site.scale_latency`` so
+    latency-spike faults inflate it while their window is active; outside
+    a window the figure passes through unchanged.  The default ``None``
+    (calibration, probes, standalone pipeline simulators) charges the
+    figures as they are.
     """
 
     def __init__(

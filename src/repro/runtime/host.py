@@ -31,6 +31,11 @@ from repro.errors import (
     NoGraphLoadedError,
     UserInputError,
 )
+from repro.faults.resilience import (
+    CircuitBreakerBank,
+    ResiliencePolicy,
+    RunHealthReport,
+)
 from repro.graph.coo import VERTEX_WORD_BYTES, Graph
 from repro.hbm.capacity import CHANNEL_CAPACITY_BYTES, fits_hbm
 from repro.utils.wire import Wire
@@ -150,15 +155,15 @@ class AcceleratorHandle:
     #: Draining contexts finish in-flight work but accept nothing new.
     draining: bool = False
     _pre: Optional[PreprocessResult] = None
-    #: Health report of the most recent resilient ``execute`` (fleet
-    #: placement reads this without re-running anything).
-    last_health: Optional[object] = None
+    #: Health report of the most recent ``execute`` (fleet placement
+    #: reads this without re-running anything).
+    last_health: Optional[RunHealthReport] = None
     #: Per-channel circuit breakers shared across ``execute`` calls on
     #: this handle: a channel that keeps faulting stays open (and its
     #: pipeline degraded) for the lifetime of the context, like a real
-    #: host runtime blacklisting a flaky HBM channel.  Created lazily on
-    #: the first resilient ``execute``.
-    breakers: Optional[object] = None
+    #: host runtime blacklisting a flaky HBM channel.  Created on the
+    #: first ``execute``.
+    breakers: Optional[CircuitBreakerBank] = None
 
     # -- buffer management --------------------------------------------
     def allocate(self, name: str, num_bytes: int, channels: List[int]):
@@ -238,8 +243,8 @@ class AcceleratorHandle:
 
         ``app`` is any registry name (pagerank, bfs, closeness, wcc,
         sssp, radii); ``root`` is an input-graph vertex ID for the apps
-        that take one.  ``fault_plan`` / ``resilience`` route the run
-        through the resilient execution layer (see
+        that take one.  ``fault_plan`` / ``resilience`` configure the
+        resilient executor every run goes through (see
         :meth:`repro.core.framework.ReGraph.run`).  An unknown app or a
         root outside the graph raises
         :class:`~repro.errors.UserInputError`.
@@ -254,15 +259,9 @@ class AcceleratorHandle:
             raise NoGraphLoadedError(
                 "no graph loaded; call load_graph() first"
             )
-        if fault_plan is not None or resilience is not None:
-            if self.breakers is None:
-                from repro.faults.resilience import (
-                    CircuitBreakerBank,
-                    ResiliencePolicy,
-                )
-
-                policy = resilience or ResiliencePolicy()
-                self.breakers = CircuitBreakerBank(policy.breaker_threshold)
+        if self.breakers is None:
+            policy = resilience or ResiliencePolicy()
+            self.breakers = CircuitBreakerBank(policy.breaker_threshold)
         run = self.framework.run_app(
             self._pre,
             app,
@@ -272,8 +271,7 @@ class AcceleratorHandle:
             resilience=resilience,
             breakers=self.breakers,
         )
-        if run.health is not None:
-            self.last_health = run.health
+        self.last_health = run.health
         return run
 
     def total_offload_seconds(self, run: RunReport) -> float:
@@ -301,7 +299,7 @@ class AcceleratorHandle:
         return len(self.breakers.open_channels())
 
     def breaker_snapshot(self) -> Dict[str, dict]:
-        """Per-channel breaker state, empty before any resilient run."""
+        """Per-channel breaker state, empty before the first run."""
         if self.breakers is None:
             return {}
         return self.breakers.snapshot()

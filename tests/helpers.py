@@ -85,8 +85,8 @@ def interpreted_oracle():
     per-buffer ``filter_buffer`` hook, and trace synthesis becomes
     :func:`repro.arch.trace.interpreted_trace` — the oracle every
     differential harness compares production against.  This block and
-    ``benchmarks/bench_perf_regression.py``'s oracle class are the only
-    ways to reach the interpreted walks.
+    ``benchmarks/bench_perf_regression.py``'s copy of its patching are
+    the only ways to reach the interpreted walks.
     """
     import repro.compiled.trace as compiled_trace
     from repro.arch.trace import interpreted_trace
@@ -96,7 +96,7 @@ def interpreted_oracle():
         for name, oracle in (
             ("_compiled_timing", SystemSimulator._compute_timing),
             ("_faulted_timing", SystemSimulator._compute_timing),
-            ("_compiled_functional", SystemSimulator._interpreted_functional),
+            ("functional_iteration", SystemSimulator._interpreted_functional),
         ):
             stack.enter_context(mock.patch.object(SystemSimulator, name, oracle))
         stack.enter_context(

@@ -63,15 +63,15 @@ class TestDeltaPageRank:
         props = _gas_run(app, max_iterations=100)
         assert app.has_converged(None, props, 0)
 
-    def test_on_simulated_system(self, dbg_rmat, rmat_partitions, perf_model):
-        from repro.arch.platform import get_platform
-        from repro.core.system import SystemSimulator
-        from repro.sched.scheduler import build_schedule
+    def test_on_simulated_system(self, small_rmat):
+        from tests.helpers import make_framework
 
-        plan = build_schedule(rmat_partitions, perf_model, 4)
-        sim = SystemSimulator(plan, get_platform("U280"))
-        app = DeltaPageRank(dbg_rmat.graph, tolerance=1e-9)
-        run = sim.run(app, max_iterations=100)
-        ref = pagerank_reference(dbg_rmat.graph, iterations=100)
+        framework = make_framework(num_pipelines=4)
+        run = framework.run(
+            small_rmat,
+            lambda g: DeltaPageRank(g, tolerance=1e-9),
+            max_iterations=100,
+        )
+        ref = pagerank_reference(small_rmat, iterations=100)
         assert np.max(np.abs(run.result - ref)) < 1e-3
         assert run.converged

@@ -72,18 +72,20 @@ class TestSpmv:
         y = app.finalize(_gas_run(app))
         assert np.all(y == 0)
 
-    def test_on_simulated_system(self, rmat_partitions, dbg_rmat, perf_model):
-        from repro.arch.platform import get_platform
-        from repro.core.system import SystemSimulator
-        from repro.sched.scheduler import build_schedule
+    def test_on_simulated_system(self, small_rmat):
+        from tests.helpers import make_framework
 
-        plan = build_schedule(rmat_partitions, perf_model, 4)
-        sim = SystemSimulator(plan, get_platform("U280"))
+        framework = make_framework(num_pipelines=4)
+        pre = framework.preprocess(small_rmat)
         rng = np.random.default_rng(2)
-        x = rng.random(dbg_rmat.graph.num_vertices)
-        run = sim.run(SpMV(dbg_rmat.graph, x), max_iterations=1)
+        x = rng.random(small_rmat.num_vertices)
+        internal_x = np.empty_like(x)
+        internal_x[pre.dbg.mapping] = x
+        run = framework.run(
+            pre, lambda g: SpMV(g, internal_x), max_iterations=1
+        )
         np.testing.assert_allclose(
-            run.result, spmv_reference(dbg_rmat.graph, x), atol=1e-4
+            run.result, spmv_reference(small_rmat, x), atol=1e-4
         )
 
 

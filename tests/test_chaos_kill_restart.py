@@ -83,6 +83,39 @@ class TestCell:
         assert data["config"] == result.config.to_dict()
 
 
+class TestReportDoesNotDependOnTheWorkdir:
+    def test_one_seed_two_workdirs_write_equal_reports(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import json
+
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        reports, printed = [], []
+        for workdir in ("relative", str(tmp_path / "absolute")):
+            report = tmp_path / f"{len(reports)}.json"
+            assert main([
+                "chaos", "kill-restart", "--num-jobs", "8",
+                "--fleet-seed", "7", "--replica", "U280",
+                "--replica", "U50", "--kills", "1", "--crashes", "1",
+                "--corrupt", "bit-flip:4", "--no-fsync",
+                "--workdir", workdir, "--report-json", str(report),
+            ]) == 0
+            reports.append(json.loads(report.read_text()))
+            out = capsys.readouterr().out
+            printed.append(out.split("quarantined")[1].split(" -> ")[1]
+                           .splitlines()[0])
+        assert reports[0] == reports[1]
+        assert reports[0]["quarantine_path"] == (
+            "quarantine/fleet.journal.quarantine.json"
+        )
+        # The CLI line still names a bundle that opens.
+        for path in printed:
+            bundle = json.loads(open(path).read())
+            assert bundle["corrupt_records"]
+
+
 class TestCleanCell:
     def test_single_crash_no_corruption(self, tmp_path):
         config = KillRestartConfig(soak=SOAK, crashes=1, fsync=False)

@@ -363,7 +363,7 @@ def _resilient_run(graph, fault_plan, oracle: bool):
     or not, so the two paths are compared draw for draw.
     """
     states = []
-    timing_pass = SystemSimulator._timing_pass
+    timing_pass = SystemSimulator.iteration_timing
 
     def recorded(self, num_vertices):
         try:
@@ -372,7 +372,7 @@ def _resilient_run(graph, fault_plan, oracle: bool):
             states.append(self.injector.rng.bit_generator.state)
 
     framework = make_framework(buffer_vertices=256, num_pipelines=4)
-    with mock.patch.object(SystemSimulator, "_timing_pass", recorded):
+    with mock.patch.object(SystemSimulator, "iteration_timing", recorded):
         with interpreted_oracle() if oracle else contextlib.nullcontext():
             try:
                 run = framework.run_pagerank(

@@ -150,7 +150,7 @@ def degraded_plan(pre, framework):
     executor = ResilientExecutor(pre, framework.platform, framework.channel)
     victim = ("little", 0) if accel.num_little else ("big", 0)
     plan, _, _ = executor._degrade(
-        pre.plan, victim, injector, RunHealthReport()
+        pre.plan, victim, injector, RunHealthReport(), stream=0.0
     )
     return plan
 
@@ -672,7 +672,7 @@ class TestFaultFallback:
             return original_on_task(self, kind)
 
         monkeypatch.setattr(FaultInjector, "on_task", on_task)
-        original_timing = SystemSimulator._timing_pass
+        original_timing = SystemSimulator.iteration_timing
 
         def timing_pass(self, num_vertices):
             start = len(hooks)
@@ -684,7 +684,7 @@ class TestFaultFallback:
             passes.append((len(hooks) - start, False))
             return report
 
-        monkeypatch.setattr(SystemSimulator, "_timing_pass", timing_pass)
+        monkeypatch.setattr(SystemSimulator, "iteration_timing", timing_pass)
         silent_hits = []
         original_draw = FaultInjector.draw_flip
 

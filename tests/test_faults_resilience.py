@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.pagerank import PageRank
 from repro.arch.config import PipelineConfig
 from repro.cli import main
 from repro.core.framework import ReGraph
@@ -40,6 +41,7 @@ from repro.faults import (
 )
 from repro.graph.generators import rmat_graph
 
+from tests.frozen_plain_loop import frozen_run
 from tests.helpers import make_framework
 
 
@@ -266,8 +268,19 @@ class TestResiliencePolicy:
         policy = ResiliencePolicy(
             watchdog_slack=4.0, watchdog_floor_cycles=1000.0
         )
-        assert policy.watchdog_budget(500.0) == 3000.0
-        assert policy.watchdog_budget(0.0) == 1000.0
+        assert policy.watchdog_budget(500.0, 0.0) == 3000.0
+        assert policy.watchdog_budget(0.0, 0.0) == 1000.0
+
+    def test_watchdog_budget_covers_the_apply_writer_stream(self):
+        # The stream grows with V alone; the slacked pipeline makespan
+        # stays the budget wherever it already covers the stream.
+        policy = ResiliencePolicy(
+            watchdog_slack=4.0, watchdog_floor_cycles=1000.0
+        )
+        assert policy.watchdog_budget(500.0, 2000.0) == 3000.0
+        assert policy.watchdog_budget(500.0, 1999.0) == 3000.0
+        assert policy.watchdog_budget(500.0, 7000.0) == 8000.0
+        assert policy.watchdog_budget(0.0, 7000.0) == 8000.0
 
     @pytest.mark.parametrize("kwargs,needle", [
         ({"max_retries": -1}, "max_retries"),
@@ -445,13 +458,20 @@ class TestFaultInjector:
 # ----------------------------------------------------------------------
 class TestResilientRuns:
     def test_zero_fault_plan_is_free(self, framework, pre):
-        base = framework.run_pagerank(pre, max_iterations=8)
+        # Against the former fault-free loop: the one loop would only be
+        # compared with itself otherwise.
+        base = frozen_run(
+            pre, framework, PageRank(pre.graph), max_iterations=8
+        )
         res = framework.run_pagerank(
             pre, max_iterations=8, fault_plan=FaultPlan()
         )
         assert res.total_cycles == base.total_cycles
         assert res.iterations == base.iterations
-        np.testing.assert_array_equal(res.props, base.props)
+        assert res.iteration_reports == base.iteration_reports
+        np.testing.assert_array_equal(
+            res.props, pre.to_original_order(base.props)
+        )
         assert res.health.fault_count == 0
         assert res.health.overhead_cycles == 0.0
 

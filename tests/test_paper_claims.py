@@ -12,8 +12,6 @@ from repro.apps.pagerank import PageRank
 from repro.arch.config import PipelineConfig
 from repro.arch.platform import get_platform
 from repro.core.framework import ReGraph
-from repro.core.system import SystemSimulator
-from repro.sched.scheduler import build_schedule
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +23,16 @@ def framework():
     )
 
 
-def _pr_mteps(framework, plan, graph, iterations=5):
-    sim = SystemSimulator(plan, framework.platform, framework.channel)
-    run = sim.run(PageRank(graph), max_iterations=iterations, functional=False)
+def _pr_mteps(framework, pre, iterations=5):
+    run = framework.run(
+        pre, PageRank, max_iterations=iterations, functional=False
+    )
     return run.mteps
+
+
+def _forced(framework, pre, m):
+    """``pre`` rescheduled onto the forced ``mL(8-m)B`` combination."""
+    return framework.preprocess(pre.prepared, forced_combo=(m, 8 - m))
 
 
 class TestFig10Heterogeneity:
@@ -36,29 +40,18 @@ class TestFig10Heterogeneity:
 
     def test_mixed_beats_homogeneous(self, framework, small_rmat):
         pre = framework.preprocess(small_rmat)
-        graph = pre.graph
         mteps = {}
         for m in range(9):
-            plan = build_schedule(
-                pre.pset, framework.model, 8, forced_combo=(m, 8 - m)
-            )
-            mteps[m] = _pr_mteps(framework, plan, graph)
+            mteps[m] = _pr_mteps(framework, _forced(framework, pre, m))
         best_m = max(mteps, key=mteps.get)
         assert 0 < best_m < 8, f"best combo {best_m}L{8-best_m}B is homogeneous"
 
     def test_selected_close_to_best(self, framework, small_rmat):
         """Sec. VI-C: the framework's choice reaches ~92% of the best."""
         pre = framework.preprocess(small_rmat)
-        graph = pre.graph
-        selected = _pr_mteps(framework, pre.plan, graph)
+        selected = _pr_mteps(framework, pre)
         best = max(
-            _pr_mteps(
-                framework,
-                build_schedule(
-                    pre.pset, framework.model, 8, forced_combo=(m, 8 - m)
-                ),
-                graph,
-            )
+            _pr_mteps(framework, _forced(framework, pre, m))
             for m in range(9)
         )
         assert selected >= 0.75 * best
@@ -76,7 +69,7 @@ class TestFig12Scalability:
                 num_pipelines=n_pip,
             )
             pre = fw.preprocess(small_rmat)
-            mteps.append(_pr_mteps(fw, pre.plan, pre.graph))
+            mteps.append(_pr_mteps(fw, pre))
         assert mteps[0] < mteps[1] < mteps[2]
 
     def test_sublinear_on_super_sparse_graph(self):
@@ -92,7 +85,7 @@ class TestFig12Scalability:
                 num_pipelines=n_pip,
             )
             pre = fw.preprocess(tiny_sparse)
-            mteps.append(_pr_mteps(fw, pre.plan, pre.graph))
+            mteps.append(_pr_mteps(fw, pre))
         speedup = mteps[1] / mteps[0]
         assert speedup < 4.0  # far below the 4x pipeline ratio
 
@@ -121,13 +114,13 @@ class TestSec6GResourceEfficiency:
         from repro.baselines.fpga import thundergp_like_plan
 
         pre = framework.preprocess(small_rmat)
-        regraph_mteps = _pr_mteps(framework, pre.plan, pre.graph)
+        regraph_mteps = _pr_mteps(framework, pre)
 
         mono = thundergp_like_plan(framework, small_rmat, num_pipelines=4)
         mono_fw = ReGraph(
             "U280", pipeline=framework.pipeline, num_pipelines=4
         )
-        mono_mteps = _pr_mteps(mono_fw, mono.plan, mono.graph)
+        mono_mteps = _pr_mteps(mono_fw, mono)
         assert regraph_mteps > mono_mteps
 
     def test_energy_efficiency_vs_cpu(self, framework, small_rmat):
@@ -136,7 +129,7 @@ class TestSec6GResourceEfficiency:
         from repro.baselines.ligra import LigraModel
 
         pre = framework.preprocess(small_rmat)
-        regraph_gteps = _pr_mteps(framework, pre.plan, pre.graph) / 1e3
+        regraph_gteps = _pr_mteps(framework, pre) / 1e3
         ligra_gteps = LigraModel().pagerank_mteps(small_rmat) / 1e3
         ratio = efficiency_ratio(regraph_gteps, 35.0, ligra_gteps, 208.0)
         assert ratio > 3.0
@@ -250,6 +243,6 @@ class TestAblations:
         with_dbg = framework.preprocess(graph, use_dbg=True)
         without = framework.preprocess(graph, use_dbg=False)
         assert len(with_dbg.plan.dense_indices) >= 1
-        mteps_with = _pr_mteps(framework, with_dbg.plan, with_dbg.graph)
-        mteps_without = _pr_mteps(framework, without.plan, without.graph)
+        mteps_with = _pr_mteps(framework, with_dbg)
+        mteps_without = _pr_mteps(framework, without)
         assert mteps_with > 1.2 * mteps_without

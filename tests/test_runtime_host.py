@@ -110,10 +110,22 @@ class TestPersistentBreakers:
     """The handle's circuit-breaker bank outlives individual executes:
     a channel blacklisted in one run stays blacklisted in the next."""
 
-    def test_plain_execute_creates_no_bank(self, handle, small_rmat):
+    def test_first_execute_creates_the_bank(self, handle, small_rmat):
+        # Every execute runs in the resilient executor, so a fault-free
+        # one creates the bank too: all of the topology's breakers closed.
         handle.load_graph(small_rmat)
-        handle.execute("pagerank", max_iterations=2)
         assert handle.breakers is None
+        run = handle.execute("pagerank", max_iterations=2)
+        bank = handle.breakers
+        assert bank is not None
+        assert handle.last_health is run.health
+        assert handle.breaker_snapshot() == run.health.channel_breakers
+        assert len(run.health.channel_breakers) == (
+            2 * run.final_plan.accelerator.total_pipelines
+        )
+        assert handle.open_breaker_count() == 0
+        handle.execute("bfs", max_iterations=2)
+        assert handle.breakers is bank
 
     def test_bank_persists_across_executes(self, handle, small_rmat):
         from repro.faults import DeadChannelFault, FaultPlan
